@@ -14,6 +14,17 @@ the four hot read paths:
 
 The acceptance bar: FST ``get_many`` at batch >= 1024 reaches >= 3x the
 scalar-loop throughput on the email workload.
+
+The ``LSM get`` rows are the engine's own batch read,
+``LSMTree.get_many``, against a loop of ``get`` at the widths a server
+coalescer delivers ({1, 8, 16, 64, 256}), with no filter and with
+SuRF-Real.  The engine holds **one** SSTable of the size the engine
+builds by default (4,096 keys, whatever ``REPRO_SCALE`` says), so a
+batch's width is also the number of keys its table's filter sees — the
+quantity ``repro.lsm.engine._VECTOR_PROBE_MIN`` is a threshold on.  The
+``vector kernel forced`` rows run with that threshold at 1: where their
+speedup crosses 1.0x is the measured crossover the constant cites; the
+plain rows show the dispatching ``get_many`` not losing to the loop.
 """
 
 import random
@@ -23,10 +34,15 @@ from repro.compact import CompactBPlusTree
 from repro.filters.bloom import BloomFilter
 from repro.fst import FST
 from repro.hope import HopeEncoder, HopeIndex
-from repro.surf import SuRF
-from repro.workloads.keys import email_keys
+from repro.lsm import LSMTree
+from repro.lsm import engine as lsm_engine
+from repro.surf import SuRF, surf_real
 
 BATCH_SIZES = (1, 16, 256, 4096)
+LSM_WIDTHS = (1, 8, 16, 64, 256)
+#: ``LSMTree``'s default ``sstable_entries``: the table size the
+#: per-table crossover is measured at.
+LSM_TABLE_KEYS = 4096
 
 
 def _query_mix(keys, seed=7):
@@ -39,17 +55,23 @@ def _query_mix(keys, seed=7):
     return queries
 
 
-def _throughput_rows(name, scalar_fn, batch_fn, queries, repeats=3):
+def _throughput_rows(name, scalar_fn, batch_fn, queries, repeats=3, sizes=BATCH_SIZES):
     """One row per batch size: scalar loop vs native batch ops/s."""
     n = len(queries)
-    scalar = measure_ops(lambda: scalar_fn(queries), n, repeats=repeats)
+    scalar_of = {}  # sample length -> the scalar loop over that sample
     rows = []
     speedups = {}
-    for size in BATCH_SIZES:
+    for size in sizes:
         # Tiny batches pay heavy per-call overhead; measuring them over
         # a query subsample keeps the suite fast without changing the
-        # per-op throughput being reported.
+        # per-op throughput being reported.  The scalar loop is timed
+        # over the same sample, so a row compares like with like.
         sample = queries if size >= 256 else queries[: min(n, 2_000)]
+        if len(sample) not in scalar_of:
+            scalar_of[len(sample)] = measure_ops(
+                lambda: scalar_fn(sample), len(sample), repeats=repeats
+            )
+        scalar = scalar_of[len(sample)]
         chunks = [sample[i : i + size] for i in range(0, len(sample), size)]
 
         def run_batches(chunks=chunks):
@@ -69,6 +91,49 @@ def _throughput_rows(name, scalar_fn, batch_fn, queries, repeats=3):
             ]
         )
     return rows, speedups
+
+
+def _one_table_engine(keys, filter_factory):
+    db = LSMTree(
+        memtable_entries=len(keys) + 1,
+        sstable_entries=len(keys) + 1,
+        filter_factory=filter_factory,
+    )
+    db.put_many([(k, i) for i, k in enumerate(keys)])
+    db.flush_memtable()
+    assert db.table_count() == 1
+    return db
+
+
+def _lsm_rows(keys):
+    """``LSMTree.get_many`` vs a ``get`` loop, per filter; plus the
+    SuRF rows again with the scalar dispatch switched off."""
+    keys = keys[:: max(1, len(keys) // LSM_TABLE_KEYS)][:LSM_TABLE_KEYS]
+    queries = _query_mix(keys)
+    rows = []
+    stats = {}
+    for label, factory in (("no filter", None), ("SuRF-Real", surf_real)):
+        db = _one_table_engine(keys, factory)
+        variants = [(f"LSM get, {label}", lsm_engine._VECTOR_PROBE_MIN)]
+        if factory is not None:
+            variants.append((f"LSM get, {label}, vector kernel forced", 1))
+        for name, threshold in variants:
+            configured = lsm_engine._VECTOR_PROBE_MIN
+            lsm_engine._VECTOR_PROBE_MIN = threshold
+            try:
+                r, s = _throughput_rows(
+                    name,
+                    lambda qs: [db.get(q) for q in qs],
+                    db.get_many,
+                    queries,
+                    sizes=LSM_WIDTHS,
+                )
+            finally:
+                lsm_engine._VECTOR_PROBE_MIN = configured
+            rows += r
+            stats[name] = s
+        db.close()
+    return rows, stats
 
 
 def run_experiment(email_keys_sorted):
@@ -125,6 +190,10 @@ def run_experiment(email_keys_sorted):
     rows += r
     stats["hope"] = s
 
+    r, s = _lsm_rows(keys)
+    rows += r
+    stats.update(s)
+
     return rows, stats
 
 
@@ -145,4 +214,14 @@ def test_batch_queries(benchmark, email_keys_sorted):
     assert stats["fst"][4096][2] >= 2.0
     # Every structure's large-batch path must beat its scalar loop.
     for name, s in stats.items():
-        assert s[4096][2] > 1.0, f"{name}: batch slower than scalar"
+        if not name.startswith("LSM"):
+            assert s[4096][2] > 1.0, f"{name}: batch slower than scalar"
+    # The engine dispatches to scalar probes below its crossover, so
+    # from the coalescer's width up get_many must not lose to the loop
+    # (0.8: timer noise on shared runners; at width 1 the row measures
+    # the batch bookkeeping of one call, not a kernel), and the vector
+    # kernel must pay at full width.
+    for name in ("LSM get, no filter", "LSM get, SuRF-Real"):
+        for width in LSM_WIDTHS[1:]:
+            assert stats[name][width][2] >= 0.8, f"{name}: get_many x{width} loses to get"
+    assert stats["LSM get, SuRF-Real"][256][2] > 1.0

@@ -34,8 +34,14 @@ class ClockNodeCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], Any]) -> Any:
-        """Return the cached value, invoking ``loader`` on a miss."""
+    def get_or_load(self, key: Hashable, loader: Callable[..., Any], *args: Any) -> Any:
+        """Return the cached value, invoking ``loader(*args)`` on a miss.
+
+        ``hits`` / ``misses`` move under the lock, one of them per
+        call, so they are exact under any number of threads — callers
+        that account for cache traffic read them instead of inferring
+        a miss from outside (where another thread's miss can land
+        between a before/after pair)."""
         with self._lock:
             hit = self._values.get(key)
             if hit is not None:
@@ -44,7 +50,7 @@ class ClockNodeCache:
                 self.hits += 1
                 return value
             self.misses += 1
-            value = loader()
+            value = loader(*args)
             self._install(key, value)
             return value
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Any, Iterator
 
 #: Marker value for deletions (RocksDB tombstones).  Defined here, at
 #: the bottom of the lsm import graph, and re-exported by
@@ -28,6 +30,7 @@ TOMBSTONE = object()
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
 _FRAME_HEADER = struct.Struct("<II")
 
 #: Value-codec tags.
@@ -56,7 +59,7 @@ def encode_value(value: Any) -> bytes:
     if isinstance(value, int):
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise TypeError("int values must fit in a signed 64-bit word")
-        return bytes([_VAL_INT]) + struct.pack("<q", value)
+        return bytes([_VAL_INT]) + _I64.pack(value)
     if isinstance(value, bytes):
         return bytes([_VAL_BYTES]) + value
     if isinstance(value, str):
@@ -66,20 +69,23 @@ def encode_value(value: Any) -> bytes:
     )
 
 
-def decode_value(data: bytes) -> Any:
-    if not data:
+def decode_value(data: bytes, start: int = 0, end: int | None = None) -> Any:
+    """Decode the value encoded in ``data[start:end]``."""
+    if end is None:
+        end = len(data)
+    if start >= end:
         raise FrameError("empty value encoding")
-    tag = data[0]
+    tag = data[start]
+    if tag == _VAL_BYTES:
+        return data[start + 1 : end]
+    if tag == _VAL_INT:
+        if end - start != 9:
+            raise FrameError("bad int value length")
+        return _I64.unpack_from(data, start + 1)[0]
     if tag == _VAL_TOMBSTONE:
         return TOMBSTONE
-    if tag == _VAL_INT:
-        if len(data) != 9:
-            raise FrameError("bad int value length")
-        return struct.unpack("<q", data[1:])[0]
-    if tag == _VAL_BYTES:
-        return data[1:]
     if tag == _VAL_STR:
-        return data[1:].decode("utf-8")
+        return data[start + 1 : end].decode("utf-8")
     raise FrameError(f"unknown value tag {tag}")
 
 
@@ -111,42 +117,134 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 
 
 def encode_block(pairs: list[tuple[bytes, Any]]) -> bytes:
-    """One SSTable block: framed, CRC-checked entry run."""
-    out = bytearray(_U32.pack(len(pairs)))
-    for key, value in pairs:
-        val = encode_value(value)
-        out += _U32.pack(len(key))
-        out += key
-        out += _U32.pack(len(val))
-        out += val
-    return frame(bytes(out))
+    """One SSTable block, framed and CRC-checked, laid out in columns::
+
+        <u32 n> <u32 klen[n]> <u32 vlen[n]> <keys...> <values...>
+
+    The same byte count as interleaving each length with its field;
+    putting the lengths first lets :class:`Block` compute every offset
+    with one ``unpack_from`` instead of walking the entries.
+    """
+    values = [encode_value(value) for _, value in pairs]
+    n = len(pairs)
+    header = struct.pack(
+        f"<{2 * n + 1}I", n, *[len(key) for key, _ in pairs], *map(len, values)
+    )
+    return frame(header + b"".join([key for key, _ in pairs]) + b"".join(values))
 
 
-def decode_block(data: bytes) -> list[tuple[bytes, Any]]:
+#: Searches after which a cached block builds its key list: the list
+#: costs ~9 us and saves ~1.2 us per search after that.
+_HOT_BLOCK_PROBES = 8
+
+
+class Block:
+    """One decoded SSTable block: a sorted run of ``(key, value)``.
+
+    Owns a single ``bytes`` copy of the block payload plus one list of
+    field offsets; keys are sliced and values decoded only for the entries a
+    caller touches, so a point read that misses the block cache pays
+    for one copy, one ``unpack_from`` and a bisect — not for building
+    every entry.  Everything handed out is a fresh ``bytes``/``int``/
+    ``str`` object: nothing aliases the payload's source buffer (an
+    mmap'd table file) or the cached block itself.
+    """
+
+    __slots__ = ("_payload", "_n", "_off", "_keys", "_probes")
+
+    def __init__(self, payload: bytes) -> None:
+        if len(payload) < 4:
+            raise FrameError("truncated block payload")
+        (n,) = _U32.unpack_from(payload, 0)
+        base = 4 + 8 * n
+        if base > len(payload):
+            raise FrameError("block entry count out of range")
+        self._payload = payload
+        self._n = n
+        #: Field boundaries: keys lie back to back and the values follow
+        #: them, so one running sum over both length columns places
+        #: key ``i`` at ``[off[i], off[i+1])`` and value ``i`` at
+        #: ``[off[n+i], off[n+i+1])``.
+        self._off = list(
+            accumulate(struct.unpack_from(f"<{2 * n}I", payload, 4), initial=base)
+        )
+        if self._off[-1] != len(payload):
+            raise FrameError("block lengths do not match payload size")
+        #: The key column as a list, built once the block proves hot
+        #: (see :meth:`first_ge`); ``_probes`` counts searches so far.
+        self._keys: list[bytes] | None = None
+        self._probes = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def key(self, i: int) -> bytes:
+        return self._payload[self._off[i] : self._off[i + 1]]
+
+    def value(self, i: int) -> Any:
+        i += self._n
+        return decode_value(self._payload, self._off[i], self._off[i + 1])
+
+    def __getitem__(self, i: int) -> tuple[bytes, Any]:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("block index out of range")
+        return self.key(i), self.value(i)
+
+    def first_ge(self, key: bytes) -> int:
+        """Index of the first entry with key >= ``key`` (len if none).
+
+        A cold block — most blocks, when the data outgrows the cache —
+        is searched in place: a hand-rolled bisect slices only the ~6
+        keys it visits (1.4 us on 64 entries), where building the key
+        list first costs 9 us.  A block that keeps being probed (a
+        cache-resident working set) has paid that difference after
+        ``_HOT_BLOCK_PROBES`` searches, so it then materializes the
+        list once and bisects it in C (0.2 us) from there on.
+        """
+        keys = self._keys
+        if keys is None:
+            payload, off = self._payload, self._off
+            if self._probes < _HOT_BLOCK_PROBES:
+                self._probes += 1
+                lo, hi = 0, self._n
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if payload[off[mid] : off[mid + 1]] < key:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                return lo
+            keys = self._keys = [
+                payload[a:b] for a, b in zip(off, off[1 : self._n + 1])
+            ]
+        return bisect_left(keys, key)
+
+    def find(self, key: bytes, default: Any = None) -> Any:
+        """The value stored under ``key``, else ``default``."""
+        i = self.first_ge(key)
+        if i < len(self) and self.key(i) == key:
+            return self.value(i)
+        return default
+
+    def items(self, start: int = 0) -> Iterator[tuple[bytes, Any]]:
+        """Entries from index ``start`` on, in key order."""
+        for i in range(start, len(self)):
+            yield self.key(i), self.value(i)
+
+    __iter__ = items
+
+
+def decode_block(data: bytes) -> Block:
     """Inverse of :func:`encode_block` over one framed block.
 
     Accepts any bytes-like input (including a ``memoryview`` slice of
-    an mmap'd table file); the decoded entries are always materialized
-    ``bytes`` objects so they never alias the caller's buffer.
+    an mmap'd table file); the CRC is checked over the source buffer
+    and the payload is copied out of it exactly once.
     """
     payload, _ = read_frame(data)
-    if not isinstance(payload, bytes):
-        payload = bytes(payload)
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
-    pairs: list[tuple[bytes, Any]] = []
-    for _ in range(count):
-        (klen,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        key = payload[offset : offset + klen]
-        offset += klen
-        (vlen,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        pairs.append((key, decode_value(payload[offset : offset + vlen])))
-        offset += vlen
-    if offset != len(payload):
-        raise FrameError("trailing bytes in block payload")
-    return pairs
+    return Block(payload if isinstance(payload, bytes) else bytes(payload))
 
 
 # -- length-prefixed byte strings (for footers / manifests) ------------------

@@ -77,6 +77,7 @@ import heapq
 import threading
 import time
 from bisect import bisect_left, bisect_right
+from itertools import islice, takewhile
 from typing import Any, Callable, Iterator, Sequence
 
 from ..compact.node_cache import ClockNodeCache
@@ -87,6 +88,7 @@ from .fs import FileSystem, OsFileSystem, join
 from .manifest import ManifestState
 from .sstable import (
     DEFAULT_BLOCK_ENTRIES,
+    Block,
     DiskSSTable,
     SSTable,
     SSTableBase,
@@ -97,21 +99,36 @@ from .sstable import (
 
 
 class IoStats:
-    """Simulated I/O and filter-probe counters."""
+    """Simulated I/O and filter-probe counters since the last
+    :meth:`reset`.
 
-    __slots__ = ("block_reads", "cache_hits", "filter_probes", "filter_negatives")
+    Block traffic is read off the block cache's own hit/miss counters,
+    which move under the cache's lock: every block fetch is exactly one
+    read or one hit, however many threads are reading."""
 
-    def __init__(self) -> None:
+    __slots__ = ("_cache", "_reads_base", "_hits_base", "filter_probes", "filter_negatives")
+
+    def __init__(self, block_cache: ClockNodeCache) -> None:
+        self._cache = block_cache
         self.reset()
 
     def reset(self) -> None:
-        self.block_reads = 0
-        self.cache_hits = 0
+        self._reads_base = self._cache.misses
+        self._hits_base = self._cache.hits
         #: Point-read probes against a per-table filter, and how many
         #: proved the table could not hold the key (I/O avoided) — the
         #: serving layer reports these as the filter hit rate.
         self.filter_probes = 0
         self.filter_negatives = 0
+
+    @property
+    def block_reads(self) -> int:
+        """Block fetches that missed the cache (one simulated I/O each)."""
+        return self._cache.misses - self._reads_base
+
+    @property
+    def cache_hits(self) -> int:
+        return self._cache.hits - self._hits_base
 
 
 class DictMemtable:
@@ -161,6 +178,14 @@ class DictMemtable:
 
 
 _MISSING = object()
+#: Value slot of a cursor run's lower-bound marker (see ``_table_run``).
+_BOUND = object()
+#: Fewest keys landing in one table for which the filter's vectorized
+#: ``lookup_many`` beats one scalar probe per key.  Source: the "LSM
+#: get, SuRF-Real, vector kernel forced" rows of
+#: ``benchmarks/results/batch_queries.json`` (one default-size table):
+#: 0.64x the scalar loop at 8 keys, 1.13x at 16, 3.4x at 64.
+_VECTOR_PROBE_MIN = 16
 
 
 class GappedMemtable:
@@ -276,15 +301,28 @@ class _Version:
     compaction keeps valid mmap views of the replaced tables.
     """
 
-    __slots__ = ("levels", "refs")
+    __slots__ = ("levels", "refs", "_bounds")
 
     def __init__(self, levels: list[list[SSTableBase]]) -> None:
         self.levels = levels
         self.refs = 1
+        self._bounds: list[tuple[list[bytes], list[bytes]]] | None = None
 
     def tables(self) -> Iterator[SSTableBase]:
         for level in self.levels:
             yield from level
+
+    def bounds(self) -> list[tuple[list[bytes], list[bytes]]]:
+        """The probe plan: per level, every table's ``(min_keys,
+        max_keys)``.  The layout is immutable, so it is computed once —
+        on the first read, not at construction, because it maps each
+        table's footer and opening an engine must stay zero-I/O."""
+        if self._bounds is None:
+            self._bounds = [
+                ([t.min_key for t in level], [t.max_key for t in level])
+                for level in self.levels
+            ]
+        return self._bounds
 
 
 class _Frozen:
@@ -311,13 +349,14 @@ class _View:
     """A pinned, consistent read context: memtable layers (newest
     first) plus one referenced :class:`_Version` of the table layout."""
 
-    __slots__ = ("mems", "version", "seq", "_merged")
+    __slots__ = ("mems", "version", "seq", "_merged", "_sorted")
 
     def __init__(self, mems: list, version: _Version, seq: int) -> None:
         self.mems = mems
         self.version = version
         self.seq = seq
         self._merged: dict[bytes, Any] | None = None
+        self._sorted: list[bytes] | None = None
 
     @property
     def levels(self) -> list[list[SSTableBase]]:
@@ -335,6 +374,15 @@ class _View:
                 m.update(layer.items())
             self._merged = m
         return self._merged
+
+    def mem_run(self, low: bytes) -> Iterator[tuple[bytes, Any]]:
+        """The memtable side of a cursor: :meth:`merged` entries with
+        key >= ``low`` in key order (sorted once per view)."""
+        merged = self.merged()
+        if self._sorted is None:
+            self._sorted = sorted(merged)
+        keys = self._sorted
+        return ((keys[i], merged[keys[i]]) for i in range(bisect_left(keys, low), len(keys)))
 
 
 class Snapshot:
@@ -383,10 +431,10 @@ class Snapshot:
         return self._engine._get_many_in(self._check(), keys)
 
     def seek(self, low: bytes, high: bytes | None = None):
-        return self._engine._seek_in(self._check(), low, high)
+        return next(self._engine._cursor(self._check(), low, high), None)
 
     def scan(self, low: bytes, count: int) -> list[tuple[bytes, Any]]:
-        return self._engine._scan_in(self._check(), low, count)
+        return list(islice(self._engine._cursor(self._check(), low), max(count, 0)))
 
     def count(self, low: bytes, high: bytes) -> int:
         return self._engine._count_in(self._check(), low, high)
@@ -452,7 +500,7 @@ class LSMTree:
         self._version = _Version([[]])
         self._immutables: list[_Frozen] = []
         self._block_cache = ClockNodeCache(block_cache_blocks)
-        self.io = IoStats()
+        self.io = IoStats(self._block_cache)
         #: Engine-scoped table-id allocator (persisted via the manifest
         #: in durable mode, so recovered engines never reuse an id).
         self._next_table_id = 0
@@ -1213,17 +1261,11 @@ class LSMTree:
 
     # -- block access with simulated I/O ------------------------------------------------
 
-    def _read_block(self, table: SSTableBase, block_idx: int) -> list[tuple[bytes, Any]]:
-        cache_key = (table.table_id, block_idx)
-        before = self._block_cache.misses
-        block = self._block_cache.get_or_load(
-            cache_key, lambda: table.read_block(block_idx)
+    def _read_block(self, table: SSTableBase, block_idx: int) -> Block:
+        """The only door to the block cache (``IoStats`` counts on it)."""
+        return self._block_cache.get_or_load(
+            (table.table_id, block_idx), table.read_block, block_idx
         )
-        if self._block_cache.misses > before:
-            self.io.block_reads += 1
-        else:
-            self.io.cache_hits += 1
-        return block
 
     # -- Get (Figure 4.3 left) ------------------------------------------------------------
 
@@ -1242,32 +1284,40 @@ class LSMTree:
             value = layer.get(key, _MISSING)
             if value is not _MISSING:
                 return None if value is TOMBSTONE else value
-        for table in self._candidates_for(view, key):
-            if table.filter is not None:
-                self.io.filter_probes += 1
-                if not table.may_contain(key):
-                    self.io.filter_negatives += 1
-                    continue
-            elif not table.may_contain(key):
-                continue
-            block = self._read_block(table, table.block_for(key))
-            idx = bisect_left(block, (key,))
-            if idx < len(block) and block[idx][0] == key:
-                value = block[idx][1]
-                return None if value is TOMBSTONE else value
+        levels = view.levels
+        for li, (mins, maxs) in enumerate(view.version.bounds()):
+            if li == 0:
+                tables = [t for t, lo, hi in zip(levels[0], mins, maxs) if lo <= key <= hi]
+            else:
+                # Disjoint level: at most one candidate table.
+                ti = bisect_right(mins, key) - 1
+                tables = [levels[li][ti]] if ti >= 0 and key <= maxs[ti] else ()
+            for table in tables:
+                value = self._table_get(table, key)
+                if value is not _MISSING:
+                    return None if value is TOMBSTONE else value
         return None
+
+    def _table_get(self, table: SSTableBase, key: bytes) -> Any:
+        """One table's answer for an in-range ``key``: the filter
+        probe, then at most one block fetch; ``_MISSING`` if absent."""
+        if table.filter is not None:
+            self.io.filter_probes += 1
+            if not table.may_contain(key):
+                self.io.filter_negatives += 1
+                return _MISSING
+        return self._read_block(table, table.block_for(key)).find(key, _MISSING)
 
     def get_many(self, keys: Sequence[bytes]) -> list[Any]:
         """Batch point reads matching element-wise scalar :meth:`get`.
 
         The batch walks the LSM hierarchy level-synchronously: per
-        table, every still-unresolved key in the table's range is
-        probed through the filter's vectorized ``lookup_many`` (PR 3
-        batch kernels) in one call, and the survivors are grouped by
-        block so each block is fetched and decoded once no matter how
-        many keys land in it.  A key resolved by a newer table (value
-        *or* tombstone) never touches older tables, preserving
-        newest-wins semantics exactly.
+        table, the still-unresolved keys in the table's range are
+        probed together — through the filter's vectorized
+        ``lookup_many`` when there are enough of them to pay for it
+        (see ``_VECTOR_PROBE_MIN``), one scalar probe each otherwise.
+        A key resolved by a newer table (value *or* tombstone) never
+        touches older tables, preserving newest-wins semantics exactly.
         """
         view = self._pin()
         try:
@@ -1280,292 +1330,87 @@ class LSMTree:
         out: list[Any] = [None] * len(keys)
         pending: list[int] = []
         for i, key in enumerate(keys):
-            resolved = False
             for layer in view.mems:
                 value = layer.get(key, _MISSING)
                 if value is not _MISSING:
                     out[i] = None if value is TOMBSTONE else value
-                    resolved = True
                     break
-            if not resolved:
+            else:
                 pending.append(i)
         levels = view.levels
-        for table in levels[0]:
+        for li, (mins, maxs) in enumerate(view.version.bounds()):
             if not pending:
-                return out
-            pending = self._table_get_many(table, keys, out, pending)
-        for level in levels[1:]:
-            if not pending:
-                return out
+                break
+            if li == 0:
+                for table, lo, hi in zip(levels[0], mins, maxs):
+                    members = [i for i in pending if lo <= keys[i] <= hi]
+                    if members:
+                        done = self._table_get_many(table, keys, out, members)
+                        pending = [i for i in pending if i not in done]
+                continue
             # Disjoint level: each key has at most one candidate table.
-            min_keys = [t.min_key for t in level]
             by_table: dict[int, list[int]] = {}
-            next_pending: list[int] = []
             for i in pending:
-                ti = bisect_right(min_keys, keys[i]) - 1
-                if ti >= 0 and keys[i] <= level[ti].max_key:
+                ti = bisect_right(mins, keys[i]) - 1
+                if ti >= 0 and keys[i] <= maxs[ti]:
                     by_table.setdefault(ti, []).append(i)
-                else:
-                    next_pending.append(i)
-            for ti, members in sorted(by_table.items()):
-                next_pending.extend(
-                    self._table_get_many(level[ti], keys, out, members)
-                )
-            pending = next_pending
+            done = set()
+            for ti, members in by_table.items():
+                done |= self._table_get_many(levels[li][ti], keys, out, members)
+            if done:
+                pending = [i for i in pending if i not in done]
         return out
 
     def _table_get_many(
         self, table: SSTableBase, keys: list[bytes], out: list[Any], idxs: list[int]
-    ) -> list[int]:
-        """Resolve what ``table`` holds of ``keys[idxs]``; return the
-        indexes still unresolved (filter negatives, false positives,
-        and keys outside the table's range)."""
-        in_range = [i for i in idxs if table.min_key <= keys[i] <= table.max_key]
-        if not in_range:
-            return idxs
-        if table.filter is not None:
-            flt = table.filter
-            probe = getattr(flt, "lookup_many", None) or getattr(
-                flt, "may_contain_many", None
-            )
+    ) -> set[int]:
+        """Resolve what ``table`` holds of the in-range ``keys[idxs]``
+        into ``out``; return the indexes resolved (the rest were filter
+        negatives or false positives)."""
+        flt = table.filter
+        if flt is not None:
+            probe = None
+            if len(idxs) >= _VECTOR_PROBE_MIN:
+                probe = getattr(flt, "lookup_many", None) or getattr(
+                    flt, "may_contain_many", None
+                )
             if probe is not None:
-                mask = probe([keys[i] for i in in_range])
+                mask = probe([keys[i] for i in idxs])
             else:
-                mask = [table.may_contain(keys[i]) for i in in_range]
-            self.io.filter_probes += len(in_range)
-            passed = [i for i, hit in zip(in_range, mask) if hit]
-            self.io.filter_negatives += len(in_range) - len(passed)
-        else:
-            passed = in_range
-        if not passed:
-            return idxs
+                mask = [table.may_contain(keys[i]) for i in idxs]
+            self.io.filter_probes += len(idxs)
+            passed = [i for i, hit in zip(idxs, mask) if hit]
+            self.io.filter_negatives += len(idxs) - len(passed)
+            idxs = passed
+        # Each block is fetched once however many keys land in it.
         by_block: dict[int, list[int]] = {}
-        for i in passed:
+        for i in idxs:
             by_block.setdefault(table.block_for(keys[i]), []).append(i)
-        resolved: set[int] = set()
+        done: set[int] = set()
         for block_idx in sorted(by_block):
             block = self._read_block(table, block_idx)
             for i in by_block[block_idx]:
-                j = bisect_left(block, (keys[i],))
-                if j < len(block) and block[j][0] == keys[i]:
-                    value = block[j][1]
+                value = block.find(keys[i], _MISSING)
+                if value is not _MISSING:
                     out[i] = None if value is TOMBSTONE else value
-                    resolved.add(i)
-        if not resolved:
-            return idxs
-        return [i for i in idxs if i not in resolved]
+                    done.add(i)
+        return done
 
-    def _candidates_for(self, view: _View, key: bytes) -> Iterator[SSTableBase]:
-        levels = view.levels
-        for table in levels[0]:
-            if table.min_key <= key <= table.max_key:
-                yield table
-        for level in levels[1:]:
-            idx = bisect_right([t.min_key for t in level], key) - 1
-            if idx >= 0 and key <= level[idx].max_key:
-                yield level[idx]
-
-    # -- Seek (Figure 4.3 middle) -----------------------------------------------------------
+    # -- Seek / Next (Figure 4.3 middle) ------------------------------------------------------
 
     def seek(self, low: bytes, high: bytes | None = None) -> tuple[bytes, Any] | None:
-        """Smallest entry with key >= low (and <= high if given).
+        """Smallest live entry with key >= low (and <= high if given).
 
-        With SuRF filters, candidate keys come from the filters and at
-        most one block is fetched; without them, one block per
-        candidate SSTable is fetched (the I/O the paper saves).  When
-        the winner turns out to be a tombstone, the engine switches to
-        an iterative merged cursor (:meth:`_merge_seek_in`) that skips
-        the whole tombstone run reading each block at most once — a run
-        of 100k deleted keys costs O(blocks) reads and O(1) stack.
+        With SuRF filters, candidate keys come from the filters and a
+        table whose candidate cannot win is never fetched; without
+        them, one block per candidate SSTable is fetched (the I/O the
+        paper saves).  See :meth:`_cursor`.
         """
         view = self._pin(copy_mem=True)
         try:
-            return self._seek_in(view, low, high)
+            return next(self._cursor(view, low, high), None)
         finally:
             self._unpin(view)
-
-    def _seek_in(
-        self, view: _View, low: bytes, high: bytes | None = None
-    ) -> tuple[bytes, Any] | None:
-        best: tuple[bytes, Any] | None = None
-        # MemTable candidate (no I/O) — newest-wins across the layers.
-        mem = [(k, v) for k, v in view.merged().items() if k >= low]
-        if mem:
-            best = min(mem)
-        candidates = list(self._seek_candidates(view, low))
-        if candidates and all(
-            t.filter is not None and hasattr(t.filter, "move_to_next")
-            for t in candidates
-        ):
-            cand = self._filtered_seek(candidates, low, high, best)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-        else:
-            for table in candidates:
-                cand = self._table_seek(table, low, high, best)
-                if cand is not None and (best is None or cand[0] < best[0]):
-                    best = cand
-        if best is None:
-            return None
-        if best[1] is TOMBSTONE:
-            # Tombstones shadow older entries; skip the run iteratively.
-            return self._merge_seek_in(view, best[0], high)
-        if high is not None and best[0] > high:
-            return None
-        return best
-
-    def _merge_seek_in(
-        self, view: _View, start: bytes, high: bytes | None
-    ) -> tuple[bytes, Any] | None:
-        """First live entry >= ``start`` via a newest-wins k-way merge.
-
-        One sorted cursor per source (merged memtable layers, each L0
-        table, each deeper level) advances through a heap; for
-        duplicate keys the lowest-rank (newest) source wins.  Every
-        block along the skip is read at most once, so a contiguous
-        tombstone run costs O(run / block_entries) block reads, not
-        O(run) seek restarts.
-        """
-        iters: list[Iterator[tuple[bytes, Any]]] = [
-            iter(sorted((k, v) for k, v in view.merged().items() if k >= start))
-        ]
-        levels = view.levels
-        for table in levels[0]:
-            if table.max_key >= start:
-                iters.append(self._table_cursor(table, start))
-        for level in levels[1:]:
-            iters.append(self._level_cursor(level, start))
-        # Heap entries are (key, rank, value); ranks are unique, so the
-        # (unorderable) values never get compared.
-        heap: list[tuple[bytes, int, Any]] = []
-        for rank, it in enumerate(iters):
-            first = next(it, None)
-            if first is not None:
-                heap.append((first[0], rank, first[1]))
-        heapq.heapify(heap)
-        while heap:
-            key = heap[0][0]
-            if high is not None and key > high:
-                return None
-            # Pop every version of ``key``; the first popped has the
-            # lowest rank (newest source) and decides liveness.
-            winner = heap[0][2]
-            while heap and heap[0][0] == key:
-                _, rank, _ = heapq.heappop(heap)
-                nxt = next(iters[rank], None)
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt[0], rank, nxt[1]))
-            if winner is not TOMBSTONE:
-                return (key, winner)
-        return None
-
-    def _table_cursor(
-        self, table: SSTableBase, start: bytes
-    ) -> Iterator[tuple[bytes, Any]]:
-        """Entries >= ``start`` from one table, block by cached block."""
-        block_idx = table.block_for(start)
-        block = self._read_block(table, block_idx)
-        for entry in block[bisect_left(block, (start,)) :]:
-            yield entry
-        for block_idx in range(block_idx + 1, table.n_blocks):
-            yield from self._read_block(table, block_idx)
-
-    def _level_cursor(
-        self, level: list[SSTableBase], start: bytes
-    ) -> Iterator[tuple[bytes, Any]]:
-        """Entries >= ``start`` across one disjoint sorted level."""
-        idx = max(bisect_right([t.min_key for t in level], start) - 1, 0)
-        for table in level[idx:]:
-            if table.max_key < start:
-                continue
-            yield from self._table_cursor(table, max(start, table.min_key))
-
-    def _filtered_seek(
-        self,
-        candidates: list[SSTableBase],
-        low: bytes,
-        high: bytes | None,
-        best: tuple[bytes, Any] | None,
-    ) -> tuple[bytes, Any] | None:
-        """The paper's SuRF seek (Section 4.2): obtain each table's
-        candidate *key prefix* from its filter (no I/O) and resolve the
-        winner with as few block fetches as the prefixes allow.
-
-        A filter prefix is a *truncated lower bound* on the table's
-        first key >= ``low`` — truncation can make prefixes from
-        different tables conflate distinct keys, so prefix order alone
-        cannot pick the winner (an earlier version skipped tables whose
-        prefix was not string-prefix-related to the minimum, silently
-        dropping newer versions and tombstones of the winning key).
-        The only sound prefix deduction is pruning: ``prefix > k``
-        proves the table holds nothing in ``[low, k]``.  So every
-        candidate is consulted newest-first, and :meth:`_table_seek`'s
-        internal prefix prune skips the block fetch whenever the prefix
-        already exceeds the running winner."""
-        prefixed: list[tuple[bytes, SSTableBase]] = []
-        for table in candidates:
-            it, _fp = table.filter_seek(low)
-            if not it.valid:
-                continue  # sound: no stored entry (nor prefix) >= low
-            prefixed.append((it.key(), table))
-        if not prefixed:
-            return None
-        min_prefix = min(p for p, _ in prefixed)
-        if high is not None and min_prefix > high:
-            return None  # every candidate starts past the bound: no I/O
-        # ``candidates`` arrive newest-first, so on a full-key tie the
-        # first (newest) table's entry — live or tombstone — wins.
-        result: tuple[bytes, Any] | None = None
-        for _prefix, table in prefixed:
-            cand = self._table_seek(table, low, high, result or best)
-            if cand is not None and (result is None or cand[0] < result[0]):
-                result = cand
-        return result
-
-    def _seek_candidates(self, view: _View, low: bytes) -> Iterator[SSTableBase]:
-        levels = view.levels
-        for table in levels[0]:
-            if table.max_key >= low:
-                yield table
-        for level in levels[1:]:
-            idx = bisect_right([t.min_key for t in level], low) - 1
-            start = max(idx, 0)
-            for table in level[start:]:
-                if table.max_key >= low:
-                    yield table
-                    break  # disjoint level: first qualifying table wins
-
-    def _table_seek(
-        self,
-        table: SSTableBase,
-        low: bytes,
-        high: bytes | None,
-        best: tuple[bytes, Any] | None,
-    ) -> tuple[bytes, Any] | None:
-        filter_it = table.filter_seek(low)
-        if filter_it is not None:
-            it, _fp = filter_it
-            if not it.valid:
-                return None  # filter proves nothing >= low here
-            candidate_prefix = it.key()
-            if high is not None and candidate_prefix > high:
-                return None  # beyond the bound: I/O saved
-            if best is not None and candidate_prefix > best[0]:
-                return None  # cannot beat the current winner
-        # Fetch the one block that holds the table's first key >= low.
-        block_idx = table.block_for(low)
-        block = self._read_block(table, block_idx)
-        idx = bisect_left(block, (low,))
-        while True:
-            if idx < len(block):
-                return block[idx]
-            block_idx += 1
-            if block_idx >= table.n_blocks:
-                return None
-            block = self._read_block(table, block_idx)
-            idx = 0
-
-    # -- iteration / Count (Figure 4.3 right) ---------------------------------------------------
 
     def scan(self, low: bytes, count: int) -> list[tuple[bytes, Any]]:
         """Seek + Next*: the first ``count`` live entries >= low.
@@ -1574,20 +1419,114 @@ class LSMTree:
         even while flushes and compactions run underneath."""
         view = self._pin(copy_mem=True)
         try:
-            return self._scan_in(view, low, count)
+            return list(islice(self._cursor(view, low), max(count, 0)))
         finally:
             self._unpin(view)
 
-    def _scan_in(self, view: _View, low: bytes, count: int) -> list[tuple[bytes, Any]]:
-        out: list[tuple[bytes, Any]] = []
-        cursor = low
-        while len(out) < count:
-            entry = self._seek_in(view, cursor)
+    def _cursor(
+        self, view: _View, low: bytes, high: bytes | None = None
+    ) -> Iterator[tuple[bytes, Any]]:
+        """The engine's one merged cursor: live entries with
+        ``low <= key`` (``<= high``) in key order.
+
+        One sorted *run* per source — the merged memtable layers, each
+        L0 table, each deeper level — advances through a heap, ranked
+        newest first; for duplicate keys the lowest rank wins and a
+        winning tombstone hides the key.  A table run announces every
+        block with a *lower bound* on its first key (see
+        :meth:`_table_run`) and fetches it only when the bound reaches
+        the top of the heap, so a block whose entries cannot beat the
+        running winner — or lie past ``high``, or past the last row the
+        caller pulls — is never read, and every block along a tombstone
+        run is read at most once.
+        """
+        runs: list[Iterator[tuple[bytes, Any]]] = []
+        if any(len(layer) for layer in view.mems):
+            runs.append(view.mem_run(low))
+        levels = view.levels
+        spans: list[list[SSTableBase]] = []
+        for li, (_mins, maxs) in enumerate(view.version.bounds()):
+            if li == 0:
+                spans += [[t] for t, hi in zip(levels[0], maxs) if hi >= low]
+            else:
+                # Disjoint sorted level: one run from the first table
+                # that reaches ``low`` onward.
+                first = bisect_left(maxs, low)
+                if first < len(maxs):
+                    spans.append(levels[li][first:])
+        # A filter can only save a fetch if something can beat or bound
+        # its table's candidate; a lone run is read regardless.
+        prune = high is not None or len(runs) + len(spans) > 1
+        runs += [self._table_run(span, low, prune) for span in spans]
+        # Heap entries are (key, fetched, rank, value): a bound sorts
+        # ahead of fetched entries with its key, and ranks are unique,
+        # so the (unorderable) values never get compared.  Every run
+        # starts as a bound below all keys; retiring it pulls the run's
+        # first entry.
+        heap: list[tuple[bytes, bool, int, Any]] = [
+            (b"", False, rank, _BOUND) for rank in range(len(runs))
+        ]
+
+        def advance() -> None:
+            """Replace the top entry with its run's next one."""
+            rank = heap[0][2]
+            entry = next(runs[rank], None)
             if entry is None:
-                break
-            out.append(entry)
-            cursor = entry[0] + b"\x00"
-        return out
+                heapq.heappop(heap)
+            else:
+                key, value = entry
+                heapq.heapreplace(heap, (key, value is not _BOUND, rank, value))
+
+        while heap:
+            key, fetched, _, winner = heap[0]
+            if high is not None and key > high:
+                return
+            if not fetched:
+                advance()  # fetch the block behind the bound
+                continue
+            # Retire every version of ``key``; the first (lowest rank,
+            # newest source) decided liveness.
+            while heap and heap[0][0] == key:
+                advance()
+            if winner is not TOMBSTONE:
+                yield key, winner
+
+    def _table_run(
+        self, tables: Sequence[SSTableBase], low: bytes, prune: bool
+    ) -> Iterator[tuple[bytes, Any]]:
+        """Entries >= ``low`` of consecutive disjoint ``tables`` (one
+        L0 table, or the tail of a deeper level), block by cached block.
+
+        Before each block fetch the run yields ``(bound, _BOUND)``,
+        where ``bound`` <= every entry still to come.  For the table
+        the seek lands in that is ``low`` — which sorts first, so
+        without a filter every run costs one fetch, the I/O of Figure
+        4.3 — raised, when ``prune``, to the candidate prefix the
+        table's SuRF returns (one ``move_to_next``, no I/O).  A SuRF
+        prefix is a *truncated* lower bound, so it can only prune:
+        ``prefix > k`` proves the table holds nothing in ``[low, k]``.
+        Later blocks and tables are announced by their fence or
+        ``min_key``, which are exact.
+        """
+        for position, table in enumerate(tables):
+            first, bound = 0, table.min_key
+            if position == 0:
+                first, bound = table.block_for(low), low
+                found = table.filter_seek(low) if prune else None
+                if found is not None:
+                    if not found[0].valid:
+                        continue  # the filter proves nothing >= low here
+                    bound = max(low, found[0].key())
+            for block_idx in range(first, table.n_blocks):
+                if block_idx > first:
+                    bound = table.fences[block_idx]
+                yield bound, _BOUND
+                block = self._read_block(table, block_idx)
+                # Only the landing block can hold keys below ``low``.
+                landing = position == 0 and block_idx == first
+                yield from block.items(block.first_ge(low) if landing else 0)
+
+    # -- Count (Figure 4.3 right) -------------------------------------------------------------
 
     def count(self, low: bytes, high: bytes) -> int:
         """Approximate count of entries in [low, high).
@@ -1605,28 +1544,18 @@ class LSMTree:
 
     def _count_in(self, view: _View, low: bytes, high: bytes) -> int:
         total = sum(1 for k in view.merged() if low <= k < high)
-        for level in view.levels:
-            for table in level:
-                if not table.overlaps(low, high):
-                    continue
-                if table.filter is not None and hasattr(table.filter, "count"):
-                    total += table.filter.count(low, high)
-                else:
-                    total += self._scan_count(table, low, high)
+        for table in view.version.tables():
+            if not table.overlaps(low, high):
+                continue
+            if table.filter is not None and hasattr(table.filter, "count"):
+                total += table.filter.count(low, high)
+            else:
+                run = self._table_run([table], low, False)
+                total += sum(
+                    value is not _BOUND
+                    for _, value in takewhile(lambda entry: entry[0] < high, run)
+                )
         return total
-
-    def _scan_count(self, table: SSTableBase, low: bytes, high: bytes) -> int:
-        count = 0
-        block_idx = table.block_for(low)
-        while block_idx < table.n_blocks:
-            block = self._read_block(table, block_idx)
-            for k, _ in block:
-                if k >= high:
-                    return count
-                if k >= low:
-                    count += 1
-            block_idx += 1
-        return count
 
     # -- quiescence (tests / benchmarks) --------------------------------------------------------
 

@@ -17,25 +17,29 @@ Two concrete kinds share one interface (:class:`SSTableBase`):
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
     [block 0] [block 1] ... [block n-1] [filter frame] [footer frame]
-    <u32 footer_frame_len> <magic "LSMS">
+    <u32 footer_frame_len> <magic "LSM2">
 
 The footer is found from the fixed-size trailer at the end of the
-file, RocksDB-style, so a table is self-describing.
+file, RocksDB-style, so a table is self-describing.  The magic doubles
+as the format tag: "LSM2" blocks are columnar (see
+:func:`~repro.lsm.disk_format.encode_block`), and a file written with
+the interleaved "LSMS" layout is rejected by the magic check instead
+of being misparsed.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import disk_format
-from .disk_format import TOMBSTONE, FrameError  # noqa: F401  (re-exported)
+from .disk_format import TOMBSTONE, Block, FrameError  # noqa: F401  (re-exported)
 from .fs import FileSystem
 
 DEFAULT_BLOCK_ENTRIES = 64
 
-TABLE_MAGIC = b"LSMS"
+TABLE_MAGIC = b"LSM2"
 
 #: Filter-blob tags in the table footer.
 _FILTER_NONE = 0
@@ -67,7 +71,7 @@ class SSTableBase:
     def n_blocks(self) -> int:
         raise NotImplementedError
 
-    def read_block(self, idx: int) -> list[tuple[bytes, Any]]:
+    def read_block(self, idx: int) -> Block:
         raise NotImplementedError
 
     def block_for(self, key: bytes) -> int:
@@ -80,18 +84,20 @@ class SSTableBase:
 
     def may_contain(self, key: bytes) -> bool:
         """Filter probe (no I/O); True when no filter is attached."""
-        if self.filter is None:
+        flt = self.filter
+        if flt is None:
             return self.min_key <= key <= self.max_key
-        return self.filter.lookup(key) if hasattr(self.filter, "lookup") else self.filter.may_contain(key)
+        return flt.lookup(key) if hasattr(flt, "lookup") else flt.may_contain(key)
 
     def filter_seek(self, key: bytes):
         """SuRF moveToNext on the table's filter, or None if the filter
         cannot answer (absent or a Bloom filter)."""
-        if self.filter is None or not hasattr(self.filter, "move_to_next"):
+        flt = self.filter
+        if flt is None or not hasattr(flt, "move_to_next"):
             return None
-        return self.filter.move_to_next(key)
+        return flt.move_to_next(key)
 
-    def items(self):
+    def items(self) -> Iterator[tuple[bytes, Any]]:
         for idx in range(self.n_blocks):
             yield from self.read_block(idx)
 
@@ -100,6 +106,26 @@ class SSTableBase:
 
     def close(self) -> None:
         """Release any backing resources (no-op for in-memory tables)."""
+
+
+class MemBlock(Block):
+    """An in-memory table's block: the :class:`Block` read surface over
+    two parallel lists (heap tables hold arbitrary Python values, so
+    there is no payload to decode).  The key list is the one a hot
+    ``Block`` materializes, so searches take the same bisect."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
+        self._n = len(pairs)
+        self._keys = [key for key, _ in pairs]
+        self._values = [value for _, value in pairs]
+
+    def key(self, i: int) -> bytes:
+        return self._keys[i]
+
+    def value(self, i: int) -> Any:
+        return self._values[i]
 
 
 class SSTable(SSTableBase):
@@ -130,11 +156,11 @@ class SSTable(SSTableBase):
             table_id = SSTable._fallback_id
             SSTable._fallback_id += 1
         self.table_id = table_id
-        self.blocks: list[list[tuple[bytes, Any]]] = [
-            list(pairs[i : i + block_entries])
+        self.blocks = [
+            MemBlock(pairs[i : i + block_entries])
             for i in range(0, len(pairs), block_entries)
         ]
-        self.fences = [block[0][0] for block in self.blocks]
+        self.fences = [block.key(0) for block in self.blocks]
         self.min_key = pairs[0][0]
         self.max_key = pairs[-1][0]
         self.n_entries = len(pairs)
@@ -148,7 +174,7 @@ class SSTable(SSTableBase):
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def read_block(self, idx: int) -> list[tuple[bytes, Any]]:
+    def read_block(self, idx: int) -> Block:
         return self.blocks[idx]
 
 
@@ -263,11 +289,11 @@ class DiskSSTable(SSTableBase):
     arrays alias the mapping directly (see :func:`_decode_filter`),
     so N shard processes share one page-cache copy of every filter.
 
-    ``read_block`` serves each block frame as a ``memoryview`` slice of
-    the mapping; :func:`~repro.lsm.disk_format.decode_block`
-    materializes the entries so nothing returned to callers aliases
-    the map.  ``close()`` is safe with views outstanding (see
-    :class:`~repro.lsm.fs.MappedFile`).
+    ``read_block`` checks each block frame's CRC over a ``memoryview``
+    slice of the mapping and copies the payload out once into a
+    :class:`~repro.lsm.disk_format.Block`, so nothing returned to
+    callers aliases the map.  ``close()`` is safe with views
+    outstanding (see :class:`~repro.lsm.fs.MappedFile`).
     """
 
     def __init__(
@@ -388,7 +414,7 @@ class DiskSSTable(SSTableBase):
         self._ensure_footer()
         return len(self._block_spans)
 
-    def read_block(self, idx: int) -> list[tuple[bytes, Any]]:
+    def read_block(self, idx: int) -> Block:
         self._ensure_footer()
         off, length = self._block_spans[idx]
         return disk_format.decode_block(self._ensure_map().view[off : off + length])

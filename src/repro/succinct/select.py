@@ -3,8 +3,18 @@
 This mirrors FST's lightweight sampled-LUT select (Section 3.6): a
 single lookup table stores the precomputed answer for every ``rate``-th
 query, and the remainder is resolved by a short word-by-word popcount
-scan from the sampled position.  The thesis uses a default sampling
-rate of 64, which costs 1-2 % space overall on the S-LOUDS vector.
+scan.  The thesis uses a default sampling rate of 64, which costs 1-2 %
+space overall on the S-LOUDS vector.
+
+On S-LOUDS one bit in ~16 is set, so the 63 bits past a sample span
+about twenty words, and a word-by-word walk over them was a quarter of
+a SuRF point probe.  A one-level *block directory* — the number of
+target bits before each 512-bit block, 32 bits per block like the rank
+LUT (Section 3.6; Navarro & Sadakane's directories in PAPERS.md are the
+many-level version) — lets the scan start in the block that holds the
+answer: the sample bounds a bisect over the directory from below, and
+at most eight words are scanned after it.  The directory is counted in
+:meth:`SelectSupport.size_bits` (+0.5 % on a SuRF-Real filter).
 
 Construction is vectorized: per-word popcounts come from the shared
 16-bit table, a cumulative sum locates each sampled rank's word via one
@@ -16,9 +26,15 @@ analogue of the broadword/PDEP tricks C implementations use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .bitvector import WORD_BITS, _WORD_MASK, BitVector, _popcounts_per_word
+
+#: Words per directory block (512 bits, one cache line — the sparse
+#: rank LUT's granularity).
+_BLOCK_WORDS = 8
 
 #: FST's default select sampling rate.
 DEFAULT_SELECT_SAMPLE_RATE = 64
@@ -48,7 +64,7 @@ class SelectSupport:
     Set ``bit=0`` to select zero bits (needed by plain LOUDS trees).
     """
 
-    __slots__ = ("_bv", "_bit", "_rate", "_samples", "_total")
+    __slots__ = ("_bv", "_bit", "_rate", "_samples", "_total", "_block_before")
 
     def __init__(
         self,
@@ -74,6 +90,11 @@ class SelectSupport:
                 per_word[-1] -= WORD_BITS - rem
         cum = np.cumsum(per_word)
         self._total = int(cum[-1]) if n_words else 0
+        #: Target bits strictly before each block (a list: ``bisect``
+        #: over it is ~10x cheaper than ``np.searchsorted`` per call).
+        self._block_before: list[int] = [0] + cum[
+            _BLOCK_WORDS - 1 : n_words - 1 : _BLOCK_WORDS
+        ].tolist()
         ranks = np.arange(1, self._total + 1, sample_rate, dtype=np.int64)
         word_idx = np.searchsorted(cum, ranks, side="left")
         before = np.zeros(len(ranks), dtype=np.int64)
@@ -98,30 +119,25 @@ class SelectSupport:
         """Position of the r-th (1-based) target bit."""
         if r < 1 or r > self._total:
             raise IndexError(f"select rank {r} out of range [1, {self._total}]")
-        sample_idx = (r - 1) // self._rate
-        pos = int(self._samples[sample_idx])
-        remaining = r - (sample_idx * self._rate + 1)
-        if remaining == 0:
-            return pos
-        # Scan forward word-by-word from the sampled position.
-        word_idx = (pos + 1) >> 6
-        bit_off = (pos + 1) & 63
-        n_words = (len(self._bv) + WORD_BITS - 1) >> 6
-        while word_idx < n_words:
-            word = self._bv.word(word_idx)
+        # The answer is not before the sampled position, so neither is
+        # its block; the directory then names the block outright.
+        before = self._block_before
+        first = int(self._samples[(r - 1) // self._rate]) // (_BLOCK_WORDS * WORD_BITS)
+        block = bisect_left(before, r, first + 1) - 1
+        remaining = r - before[block]
+        words = self._bv.words
+        for word_idx in range(block * _BLOCK_WORDS, len(words)):
+            word = int(words[word_idx])
             if self._bit == 0:
                 word = ~word & _WORD_MASK
-            word >>= bit_off
             count = word.bit_count()
             if count >= remaining:
-                return (word_idx << 6) + bit_off + _select_in_word(word, remaining)
+                return (word_idx << 6) + _select_in_word(word, remaining)
             remaining -= count
-            word_idx += 1
-            bit_off = 0
         raise AssertionError("select scan ran past end of vector")  # pragma: no cover
 
     # -- memory accounting ------------------------------------------------
 
     def size_bits(self) -> int:
-        """Sampled LUT overhead in bits (32 bits per sample)."""
-        return len(self._samples) * 32
+        """Sampled LUT plus block directory, 32 bits per entry each."""
+        return (len(self._samples) + len(self._block_before)) * 32

@@ -591,7 +591,7 @@ class LsmAdapter(Adapter):
         if op.op == "get":
             return db.get(op.key)
         if op.op == "get_many":
-            return [db.get(k) for k in op.keys]
+            return db.get_many(op.keys)
         if op.op == "contains":
             return db.get(op.key) is not None
         if op.op == "lower_bound":
@@ -599,7 +599,10 @@ class LsmAdapter(Adapter):
         if op.op == "scan":
             return db.scan(op.key, op.count)
         if op.op == "range":
-            first = db.seek(op.key)
+            # The bounded seek: the cursor may stop at ``high`` without
+            # fetching a block (``high`` is inclusive there, exclusive
+            # in the op vocabulary).
+            first = db.seek(op.key, op.high)
             return first is not None and first[0] < op.high
         if op.op == "count":
             hits = db.scan(op.key, COUNT_CLAMP)

@@ -695,12 +695,19 @@ class TestPlacement:
 
     def test_property_incremental_ownership_is_bounded(self):
         """Arbitrary group names: a newcomer only ever *pulls* shards
-        (never shuffles survivors), and takes a bounded fraction — 3x
-        the 1/(k+1) expectation flags a broken token scheme."""
+        (never shuffles survivors) — exact, checked per example — and
+        takes the 1/(k+1) share the ring promises *on average*.  The
+        share of one example is a random variable with a real tail
+        (about one draw in a hundred lands past 3x its expectation, and
+        a per-example cap made this test find those draws and replay
+        them); the mean over the examples is what a broken token scheme
+        would move, to k+1 times the expectation."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
         from repro.cluster import default_placement
+
+        shares: list[float] = []
 
         @settings(max_examples=50, deadline=None)
         @given(
@@ -720,14 +727,14 @@ class TestPlacement:
                     f"shard {s} shuffled {before[s]}->{after[s]} when "
                     f"only {newcomer} joined"
                 )
-            k = len(groups)
-            bound = max(4, 3 * n_shards // (k + 1))
-            assert len(moved) <= bound, (
-                f"{len(moved)}/{n_shards} shards moved to the newcomer "
-                f"of {k + 1} groups (bound {bound})"
-            )
+            shares.append(len(moved) * (len(groups) + 1) / n_shards)
 
         check()
+        mean_share = sum(shares) / len(shares)
+        assert 0.5 <= mean_share <= 1.5, (
+            f"a newcomer takes {mean_share:.2f}x its expected 1/(k+1) share "
+            f"on average over {len(shares)} topologies"
+        )
 
 
 # -- live shard migration ----------------------------------------------------

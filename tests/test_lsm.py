@@ -202,6 +202,32 @@ class TestFilterIntegration:
         lo = sorted(keys)[100]
         assert lsm.seek(lo) is not None
 
+    @pytest.mark.parametrize("factory", [None, bloom_factory, surf_factory])
+    def test_every_block_fetch_is_one_read_or_one_hit(self, factory, monkeypatch):
+        """``block_reads`` and ``cache_hits`` are the block cache's own
+        miss and hit counts: each ``_read_block`` call is booked as
+        exactly one of them, and as the right one, across every kind
+        of read (the threaded half of this check lives in
+        ``test_lsm_read_kernel.py``)."""
+        lsm, keys = self._load(factory)
+        fetched = {True: 0, False: 0}  # was the block cached already?
+        read_block = LSMTree._read_block
+
+        def counted(self, table, idx):
+            fetched[(table.table_id, idx) in self._block_cache] += 1
+            return read_block(self, table, idx)
+
+        monkeypatch.setattr(LSMTree, "_read_block", counted)
+        lsm.io.reset()
+        for key in keys[:200]:
+            lsm.get(key)
+            lsm.seek(key[:-1], key)
+        lsm.get_many(keys[:300] + [k[:-1] + b"\xff" for k in keys[:100]])
+        lsm.scan(min(keys), 400)
+        lsm.count(min(keys), max(keys))
+        assert (lsm.io.cache_hits, lsm.io.block_reads) == (fetched[True], fetched[False])
+        assert fetched[True] and fetched[False]
+
     def test_filter_memory_reported(self):
         lsm, _ = self._load(surf_factory)
         assert lsm.filter_memory_bytes() > 0

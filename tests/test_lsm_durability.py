@@ -44,22 +44,92 @@ class TestDiskFormat:
             with pytest.raises(TypeError):
                 disk_format.encode_value(bad)
 
+    #: One entry of every storable kind, plus the empty key and the
+    #: empty value of each sized kind.
+    MIXED = [
+        (b"", 0), (b"a", -(2**63)), (b"ab", 2**63 - 1), (b"b", b""),
+        (b"b\x00", b"blob\x00\xff" * 9), (b"c", ""), (b"d", "h\u00e9llo"),
+        (b"e", TOMBSTONE), (b"\xff" * 40, 7),
+    ]
+
     def test_block_roundtrip(self):
         pairs = [(encode_u64(i), i) for i in range(100)]
-        assert disk_format.decode_block(disk_format.encode_block(pairs)) == pairs
+        block = disk_format.decode_block(disk_format.encode_block(pairs))
+        assert len(block) == 100 and list(block) == pairs
+        assert block[0] == pairs[0] and block[-1] == pairs[-1]
+        with pytest.raises(IndexError):
+            block[100]
 
-    def test_frame_detects_corruption(self):
-        blob = disk_format.encode_block([(b"k", 1)])
+    def test_block_roundtrip_every_value_kind(self):
+        block = disk_format.decode_block(disk_format.encode_block(self.MIXED))
+        assert list(block) == self.MIXED
+        assert block.find(b"e") is TOMBSTONE  # identity, not a copy
+        for i, (key, value) in enumerate(self.MIXED):
+            assert block.key(i) == key and block.first_ge(key) == i
+            assert block.find(key, "absent") == value
+            assert type(block.find(key)) is type(value)
+        assert block.find(b"aa", "absent") == "absent"
+        assert block.first_ge(b"aa") == 2 and block.first_ge(b"\xff" * 41) == len(self.MIXED)
+        assert list(block.items(7)) == self.MIXED[7:]
+
+    def test_hot_block_search_agrees_with_cold(self):
+        """A block switches from the in-place bisect to a materialized
+        key list once it has been probed enough; both must agree on
+        stored keys, gaps between them, and both ends."""
+        pairs = [(encode_u64(i * 2), i) for i in range(64)]
+        raw = disk_format.encode_block(pairs)
+        probes = [encode_u64(i) for i in range(130)] + [b"", b"\xff" * 9]
+        for probe in probes:
+            cold, hot = disk_format.decode_block(raw), disk_format.decode_block(raw)
+            for _ in range(disk_format._HOT_BLOCK_PROBES):
+                hot.first_ge(b"warm-up")
+            assert cold._keys is None and hot.first_ge(probe) == cold.first_ge(probe)
+            assert hot._keys is not None
+            assert hot.find(probe, "absent") == cold.find(probe, "absent")
+
+    def test_empty_block_roundtrip(self):
+        block = disk_format.decode_block(disk_format.encode_block([]))
+        assert len(block) == 0 and list(block) == []
+        assert block.first_ge(b"") == 0 and block.find(b"") is None
+
+    def test_block_bytes_match_the_interleaved_layout(self):
+        """Columnar lengths cost exactly what interleaved ones did, so
+        the format change cannot move space amplification."""
+        interleaved = 4 + sum(
+            8 + len(k) + len(disk_format.encode_value(v)) for k, v in self.MIXED
+        )
+        assert len(disk_format.encode_block(self.MIXED)) == 8 + interleaved
+
+    def test_block_handouts_do_not_alias_the_source_buffer(self):
+        source = bytearray(disk_format.encode_block(self.MIXED))
+        block = disk_format.decode_block(memoryview(source))
+        source[:] = bytes(len(source))  # the "mmap" goes away
+        assert list(block) == self.MIXED
+
+    def test_every_single_bit_flip_is_detected(self):
+        blob = disk_format.encode_block(self.MIXED[:4])
         for i in range(len(blob)):
-            damaged = blob[:i] + bytes([blob[i] ^ 0x40]) + blob[i + 1 :]
-            with pytest.raises(disk_format.FrameError):
-                disk_format.decode_block(damaged)
+            for bit in range(8):
+                damaged = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
+                with pytest.raises(disk_format.FrameError):
+                    disk_format.decode_block(damaged)
 
-    def test_frame_detects_truncation(self):
-        blob = disk_format.encode_block([(b"key", 1), (b"key2", 2)])
+    def test_every_truncation_is_detected(self):
+        blob = disk_format.encode_block(self.MIXED)
         for cut in range(len(blob)):
             with pytest.raises(disk_format.FrameError):
                 disk_format.decode_block(blob[:cut])
+
+    def test_inconsistent_lengths_with_a_good_crc_are_rejected(self):
+        """A CRC-clean payload whose columns do not add up (the old
+        interleaved layout, say) is a FrameError, never a misparse."""
+        u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
+        old_layout = u32(2) + b"".join(
+            u32(len(k)) + k + u32(len(v)) + v for k, v in ((b"a", b"\x02x"), (b"b", b"\x02y"))
+        )
+        for payload in (old_layout, u32(3), u32(1, 5, 1) + b"k\x00", b"\x01"):
+            with pytest.raises(disk_format.FrameError):
+                disk_format.decode_block(disk_format.frame(payload))
 
 
 # -- WAL ---------------------------------------------------------------------
@@ -221,6 +291,21 @@ class TestDiskSSTable:
         table = DiskSSTable(fs, "t.sst")
         with pytest.raises(disk_format.FrameError):
             table.read_block(0)
+
+    def test_old_format_table_is_rejected_loudly(self):
+        """A file with the pre-columnar "LSMS" trailer — what an engine
+        one PR older wrote — fails the magic check at open."""
+        fs = MemFS()
+        write_sstable(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
+        blob = fs.read("t.sst")
+        assert blob.endswith(b"LSM2")
+        f = fs.create("old.sst")
+        f.append(blob[:-4] + b"LSMS")
+        f.sync()
+        with pytest.raises(disk_format.FrameError, match="bad magic"):
+            DiskSSTable(fs, "old.sst")
+        with pytest.raises(disk_format.FrameError, match="bad magic"):
+            DiskSSTable(fs, "old.sst", table_id=0).read_block(0)
 
     def test_truncated_file_rejected_at_open(self):
         fs = MemFS()
