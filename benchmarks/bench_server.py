@@ -15,18 +15,9 @@ Acceptance bar: 4-shard pipelined YCSB-C throughput >= 2.5x the
 coalesced GET batch under 64-connection load must exceed 1 — i.e. the
 concurrency visibly reaches the engine as batches.
 
-The process-shard rows repeat the 4-shard pipelined configuration with
-``shard_mode="process"`` (one engine per worker process over the
-zero-copy mmap read path).  On a multi-core host that breaks the GIL:
-process shards must reach >= 1.5x the thread-shard throughput on
-YCSB-C.  On a single-core host the comparison is reported but not
-asserted — there is no parallelism to win, only IPC overhead to pay.
-
 Every row drives a real server over loopback TCP through the public
 clients; nothing is mocked.
 """
-
-import os
 
 from repro.bench.harness import report, scaled
 from repro.server.loadgen import run_benchmark
@@ -34,12 +25,11 @@ from repro.server.loadgen import run_benchmark
 WORKLOADS = ("C", "A")
 
 CONFIGS = [
-    # (label, n_shards, n_connections, depth, pipelined, shard_mode)
-    ("1 shard, blocking, 1 conn", 1, 1, 1, False, "thread"),
-    ("1 shard, pipelined, 8 conn x8", 1, 8, 8, True, "thread"),
-    ("4 shards, blocking, 4 conn", 4, 4, 1, False, "thread"),
-    ("4 shards, pipelined, 64 conn x8", 4, 64, 8, True, "thread"),
-    ("4 proc shards, pipelined, 64 conn x8", 4, 64, 8, True, "process"),
+    # (label, n_shards, n_connections, depth, pipelined)
+    ("1 shard, blocking, 1 conn", 1, 1, 1, False),
+    ("1 shard, pipelined, 8 conn x8", 1, 8, 8, True),
+    ("4 shards, blocking, 4 conn", 4, 4, 1, False),
+    ("4 shards, pipelined, 64 conn x8", 4, 64, 8, True),
 ]
 
 
@@ -48,13 +38,10 @@ def run_experiment(tmp_path):
     rows = []
     stats = {}
     for workload in WORKLOADS:
-        for label, n_shards, n_conns, depth, pipelined, shard_mode in CONFIGS:
+        for label, n_shards, n_conns, depth, pipelined in CONFIGS:
             n_ops = scaled(12_000 if pipelined else 4_000)
             result = run_benchmark(
-                str(
-                    tmp_path
-                    / f"kv-{workload}-{n_shards}-{n_conns}-{int(pipelined)}-{shard_mode}"
-                ),
+                str(tmp_path / f"kv-{workload}-{n_shards}-{n_conns}-{int(pipelined)}"),
                 workload=workload,
                 n_keys=n_keys,
                 n_ops=n_ops,
@@ -62,7 +49,6 @@ def run_experiment(tmp_path):
                 n_connections=n_conns,
                 pipeline_depth=depth,
                 pipelined=pipelined,
-                shard_mode=shard_mode,
             )
             server = result.server_stats
             get_hist = server["latency"].get("get", {})
@@ -113,14 +99,3 @@ def test_server_scaling(benchmark, tmp_path):
     # No request was dropped: every issued op completed or was
     # explicitly refused with OVERLOADED and retried by the loadgen.
     assert best.ops_done > 0 and best.server_stats["errors"] == 0
-    # Process shards: correctness always, parallel speedup only where
-    # there are cores to parallelize over.
-    proc = stats[("C", "4 proc shards, pipelined, 64 conn x8")]
-    assert proc.ops_done > 0 and proc.server_stats["errors"] == 0
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        gil_break = proc.throughput / best.throughput
-        assert gil_break >= 1.5, (
-            f"process shards only {gil_break:.2f}x thread shards "
-            f"on {cores} cores"
-        )

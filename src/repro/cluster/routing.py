@@ -6,9 +6,9 @@ never drift between layers:
 * :func:`route_key` — the CRC32-modulo shard hash.  The single-node
   server has always placed keys with ``zlib.crc32(key) % n_shards``;
   every on-disk shard directory layout depends on that exact mapping,
-  so the server front-end, the shard-RPC children, the load generator,
-  and the cluster router all import this one function (a golden-value
-  test pins the mapping so old data directories stay readable).
+  so the server front-end, the load generator and the cluster router
+  all import this one function (a golden-value test pins the mapping
+  so old data directories stay readable).
 
 * :class:`HashRing` — consistent hashing across *nodes*.  Each node
   owns ``vnodes`` pseudo-random points on a 32-bit ring (CRC32 of

@@ -255,7 +255,10 @@ def pack_bytes(b: bytes) -> bytes:
 
 
 def unpack_bytes(data: bytes, offset: int) -> tuple[bytes, int]:
-    (n,) = _U32.unpack_from(data, offset)
+    try:
+        (n,) = _U32.unpack_from(data, offset)
+    except struct.error:
+        raise FrameError("truncated length prefix") from None
     offset += 4
     out = data[offset : offset + n]
     if len(out) != n:

@@ -28,7 +28,6 @@ from .client import (
     ServerShuttingDownError,
     WatermarkReply,
 )
-from .procshard import ProcessShard
 from .server import KVServer, ServerThread, shard_of
 from .shard import ShardDown, ShardWorker
 from .stats import LatencyHistogram, ServerStats
@@ -43,7 +42,6 @@ __all__ = [
     "KVServer",
     "LatencyHistogram",
     "NotPrimaryError",
-    "ProcessShard",
     "ServerError",
     "ServerOverloadedError",
     "ServerShuttingDownError",

@@ -33,7 +33,6 @@ async def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_limit=args.queue_limit,
-        shard_mode=args.shard_mode,
     )
     await server.start()
     loop = asyncio.get_running_loop()
@@ -46,7 +45,7 @@ async def _serve(args: argparse.Namespace) -> int:
             # drain directly is safe.
             signal.signal(sig, lambda *_: server.request_shutdown())
     print(
-        f"serving {args.shards} {args.shard_mode} shard(s) at {args.path} "
+        f"serving {args.shards} shard(s) at {args.path} "
         f"on {server.host}:{server.port}",
         flush=True,
     )
@@ -56,8 +55,7 @@ async def _serve(args: argparse.Namespace) -> int:
         # Signal-safe shutdown: whatever interrupted the wait — a
         # KeyboardInterrupt that raced the handler installation, an
         # exception mid-serve — the drain-and-sync path runs before the
-        # loop is torn down (shutdown() is idempotent, and with process
-        # shards it also reaps every child).
+        # loop is torn down (shutdown() is idempotent).
         await server.shutdown()
     return 0
 
@@ -92,7 +90,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             pipelined=not args.no_pipeline,
             duration=args.duration,
             seed=args.seed,
-            shard_mode=args.shard_mode,
         )
     finally:
         if tmp is not None:
@@ -118,9 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=4440)
     serve.add_argument("--queue-limit", type=int, default=1024)
-    serve.add_argument("--shard-mode", choices=("thread", "process"),
-                       default="thread",
-                       help="worker threads (GIL-bound) or one process per shard")
     serve.set_defaults(func=_cmd_serve)
 
     bench = sub.add_parser("bench", help="YCSB benchmark against a fresh server")
@@ -136,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--no-pipeline", action="store_true",
                        help="blocking client, one request in flight per connection")
     bench.add_argument("--stats-out", default=None, help="write JSON summary here")
-    bench.add_argument("--shard-mode", choices=("thread", "process"),
-                       default="thread",
-                       help="worker threads (GIL-bound) or one process per shard")
     bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)

@@ -48,7 +48,6 @@ class LoadResult:
     #: OVERLOADED responses absorbed by client backoff (not failures).
     retries: int = 0
     server_stats: dict = field(default_factory=dict)
-    shard_mode: str = "thread"
 
     @property
     def throughput(self) -> float:
@@ -58,7 +57,6 @@ class LoadResult:
         return {
             "workload": self.workload,
             "mode": self.mode,
-            "shard_mode": self.shard_mode,
             "n_connections": self.n_connections,
             "pipeline_depth": self.pipeline_depth,
             "ops_done": self.ops_done,
@@ -241,7 +239,6 @@ def run_benchmark(
     seed: int = 42,
     engine_config: dict | None = None,
     fs: Any = None,
-    shard_mode: str = "thread",
 ) -> LoadResult:
     """Full serving experiment: start a server at ``path``, bulk-load,
     run the YCSB mix, snapshot stats, drain gracefully.
@@ -259,7 +256,6 @@ def run_benchmark(
         n_shards=n_shards,
         fs=fs,
         engine_config=engine_config or {},
-        shard_mode=shard_mode,
     )
     runner = ServerThread(server).start()
     try:
@@ -300,5 +296,4 @@ def run_benchmark(
         overloads=overloads,
         retries=retries,
         server_stats=stats,
-        shard_mode=shard_mode,
     )

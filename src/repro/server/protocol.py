@@ -290,6 +290,8 @@ def encode_pairs(pairs: Sequence[tuple[bytes, Any]]) -> bytes:
 
 
 def decode_pairs(body: bytes) -> list[tuple[bytes, Any]]:
+    if len(body) < 4:
+        raise ProtocolError("truncated pairs")
     (n,) = _U32.unpack_from(body, 0)
     off = 4
     pairs = []
@@ -539,17 +541,22 @@ def decode_lease(body: bytes) -> tuple[int, int]:
 
 
 def decode_maybe_values(body: bytes, missing: Any = None) -> list[Any]:
+    if len(body) < 4:
+        raise ProtocolError("truncated value batch")
     (n,) = _U32.unpack_from(body, 0)
     off = 4
     values: list[Any] = []
-    for _ in range(n):
-        flag = body[off]
-        off += 1
-        if flag == 0:
-            values.append(missing)
-        else:
-            raw, off = disk_format.unpack_bytes(body, off)
-            values.append(disk_format.decode_value(raw))
+    try:
+        for _ in range(n):
+            flag = body[off]
+            off += 1
+            if flag == 0:
+                values.append(missing)
+            else:
+                raw, off = disk_format.unpack_bytes(body, off)
+                values.append(disk_format.decode_value(raw))
+    except IndexError:
+        raise ProtocolError("truncated value batch") from None
     if off != len(body):
         raise ProtocolError("trailing bytes after value batch")
     return values

@@ -69,7 +69,6 @@ from ..lsm.disk_format import FrameError
 from ..lsm.fs import FileSystem, OsFileSystem, join
 from ..lsm.wal import iter_records as wal_iter_records
 from . import protocol
-from .procshard import ProcessShard
 from .shard import ShardDown, ShardRequest, ShardWorker, TOMBSTONE
 from .stats import ServerStats
 
@@ -91,8 +90,8 @@ class _NotOwner(Exception):
 
 
 #: Backwards-compatible alias: the shard mapping now lives in
-#: :mod:`repro.cluster.routing` so the server, the shard-RPC children,
-#: the load generator, and the cluster router can never drift apart.
+#: :mod:`repro.cluster.routing` so the server, the load generator, and
+#: the cluster router can never drift apart.
 shard_of = route_key
 
 
@@ -109,7 +108,6 @@ class KVServer:
         queue_limit: int = 1024,
         filter_factory: Callable | None = None,
         engine_config: dict | None = None,
-        shard_mode: str = "thread",
         role: str = "primary",
         replication: Any = None,
         repl_ack_timeout: float = 30.0,
@@ -117,15 +115,8 @@ class KVServer:
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if shard_mode not in ("thread", "process"):
-            raise ValueError("shard_mode must be 'thread' or 'process'")
         if role not in ("primary", "follower"):
             raise ValueError("role must be 'primary' or 'follower'")
-        if shard_mode == "process" and (role == "follower" or replication is not None):
-            # The WAL commit observer and the follower watermark both
-            # need in-process engines; node-level processes (one server
-            # per node) are the cluster's process isolation instead.
-            raise ValueError("replication requires shard_mode='thread'")
         self.path = path
         #: Size of the *global* shard space (cluster-wide routing).
         self.n_shards = n_shards
@@ -141,7 +132,6 @@ class KVServer:
                     )
         self.host = host
         self.port = port  # replaced by the bound port after start()
-        self.shard_mode = shard_mode
         self._fs = fs
         self._queue_limit = queue_limit
         self._filter_factory = filter_factory
@@ -154,7 +144,7 @@ class KVServer:
         self._engine_config = dict(engine_config or {})
         self._engine_config.setdefault("background", True)
         self.stats = ServerStats()
-        self.shards: dict[int, Any] = {}
+        self.shards: dict[int, ShardWorker] = {}
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         self._shutdown_requested: asyncio.Event | None = None
@@ -221,52 +211,34 @@ class KVServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown_requested = asyncio.Event()
         try:
-            if self.shard_mode == "process":
-                # Launch every child first (spawn + engine recovery run
-                # concurrently across shards), then wait for each.
-                for i in self.shard_ids:
-                    self.shards[i] = ProcessShard(
-                        i,
-                        self._shard_root(i),
-                        self.stats,
-                        queue_limit=self._queue_limit,
-                        engine_config=self._engine_config,
-                        fs=self._fs_for(i),
-                        filter_factory=self._filter_factory,
-                    )
-                for worker in self.shards.values():
-                    worker.wait_ready()
-                for worker in self.shards.values():
-                    worker.start()
-            else:
-                for i in self.shard_ids:
-                    observer = (
-                        self._replication.observer_for(i)
-                        if self._replication is not None
-                        else None
-                    )
-                    engine = LSMTree.open(
-                        self._shard_root(i),
-                        fs=self._fs_for(i),
-                        filter_factory=self._filter_factory,
-                        wal_observer=observer,
-                        **self._engine_config,
-                    )
-                    worker = ShardWorker(
-                        i, engine, self.stats, queue_limit=self._queue_limit
-                    )
-                    worker.start()
-                    self.shards[i] = worker
-                if self.role == "follower":
-                    # A restarted follower resumes where its recovered
-                    # engines stand: every sequence <= last_seq was
-                    # durably applied before the restart.
-                    for i, worker in self.shards.items():
-                        seq = worker.engine.last_seq
-                        self._repl_dispatched[i] = seq
-                        self._repl_applied[i] = seq
-                if self._replication is not None:
-                    self._replication.bind(self)
+            for i in self.shard_ids:
+                observer = (
+                    self._replication.observer_for(i)
+                    if self._replication is not None
+                    else None
+                )
+                engine = LSMTree.open(
+                    self._shard_root(i),
+                    fs=self._fs_for(i),
+                    filter_factory=self._filter_factory,
+                    wal_observer=observer,
+                    **self._engine_config,
+                )
+                worker = ShardWorker(
+                    i, engine, self.stats, queue_limit=self._queue_limit
+                )
+                worker.start()
+                self.shards[i] = worker
+            if self.role == "follower":
+                # A restarted follower resumes where its recovered
+                # engines stand: every sequence <= last_seq was
+                # durably applied before the restart.
+                for i, worker in self.shards.items():
+                    seq = worker.engine.last_seq
+                    self._repl_dispatched[i] = seq
+                    self._repl_applied[i] = seq
+            if self._replication is not None:
+                self._replication.bind(self)
             self._server = await asyncio.start_server(
                 self._handle_connection, self.host, self.port
             )
@@ -533,7 +505,7 @@ class KVServer:
                         protocol.OK, json.dumps(snapshot).encode(),
                     )
                 # Engine detail is collected via each worker's "info"
-                # op (on the worker thread / over the shard-RPC pipe);
+                # op (on the worker thread, so it never races the engine);
                 # dead or draining shards answer with liveness only.
                 futs = []
                 for sid in sorted(self.shards):
@@ -856,11 +828,6 @@ class KVServer:
                 request_id, op_name, started,
                 protocol.BAD_REQUEST, b"bad shard id",
             )
-        if self.shard_mode == "process":
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"snapshots need shard_mode=thread",
-            )
         try:
             doc = json.loads(doc_bytes.decode("utf-8"))
             membership.validate_snapshot_doc(doc)
@@ -1146,11 +1113,6 @@ class KVServer:
             return self._immediate(
                 request_id, op_name, started,
                 protocol.BAD_REQUEST, b"bad shard id",
-            )
-        if self.shard_mode == "process":
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"detach needs shard_mode=thread",
             )
         worker = self.shards.get(shard_id)
         if worker is None:

@@ -40,18 +40,8 @@ _SHUTDOWN = object()
 
 
 class ShardDown(RuntimeError):
-    """The shard's worker (thread or process) is dead; the request was
-    refused immediately instead of queueing forever."""
-
-
-class WorkerCrash(BaseException):
-    """Internal: the shard's backing *process* died (broken pipe).
-
-    Deliberately a :class:`BaseException`: per-request ``except
-    Exception`` handlers must not swallow it — it has to escape to the
-    worker loop's defensive handler, which marks the shard dead and
-    fails everything queued.  It never reaches request futures (they
-    get :class:`ShardDown`)."""
+    """The shard's worker thread is dead; the request was refused
+    immediately instead of queueing forever."""
 
 
 class ShardRequest:
@@ -256,8 +246,7 @@ class ShardWorker(threading.Thread):
                 result = None
             elif item.op == "info":
                 # Engine detail for STATS, answered on the worker thread
-                # so it never races the engine (or, for process shards,
-                # the RPC pipe).
+                # so it never races the engine.
                 result = self.snapshot_info(engine=True)
             else:
                 raise ValueError(f"unknown shard op {item.op!r}")
@@ -268,15 +257,14 @@ class ShardWorker(threading.Thread):
 
     def _cleanup(self) -> None:
         """Final sync + close; engine errors (e.g. an injected power
-        failure froze the filesystem, or a dead shard process raising
-        WorkerCrash) must not block the drain."""
+        failure froze the filesystem) must not block the drain."""
         try:
             self.engine.sync()
-        except (Exception, WorkerCrash):
+        except Exception:
             pass
         try:
             self.engine.close()
-        except (Exception, WorkerCrash):
+        except Exception:
             pass
         self.closed.set()
 

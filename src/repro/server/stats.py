@@ -141,9 +141,8 @@ class ServerStats:
         """One JSON-ready view of the serving layer and its engines.
 
         ``per_shard`` carries the shard entries collected via each
-        worker's ``info`` op (see ``ShardWorker.snapshot_info``) — the
-        stats object no longer reaches into engines directly, which is
-        what lets process shards answer STATS over their RPC pipe.
+        worker's ``info`` op (see ``ShardWorker.snapshot_info``): the
+        stats object never reaches into an engine from another thread.
         """
         with self._lock:
             out: dict[str, Any] = {

@@ -86,12 +86,11 @@ class Adapter:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release external resources (processes, sockets, threads).
+        """Release external resources (sockets, threads).
 
         Most adapters are plain in-memory objects and need nothing; the
-        server adapters override this to drain their shard workers —
-        a leaked shard *process* would otherwise hang interpreter
-        shutdown on multiprocessing's exit-time join.  Idempotent.
+        server adapters override this to drain their shard workers and
+        close their connections.  Idempotent.
         """
 
 
@@ -635,17 +634,10 @@ class ServerAdapter(Adapter):
     of every shard plus the rebind handshake is exercised mid-sequence.
     ``get_many`` travels as one BATCH_GET, covering the scatter/gather
     and reassembly path.
-
-    With ``shard_mode="process"`` every shard engine lives in a worker
-    process; its MemFS is pickled to the child and merged back into the
-    parent's object on drain, so the same restart-over-surviving-bytes
-    ``serialize`` step exercises the full fs round-trip.
     """
 
-    def __init__(self, name: str = "server", n_shards: int = 2,
-                 shard_mode: str = "thread") -> None:
+    def __init__(self, name: str = "server", n_shards: int = 2) -> None:
         self._n_shards = n_shards
-        self._shard_mode = shard_mode
         self._runner = None
         self._client = None
         super().__init__(name)
@@ -672,7 +664,6 @@ class ServerAdapter(Adapter):
             n_shards=self._n_shards,
             fs=lambda i: shard_fss[i],
             engine_config=self._config,
-            shard_mode=self._shard_mode,
         )
         self._runner = ServerThread(server).start()
         self._client = KVClient(server.host, server.port)
@@ -953,9 +944,6 @@ def all_structures() -> dict[str, Callable[[], Adapter]]:
         ),
         # the sharded KV server, loopback TCP through the real protocol
         "server": lambda: ServerAdapter("server"),
-        "server_proc": lambda: ServerAdapter(
-            "server_proc", shard_mode="process"
-        ),
         # a replication group (primary + follower, follower reads)
         "cluster": lambda: ClusterAdapter("cluster"),
     }

@@ -103,22 +103,11 @@ class MemFS(FileSystem):
     appends WAL records, so every operation — including the durability
     point counter FaultFS layers on top — runs under one lock, which
     also gives crash injection a single global order across threads.
-    The lock is skipped when pickling (process shards ship their fs to
-    a spawned child) and recreated on unpickle.
     """
 
     def __init__(self) -> None:
         self._files: dict[str, _MemFile] = {}
         self._dirs: set[str] = set()
-        self._lock = threading.RLock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._lock = threading.RLock()
 
     # -- crash hooks (no-ops here; FaultFS overrides) ----------------------

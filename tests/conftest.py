@@ -1,11 +1,11 @@
 """Shared test hooks.
 
-One cross-cutting invariant: no test may leak a live child process
-(a process-mode shard worker, say).  Python's exit-time multiprocessing
-cleanup ``terminate()``s leaked daemon children and then ``join()``s
-them with *no timeout*, so a single leaked worker once hung the entire
-pytest run at interpreter shutdown.  Fail the offending test by name
-instead, and reap the stragglers so one leak can't cascade.
+One cross-cutting invariant: no test may leak a live ``multiprocessing``
+child.  Python's exit-time multiprocessing cleanup ``terminate()``s
+leaked daemon children and then ``join()``s them with *no timeout*, so
+a single leaked worker once hung the entire pytest run at interpreter
+shutdown.  Fail the offending test by name instead, and reap the
+stragglers so one leak can't cascade.
 """
 
 import multiprocessing

@@ -1,6 +1,6 @@
 """The sharded KV server: protocol, end-to-end ops, coalescing,
-backpressure, graceful shutdown, and crash durability through the
-network stack.
+backpressure, graceful shutdown, dead-shard semantics, signal-safe
+serving, and crash durability through the network stack.
 
 The crash centerpiece mirrors the engine-level kill matrix
 (``test_lsm_durability.py``) but acknowledges through the *server*: a
@@ -10,11 +10,16 @@ torn-write models must contain every client-acknowledged write.
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.lsm import LSMTree, TOMBSTONE
+from repro.lsm.disk_format import FrameError
 from repro.server import (
     AsyncKVClient,
     KVClient,
@@ -22,6 +27,7 @@ from repro.server import (
     ServerError,
     ServerShuttingDownError,
     ServerThread,
+    ShardDown,
     shard_of,
 )
 from repro.server import protocol
@@ -94,6 +100,26 @@ class TestProtocol:
         assert protocol.decode_scan(protocol.encode_scan(b"lo", 9)) == (b"lo", 9)
         assert protocol.decode_range(protocol.encode_range(b"a", b"b")) == (b"a", b"b")
         assert protocol.decode_u64_body(protocol.encode_u64_body(2**40)) == 2**40
+
+    def test_truncated_response_bodies_raise_protocol_errors(self):
+        """A response body cut at any length is a ProtocolError (or the
+        storage codecs' FrameError) — never ``struct.error`` or
+        ``IndexError`` leaking out of the client."""
+        cases = [
+            (protocol.decode_value_body, protocol.encode_value_body(-5)),
+            (protocol.decode_pairs,
+             protocol.encode_pairs([(b"a", 1), (b"", b"raw"), (b"c", "s")])),
+            (protocol.decode_maybe_values,
+             protocol.encode_maybe_values([1, None, b"x", None, "y"], missing=None)),
+            (protocol.decode_u64_body, protocol.encode_u64_body(2**40)),
+            (protocol.decode_watermarks,
+             protocol.encode_watermarks(True, 3, {0: (5, 4), 2: (9, 9)})),
+        ]
+        for decode, body in cases:
+            decode(body)  # the whole body is well-formed
+            for cut in range(len(body)):
+                with pytest.raises((protocol.ProtocolError, FrameError)):
+                    decode(body[:cut])
 
 
 class TestLatencyHistogram:
@@ -492,6 +518,126 @@ class TestShutdown:
         server = KVServer("kv", n_shards=1, fs=fs, engine_config=TINY_CONFIG)
         with pytest.raises(PowerFailure):
             ServerThread(server).start()
+
+
+# -- dead-shard semantics -----------------------------------------------------
+
+
+class TestDeadShard:
+    """A shard whose worker loop dies answers every queued and future
+    request with an immediate error — never a hang — and reports
+    ``alive: false`` in STATS."""
+
+    def test_worker_death_fails_queued_and_future_requests(self):
+        """A BaseException escaping the worker loop must not leave any
+        client hanging: queued futures fail, later submits are refused."""
+
+        class BombEngine:
+            def get_many(self, keys):
+                raise SystemExit("injected worker death")
+
+            def sync(self):
+                pass
+
+            def close(self):
+                pass
+
+        worker = ShardWorker(0, BombEngine(), ServerStats(), queue_limit=16)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            futs = [loop.create_future() for _ in range(5)]
+            for fut in futs:
+                assert worker.submit(ShardRequest("get", [b"k"], fut, loop))
+            worker.start()
+            results = await asyncio.gather(*futs, return_exceptions=True)
+            return results
+
+        results = asyncio.run(drive())
+        assert all(isinstance(r, ShardDown) for r in results)
+        worker.join(timeout=10)
+        assert worker.dead and worker.closed.is_set()
+        info = worker.snapshot_info()
+        assert info["alive"] is False
+        assert "SystemExit" in info["worker_error"]
+        # Submissions after death are refused immediately.
+        with pytest.raises(ShardDown):
+            worker.submit(ShardRequest("get", [b"k"], None, None))
+        worker.stop()  # idempotent on a dead shard
+
+    def test_server_answers_errors_not_hangs_on_dead_shard(self, monkeypatch):
+        server, runner, _ = start_server(n_shards=1)
+        try:
+            with KVClient(server.host, server.port) as c:
+                c.put(b"k", 1)
+                monkeypatch.setattr(
+                    server.shards[0].engine, "get_many",
+                    lambda keys: (_ for _ in ()).throw(SystemExit("boom")),
+                )
+                with pytest.raises((ServerError, ConnectionError)):
+                    c.get(b"k")
+            # New connections get immediate errors, and STATS reports
+            # the shard down instead of hanging on a dead queue.
+            with KVClient(server.host, server.port) as c:
+                with pytest.raises(ServerError):
+                    c.get(b"k")
+                st = c.stats()
+                assert st["shards"][0]["alive"] is False
+                assert "SystemExit" in st["shards"][0]["worker_error"]
+        finally:
+            runner.stop()  # must return promptly, not hang
+
+
+# -- signal-safe CLI serving --------------------------------------------------
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_serve_drains_on_signal(self, sig, tmp_path):
+        """serve + live writes + signal → exit 0, 'drained and closed',
+        every acknowledged write recoverable."""
+        path = str(tmp_path / "kv")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.server", "serve",
+                "--path", path, "--shards", "2", "--port", "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "serving" in banner, banner
+            port = int(banner.rsplit(":", 1)[1])
+            acked = 0
+            with KVClient("127.0.0.1", port) as c:
+                for i in range(50):
+                    c.put(encode_u64(i), i)
+                    acked += 1
+            proc.send_signal(sig)
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, out
+            assert "drained and closed" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        # Every acknowledged write survived the drain.
+        db0 = LSMTree.open(os.path.join(path, "shard-00"))
+        db1 = LSMTree.open(os.path.join(path, "shard-01"))
+        try:
+            for i in range(acked):
+                k = encode_u64(i)
+                assert (db0.get(k) if db0.get(k) is not None else db1.get(k)) == i
+        finally:
+            db0.close()
+            db1.close()
 
 
 # -- crash durability through the network stack ------------------------------
