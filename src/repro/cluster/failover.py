@@ -132,6 +132,9 @@ class ClusterGroup:
         for node in self.followers:
             addr = node.address
             self.primary.replication.add_follower(addr.host, addr.port)
+        # Deterministic harness: "acked" means "replicated" from the
+        # first client write on, not from whenever the links attach.
+        self.primary.replication.wait_attached()
         return self
 
     def stop(self, timeout: float = 60.0) -> None:

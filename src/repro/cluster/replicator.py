@@ -723,6 +723,17 @@ class PrimaryReplication:
                     if not pins:
                         self._pins.pop(shard_id, None)
 
+    def wait_attached(self, timeout: float = 5.0) -> None:
+        """Block until no link is still connecting or handshaking: a
+        link only votes once it streams, so a write acked before that
+        was acked without it."""
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while time.monotonic() < deadline and any(
+                link.state in ("connecting", "handshake") for link in self._links
+            ):
+                self._cond.wait(_IDLE_WAIT)
+
     def wait_links_durable(self, shard_id: int, seq: int, timeout: float = 30.0) -> None:
         """Block until every streaming link durably applied ``seq`` on
         ``shard_id`` (the pre-detach barrier: the group's own followers

@@ -3,9 +3,10 @@
 The subsystem turns the single-process :class:`repro.lsm.LSMTree` into
 a network service: keys are hash-sharded across N independent durable
 engines, an asyncio front-end speaks a length-prefixed binary protocol
-with per-connection pipelining, and per-shard single-writer worker
-threads coalesce concurrent reads into batch lookups and adjacent
-writes into WAL group commits.
+with per-connection pipelining: each burst's point reads become one
+batch lookup per shard on the event-loop thread, and per-shard
+single-writer worker threads turn adjacent writes into WAL group
+commits.
 
 Entry points::
 

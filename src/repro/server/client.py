@@ -9,8 +9,8 @@ Two flavours share the wire codec from :mod:`repro.server.protocol`:
   returns as soon as the frame is written and a reader task resolves
   futures in arrival order (the server guarantees in-order responses).
   Many coroutines sharing one connection keep dozens of requests in
-  flight, which is exactly what feeds the server's GET-coalescing and
-  write group commit.
+  flight, which is exactly what feeds the server's per-burst read
+  batches and write group commit.
 
 Both clients absorb transient ``OVERLOADED`` backpressure with a
 bounded exponential-backoff retry (full jitter, so a thundering herd
@@ -420,27 +420,23 @@ class AsyncKVClient:
                 if not data:
                     raise ConnectionError("server closed the connection")
                 buf += data
-                off = 0
-                while len(buf) - off >= 4:
-                    length = protocol.parse_length(bytes(buf[off : off + 4]))
-                    if len(buf) - off - 4 < length:
-                        break
-                    payload = bytes(buf[off + 4 : off + 4 + length])
-                    off += 4 + length
-                    expected_id, future = self._pending.get_nowait()
-                    if future.cancelled():
-                        continue
-                    echoed, status, body = protocol.parse_payload(payload)
-                    if echoed != expected_id:
-                        future.set_exception(
-                            protocol.ProtocolError(
-                                f"response id {echoed} != expected {expected_id}"
+                frames: list[tuple[int, int, bytes]] = []
+                try:
+                    del buf[: protocol.parse_frames(buf, frames)]
+                finally:
+                    # Frames ahead of an unframeable one still resolve.
+                    for echoed, status, body in frames:
+                        expected_id, future = self._pending.get_nowait()
+                        if future.cancelled():
+                            continue
+                        if echoed != expected_id:
+                            future.set_exception(
+                                protocol.ProtocolError(
+                                    f"response id {echoed} != expected {expected_id}"
+                                )
                             )
-                        )
-                        continue
-                    future.set_result((status, body))
-                if off:
-                    del buf[:off]
+                            continue
+                        future.set_result((status, body))
         except (asyncio.CancelledError, GeneratorExit):
             self._fail_pending(ConnectionError("client closed"))
             raise

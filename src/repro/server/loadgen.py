@@ -8,9 +8,9 @@ streams produced by :mod:`repro.workloads.ycsb`, in one of two modes:
   the baseline configuration of the serving benchmarks.
 * ``pipelined=True`` — one :class:`AsyncKVClient` per connection with
   ``pipeline_depth`` coroutines issuing requests concurrently, so each
-  connection keeps up to that many requests in flight.  Concurrent
-  in-flight GETs are what the per-shard workers coalesce into
-  :meth:`LSMTree.get_many` batches.
+  connection keeps up to that many requests in flight.  The GETs of
+  one pipelined burst are what the server answers with one
+  :meth:`LSMTree.get_many` per shard.
 
 ``run_benchmark`` wraps the whole experiment (start in-process server,
 load keys, run the mix, collect a stats snapshot, drain) and is shared

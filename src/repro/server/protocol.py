@@ -187,14 +187,32 @@ def parse_payload(payload: bytes) -> tuple[int, int, bytes]:
     return request_id, code, payload[_HEADER.size :]
 
 
-def parse_length(prefix: bytes) -> int:
+def parse_length(prefix: bytes, offset: int = 0) -> int:
     """Decode and bound-check the 4-byte length prefix."""
-    (length,) = _U32.unpack(prefix)
+    (length,) = _U32.unpack_from(prefix, offset)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"announced frame of {length} bytes rejected")
     if length < _HEADER.size:
         raise ProtocolError("frame shorter than its header")
     return length
+
+
+def parse_frames(buf: bytearray, frames: list[tuple[int, int, bytes]]) -> int:
+    """Append every complete frame at the head of ``buf`` to ``frames``
+    as ``(request_id, opcode/status, body)`` and return the bytes they
+    span.  Lengths and headers are read in place and each body is
+    copied once.  A bad length prefix raises :class:`ProtocolError`
+    with the frames before it already appended."""
+    off, size = 0, len(buf)
+    with memoryview(buf) as view:
+        while size - off >= 4:
+            end = off + 4 + parse_length(view, off)
+            if end > size:
+                break
+            request_id, code = _HEADER.unpack_from(view, off + 4)
+            frames.append((request_id, code, bytes(view[off + 4 + _HEADER.size : end])))
+            off = end
+    return off
 
 
 # -- request bodies ----------------------------------------------------------

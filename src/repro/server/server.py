@@ -3,17 +3,28 @@
 ``KVServer`` hash-shards keys (CRC32 modulo shard count) across
 independent :class:`~repro.lsm.engine.LSMTree` engines living under one
 root directory (``<root>/shard-00``, ``shard-01``, ...).  The network
-side is a single asyncio event loop: each connection's requests are
-read sequentially, dispatched as tasks, and answered **in arrival
-order**, so clients may pipeline arbitrarily many requests.  Engine
-work happens on the per-shard worker threads
-(:mod:`repro.server.shard`), which coalesce concurrent GETs into batch
-reads and adjacent writes into single group commits.
+side is a single asyncio event loop that serves each connection a
+*burst* at a time: every frame decoded from one ``read()`` is one
+burst, answered **in arrival order** with one ``write()`` and one
+stats-lock acquisition, so clients may pipeline arbitrarily many
+requests.
+
+Thread model: each engine has a single *writer* — its shard worker
+thread (:mod:`repro.server.shard`).  A run of PUT/DELETEs becomes one
+queued request per shard (one WAL group commit, one future), submitted
+the moment the run is decoded so pipelined writes overlap; SCAN, COUNT,
+SYNC, STATS and the cluster opcodes use the same queue.  Point reads —
+GET, BATCH_GET, GET_AT — never leave the event-loop thread: a run of
+them is one :meth:`LSMTree.get_many` per shard (the engine's pinned,
+lock-free read path), executed when the burst is answered.
 
 Ordering guarantees: per connection, per shard — a request observes
 every earlier same-connection request routed to the same shard.
-Cross-shard requests (SCAN/COUNT/BATCH_GET spanning shards) fan out
-concurrently and merge.
+Writes and queued ops keep arrival order in the shard queue; a read
+run executes strictly after every earlier request of its connection
+has *completed* (it may also observe a later pipelined write, which is
+concurrent with it).  Cross-shard requests (SCAN/COUNT/BATCH_GET
+spanning shards) fan out and merge.
 
 Shutdown drains: stop accepting, mark the server closing (new requests
 get ``SHUTTING_DOWN``), let every queued request complete, then sync
@@ -56,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import itertools
 import json
 import threading
 import time
@@ -69,24 +81,87 @@ from ..lsm.disk_format import FrameError
 from ..lsm.fs import FileSystem, OsFileSystem, join
 from ..lsm.wal import iter_records as wal_iter_records
 from . import protocol
-from .shard import ShardDown, ShardRequest, ShardWorker, TOMBSTONE
+from .shard import MAX_BURST, ShardDown, ShardRequest, ShardWorker, TOMBSTONE
 from .stats import ServerStats
 
 #: Cap on one SCAN response, whatever the client asked for.
 MAX_SCAN_COUNT = 10_000
 
 
-class _Overloaded(Exception):
-    """Internal: a bounded shard queue refused the request."""
+#: Decoded-but-unanswered bursts one connection may hold.  Past this
+#: the reader stops reading, so the peer's TCP window pushes back.
+MAX_PENDING_BURSTS = 8
+
+_POINT_READS = (protocol.GET, protocol.GET_AT, protocol.BATCH_GET)
+_POINT_WRITES = (protocol.PUT, protocol.DELETE)
 
 
-class _NotOwner(Exception):
-    """Internal: the request targets a shard this node does not serve;
-    ``hint`` names the owning group when known."""
+class _ReadRun:
+    """Consecutive point reads of one burst, grouped by shard."""
 
-    def __init__(self, hint: str = "") -> None:
-        super().__init__(hint)
-        self.hint = hint
+    __slots__ = ("entries", "keys", "n_keys")
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[int, int, list[int], int]] = []
+        self.keys: dict[int, list[bytes]] = {}  # shard -> keys, entry order
+        self.n_keys = 0
+
+    def add(self, request_id, opcode, keys, shard_ids, min_seq) -> None:
+        self.entries.append((request_id, opcode, shard_ids, min_seq))
+        for shard_id, key in zip(shard_ids, keys):
+            self.keys.setdefault(shard_id, []).append(key)
+        self.n_keys += len(keys)
+
+
+class _WriteRun:
+    """Consecutive PUT/DELETEs of one burst: one queued request and one
+    future (or one refusal) per shard."""
+
+    __slots__ = ("entries", "batches", "results")
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[int, int, int]] = []
+        self.batches: dict[int, list[tuple[bytes, Any]]] = {}
+        self.results: dict[int, Any] = {}  # shard -> future | (status, body)
+
+    def add(self, request_id, opcode, shard_id, key, value) -> None:
+        self.entries.append((request_id, opcode, shard_id))
+        self.batches.setdefault(shard_id, []).append((key, value))
+
+
+class _Tally:
+    """One burst's counters, flushed under one stats-lock acquisition."""
+
+    __slots__ = ("samples", "get_batches", "errors", "overloads")
+
+    def __init__(self) -> None:
+        self.samples: list[tuple[str, int, float]] = []
+        self.get_batches: list[int] = []
+        self.errors = self.overloads = 0
+
+    def count(self, opcodes, seconds: float) -> None:
+        """One latency sample per request, grouped by op."""
+        for opcode in set(opcodes):
+            self.samples.append(
+                (protocol.OP_NAMES[opcode], opcodes.count(opcode), seconds)
+            )
+
+    def flush(self, stats: ServerStats) -> None:
+        if self.samples or self.errors or self.overloads:
+            stats.record_burst(
+                self.samples, self.get_batches, self.errors, self.overloads
+            )
+            self.samples, self.get_batches = [], []
+            self.errors = self.overloads = 0
+
+
+class _Reply(Exception):
+    """Internal: answer the request being dispatched with this non-OK
+    status now (a refusal; nothing was queued for it)."""
+
+    def __init__(self, status: int, body: bytes = b"") -> None:
+        super().__init__(status, body)
+        self.status, self.body = status, body
 
 
 #: Backwards-compatible alias: the shard mapping now lives in
@@ -147,6 +222,8 @@ class KVServer:
         self.shards: dict[int, ShardWorker] = {}
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
+        #: Keys read inline since the loop thread last yielded on purpose.
+        self._inline_keys = 0
         self._shutdown_requested: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
 
@@ -298,16 +375,17 @@ class KVServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Reader half of one connection: every frame decoded from one
+        ``read()`` is one burst.  The queue to the answering task is
+        bounded, so a peer that pipelines without reading its answers
+        is held back by its own TCP window, not buffered here."""
         self.stats.record_connection(opened=True)
-        responses: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(self._write_responses(responses, writer))
-        # Bulk-read + buffer parse: a pipelined client packs whole
-        # trains of requests into each TCP segment, so one read() wakes
-        # us for many frames — dispatching them all in one pass is a
-        # large win over two readexactly() awaits per request.
+        bursts: asyncio.Queue = asyncio.Queue(MAX_PENDING_BURSTS)
+        answerer = asyncio.create_task(self._answer_bursts(bursts, writer))
         buf = bytearray()
+        framed = True
         try:
-            while True:
+            while framed:
                 try:
                     data = await reader.read(1 << 16)
                 except (ConnectionResetError, OSError):
@@ -315,30 +393,21 @@ class KVServer:
                 if not data:
                     break
                 buf += data
-                off = 0
+                frames: list[tuple[int, int, bytes]] = []
                 try:
-                    while len(buf) - off >= 4:
-                        length = protocol.parse_length(bytes(buf[off : off + 4]))
-                        if len(buf) - off - 4 < length:
-                            break
-                        request_id, opcode, body = protocol.parse_payload(
-                            bytes(buf[off + 4 : off + 4 + length])
-                        )
-                        off += 4 + length
-                        responses.put_nowait(
-                            self._dispatch(request_id, opcode, body)
-                        )
+                    del buf[: protocol.parse_frames(buf, frames)]
                 except protocol.ProtocolError:
-                    break  # unframeable stream: drop the connection
-                if off:
-                    del buf[:off]
+                    framed = False  # answer what parsed, then drop the peer
+                if frames:
+                    await bursts.put(
+                        (time.perf_counter(), self._decode_burst(frames))
+                    )
+            await bursts.put(None)
+            await answerer
         finally:
-            responses.put_nowait(None)
-            try:
-                await writer_task
-            except Exception:
-                pass
-            self._drain_queue(responses)
+            answerer.cancel()  # no-op unless we are being torn down
+            while not bursts.empty():
+                self._abandon(bursts.get_nowait())
             writer.close()
             try:
                 await writer.wait_closed()
@@ -347,45 +416,212 @@ class KVServer:
             self.stats.record_connection(opened=False)
 
     @staticmethod
-    def _drain_queue(responses: asyncio.Queue) -> None:
-        """Close formatter coroutines the writer never reached."""
-        while True:
-            try:
-                item = responses.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if item is not None and not isinstance(item, (bytes, bytearray)):
-                item.close()
+    def _abandon(burst: tuple[float, list] | None) -> None:
+        """Release what an unanswered burst still holds: formatter
+        coroutines are closed, write futures cancelled (the writes
+        themselves stay queued and commit).  A no-op after answering."""
+        for step in burst[1] if burst else ():
+            if type(step) is _WriteRun:
+                for result in step.results.values():
+                    if type(result) is not tuple:
+                        result.cancel()
+            elif type(step) is not _ReadRun and type(step) is not bytes:
+                step.close()
 
-    async def _write_responses(
-        self, responses: asyncio.Queue, writer: asyncio.StreamWriter
+    async def _answer_bursts(
+        self, bursts: asyncio.Queue, writer: asyncio.StreamWriter
     ) -> None:
-        """Write responses in request-arrival order.  Items are either
-        finished frames (bytes) or formatter coroutines awaiting shard
-        futures — the shard work itself was already submitted by the
-        reader, so awaiting here never delays later requests' engine
-        work, only their response bytes (which must queue anyway)."""
-        while True:
-            item = await responses.get()
-            if item is None:
-                return
-            if not isinstance(item, (bytes, bytearray)):
-                item = await item
-            writer.write(item)
-            if responses.empty():
-                await writer.drain()
+        """Answering half: bursts in arrival order, each with one
+        ``write()`` and a ``drain()`` — a full socket buffer stops this
+        task, the bounded queue then stops the reader.  Accepted work
+        completes even when the peer is gone; only the write is skipped."""
+        while (burst := await bursts.get()) is not None:
+            try:
+                blob = await self._answer_burst(*burst)
+                if not writer.transport.is_closing():
+                    writer.write(blob)
+                    await writer.drain()
+            except Exception:
+                writer.close()  # peer gone: keep consuming the queue
+            finally:
+                self._abandon(burst)
+
+    def _decode_burst(self, frames: list[tuple[int, int, bytes]]) -> list:
+        """One synchronous pass over a burst's frames.  Point reads join
+        the open read run, PUT/DELETEs the open write run; anything
+        else closes the open run first and is dispatched on its own.
+        A write run is submitted the moment it closes — before this
+        pass returns — so arrival order is shard-queue order."""
+        steps: list = []
+        run: Any = None
+        for request_id, opcode, body in frames:
+            kind = (
+                _ReadRun if opcode in _POINT_READS
+                else _WriteRun if opcode in _POINT_WRITES else None
+            )
+            if type(run) is not kind or (
+                kind is _ReadRun and run.n_keys >= MAX_BURST
+            ):
+                self._close_run(run)
+                run = None
+            step = self._dispatch(request_id, opcode, body)
+            if type(step) is tuple:  # a decoded point op: joins the run
+                if run is None:
+                    run = kind()
+                    steps.append(run)
+                run.add(request_id, opcode, *step)
+            else:  # refused while decoding, or not a point op
+                self._close_run(run)
+                run = None
+                steps.append(step)
+        self._close_run(run)
+        return steps
+
+    def _close_run(self, run: Any) -> None:
+        """Submit a write run: one queued request per shard."""
+        if type(run) is _WriteRun:
+            for shard_id, batch in run.batches.items():
+                try:
+                    run.results[shard_id] = self._submit(
+                        self.shards[shard_id], "write", batch
+                    )
+                except _Reply as exc:  # OVERLOADED: the shard queue is full
+                    run.results[shard_id] = exc.status, exc.body
+                except ShardDown as exc:
+                    run.results[shard_id] = protocol.ERROR, str(exc).encode()
+
+    async def _answer_burst(self, started: float, steps: list) -> bytes:
+        """Complete every step in order and return the burst's frames.
+        ``started`` is when the burst was decoded: a request's recorded
+        latency is the time from there to its run's answer."""
+        frames: list[bytes] = []
+        tally = _Tally()
+        for step in steps:
+            if type(step) is bytes:
+                frames.append(step)
+            elif type(step) is _ReadRun:
+                await self._answer_reads(step, started, frames, tally)
+            elif type(step) is _WriteRun:
+                await self._answer_writes(step, started, frames, tally)
+            else:
+                tally.flush(self.stats)  # a STATS step must see this burst
+                frames.append(await step)
+        tally.flush(self.stats)
+        return b"".join(frames)
+
+    async def _answer_writes(
+        self, run: _WriteRun, started: float, frames: list[bytes], tally: _Tally
+    ) -> None:
+        """Await each shard's group commit (and replication gate); a
+        failure answers ``ERROR`` to exactly that shard's requests."""
+        acks: dict[int, tuple[int, bytes]] = {}
+        for shard_id, result in run.results.items():
+            if type(result) is not tuple:
+                try:
+                    result = await self._fmt_ack(shard_id, result)
+                except Exception as exc:
+                    result = protocol.ERROR, str(exc).encode()
+            acks[shard_id] = result
+        for request_id, _, shard_id in run.entries:
+            status, body = acks[shard_id]
+            tally.errors += status == protocol.ERROR
+            tally.overloads += status == protocol.OVERLOADED
+            frames.append(protocol.frame(request_id, status, body))
+        tally.count([e[1] for e in run.entries], time.perf_counter() - started)
+
+    def _read_refusal(self, shard_id: int) -> tuple[int, bytes] | None:
+        """Why ``shard_id`` cannot be read *now* — drain, route and
+        shard liveness are checked when a read run executes, not when
+        it was decoded."""
+        if self._closing:
+            return protocol.SHUTTING_DOWN, b"server is draining"
+        try:
+            self._route(shard_id, write=False).check_readable()
+        except _Reply as exc:  # NOT_OWNER, with the forward hint
+            return exc.status, exc.body
+        except ShardDown as exc:
+            return protocol.ERROR, str(exc).encode()
+        return None
+
+    async def _answer_reads(
+        self, run: _ReadRun, started: float, frames: list[bytes], tally: _Tally
+    ) -> None:
+        """Execute one read run on this — the event-loop — thread: one
+        ``get_many`` of at most ``MAX_BURST`` keys per shard, yielding
+        to the loop once that many keys were read without a break.  An
+        exception fails this run's requests only."""
+        out: list[bytes] = []
+        errors = 0
+        try:
+            values: dict[int, Any] = {}
+            refused: dict[int, tuple[int, bytes]] = {}
+            for shard_id, keys in run.keys.items():
+                got: list[Any] = []
+                for i in range(0, len(keys), MAX_BURST):
+                    if self._inline_keys >= MAX_BURST:
+                        self._inline_keys = 0
+                        await asyncio.sleep(0)
+                    refusal = self._read_refusal(shard_id)
+                    if refusal is not None:
+                        refused[shard_id] = refusal
+                        got = itertools.repeat(None)
+                        break
+                    chunk = keys[i : i + MAX_BURST]
+                    t0 = time.perf_counter()
+                    got += self.shards[shard_id].engine.get_many(chunk)
+                    per_key = (time.perf_counter() - t0) / len(chunk)
+                    tally.samples.append(("shard_get", len(chunk), per_key))
+                    tally.get_batches.append(len(chunk))
+                    self._inline_keys += len(chunk)
+                values[shard_id] = iter(got)
+            follower = self.role != "primary"
+            for request_id, opcode, shard_ids, min_seq in run.entries:
+                got = [next(values[s]) for s in shard_ids]
+                status, body = protocol.OK, b""
+                if refused:
+                    for shard_id in shard_ids:
+                        status, body = refused.get(shard_id, (status, body))
+                if opcode == protocol.GET_AT and follower:
+                    # A follower behind the client's causal token, or
+                    # mid-resync/migration, answers LAGGING: the client
+                    # falls back to the primary instead of reading a
+                    # stale snapshot or failing the read.
+                    applied = self._repl_applied.get(shard_ids[0], 0)
+                    if status == protocol.NOT_OWNER:
+                        status, body = protocol.LAGGING, b"shard not readable here"
+                    elif status == protocol.OK and applied < min_seq:
+                        status = protocol.LAGGING
+                        body = b"follower applied %d < %d" % (applied, min_seq)
+                if status == protocol.OK:
+                    if opcode == protocol.BATCH_GET:
+                        body = protocol.encode_maybe_values(got, missing=None)
+                    elif got[0] is None:
+                        status = protocol.NOT_FOUND
+                    else:
+                        body = protocol.encode_value_body(got[0])
+                errors += status == protocol.ERROR
+                out.append(protocol.frame(request_id, status, body))
+        except Exception as exc:
+            errors = len(run.entries)
+            error = str(exc).encode()
+            out = [protocol.frame(e[0], protocol.ERROR, error) for e in run.entries]
+        frames += out
+        tally.errors += errors
+        tally.count([e[1] for e in run.entries], time.perf_counter() - started)
 
     # -- shard routing ------------------------------------------------------
 
     def _route(self, shard_id: int, write: bool):
-        """The worker serving ``shard_id`` here, or :class:`_NotOwner`
-        (with a forward hint when the shard is known to have moved)."""
+        """The worker serving ``shard_id`` here, or ``NOT_OWNER`` (with
+        a forward hint when the shard is known to have moved)."""
         state = self._shard_state.get(shard_id)
         if state == "serving" or (state == "sealed" and not write):
             worker = self.shards.get(shard_id)
             if worker is not None:
                 return worker
-        raise _NotOwner(self._shard_forward.get(shard_id, ""))
+        raise _Reply(
+            protocol.NOT_OWNER, self._shard_forward.get(shard_id, "").encode("utf-8")
+        )
 
     def _readable_workers(self) -> list[Any]:
         """Workers backing client-visible data (serving + sealed);
@@ -398,73 +634,43 @@ class KVServer:
 
     # -- request dispatch --------------------------------------------------
     #
-    # The reader thread of control decodes each request and performs
+    # Runs inside the synchronous decode pass of a burst, which performs
     # every shard submit *inline*, so per-connection arrival order is
     # exactly per-shard queue order — no per-request Task, no reordering
-    # window.  What goes on the response queue is either final bytes or
-    # a small coroutine that formats the shard's answer.
+    # window.  A point op comes back decoded (a tuple that joins the
+    # burst's open run); anything else as final bytes or a small
+    # coroutine that formats the shard's answer.
 
     def _dispatch(self, request_id: int, opcode: int, body: bytes):
         started = time.perf_counter()
         op_name = protocol.OP_NAMES.get(opcode, f"op{opcode}")
         try:
             if self._closing and opcode != protocol.STATS:
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.SHUTTING_DOWN, b"server is draining",
-                )
+                raise _Reply(protocol.SHUTTING_DOWN, b"server is draining")
 
-            if opcode == protocol.GET:
-                key = protocol.decode_key(body)
-                worker = self._route(shard_of(key, self.n_shards), write=False)
-                fut = self._submit(worker, "get", [key])
-                return self._finish(request_id, op_name, started, self._fmt_get(fut))
+            if opcode in _POINT_READS:  # -> (keys, shard ids, min_seq)
+                min_seq = 0
+                if opcode == protocol.GET:
+                    keys = [protocol.decode_key(body)]
+                elif opcode == protocol.GET_AT:
+                    key, min_seq = protocol.decode_get_at(body)
+                    keys = [key]
+                else:
+                    keys = protocol.decode_keys(body)
+                return keys, [shard_of(k, self.n_shards) for k in keys], min_seq
 
-            if opcode == protocol.PUT:
-                key, value = protocol.decode_key_value(body)
-                if value is TOMBSTONE:
-                    raise protocol.ProtocolError("cannot PUT a tombstone")
+            if opcode in _POINT_WRITES:  # -> (shard id, key, value)
+                if opcode == protocol.DELETE:
+                    key, value = protocol.decode_key(body), TOMBSTONE
+                else:
+                    key, value = protocol.decode_key_value(body)
+                    if value is TOMBSTONE:
+                        raise protocol.ProtocolError("cannot PUT a tombstone")
                 if self.role != "primary":
-                    return self._immediate(
-                        request_id, op_name, started,
-                        protocol.NOT_PRIMARY, b"writes go to the primary",
-                    )
+                    raise _Reply(protocol.NOT_PRIMARY, b"writes go to the primary")
                 shard_id = shard_of(key, self.n_shards)
-                worker = self._route(shard_id, write=True)
-                fut = self._submit(worker, "write", [(key, value)])
-                return self._finish(
-                    request_id, op_name, started, self._fmt_ack(shard_id, fut)
-                )
-
-            if opcode == protocol.DELETE:
-                key = protocol.decode_key(body)
-                if self.role != "primary":
-                    return self._immediate(
-                        request_id, op_name, started,
-                        protocol.NOT_PRIMARY, b"writes go to the primary",
-                    )
-                shard_id = shard_of(key, self.n_shards)
-                worker = self._route(shard_id, write=True)
-                fut = self._submit(worker, "write", [(key, TOMBSTONE)])
-                return self._finish(
-                    request_id, op_name, started, self._fmt_ack(shard_id, fut)
-                )
-
-            if opcode == protocol.BATCH_GET:
-                keys = protocol.decode_keys(body)
-                by_shard: dict[int, list[int]] = {}
-                for i, key in enumerate(keys):
-                    by_shard.setdefault(shard_of(key, self.n_shards), []).append(i)
-                futs = []
-                for sid, idxs in by_shard.items():
-                    worker = self._route(sid, write=False)
-                    futs.append(
-                        (idxs, self._submit(worker, "get", [keys[i] for i in idxs]))
-                    )
-                return self._finish(
-                    request_id, op_name, started,
-                    self._fmt_batch_get(len(keys), futs),
-                )
+                self._route(shard_id, write=True)
+                return shard_id, key, value
 
             if opcode == protocol.SCAN:
                 low, count = protocol.decode_scan(body)
@@ -510,12 +716,11 @@ class KVServer:
                 futs = []
                 for sid in sorted(self.shards):
                     shard = self.shards[sid]
-                    fut = None
-                    if not (shard.dead or shard.stopping or shard.closed.is_set()):
-                        try:
-                            fut = self._submit(shard, "info", None)
-                        except (_Overloaded, ShardDown):
-                            fut = None
+                    try:
+                        shard.check_readable()
+                        fut = self._submit(shard, "info", None)
+                    except (_Reply, ShardDown):
+                        fut = None
                     futs.append((shard, fut))
                 return self._finish(
                     request_id, op_name, started, self._fmt_stats(futs)
@@ -538,39 +743,6 @@ class KVServer:
                         self.role == "primary", self.term, self._watermarks()
                     ),
                 )
-
-            if opcode == protocol.GET_AT:
-                key, min_seq = protocol.decode_get_at(body)
-                shard_id = shard_of(key, self.n_shards)
-                try:
-                    worker = self._route(shard_id, write=False)
-                except _NotOwner:
-                    if self.role != "primary":
-                        # A follower mid-resync/migration answers like a
-                        # lagging one: the client falls back to the
-                        # primary instead of failing the read.
-                        return self._immediate(
-                            request_id, op_name, started,
-                            protocol.LAGGING, b"shard not readable here",
-                        )
-                    raise
-                if (
-                    self.role != "primary"
-                    and self._repl_applied.get(shard_id, 0) < min_seq
-                ):
-                    # The replication stream has not caught up to the
-                    # client's causal token yet; the client falls back
-                    # to the primary (or retries) instead of reading a
-                    # stale snapshot.  A primary always serves: it only
-                    # hands out tokens for writes it already applied.
-                    return self._immediate(
-                        request_id, op_name, started,
-                        protocol.LAGGING,
-                        b"follower applied %d < %d" %
-                        (self._repl_applied.get(shard_id, 0), min_seq),
-                    )
-                fut = self._submit(worker, "get", [key])
-                return self._finish(request_id, op_name, started, self._fmt_get(fut))
 
             if opcode == protocol.PROMOTE:
                 new_term = protocol.decode_promote(body)
@@ -620,24 +792,15 @@ class KVServer:
                 )
 
             raise protocol.ProtocolError(f"unknown opcode {opcode}")
-        except _NotOwner as exc:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.NOT_OWNER, exc.hint.encode("utf-8"),
-            )
-        except _Overloaded:
-            self.stats.record_overload()
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.OVERLOADED, b"shard queue full",
-            )
+        except _Reply as exc:
+            if exc.status == protocol.OVERLOADED:
+                self.stats.record_overload()
+            status, reply = exc.status, exc.body
         except ShardDown as exc:
             # A dead worker must answer, not hang: the client gets an
             # immediate error instead of a request nobody will drain.
             self.stats.record_error()
-            return self._immediate(
-                request_id, op_name, started, protocol.ERROR, str(exc).encode()
-            )
+            status, reply = protocol.ERROR, str(exc).encode()
         except (
             protocol.ProtocolError, FrameError, KeyError, IndexError,
             struct_error, UnicodeDecodeError,
@@ -646,10 +809,8 @@ class KVServer:
             # (and UnicodeDecodeError the embedded names): a garbage
             # body must cost the peer one BAD_REQUEST, not the whole
             # connection.
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, str(exc).encode(),
-            )
+            status, reply = protocol.BAD_REQUEST, str(exc).encode()
+        return self._immediate(request_id, op_name, started, status, reply)
 
     def _watermarks(self) -> dict[int, tuple[int, int]]:
         """Per hosted shard (dispatched, applied).  A primary reports
@@ -682,38 +843,22 @@ class KVServer:
         """
         term, shard_id, frames = protocol.decode_repl_apply(body)
         if not 0 <= shard_id < self.n_shards:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"bad shard id",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"bad shard id")
         state = self._shard_state.get(shard_id)
         if state != "ingest":
             # The normal follower stream is role- and term-fenced; the
             # migration ingest stream is not (the source group's term
             # is unrelated to this group's).
             if self.role != "follower":
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.BAD_REQUEST, b"not a follower",
-                )
+                raise _Reply(protocol.BAD_REQUEST, b"not a follower")
             if term < self.term:
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.FENCED,
-                    b"stale term %d < %d" % (term, self.term),
-                )
+                raise _Reply(protocol.FENCED, b"stale term %d < %d" % (term, self.term))
             if term > self.term:
                 self.term = term
         if shard_id not in self.shards or state not in ("serving", "ingest"):
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"shard not hosted",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"shard not hosted")
         if self._repl_failed.get(shard_id) is not None:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.ERROR, self._repl_failed[shard_id].encode(),
-            )
+            raise _Reply(protocol.ERROR, self._repl_failed[shard_id].encode())
         try:
             records = list(
                 wal_iter_records(
@@ -721,10 +866,7 @@ class KVServer:
                 )
             )
         except FrameError as exc:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, str(exc).encode(),
-            )
+            raise _Reply(protocol.BAD_REQUEST, str(exc).encode())
         dispatched = self._repl_dispatched.get(shard_id, 0)
         fresh = [(seq, key, value) for seq, key, value in records if seq > dispatched]
         if not fresh:
@@ -745,10 +887,7 @@ class KVServer:
                 self._repl_failed[shard_id] = (
                     f"replication gap: expected seq {expect}, got {seq}"
                 )
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.ERROR, self._repl_failed[shard_id].encode(),
-                )
+                raise _Reply(protocol.ERROR, self._repl_failed[shard_id].encode())
         self._repl_dispatched[shard_id] = expect
         fut = self._submit(
             self.shards[shard_id],
@@ -800,10 +939,7 @@ class KVServer:
     ):
         term, ttl_ms = protocol.decode_lease(body)
         if term < self.term:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.FENCED, b"stale term %d < %d" % (term, self.term),
-            )
+            raise _Reply(protocol.FENCED, b"stale term %d < %d" % (term, self.term))
         if term > self.term:
             self.term = term
             if self.role == "primary":
@@ -812,10 +948,7 @@ class KVServer:
         elif self.role == "primary":
             # Equal-term split claim: refuse — exactly one of the two
             # backs off (the other's grant reaches us as a follower).
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.FENCED, b"primary at the same term",
-            )
+            raise _Reply(protocol.FENCED, b"primary at the same term")
         self.lease_deadline = time.monotonic() + ttl_ms / 1000.0
         return self._immediate(request_id, op_name, started, protocol.OK, b"")
 
@@ -824,40 +957,24 @@ class KVServer:
     ):
         term, shard_id, doc_bytes = protocol.decode_snap_begin(body)
         if not 0 <= shard_id < self.n_shards:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"bad shard id",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"bad shard id")
         try:
             doc = json.loads(doc_bytes.decode("utf-8"))
             membership.validate_snapshot_doc(doc)
         except (ValueError, TypeError) as exc:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, str(exc).encode(),
-            )
+            raise _Reply(protocol.BAD_REQUEST, str(exc).encode())
         purpose = doc["purpose"]
         state = self._shard_state.get(shard_id)
         if purpose == "resync":
             if self.role != "follower":
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.BAD_REQUEST, b"resync targets a follower",
-                )
+                raise _Reply(protocol.BAD_REQUEST, b"resync targets a follower")
             if term < self.term:
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.FENCED,
-                    b"stale term %d < %d" % (term, self.term),
-                )
+                raise _Reply(protocol.FENCED, b"stale term %d < %d" % (term, self.term))
             if term > self.term:
                 self.term = term
         else:  # migrate: the source group's term is not ours to fence
             if state in ("serving", "sealed") and shard_id in self.shards:
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.BAD_REQUEST, b"shard already served here",
-                )
+                raise _Reply(protocol.BAD_REQUEST, b"shard already served here")
             # Invisible to clients until MIGRATE_COMMIT.
             self._shard_state[shard_id] = "ingest"
         self._snap_staging[shard_id] = {
@@ -876,27 +993,16 @@ class KVServer:
         term, shard_id, name, offset, data = protocol.decode_snap_chunk(body)
         staging = self._snap_staging.get(shard_id)
         if staging is None or staging["term"] != term:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"no snapshot staged",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"no snapshot staged")
         buf = staging["files"].get(name)
         if buf is None:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"unannounced file",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"unannounced file")
         if offset != len(buf):
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST,
-                b"chunk offset %d != %d" % (offset, len(buf)),
+            raise _Reply(
+                protocol.BAD_REQUEST, b"chunk offset %d != %d" % (offset, len(buf))
             )
         if len(buf) + len(data) > staging["sizes"][name]:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"file exceeds announced size",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"file exceeds announced size")
         buf += data
         return self._immediate(request_id, op_name, started, protocol.OK, b"")
 
@@ -908,29 +1014,19 @@ class KVServer:
         term, shard_id, snap_seq = protocol.decode_snap_commit(body)
         staging = self._snap_staging.get(shard_id)
         if staging is None or staging["term"] != term:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"no snapshot staged",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"no snapshot staged")
         if snap_seq != staging["doc"]["snap_seq"]:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"snap_seq mismatch",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"snap_seq mismatch")
         for name, buf in staging["files"].items():
             if len(buf) != staging["sizes"][name]:
                 self._snap_staging.pop(shard_id, None)
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.BAD_REQUEST,
-                    b"file %s incomplete" % name.encode(),
+                raise _Reply(
+                    protocol.BAD_REQUEST, b"file %s incomplete" % name.encode()
                 )
             if zlib.crc32(bytes(buf)) != staging["crcs"][name]:
                 self._snap_staging.pop(shard_id, None)
-                return self._immediate(
-                    request_id, op_name, started,
-                    protocol.BAD_REQUEST,
-                    b"file %s CRC mismatch" % name.encode(),
+                raise _Reply(
+                    protocol.BAD_REQUEST, b"file %s CRC mismatch" % name.encode()
                 )
         self._snap_staging.pop(shard_id, None)
         return self._finish(
@@ -1010,38 +1106,20 @@ class KVServer:
     ):
         shard_id, dst_group, targets = protocol.decode_migrate(body)
         if self.role != "primary":
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.NOT_PRIMARY, b"migration starts at the primary",
-            )
+            raise _Reply(protocol.NOT_PRIMARY, b"migration starts at the primary")
         if self._replication is None:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"replication not attached",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"replication not attached")
         if not 0 <= shard_id < self.n_shards:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"bad shard id",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"bad shard id")
         if not targets:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"no target nodes",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"no target nodes")
         if (
             shard_id not in self.shards
             or self._shard_state.get(shard_id) != "serving"
         ):
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"shard not serving here",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"shard not serving here")
         if shard_id in self._migrating:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"migration already in progress",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"migration already in progress")
         self._migrating.add(shard_id)
         return self._finish(
             request_id, op_name, started,
@@ -1087,16 +1165,11 @@ class KVServer:
             # Idempotent retry: already committed.
             return self._immediate(request_id, op_name, started, protocol.OK, b"")
         if state != "ingest" or shard_id not in self.shards:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"shard not ingesting",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"shard not ingesting")
         if self._repl_applied.get(shard_id, 0) < handoff_seq:
-            return self._immediate(
-                request_id, op_name, started,
+            raise _Reply(
                 protocol.BAD_REQUEST,
-                b"applied %d behind handoff %d"
-                % (self._repl_applied.get(shard_id, 0), handoff_seq),
+                b"applied %d behind handoff %d" % (self._repl_applied.get(shard_id, 0), handoff_seq),
             )
         self._shard_state[shard_id] = "serving"
         self._shard_forward.pop(shard_id, None)
@@ -1110,10 +1183,7 @@ class KVServer:
     ):
         shard_id, forward_group = protocol.decode_shard_detach(body)
         if not 0 <= shard_id < self.n_shards:
-            return self._immediate(
-                request_id, op_name, started,
-                protocol.BAD_REQUEST, b"bad shard id",
-            )
+            raise _Reply(protocol.BAD_REQUEST, b"bad shard id")
         worker = self.shards.get(shard_id)
         if worker is None:
             if forward_group:
@@ -1215,15 +1285,8 @@ class KVServer:
         loop = self._loop
         future = loop.create_future()
         if not shard.submit(ShardRequest(op, args, future, loop)):
-            raise _Overloaded()
+            raise _Reply(protocol.OVERLOADED, b"shard queue full")
         return future
-
-    @staticmethod
-    async def _fmt_get(fut: asyncio.Future) -> tuple[int, bytes]:
-        values = await fut
-        if values[0] is None:
-            return protocol.NOT_FOUND, b""
-        return protocol.OK, protocol.encode_value_body(values[0])
 
     async def _fmt_ack(self, shard_id: int, fut: asyncio.Future) -> tuple[int, bytes]:
         seq = await fut
@@ -1239,15 +1302,6 @@ class KVServer:
                 repl.wait_durable(shard_id, seq), self._repl_ack_timeout
             )
         return protocol.OK, protocol.encode_u64_body(seq)
-
-    @staticmethod
-    async def _fmt_batch_get(n_keys, futs) -> tuple[int, bytes]:
-        out: list[Any] = [None] * n_keys
-        for idxs, fut in futs:
-            values = await fut
-            for i, value in zip(idxs, values):
-                out[i] = value
-        return protocol.OK, protocol.encode_maybe_values(out, missing=None)
 
     @staticmethod
     async def _fmt_scan(count, futs) -> tuple[int, bytes]:
@@ -1328,6 +1382,12 @@ class ServerThread:
             finally:
                 self._ready.set()
             loop.run_forever()
+            # Connections still open at stop(): cancel their tasks while
+            # the loop can still run their cleanup (as asyncio.run does).
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
         finally:
             self._ready.set()
             try:

@@ -1,25 +1,19 @@
-"""Per-shard single-writer workers: queueing, coalescing, group commit.
+"""Per-shard single-writer workers: queueing, group commit.
 
 Each shard owns one durable :class:`~repro.lsm.engine.LSMTree` and one
-worker thread — the only thread that ever touches the engine, which
-gives single-writer semantics without engine-side locking.  Requests
-arrive through a *bounded* queue; a full queue is reported to the
-caller synchronously (the server answers ``OVERLOADED``) instead of
-buffering without limit.
+worker thread — the only thread that ever *writes* to the engine, which
+gives single-writer semantics without a server-side write lock.  Point
+reads do not come here: the server answers them on the event-loop
+thread through the engine's pinned, lock-free read path (see
+:mod:`repro.server.server`).  Requests arrive through a *bounded*
+queue; a full queue is reported to the caller synchronously (the
+server answers ``OVERLOADED``) instead of buffering without limit.
 
-The worker drains its queue in bursts and coalesces adjacent requests
-of the same class, preserving arrival order across classes:
-
-* a run of reads becomes **one** :meth:`LSMTree.get_many` call — under
-  concurrent load the queue naturally accumulates in-flight GETs, so
-  network concurrency feeds the PR 3 batch kernels without any client
-  cooperation;
-* a run of writes becomes **one** :meth:`LSMTree.write_batch` call —
-  a single WAL group commit fsync acknowledges the whole run.
-
-Splitting at class boundaries is what makes coalescing sound: a GET
-pipelined after a PUT of the same key on one connection enters the
-queue in order and is answered from post-write state.
+The worker drains its queue in bursts, in arrival order, and coalesces
+a run of adjacent writes into **one** :meth:`LSMTree.write_batch` call
+— a single WAL group commit fsync acknowledges the whole run.  SCAN,
+COUNT, SYNC and the STATS ``info`` probe run one at a time between
+write runs, so each observes every write queued before it.
 """
 
 from __future__ import annotations
@@ -32,8 +26,9 @@ from typing import Any, Callable
 from ..lsm.sstable import TOMBSTONE  # noqa: F401  (re-exported for the server)
 from .stats import ServerStats
 
-#: Largest number of requests drained in one burst.  Bounds the latency
-#: a first-in request can accrue while the worker packs its batch.
+#: Largest number of requests drained in one burst (and of keys the
+#: server hands to one inline ``get_many``).  Bounds the latency a
+#: first-in request can accrue while a batch is packed.
 MAX_BURST = 256
 
 _SHUTDOWN = object()
@@ -47,11 +42,11 @@ class ShardDown(RuntimeError):
 class ShardRequest:
     """One queued engine operation plus its completion plumbing.
 
-    ``op`` is one of ``get`` (args: list of keys), ``write`` (args:
-    list of ``(key, value)`` with TOMBSTONE for deletes), ``scan``
-    (args: ``(low, count)``), ``count`` (args: ``(low, high)``), or
-    ``sync``.  The result (or exception) is delivered to ``future`` on
-    ``loop`` via ``call_soon_threadsafe``.
+    ``op`` is one of ``write`` (args: list of ``(key, value)`` with
+    TOMBSTONE for deletes), ``scan`` (args: ``(low, count)``), ``count``
+    (args: ``(low, high)``), ``sync`` or ``info``.  The result (or
+    exception) is delivered to ``future`` on ``loop`` via
+    ``call_soon_threadsafe``.
     """
 
     __slots__ = ("op", "args", "future", "loop", "enqueued_at")
@@ -65,7 +60,7 @@ class ShardRequest:
 
 
 class ShardWorker(threading.Thread):
-    """The single thread allowed to touch one shard's engine."""
+    """The single thread allowed to write to one shard's engine."""
 
     def __init__(
         self,
@@ -120,6 +115,12 @@ class ShardWorker(threading.Thread):
 
     def _down_message(self) -> str:
         return f"shard {self.shard_id} is down: {self.worker_error!r}"
+
+    def check_readable(self) -> None:
+        """Raise :class:`ShardDown` once the worker is dead, draining
+        or closed: its engine may be closed under a reader's feet."""
+        if self.dead or self.stopping or self.closed.is_set():
+            raise ShardDown(self._down_message())
 
     def stop(self) -> None:
         """Ask the worker to drain everything queued so far, sync the
@@ -183,36 +184,16 @@ class ShardWorker(threading.Thread):
                         self._fail(late, RuntimeError("shard is shut down"))
                 self._cleanup()
                 return True
-            run = [item]
             i += 1
-            if item.op in ("get", "write"):
-                while i < len(burst) and burst[i] is not _SHUTDOWN and burst[i].op == item.op:
-                    run.append(burst[i])
-                    i += 1
-            if item.op == "get":
-                self._do_gets(run)
-            elif item.op == "write":
-                self._do_writes(run)
-            else:
+            if item.op != "write":
                 self._do_single(item)
+                continue
+            run = [item]
+            while i < len(burst) and burst[i] is not _SHUTDOWN and burst[i].op == "write":
+                run.append(burst[i])
+                i += 1
+            self._do_writes(run)
         return False
-
-    def _do_gets(self, run: list[ShardRequest]) -> None:
-        keys: list[bytes] = []
-        spans: list[tuple[int, int]] = []
-        for item in run:
-            spans.append((len(keys), len(item.args)))
-            keys.extend(item.args)
-        try:
-            values = self.engine.get_many(keys)
-        except Exception as exc:
-            for item in run:
-                self._fail(item, exc)
-            return
-        self.stats.record_get_batch(len(keys))
-        self._complete_many(
-            [(item, values[start : start + n]) for item, (start, n) in zip(run, spans)]
-        )
 
     def _do_writes(self, run: list[ShardRequest]) -> None:
         entries: list[tuple[bytes, Any]] = []

@@ -1,16 +1,17 @@
 """Serving-layer counters: latency histograms, coalescing, backpressure.
 
-Workers update these from their own threads, so every mutator takes the
-stats lock; the costs are two dict updates per request, which is noise
-next to a network round trip.  :meth:`ServerStats.snapshot` folds in
-the per-shard engine counters (block cache, filter probes, queue
-depths) so one STATS request describes the whole process.
+Shard workers and the event loop update these from their own threads,
+so every mutator takes the stats lock — once per answered *burst* on
+the hot path (:meth:`ServerStats.record_burst`), not once per request.
+:meth:`ServerStats.snapshot` folds in the per-shard engine counters
+(block cache, filter probes, queue depths) so one STATS request
+describes the whole process.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Sequence
 
 
 class LatencyHistogram:
@@ -29,10 +30,14 @@ class LatencyHistogram:
         self.total_seconds = 0.0
 
     def record(self, seconds: float) -> None:
+        self.record_many(seconds, 1)
+
+    def record_many(self, seconds: float, n: int) -> None:
+        """``n`` samples of ``seconds`` each (one burst's requests)."""
         micros = max(int(seconds * 1e6), 0)
-        self.buckets[min(micros.bit_length(), self.N_BUCKETS - 1)] += 1
-        self.count += 1
-        self.total_seconds += seconds
+        self.buckets[min(micros.bit_length(), self.N_BUCKETS - 1)] += n
+        self.count += n
+        self.total_seconds += seconds * n
 
     def quantile_us(self, q: float) -> float:
         """Upper edge (µs) of the bucket holding the q-quantile sample."""
@@ -100,16 +105,33 @@ class ServerStats:
     # -- mutators (worker / server threads) --------------------------------
 
     def record_op(self, op: str, seconds: float) -> None:
-        with self._lock:
-            self.ops[op] = self.ops.get(op, 0) + 1
-            hist = self.latency.get(op)
-            if hist is None:
-                hist = self.latency[op] = LatencyHistogram()
-            hist.record(seconds)
+        self.record_ops(op, 1, seconds)
 
-    def record_get_batch(self, size: int) -> None:
+    def record_ops(self, op: str, n: int, seconds: float) -> None:
+        """``n`` logical client ops of kind ``op``, ``seconds`` each."""
+        self.record_burst([(op, n, seconds)])
+
+    def record_burst(
+        self,
+        samples: Sequence[tuple[str, int, float]],
+        get_batches: Sequence[int] = (),
+        errors: int = 0,
+        overloads: int = 0,
+    ) -> None:
+        """Everything one answered burst has to report, under one lock
+        acquisition: ``(op, n, seconds)`` latency samples, the width of
+        each inline ``get_many`` call, and refusal counts."""
         with self._lock:
-            self.coalesced_gets.record(size)
+            for op, n, seconds in samples:
+                self.ops[op] = self.ops.get(op, 0) + n
+                hist = self.latency.get(op)
+                if hist is None:
+                    hist = self.latency[op] = LatencyHistogram()
+                hist.record_many(seconds, n)
+            for size in get_batches:
+                self.coalesced_gets.record(size)
+            self.errors += errors
+            self.overloads += overloads
 
     def record_write_batch(self, size: int) -> None:
         with self._lock:
@@ -121,12 +143,10 @@ class ServerStats:
                 self.queue_high_water[shard_id] = depth
 
     def record_overload(self) -> None:
-        with self._lock:
-            self.overloads += 1
+        self.record_burst((), overloads=1)
 
     def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
+        self.record_burst((), errors=1)
 
     def record_connection(self, opened: bool) -> None:
         with self._lock:

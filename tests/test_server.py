@@ -46,6 +46,33 @@ TINY_CONFIG = dict(
 )
 
 
+def decode_burst(server, runner, requests):
+    """Decode ``[(opcode, body), ...]`` as ONE burst on the server's
+    loop — a deterministic reproduction of what one ``read()`` of a
+    pipelined connection produces.  Request ids are the positions."""
+    frames = [(i, opcode, body) for i, (opcode, body) in enumerate(requests)]
+
+    async def go():
+        return server._decode_burst(frames)
+
+    return asyncio.run_coroutine_threadsafe(go(), runner._loop).result(30)
+
+
+def answer_steps(server, runner, steps):
+    """Answer a decoded burst on the server's loop: ``[(status, body)]``."""
+    blob = asyncio.run_coroutine_threadsafe(
+        server._answer_burst(0.0, steps), runner._loop
+    ).result(30)
+    out = []
+    assert protocol.parse_frames(bytearray(blob), out) == len(blob)
+    assert [rid for rid, _, _ in out] == list(range(len(out)))
+    return [(status, body) for _, status, body in out]
+
+
+def answer_burst(server, runner, requests):
+    return answer_steps(server, runner, decode_burst(server, runner, requests))
+
+
 def start_server(n_shards=2, **kw):
     """In-process server over per-shard MemFS; returns (server, runner, fss)."""
     fss = [MemFS() for _ in range(n_shards)]
@@ -280,31 +307,26 @@ class TestCoalescing:
         engine = LSMTree.open("db", fs=MemFS(), **n_shards_cfg)
         return ShardWorker(0, engine, ServerStats(), queue_limit=queue_limit)
 
-    def test_queued_gets_coalesce_into_one_batch(self):
-        """Requests queued before the worker starts drain as ONE burst:
-        a deterministic reproduction of what concurrency produces."""
-        worker = self._worker()
-        for i in range(20):
-            worker.engine.put(encode_u64(i), i)
-
-        async def drive():
-            loop = asyncio.get_running_loop()
-            futures = []
-            for i in range(20):
-                fut = loop.create_future()
-                assert worker.submit(
-                    ShardRequest("get", [encode_u64(i)], fut, loop)
-                )
-                futures.append(fut)
-            worker.start()
-            return await asyncio.gather(*futures)
-
-        values = asyncio.run(drive())
-        assert [v[0] for v in values] == list(range(20))
-        stat = worker.stats.coalesced_gets
-        assert stat.calls == 1 and stat.items == 20 and stat.max_size == 20
-        worker.stop()
-        worker.join(timeout=10)
+    def test_burst_of_gets_is_one_inline_batch(self):
+        """Every GET of one burst rides ONE inline ``get_many`` (was:
+        test_queued_gets_coalesce_into_one_batch, on the shard queue)."""
+        server, runner, _ = start_server(n_shards=1)
+        try:
+            with KVClient(server.host, server.port) as c:
+                for i in range(20):
+                    c.put(encode_u64(i), i)
+            replies = answer_burst(server, runner, [
+                (protocol.GET, protocol.encode_key(encode_u64(i))) for i in range(20)
+            ])
+            assert replies == [
+                (protocol.OK, protocol.encode_value_body(i)) for i in range(20)
+            ]
+            stat = server.stats.coalesced_gets
+            assert stat.calls == 1 and stat.items == 20 and stat.max_size == 20
+            assert server.stats.ops["get"] == 20
+            assert server.stats.latency["shard_get"].count == 20
+        finally:
+            runner.stop()
 
     def test_queued_writes_group_commit(self):
         worker = self._worker()
@@ -329,24 +351,25 @@ class TestCoalescing:
         worker.join(timeout=10)
 
     def test_mixed_burst_preserves_order(self):
-        """PUT(k)=2 between GETs must split the GET coalescing."""
-        worker = self._worker()
-        worker.engine.put(b"k", 1)
-
-        async def drive():
-            loop = asyncio.get_running_loop()
-            f1, f2, f3 = (loop.create_future() for _ in range(3))
-            worker.submit(ShardRequest("get", [b"k"], f1, loop))
-            worker.submit(ShardRequest("write", [(b"k", 2)], f2, loop))
-            worker.submit(ShardRequest("get", [b"k"], f3, loop))
-            worker.start()
-            return await asyncio.gather(f1, f2, f3)
-
-        before, _, after = asyncio.run(drive())
-        assert before == [1] and after == [2]
-        assert worker.stats.coalesced_gets.calls == 2
-        worker.stop()
-        worker.join(timeout=10)
+        """PUT(k)=2 between GETs splits the read run, and the GET after
+        it is answered from post-write state."""
+        server, runner, _ = start_server(n_shards=1)
+        try:
+            with KVClient(server.host, server.port) as c:
+                c.put(b"k", 1)
+            get = (protocol.GET, protocol.encode_key(b"k"))
+            before, ack, after = answer_burst(server, runner, [
+                get, (protocol.PUT, protocol.encode_key_value(b"k", 2)), get,
+            ])
+            # The PUT is in flight while the first GET executes: either
+            # value is a correct answer for it, never for the second.
+            assert before[0] == protocol.OK
+            assert protocol.decode_value_body(before[1]) in (1, 2)
+            assert ack[0] == protocol.OK
+            assert after == (protocol.OK, protocol.encode_value_body(2))
+            assert server.stats.coalesced_gets.calls == 2
+        finally:
+            runner.stop()
 
     def test_bounded_queue_refuses_when_full(self):
         worker = self._worker(queue_limit=4)  # never started: queue only fills
@@ -373,10 +396,12 @@ class TestCoalescing:
             # backpressure mapping (one refusal -> one OVERLOADED) shows.
             with KVClient(server.host, server.port, max_retries=0) as c:
                 with pytest.raises(ServerOverloadedError):
-                    c.get(b"k")
+                    c.put(b"k", 1)
                 st = c.stats()
                 assert st["overloads"] == 1
                 assert c.retries == 0
+                # Point reads never enter the shard queue.
+                assert c.get(b"k") is None
         finally:
             monkeypatch.undo()
             runner.stop()
@@ -429,7 +454,7 @@ class TestClientRetry:
             monkeypatch.setattr(server.shards[0], "submit", lambda req: False)
             with KVClient(server.host, server.port, max_retries=2) as c:
                 with pytest.raises(ServerOverloadedError):
-                    c.get(b"k")
+                    c.put(b"k", 1)
                 assert c.retries == 2  # budget spent, then the raise
         finally:
             monkeypatch.undo()
@@ -533,7 +558,7 @@ class TestDeadShard:
         client hanging: queued futures fail, later submits are refused."""
 
         class BombEngine:
-            def get_many(self, keys):
+            def write_batch(self, entries):
                 raise SystemExit("injected worker death")
 
             def sync(self):
@@ -548,7 +573,7 @@ class TestDeadShard:
             loop = asyncio.get_running_loop()
             futs = [loop.create_future() for _ in range(5)]
             for fut in futs:
-                assert worker.submit(ShardRequest("get", [b"k"], fut, loop))
+                assert worker.submit(ShardRequest("write", [(b"k", 1)], fut, loop))
             worker.start()
             results = await asyncio.gather(*futs, return_exceptions=True)
             return results
@@ -562,7 +587,9 @@ class TestDeadShard:
         assert "SystemExit" in info["worker_error"]
         # Submissions after death are refused immediately.
         with pytest.raises(ShardDown):
-            worker.submit(ShardRequest("get", [b"k"], None, None))
+            worker.submit(ShardRequest("write", [(b"k", 1)], None, None))
+        with pytest.raises(ShardDown):
+            worker.check_readable()  # the engine is closed: no reads either
         worker.stop()  # idempotent on a dead shard
 
     def test_server_answers_errors_not_hangs_on_dead_shard(self, monkeypatch):
@@ -571,16 +598,20 @@ class TestDeadShard:
             with KVClient(server.host, server.port) as c:
                 c.put(b"k", 1)
                 monkeypatch.setattr(
-                    server.shards[0].engine, "get_many",
-                    lambda keys: (_ for _ in ()).throw(SystemExit("boom")),
+                    server.shards[0].engine, "write_batch",
+                    lambda entries: (_ for _ in ()).throw(SystemExit("boom")),
                 )
                 with pytest.raises((ServerError, ConnectionError)):
-                    c.get(b"k")
-            # New connections get immediate errors, and STATS reports
-            # the shard down instead of hanging on a dead queue.
+                    c.put(b"k", 2)
+            # New connections get immediate errors — reads included: a
+            # dead shard's engine is closed — and STATS reports the
+            # shard down instead of hanging on a dead queue.
             with KVClient(server.host, server.port) as c:
-                with pytest.raises(ServerError):
+                with pytest.raises(ServerError) as err:
                     c.get(b"k")
+                assert err.value.status == protocol.ERROR
+                with pytest.raises(ServerError):
+                    c.put(b"k", 3)
                 st = c.stats()
                 assert st["shards"][0]["alive"] is False
                 assert "SystemExit" in st["shards"][0]["worker_error"]
