@@ -2,8 +2,8 @@
 
 The architecture mirrors Figure 4.2 with the LevelDB lifecycle: writes
 land in a *mutable* memtable; at capacity the memtable **freezes** into
-an immutable list; a flusher turns immutable memtables into level-0
-SSTables; compaction merges runs downward so that every level >= 1
+an immutable list; a flush turns each immutable memtable into a level-0
+SSTable; compaction merges runs downward so that every level >= 1
 holds disjoint key ranges.  The memtable is a gapped, batch-updatable
 B+tree (:mod:`repro.trees.gapped_btree`) by default — a WAL group
 commit applies as one vectorized batch insert, its copy-on-write node
@@ -17,19 +17,24 @@ Query execution follows the Figure 4.3 flowcharts, and performance is
 reported as simulated I/Os: every block fetch that misses the cache
 costs one I/O.
 
-Two execution modes share the state machine:
+There is one write lifecycle — ``_freeze`` → ``_flush_frozen`` →
+``_compact_level`` is the only code that seals a memtable, rotates a
+WAL segment, writes a table or installs a version or a manifest — and
+``background`` only picks the **executor** of the queued work:
 
-* **inline** (``background=False``, the default): freeze, flush and
-  compaction all run synchronously on the writer's thread — fully
-  deterministic, which the kill-at-every-sync-point matrix and the
-  differential fuzzer rely on;
-* **background** (``background=True``): a flusher thread and a
-  compaction thread do the heavy lifting while writers only pay for
-  the WAL append and a memtable insert.  Backpressure replaces inline
-  blocking: crossing ``l0_slowdown`` L0 tables injects a small sleep
-  per write, and crossing ``l0_stall`` (or piling up
+* **caller-run** (``background=False``, the default): the writer that
+  froze a memtable drains the queue on its own thread before it
+  returns (flush the frozen memtables oldest first, then compact until
+  no level is over its limit) — no threads, fully deterministic, which
+  the kill-at-every-sync-point matrix and the differential fuzzer rely
+  on, and the commit order they sweep is the one the server ships;
+* **thread-run** (``background=True``): a flusher thread and a
+  compaction thread run the same steps while writers only pay for the
+  WAL append and a memtable insert.  Backpressure replaces waiting for
+  one's own flush: crossing ``l0_slowdown`` L0 tables injects a small
+  sleep per write, and crossing ``l0_stall`` (or piling up
   ``max_immutables`` frozen memtables) stalls the writer until the
-  background threads catch up — both are counted and exported via
+  threads catch up — both are counted and exported via
   :meth:`LSMTree.info`.
 
 Two storage modes also share all of it:
@@ -139,8 +144,9 @@ class DictMemtable:
     the gapped write path against the baseline it replaced, and as the
     minimal example of the memtable protocol: ``put`` / ``put_many``,
     mapping reads (``in`` / ``[]`` must be safe without the engine
-    lock), *sorted* ``items()``, ``len``, and ``freeze_view`` returning
-    an immutable snapshot for pinned scans.
+    lock), *sorted* ``items()``, ``len``, ``freeze_view`` returning an
+    immutable snapshot for pinned scans, and ``seal`` — called once,
+    at freeze, after which no method may mutate the memtable.
     """
 
     __slots__ = ("_data",)
@@ -175,6 +181,9 @@ class DictMemtable:
 
     def freeze_view(self) -> dict[bytes, Any]:
         return dict(self._data)
+
+    def seal(self) -> None:
+        """Nothing deferred: reads of a dict never mutate it."""
 
 
 _MISSING = object()
@@ -214,12 +223,14 @@ class GappedMemtable:
     Concurrency: writers mutate only under the engine lock; lock-free
     readers touch only the mirror, whose dict ops are GIL-atomic.
     Order-sensitive consumers (``items``, ``keys``, ``freeze_view``)
-    drain the delta first; the engine calls them under its lock or
-    from the sole flusher thread that owns a sealed memtable, so the
-    drain never races a writer.  Memory cost of the pairing is one
-    dict slot per entry on top of the tree's leaf slot — bounded by
-    the memtable size, and the mirror is dropped with the memtable at
-    flush.
+    drain the delta first; on the mutable memtable the engine calls
+    them under its lock, so the drain never races a writer.  A frozen
+    memtable is read by its flush and by pinned scans with no common
+    lock, so ``seal`` drains the delta one last time at freeze: from
+    then on those calls find it empty and mutate nothing.  Memory cost
+    of the pairing is one dict slot per entry on top of the tree's
+    leaf slot — bounded by the memtable size, and the mirror is
+    dropped with the memtable at flush.
     """
 
     __slots__ = ("_tree", "_mirror", "_fresh", "_limit")
@@ -279,6 +290,9 @@ class GappedMemtable:
         self._drain()
         return self._tree.freeze_view()
 
+    def seal(self) -> None:
+        self._drain()
+
 
 def default_memtable() -> GappedMemtable:
     """The engine's memtable: a gapped B+tree paired with a dict
@@ -326,22 +340,22 @@ class _Version:
 
 
 class _Frozen:
-    """An immutable memtable waiting for the flusher.
+    """An immutable memtable waiting to be flushed.
 
     Owns the WAL segment its records were logged to (already fully
     fsynced at freeze time), so recovery can replay it until the flush
     commits and the segment is deleted.
     """
 
-    __slots__ = ("data", "last_seq", "wal", "wal_name", "wal_index")
+    __slots__ = ("data", "last_seq", "wal", "wal_index")
 
-    def __init__(self, data, last_seq, wal, wal_name, wal_index) -> None:
-        #: The sealed memtable object (no writer touches it again), so
-        #: its mapping reads and sorted ``items()`` are safe lock-free.
+    def __init__(self, data, last_seq, wal, wal_index) -> None:
+        #: The sealed memtable (``seal()`` ran at freeze and no writer
+        #: touches it again): no call on it mutates anything, so its
+        #: mapping reads and sorted ``items()`` are safe lock-free.
         self.data = data
         self.last_seq = last_seq
         self.wal: wal_mod.WalWriter | None = wal
-        self.wal_name = wal_name
         self.wal_index = wal_index
 
 
@@ -546,7 +560,6 @@ class LSMTree:
         #: tap — see the ``wal`` module docstring for the contract).
         self._wal_observer = wal_observer
         self._wal_index = 0
-        self._wal_name = ""
         self._manifest_version = 0
         self._closed = False
         if path is not None:
@@ -556,10 +569,12 @@ class LSMTree:
         self._compactor: threading.Thread | None = None
         if background:
             self._flusher = threading.Thread(
-                target=self._flusher_loop, name="lsm-flusher", daemon=True
+                target=self._run_queued, args=(self._next_flush, True),
+                name="lsm-flusher", daemon=True,
             )
             self._compactor = threading.Thread(
-                target=self._compactor_loop, name="lsm-compactor", daemon=True
+                target=self._run_queued, args=(self._next_compaction, True),
+                name="lsm-compactor", daemon=True,
             )
             self._flusher.start()
             self._compactor.start()
@@ -607,12 +622,16 @@ class LSMTree:
         """Writes with seq <= this are guaranteed to survive a crash.
 
         In-memory engines have no durability, so every accepted write
-        counts as acknowledged.  In durable mode a write is acked by a
-        WAL group-commit fsync, a freeze-time segment sync, or a
-        committed manifest install — never by work still in flight:
-        during a flush the watermark stays at its pre-flush value until
-        the CURRENT rename lands, because only that rename makes the
-        new SSTable reachable by recovery.
+        counts as acknowledged.  In durable mode a write is acked by
+        the first fsync that covers its WAL record: a group commit
+        (every ``wal_sync_every`` records, every ``write_batch``, every
+        :meth:`sync`) or, at the latest, the freeze-time sync of its
+        segment — so every record of a memtable is acknowledged
+        *before* its flush starts, whoever runs the flush, and stays
+        recoverable from that segment until the CURRENT rename makes
+        the SSTable reachable and the segment is retired.  The manifest
+        install only carries the floor across the retirement; it never
+        acknowledges anything first.
         """
         if self._wal is None:
             return self._seq
@@ -708,10 +727,9 @@ class LSMTree:
 
     def _start_wal(self, index: int) -> None:
         self._wal_index = index
-        self._wal_name = wal_mod.wal_file_name(index)
         self._wal = wal_mod.WalWriter(
             self._fs,
-            join(self.path, self._wal_name),
+            join(self.path, wal_mod.wal_file_name(index)),
             self._wal_sync_every,
             observer=self._wal_observer,
         )
@@ -724,22 +742,18 @@ class LSMTree:
     def _install_manifest(self) -> None:
         """Write + atomically install the next manifest version.
 
-        Caller holds the lock in background mode.  The WAL pointer
-        names the *oldest* live segment: the oldest unflushed frozen
+        Caller holds the lock (at open nothing else runs yet).  The WAL
+        pointer names the *oldest* live segment: the oldest unflushed frozen
         memtable's, or the mutable memtable's when nothing is frozen —
         recovery replays every segment from there upward.
         """
-        if self._immutables:
-            wal_name = self._immutables[0].wal_name
-            wal_index = self._immutables[0].wal_index
-        else:
-            wal_name, wal_index = self._wal_name, self._wal_index
+        wal_index = self._immutables[0].wal_index if self._immutables else self._wal_index
         self._manifest_version += 1
         state = ManifestState(
             version=self._manifest_version,
             next_table_id=self._next_table_id,
             last_seq=self._flushed_seq,
-            wal_name=wal_name,
+            wal_name=wal_mod.wal_file_name(wal_index),
             wal_index=wal_index,
             levels=[[t.table_id for t in level] for level in self._version.levels],
         )
@@ -750,14 +764,13 @@ class LSMTree:
             self._fs.remove(old)
 
     def _collect_garbage(self) -> None:
-        """Remove every file the installed manifest does not reference."""
+        """Remove every file the installed manifest does not reference
+        (at open: nothing is frozen, one WAL segment is live)."""
         referenced = {
             manifest_mod.CURRENT,
             manifest_mod.manifest_file_name(self._manifest_version),
-            self._wal_name,
+            wal_mod.wal_file_name(self._wal_index),
         }
-        for frozen in self._immutables:
-            referenced.add(frozen.wal_name)
         for table in self._version.tables():
             referenced.add(table_file_name(table.table_id))
         for name in self._fs.listdir(self.path):
@@ -770,7 +783,8 @@ class LSMTree:
             self._wal.sync()
 
     def close(self) -> None:
-        """Sync and release the WAL; the engine must not be used after.
+        """Sync and release the WAL; a write or flush after this raises
+        ``ValueError`` (reads of a closed engine are undefined).
 
         Background threads are stopped and joined first.  Frozen
         memtables not yet flushed are left to WAL recovery: their
@@ -887,8 +901,19 @@ class LSMTree:
         if err is not None:
             raise err
 
+    def _admit_write(self) -> None:
+        """Gate in front of every write and flush: a closed engine and
+        one whose flush or compaction failed refuse (the same way in
+        both storage modes); a thread-run engine then pays its
+        backpressure."""
+        if self._closed:
+            raise ValueError("engine is closed")
+        self._check_bg_error()
+        if self._background:
+            self._apply_backpressure()
+
     def _apply_backpressure(self) -> None:
-        """Slowdown/stall gate for background mode (writer thread).
+        """Slowdown/stall gate of a thread-run engine (writer thread).
 
         Mirrors LevelDB's write controller: too many L0 tables injects
         a small sleep per write (compaction debt grows read
@@ -896,7 +921,6 @@ class LSMTree:
         stall trigger blocks the writer until the background threads
         drain — bounded, counted, and surfaced in :meth:`info`.
         """
-        self._check_bg_error()
         with self._cond:
             stalled = (
                 len(self._immutables) >= self._max_immutables
@@ -920,8 +944,7 @@ class LSMTree:
             time.sleep(self._slowdown_sleep)
 
     def put(self, key: bytes, value: Any) -> None:
-        if self._background:
-            self._apply_backpressure()
+        self._admit_write()
         self._seq += 1
         if self._wal is not None:
             self._wal.append_put(self._seq, key, value)
@@ -931,8 +954,7 @@ class LSMTree:
         self._maybe_freeze()
 
     def delete(self, key: bytes) -> None:
-        if self._background:
-            self._apply_backpressure()
+        self._admit_write()
         self._seq += 1
         if self._wal is not None:
             self._wal.append_delete(self._seq, key)
@@ -961,8 +983,7 @@ class LSMTree:
         entries = list(entries)
         if not entries:
             return self._seq
-        if self._background:
-            self._apply_backpressure()
+        self._admit_write()
         records = []
         seq = self._seq
         for key, value in entries:
@@ -991,16 +1012,14 @@ class LSMTree:
         self.write_batch([(key, TOMBSTONE) for key in keys])
 
     def _maybe_freeze(self) -> None:
-        if len(self._memtable) < self._memtable_entries:
-            return
-        if self._background:
+        if len(self._memtable) >= self._memtable_entries:
             self._freeze()
-        else:
-            self.flush_memtable()
+            if not self._background:
+                self._run_queued(self._next_work, wait=False)
 
     def _freeze(self) -> None:
         """Seal the mutable memtable into the immutable list (writer
-        thread, background mode) and hand it to the flusher.
+        thread) and queue it for the flush.
 
         Ordering is the crash-safety crux: the old WAL segment is
         fsynced *before* the new one is created, so (a) every frozen
@@ -1010,7 +1029,7 @@ class LSMTree:
         """
         if not len(self._memtable):
             return
-        old_wal, old_name, old_index = self._wal, self._wal_name, self._wal_index
+        old_wal, old_index = self._wal, self._wal_index
         if old_wal is not None:
             old_wal.sync()  # durability point: frozen records are acked
         # Rotation and registration are one atomic step under the lock:
@@ -1020,82 +1039,39 @@ class LSMTree:
         with self._cond:
             if old_wal is not None:
                 self._start_wal(self._wal_index + 1)
-            frozen = _Frozen(
-                self._memtable, self._visible_seq, old_wal, old_name, old_index
-            )
-            self._immutables.append(frozen)
-            self._memtable = self._memtable_factory()
-            if old_wal is not None:
                 self._acked_floor = max(self._acked_floor, old_wal.synced_seq)
+            # Sealed here, under the lock readers pin under, and before
+            # it is listed: whoever reads it next (the flush, a pinned
+            # scan, a snapshot) shares no lock and must find nothing
+            # left to drain.
+            self._memtable.seal()
+            self._immutables.append(
+                _Frozen(self._memtable, self._visible_seq, old_wal, old_index)
+            )
+            self._memtable = self._memtable_factory()
             self._cond.notify_all()
 
     def flush_memtable(self) -> None:
-        """Flush the memtable through to L0.
+        """Flush the memtable through to L0: freeze it, then
+        :meth:`wait_idle` with no deadline — the tests' and the
+        fuzzer's ``merge`` op use it to force a table boundary."""
+        self._admit_write()
+        self._freeze()
+        self.wait_idle(timeout=None)
 
-        Inline mode runs the whole freeze → flush → compact pipeline
-        synchronously (the deterministic path every recovery test
-        drives).  Background mode freezes and then *waits* for the
-        flusher to drain — used by tests and the fuzzer's ``merge`` op
-        to force a table boundary.
-        """
-        if self._background:
-            self._freeze()
-            with self._cond:
-                while self._immutables and self._bg_error is None:
-                    self._cond.wait(timeout=0.05)
-            self._check_bg_error()
-            return
-        if not len(self._memtable):
-            return
-        # The memtable iterates in key order (gapped tree: leaves in
-        # directory order), so the L0 table needs no sort pass.
-        pairs = list(self._memtable.items())
-        if self.durable:
-            table: SSTableBase = self._write_table(pairs)
-            with self._lock:
-                levels = [list(level) for level in self._version.levels]
-                levels[0].insert(0, table)
-                old_wal = self._wal
-                flush_seq = self._seq
-                acked_before = self.last_acked_seq
-                self._start_wal(self._wal_index + 1)
-                self._flushed_seq = flush_seq
-                self._memtable = self._memtable_factory()
-                old_version = self._install_version(levels)
-                self._install_manifest()
-                self._release_version(old_version)
-                # The CURRENT rename just committed: every write the new
-                # table covers is durable now (and not one moment sooner).
-                self._acked_floor = max(acked_before, flush_seq)
-            # Only now is the old segment redundant (invariant 3).
-            old_wal.abandon()
-            self._fs.remove(old_wal.path)
-        else:
-            with self._lock:
-                levels = [list(level) for level in self._version.levels]
-                levels[0].insert(0, self._make_table(pairs))
-                self._memtable = self._memtable_factory()
-                self._release_version(self._install_version(levels))
-        self.flush_count += 1
-        self._maybe_compact()
-
-    def _alloc_table_id(self) -> int:
+    def _build_table(self, pairs) -> SSTableBase:
+        """Build one table from sorted ``pairs`` — on the heap, or as a
+        durable file fsynced before this returns (invariant 1)."""
         with self._lock:
             tid = self._next_table_id
             self._next_table_id += 1
-            return tid
-
-    def _make_table(self, pairs) -> SSTable:
-        return SSTable(
-            pairs,
-            block_entries=self._block_entries,
-            filter_factory=self._filter_factory,
-            table_id=self._alloc_table_id(),
-        )
-
-    def _write_table(self, pairs) -> DiskSSTable:
-        """Write one durable table file (fsynced before it returns)."""
-        tid = self._alloc_table_id()
+        if not self.durable:
+            return SSTable(
+                pairs,
+                block_entries=self._block_entries,
+                filter_factory=self._filter_factory,
+                table_id=tid,
+            )
         file_path = join(self.path, table_file_name(tid))
         write_sstable(
             self._fs,
@@ -1109,34 +1085,62 @@ class LSMTree:
             self._fs, file_path, filter_factory=self._filter_factory, table_id=tid
         )
 
-    # -- background threads ---------------------------------------------------------
+    # -- executors --------------------------------------------------------------------
 
-    def _flusher_loop(self) -> None:
-        """Turn frozen memtables into L0 tables, oldest first."""
+    def _next_flush(self) -> tuple[Callable, Any] | None:
+        """The oldest frozen memtable, as a work item (lock held)."""
+        if self._immutables:
+            return self._flush_frozen, self._immutables[0]
+        return None
+
+    def _next_compaction(self) -> tuple[Callable, Any] | None:
+        """The lowest overflowing level, as a work item (lock held)."""
+        for i, level in enumerate(self._version.levels):
+            if len(level) > self._level_limit(i):
+                return self._compact_level, i
+        return None
+
+    def _next_work(self) -> tuple[Callable, Any] | None:
+        """Flushes before compactions: the order one thread runs both in."""
+        return self._next_flush() or self._next_compaction()
+
+    def _run_queued(self, pick: Callable, wait: bool) -> None:
+        """The loop every executor runs: pick the next work item under
+        the lock, run it outside, publish a failure to ``_bg_error``
+        (which every later write, flush and :meth:`wait_idle` raises).
+
+        ``wait=True`` is a background thread: it sleeps until ``pick``
+        offers work, and exits at close (frozen memtables left behind
+        recover from their WAL segments) or on its first failure.
+        ``wait=False`` is the caller-run drain: it returns once nothing
+        is queued, and a failure is the caller's to see at once.
+        """
         while True:
             with self._cond:
-                while not self._immutables and not self._closed:
+                while (job := pick()) is None and wait and not self._closed:
                     self._cond.wait()
-                if self._closed:
-                    return  # pending immutables recover from their WALs
-                frozen = self._immutables[0]
+                if job is None or self._closed:
+                    return
+            run, arg = job
             try:
-                self._flush_frozen(frozen)
+                run(arg)
             except BaseException as exc:  # noqa: BLE001 — surfaced to writers
                 with self._cond:
                     self._bg_error = exc
                     self._cond.notify_all()
-                return
+                if wait:
+                    return
+                raise
 
     def _flush_frozen(self, frozen: _Frozen) -> None:
-        """Flush one frozen memtable (flusher thread).
+        """Flush the oldest frozen memtable to one L0 table.
 
-        The table write runs outside the lock (the frozen dict is
-        immutable); the commit — L0 insert, manifest install, ack-floor
-        raise, WAL retirement — happens under it.
+        The table build runs outside the lock (the frozen memtable is
+        sealed); the commit — L0 insert, manifest install, WAL
+        retirement — happens under it.
         """
-        pairs = list(frozen.data.items())
-        table = self._write_table(pairs) if self.durable else self._make_table(pairs)
+        # A memtable iterates in key order: the table needs no sort.
+        table = self._build_table(list(frozen.data.items()))
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
@@ -1145,56 +1149,21 @@ class LSMTree:
             if self.durable:
                 self._flushed_seq = max(self._flushed_seq, frozen.last_seq)
                 self._install_manifest()
-                self._acked_floor = max(self._acked_floor, frozen.last_seq)
             self._release_version(old_version)
             self.flush_count += 1
             self._cond.notify_all()
         # Only now is the frozen segment redundant (invariant 3).
-        if self.durable and frozen.wal is not None:
-            frozen.wal.abandon()
+        if frozen.wal is not None:
+            frozen.wal.close()  # synced in full at freeze: no fsync here
             try:
                 self._fs.remove(frozen.wal.path)
             except FileNotFoundError:
                 pass
 
-    def _compactor_loop(self) -> None:
-        """Leveled background compaction, lowest overflowing level first."""
-        while True:
-            with self._cond:
-                while not self._closed and self._pick_compaction_level() is None:
-                    self._cond.wait()
-                if self._closed:
-                    return
-                level = self._pick_compaction_level()
-            try:
-                if level is not None:
-                    self._compact_level(level)
-            except BaseException as exc:  # noqa: BLE001 — surfaced to writers
-                with self._cond:
-                    self._bg_error = exc
-                    self._cond.notify_all()
-                return
-
     # -- compaction -----------------------------------------------------------------
 
     def _level_limit(self, level: int) -> int:
-        if level == 0:
-            return self._level0_limit
-        return self._level0_limit * (self._level_fanout ** level)
-
-    def _pick_compaction_level(self) -> int | None:
-        for i, level in enumerate(self._version.levels):
-            if len(level) > self._level_limit(i):
-                return i
-        return None
-
-    def _maybe_compact(self) -> None:
-        """Inline-mode compaction driver (runs on the writer thread)."""
-        while True:
-            level = self._pick_compaction_level()
-            if level is None:
-                return
-            self._compact_level(level)
+        return self._level0_limit * self._level_fanout**level
 
     def _compact_level(self, level: int) -> None:
         """Merge one level's overflow into the next level.
@@ -1219,9 +1188,8 @@ class LSMTree:
             # Tombstones drop when the output lands on the bottom level.
             drop_tombstones = len(cur) <= level + 2
         merged = self._merge_tables(sources, overlapping, drop_tombstones)
-        make = self._write_table if self.durable else self._make_table
         new_tables = [
-            make(merged[i : i + self._sstable_entries])
+            self._build_table(merged[i : i + self._sstable_entries])
             for i in range(0, len(merged), self._sstable_entries)
         ]
         source_ids = {t.table_id for t in sources}
@@ -1559,32 +1527,38 @@ class LSMTree:
 
     # -- quiescence (tests / benchmarks) --------------------------------------------------------
 
-    def wait_idle(self, timeout: float = 30.0) -> None:
-        """Block until no frozen memtable is pending and no level is
-        over its limit (background mode; inline returns immediately).
+    def wait_idle(self, timeout: float | None = 30.0) -> None:
+        """Return once no frozen memtable is pending and no level is
+        over its limit.  A thread-run engine waits for its threads
+        (``timeout=None``: without a deadline); for a caller-run engine
+        "wait" means "run": whatever is queued runs here, on the
+        caller's thread.
 
-        Raises the background error if a flusher/compactor died, and
-        ``TimeoutError`` if the backlog does not drain in time.
+        Raises the error a flush or compaction died of, and
+        ``TimeoutError`` if the backlog does not drain in time; on a
+        closed engine it returns at once (what is still frozen recovers
+        from its WAL segment).
         """
+        self._check_bg_error()
         if not self._background:
+            self._run_queued(self._next_work, wait=False)
             return
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while self._immutables or self._pick_compaction_level() is not None:
-                self._check_bg_error()
-                if self._closed:
-                    return
+            while (
+                self._bg_error is None
+                and not self._closed
+                and self._next_work() is not None
+            ):
                 # Wait on the *remaining* time, not a fixed slice: a
-                # fixed 50 ms poll both overshoots tight deadlines (a
-                # 1 ms timeout slept 50 ms) and never times out at all
-                # when notifications keep arriving faster than the
-                # slice, since the deadline was only checked after a
-                # timed-out wait.
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                # fixed poll overshoots tight deadlines and, checked
+                # only after a timed-out wait, never fires at all while
+                # notifications keep arriving faster than the slice.
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
                     raise TimeoutError("background work did not drain")
                 self._cond.wait(timeout=remaining)
-            self._check_bg_error()
+        self._check_bg_error()
 
     # -- statistics -----------------------------------------------------------------------------
 

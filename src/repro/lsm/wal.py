@@ -15,13 +15,13 @@ prefix of the op sequence.
 Commit observer (replication tap): a :class:`WalWriter` built with an
 ``observer`` calls it with ``[(seq, frame_bytes), ...]`` every time a
 batch of records becomes *committed* — after the fsync in
-:meth:`WalWriter.sync` returns, or in :meth:`WalWriter.abandon` when an
-installed SSTable supersedes the segment (those records are durable via
-the manifest even though the segment itself was never synced).  Frames
-are the exact on-disk encoding, so a replication stream can ship them
-verbatim and the receiver decodes with :func:`iter_records` — the same
-code path recovery uses.  The observer never fires for records that
-are not yet durable somewhere.
+:meth:`WalWriter.sync` returns, and only then: the engine syncs a
+segment in full when it freezes the memtable the segment logged, so no
+record ever becomes durable by another route.  Frames are the exact
+on-disk encoding, so a replication stream can ship them verbatim and
+the receiver decodes with :func:`iter_records` — the same code path
+recovery uses.  The observer never fires for records that are not yet
+durable.
 """
 
 from __future__ import annotations
@@ -145,18 +145,6 @@ class WalWriter:
 
     def close(self) -> None:
         self.sync()
-        self._file.close()
-
-    def abandon(self) -> None:
-        """Close without syncing: the segment is superseded (its records
-        are covered by an installed SSTable) and about to be deleted.
-
-        Records still pending here were committed by the *manifest*
-        install that superseded the segment (the inline flush path never
-        fsyncs the old segment), so the observer must still see them —
-        they are durable, just not via this file.
-        """
-        self._notify_committed()
         self._file.close()
 
 

@@ -210,12 +210,13 @@ class KVServer:
         self._fs = fs
         self._queue_limit = queue_limit
         self._filter_factory = filter_factory
-        # Served engines default to the background lifecycle: shard
-        # workers keep coalescing writes into one WAL group commit, but
-        # flushes and compactions move off the worker thread, so a
-        # write's worst case is a bounded stall (counted in STATS) —
-        # not an inline multi-level merge.  Tests that need the
-        # deterministic inline pipeline pass ``background=False``.
+        # Served engines default to the thread-run executor: shard
+        # workers keep coalescing writes into one WAL group commit, and
+        # the engine's flusher and compactor threads run the flushes and
+        # compactions, so a write's worst case is a bounded stall
+        # (counted in STATS) — not a multi-level merge on the worker
+        # thread.  ``background=False`` runs the same steps in the same
+        # order on the worker thread, for tests that need determinism.
         self._engine_config = dict(engine_config or {})
         self._engine_config.setdefault("background", True)
         self.stats = ServerStats()

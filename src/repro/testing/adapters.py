@@ -523,12 +523,12 @@ class LsmAdapter(Adapter):
     state, so a WAL/manifest/SSTable round-trip bug surfaces as a
     differential failure.
 
-    With ``background=True`` the same op stream drives the freeze /
-    background-flush / background-compaction lifecycle instead: answers
-    must still match the oracle bit-for-bit no matter where the flusher
-    and compactor happen to be, because every read pins a consistent
-    view.  ``merge`` then drains the immutable queue and ``serialize``
-    joins the background threads before recovering.
+    With ``background=True`` the same op stream drives the same freeze /
+    flush / compaction lifecycle with the engine's threads running it:
+    answers must still match the oracle bit-for-bit no matter where the
+    flusher and compactor happen to be, because every read pins a
+    consistent view.  ``merge`` then waits for the queue to drain and
+    ``serialize`` joins the threads before recovering.
     """
 
     def __init__(

@@ -24,9 +24,10 @@ import time
 import pytest
 
 from repro.lsm import LSMTree
-from repro.lsm.sstable import DiskSSTable
+from repro.lsm.sstable import DiskSSTable, TOMBSTONE
 from repro.testing.faultfs import MemFS
 from repro.testing.threaded import generate_write_ops, model_after, run_torture
+from repro.trees.gapped_btree import GappedBPlusTree
 from repro.workloads.keys import encode_u64
 
 CONFIG = dict(
@@ -90,6 +91,33 @@ class TestFreeze:
             assert db.get(encode_u64(i)) == i
         db.close()
 
+    def test_frozen_memtable_is_sealed_at_freeze(self, monkeypatch):
+        """A frozen memtable is read by the flush and by pinned scans
+        with no lock in common, so nothing may be left to drain into
+        its tree once it is listed: the writer drains it at freeze."""
+        db = LSMTree.open("db", fs=MemFS(), max_immutables=4, **BG)
+        gate = _gate_flusher(db)
+        mutators = []
+        try:
+            _fill(db, CONFIG["memtable_entries"])  # below the drain limit
+            frozen_tree = db._immutables[0].data._tree
+            original = GappedBPlusTree.put_many
+
+            def spy(tree, pairs):
+                if tree is frozen_tree:
+                    mutators.append(threading.current_thread().name)
+                return original(tree, pairs)
+
+            monkeypatch.setattr(GappedBPlusTree, "put_many", spy)
+            assert len(db.scan(b"", 100)) == CONFIG["memtable_entries"]
+            db.snapshot().release()
+        finally:
+            gate.set()
+        db.wait_idle()  # the flush reads it too
+        assert db.info()["flushes"] == 1
+        assert mutators == []
+        db.close()
+
     def test_flush_memtable_drains_in_background_mode(self):
         db = LSMTree.open("db", fs=MemFS(), **BG)
         _fill(db, 5)  # below capacity: nothing frozen yet
@@ -145,12 +173,68 @@ class TestBackpressure:
         assert db.info()["compactions"] >= 1
         db.close()
 
+    def test_info_carries_the_gate_counters_and_backlog(self):
+        """STATS hands out each shard's ``info()`` as is, and the ledger
+        benchmark reads these keys from it (moved here from the retired
+        ``benchmarks/bench_compaction.py``)."""
+        for config in (CONFIG, BG):
+            db = LSMTree.open("db", fs=MemFS(), **config)
+            _fill(db, 100)
+            db.wait_idle()
+            info = db.info()
+            for key in ("stalls", "slowdowns", "stall_seconds"):
+                assert key in info, f"info() missing engine counter {key!r}"
+            assert info["immutables"] == info["compaction_backlog"] == 0
+            assert info["flushes"] > 0 and info["compactions"] > 0
+            db.close()
+
     def test_inline_mode_never_counts_backpressure(self):
         db = LSMTree.open("db", fs=MemFS(), **CONFIG)
         _fill(db, 400)
         assert db.stall_count == 0 and db.slowdown_count == 0
         assert db.info()["background"] is False
         db.close()
+
+
+class TestClosedEngine:
+    @pytest.mark.parametrize("durable", [False, True], ids=["mem", "durable"])
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_write_or_flush_after_close_raises(self, background, durable):
+        config = dict(CONFIG, background=background)
+        db = LSMTree.open("db", fs=MemFS(), **config) if durable else LSMTree(**config)
+        _fill(db, 3)
+        db.close()
+        key = encode_u64(99)
+        for call in (
+            lambda: db.put(key, 1),
+            lambda: db.delete(key),
+            lambda: db.write_batch([(key, 1), (key, TOMBSTONE)]),
+            db.flush_memtable,
+        ):
+            with pytest.raises(ValueError, match="engine is closed"):
+                call()
+        assert db.last_seq == 3  # nothing was accepted
+        db.wait_idle()  # nothing to wait for: returns
+
+    def test_flush_after_close_does_not_wait_for_stopped_threads(self):
+        """Regression: the flusher exits at close, and ``flush_memtable``
+        had a wait of its own that did not look at ``_closed``."""
+        db = LSMTree(**BG)
+        _fill(db, 3)  # a non-empty memtable the flush would freeze
+        db.close()
+        outcome = []
+
+        def attempt():
+            try:
+                db.flush_memtable()
+            except ValueError as exc:
+                outcome.append(exc)
+
+        t = threading.Thread(target=attempt, daemon=True)
+        t.start()
+        t.join(timeout=5.0)
+        assert not t.is_alive(), "flush_memtable hung on a closed engine"
+        assert outcome
 
 
 class TestWaitIdle:

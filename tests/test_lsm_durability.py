@@ -483,6 +483,48 @@ class TestRecovery:
             assert db2.filter_memory_bytes() > 0
 
 
+def _check_recovery(fs, ops, started, acked, point):
+    """Open the crashed directory under every torn-write model and
+    check invariants (a)-(d) of the kill matrices (see
+    :class:`TestKillDuringBackgroundFlushAndCompaction`)."""
+    for mode in CRASH_MODES:
+        view = fs.crashed_view(mode)
+        recovered = LSMTree.open("db", fs=view, **CONFIG)
+        k = recovered.last_seq
+        assert k <= started, (
+            f"point {point} mode {mode} ({fs.crash_label}): recovered "
+            f"seq {k} beyond started {started}"
+        )
+        assert k >= acked, (
+            f"point {point} mode {mode} ({fs.crash_label}): lost acked "
+            f"writes (recovered {k} < acked {acked})"
+        )
+        expected = _model_after(ops, k)
+        for key in {key for _, key, _ in ops}:
+            assert recovered.get(key) == expected.get(key), (
+                f"point {point} mode {mode}: key {key!r} diverged"
+            )
+        # (d) the open GC'd everything the recovered manifest does
+        # not reference: no orphan compaction/flush outputs, no tmps.
+        referenced = {
+            f"sst-{t.table_id:08d}.sst"
+            for level in recovered.levels
+            for t in level
+        }
+        names = view.listdir("db")
+        orphans = [
+            n for n in names if n.startswith("sst-") and n not in referenced
+        ]
+        assert not orphans, (
+            f"point {point} mode {mode}: orphan tables survived open: "
+            f"{orphans}"
+        )
+        assert not [n for n in names if n.endswith(".tmp")], (
+            f"point {point} mode {mode}: stale tmp files survived open"
+        )
+        recovered.close()
+
+
 class TestKillAtEverySyncPoint:
     """The tentpole acceptance test: for every injected crash point and
     torn-write variant, recovery lands on a state that contains every
@@ -528,31 +570,19 @@ class TestKillAtEverySyncPoint:
         ops = _workload(self.N_OPS, seed=13)
         total_points = self._count_sync_points(ops)
         assert total_points > 30  # the workload must actually exercise flushes
+        labels = []
         for point in range(1, total_points + 1):
             fs, started, acked = self._crash_run(ops, point)
             assert fs.crashed or started == len(ops)
-            for mode in CRASH_MODES:
-                view = fs.crashed_view(mode)
-                recovered = LSMTree.open("db", fs=view, **CONFIG)
-                k = recovered.last_seq
-                # (a) nothing newer than the crash, nothing invented:
-                #     the recovered state is an exact op-prefix state.
-                assert k <= started, (
-                    f"point {point} mode {mode}: recovered seq {k} beyond "
-                    f"started {started}"
-                )
-                # (b) every acknowledged write survived.
-                assert k >= acked, (
-                    f"point {point} mode {mode} ({fs.crash_label}): lost "
-                    f"acked writes (recovered {k} < acked {acked})"
-                )
-                expected = _model_after(ops, k)
-                for key in {key for _, key, _ in ops}:
-                    got = recovered.get(key)
-                    assert got == expected.get(key), (
-                        f"point {point} mode {mode}: key {key!r} diverged"
-                    )
-                recovered.close()
+            labels.append(fs.crash_label)
+            _check_recovery(fs, ops, started, acked, point)
+        # The caller-run executor commits in the order the threads do
+        # (test_both_executors_commit_in_the_same_order), so this sweep
+        # — reproducible, label for label — died at the freeze-time
+        # segment sync, inside a table write and at the commit point.
+        assert any(lbl.startswith("sync db/wal-") for lbl in labels), labels
+        assert any(lbl.startswith("sync db/sst-") for lbl in labels), labels
+        assert any(lbl.endswith("-> db/CURRENT") for lbl in labels), labels
 
     def test_crash_during_recovery_is_safe(self):
         """Recovery itself writes (re-log + manifest): killing it at any
@@ -657,44 +687,6 @@ class TestKillDuringBackgroundFlushAndCompaction:
                     pass
         return fs, started, acked
 
-    def _check_recovery(self, fs, ops, started, acked, point):
-        for mode in CRASH_MODES:
-            view = fs.crashed_view(mode)
-            recovered = LSMTree.open("db", fs=view, **CONFIG)
-            k = recovered.last_seq
-            assert k <= started, (
-                f"point {point} mode {mode} ({fs.crash_label}): recovered "
-                f"seq {k} beyond started {started}"
-            )
-            assert k >= acked, (
-                f"point {point} mode {mode} ({fs.crash_label}): lost acked "
-                f"writes (recovered {k} < acked {acked})"
-            )
-            expected = _model_after(ops, k)
-            for key in {key for _, key, _ in ops}:
-                assert recovered.get(key) == expected.get(key), (
-                    f"point {point} mode {mode}: key {key!r} diverged"
-                )
-            # (d) the open GC'd everything the recovered manifest does
-            # not reference: no orphan compaction/flush outputs, no tmps.
-            referenced = {
-                f"sst-{t.table_id:08d}.sst"
-                for level in recovered.levels
-                for t in level
-            }
-            names = view.listdir("db")
-            orphans = [
-                n for n in names if n.startswith("sst-") and n not in referenced
-            ]
-            assert not orphans, (
-                f"point {point} mode {mode}: orphan tables survived open: "
-                f"{orphans}"
-            )
-            assert not [n for n in names if n.endswith(".tmp")], (
-                f"point {point} mode {mode}: stale tmp files survived open"
-            )
-            recovered.close()
-
     def test_every_crash_point_every_torn_mode(self):
         ops = _workload(self.N_OPS, seed=21)
         labels = []
@@ -708,7 +700,7 @@ class TestKillDuringBackgroundFlushAndCompaction:
                 assert started == len(ops)
                 break
             labels.append(fs.crash_label)
-            self._check_recovery(fs, ops, started, acked, point)
+            _check_recovery(fs, ops, started, acked, point)
         else:
             raise AssertionError(
                 f"sweep did not terminate within {MAX_BG_POINTS} points"
@@ -719,6 +711,32 @@ class TestKillDuringBackgroundFlushAndCompaction:
         assert any("sst-" in lbl for lbl in labels), labels
         assert any("CURRENT" in lbl for lbl in labels), labels
         assert any("wal-" in lbl for lbl in labels), labels
+
+    def test_both_executors_commit_in_the_same_order(self):
+        """One lifecycle: the durability points of a caller-run engine
+        are, label for label, those of a thread-run engine whose
+        threads are given every write's work before the next write."""
+
+        class RecordingFS(MemFS):
+            def __init__(self):
+                super().__init__()
+                self.labels = []
+
+            def _durability_point(self, label):
+                self.labels.append(label)
+
+        ops = _workload(self.N_OPS, seed=23)
+        sequences = []
+        for config in (CONFIG, BG_CONFIG):
+            fs = RecordingFS()
+            db = LSMTree.open("db", fs=fs, **config)
+            for op in ops:
+                _apply(db, [op])
+                db.wait_idle()
+            db.close()
+            assert db.flush_count > 5 and db.compaction_count > 0
+            sequences.append(fs.labels)
+        assert sequences[0] == sequences[1]
 
     def test_background_and_inline_recover_identically(self):
         """A directory written by a background engine is just an LSM
