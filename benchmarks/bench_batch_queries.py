@@ -25,6 +25,16 @@ quantity ``repro.lsm.engine._VECTOR_PROBE_MIN`` is a threshold on.  The
 ``vector kernel forced`` rows run with that threshold at 1: where their
 speedup crosses 1.0x is the measured crossover the constant cites; the
 plain rows show the dispatching ``get_many`` not losing to the loop.
+
+The ``L0 depth`` rows hold the same 4,096 keys in one L1 table of a
+durable engine (on an in-memory filesystem) under 0 and under 4
+overlapping, filterless L0 tables that span the key range
+but hold other keys — the state a bulk-loaded shard is left in — so
+every present key is searched in ``depth`` tables that do not hold it
+before L1 answers.  The ``wasted L0 probe`` row is what one such search
+costs at the width the server delivers: (depth 4 - depth 0) / 4 per key
+at x8, reported as probes per second.  ``engine._READ_DEBT_PER_ENTRY``
+weighs it against ``batch_updates``' compaction row.
 """
 
 import random
@@ -37,6 +47,7 @@ from repro.hope import HopeEncoder, HopeIndex
 from repro.lsm import LSMTree
 from repro.lsm import engine as lsm_engine
 from repro.surf import SuRF, surf_real
+from repro.testing.faultfs import MemFS
 
 BATCH_SIZES = (1, 16, 256, 4096)
 LSM_WIDTHS = (1, 8, 16, 64, 256)
@@ -105,6 +116,56 @@ def _one_table_engine(keys, filter_factory):
     return db
 
 
+#: L0 tables over the L1 table in the ``L0 depth`` rows: the engine's
+#: default ``level0_limit``, where a shard sits after a bulk load.
+L0_DEPTH = 4
+
+
+def _layered_engine(keys, depth):
+    """``keys`` in one L1 table, under ``depth`` L0 tables whose ranges
+    cover every query but which hold none of them."""
+    db = LSMTree.open(  # durable tables, as served; the disk is memory
+        "db", fs=MemFS(), memtable_entries=len(keys) + 64, sstable_entries=len(keys) + 64
+    )
+    flushes = db.info()["l0_tables"] + 5  # the fifth L0 table tips L0 into L1
+    for part in range(flushes):
+        db.put_many([(k, i) for i, k in enumerate(keys[part::flushes])])
+        db.flush_memtable()
+    span = [(b"\x00", 0), (b"\xff\xff", 0)]
+    for table in range(depth):
+        others = [(k + bytes([table + 1]), 0) for k in keys[table :: 8]]
+        db.put_many(sorted(others + span))
+        db.flush_memtable()
+    assert [len(level) for level in db.levels] == [depth, 1]
+    return db
+
+
+def _l0_depth_rows(keys):
+    """Filterless ``get`` / ``get_many`` at L0 depth 0 and ``L0_DEPTH``,
+    and the cost of one wasted L0 probe they imply at x8."""
+    keys = keys[:: max(1, len(keys) // LSM_TABLE_KEYS)][:LSM_TABLE_KEYS]
+    queries = _query_mix(keys)
+    rows = []
+    stats = {}
+    for depth in (0, L0_DEPTH):
+        db = _layered_engine(keys, depth)
+        name = f"LSM get, no filter, L0 depth {depth}"
+        r, stats[name] = _throughput_rows(
+            name, lambda qs: [db.get(q) for q in qs], db.get_many, queries,
+            sizes=LSM_WIDTHS,
+        )
+        rows += r
+        db.close()
+    shallow, deep = (stats[f"LSM get, no filter, L0 depth {d}"][8][1] for d in (0, L0_DEPTH))
+    probe_us = (1e6 / deep - 1e6 / shallow) / L0_DEPTH
+    stats["LSM wasted L0 probe us"] = probe_us
+    rows.append(
+        ["LSM wasted L0 probe, no filter (1e6 / ops/s = us each)", 8, "-",
+         f"{1e6 / probe_us:,.0f}", "-"]
+    )
+    return rows, stats
+
+
 def _lsm_rows(keys):
     """``LSMTree.get_many`` vs a ``get`` loop, per filter; plus the
     SuRF rows again with the scalar dispatch switched off."""
@@ -132,8 +193,22 @@ def _lsm_rows(keys):
                 lsm_engine._VECTOR_PROBE_MIN = configured
             rows += r
             stats[name] = s
+        stats[f"LSM counts, {label}"] = {
+            width: (_io_counts(db, lambda qs: [db.get(q) for q in qs], [queries]),
+                    _io_counts(db, db.get_many, [queries[i : i + width]
+                                                 for i in range(0, len(queries), width)]))
+            for width in LSM_WIDTHS
+        }
         db.close()
     return rows, stats
+
+
+def _io_counts(db, read, batches):
+    """(block fetches, filter probes) ``read`` makes over ``batches``."""
+    db.io.reset()
+    for batch in batches:
+        read(batch)
+    return db.io.block_reads + db.io.cache_hits, db.io.filter_probes
 
 
 def run_experiment(email_keys_sorted):
@@ -194,6 +269,10 @@ def run_experiment(email_keys_sorted):
     rows += r
     stats.update(s)
 
+    r, s = _l0_depth_rows(keys)
+    rows += r
+    stats.update(s)
+
     return rows, stats
 
 
@@ -216,12 +295,20 @@ def test_batch_queries(benchmark, email_keys_sorted):
     for name, s in stats.items():
         if not name.startswith("LSM"):
             assert s[4096][2] > 1.0, f"{name}: batch slower than scalar"
-    # The engine dispatches to scalar probes below its crossover, so
-    # from the coalescer's width up get_many must not lose to the loop
-    # (0.8: timer noise on shared runners; at width 1 the row measures
-    # the batch bookkeeping of one call, not a kernel), and the vector
-    # kernel must pay at full width.
-    for name in ("LSM get, no filter", "LSM get, SuRF-Real"):
-        for width in LSM_WIDTHS[1:]:
-            assert stats[name][width][2] >= 0.8, f"{name}: get_many x{width} loses to get"
+    # From the coalescer's width up get_many must not lose to the loop.
+    # Without a filter that is a timing bar it clears by a wide margin
+    # (1.6-1.9x at x8 against 0.8 for timer noise; at width 1 the row
+    # measures the bookkeeping of one call, not a kernel).  With
+    # SuRF-Real the filter probe is >95 % of either side below the
+    # crossover, the ratio is 1.0 by construction and a timing bar on
+    # it tripped one small-scale run in four — so the claim is stated
+    # on what the engine controls: the same filter probes and no more
+    # block fetches than the loop, at every width.  The vector kernel
+    # must still pay at full width.
+    for width in LSM_WIDTHS[1:]:
+        assert stats["LSM get, no filter"][width][2] >= 0.8, f"get_many x{width} loses to get"
+    for label in ("no filter", "SuRF-Real"):
+        for width, (loop, batch) in stats[f"LSM counts, {label}"].items():
+            assert batch[1] == loop[1], f"{label} x{width}: filter probes {batch[1]} != {loop[1]}"
+            assert batch[0] <= loop[0], f"{label} x{width}: block fetches {batch[0]} > {loop[0]}"
     assert stats["LSM get, SuRF-Real"][256][2] > 1.0

@@ -223,14 +223,20 @@ class Block:
 
     def find(self, key: bytes, default: Any = None) -> Any:
         """The value stored under ``key``, else ``default``."""
+        keys = self._keys
+        if keys is not None:  # hot block: bisect its key list directly
+            i = bisect_left(keys, key)
+            if i < self._n and keys[i] == key:
+                return self.value(i)
+            return default
         i = self.first_ge(key)
-        if i < len(self) and self.key(i) == key:
+        if i < self._n and self.key(i) == key:
             return self.value(i)
         return default
 
-    def items(self, start: int = 0) -> Iterator[tuple[bytes, Any]]:
-        """Entries from index ``start`` on, in key order."""
-        for i in range(start, len(self)):
+    def items(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, Any]]:
+        """Entries ``[start, stop)`` (to the end by default), in key order."""
+        for i in range(start, self._n if stop is None else stop):
             yield self.key(i), self.value(i)
 
     __iter__ = items

@@ -37,6 +37,12 @@ WAL segment, writes a table or installs a version or a manifest — and
   threads catch up — both are counted and exported via
   :meth:`LSMTree.info`.
 
+Compaction has two triggers and one path: a level over its table
+limit, and level 0 once point reads have wasted enough probes on its
+overlapping tables to pay for rewriting them (*read debt*, see
+``_READ_DEBT_PER_ENTRY``) — both are offers of ``_next_compaction``
+and run through ``_compact_level`` under either executor.
+
 Two storage modes also share all of it:
 
 * **in-memory** (``path=None``): SSTables live on the heap, I/O is
@@ -195,6 +201,26 @@ _BOUND = object()
 #: ``benchmarks/results/batch_queries.json`` (one default-size table):
 #: 0.64x the scalar loop at 8 keys, 1.13x at 16, 3.4x at 64.
 _VECTOR_PROBE_MIN = 16
+#: Wasted L0 probes one rewritten entry is worth.  A point read that
+#: searches an L0 table (or probes its filter) without finding its key
+#: adds one unit of *read debt*; once the debt reaches this many units
+#: per entry an L0 -> L1 compaction would rewrite, the reads have paid
+#: as much for the compaction they did not get as it would have cost,
+#: and it runs (ski rental: at most twice the cost of the better
+#: choice made in hindsight, whatever the read/write mix turns out to
+#: be).  Source: the "LSM wasted L0 probe, no filter" row of
+#: ``benchmarks/results/batch_queries.json`` (813,998 /s = 1.2 us per
+#: probe at x8, from the "L0 depth 0 / 4" rows; 2.0 us in the run
+#: before) against the "LSM compaction L0->L1" row of
+#: ``batch_updates.json`` (627,306 /s = 1.6 us per rewritten entry):
+#: the two prices are equal to within the rows' own run-to-run
+#: movement, hence 1.  At 1 a single pass over a bulk-loaded shard
+#: trips the trigger before it is half-way, so the compaction has
+#: committed when the pass ends (at 2 it tripped at 75-90 % and 4 of
+#: 50 ledger runs measured their disk footprint mid-compaction); a
+#: write-heavy mix still stays clear of it (YCSB-A peaks at half the
+#: threshold).
+_READ_DEBT_PER_ENTRY = 1
 
 
 class GappedMemtable:
@@ -315,12 +341,16 @@ class _Version:
     compaction keeps valid mmap views of the replaced tables.
     """
 
-    __slots__ = ("levels", "refs", "_bounds")
+    __slots__ = ("levels", "refs", "_bounds", "_l0_rewrite", "debt_signalled")
 
     def __init__(self, levels: list[list[SSTableBase]]) -> None:
         self.levels = levels
         self.refs = 1
         self._bounds: list[tuple[list[bytes], list[bytes]]] | None = None
+        self._l0_rewrite: int | None = None
+        #: A reader found the read debt due on this layout and woke the
+        #: compactor; later readers need not (see ``_charge_reads``).
+        self.debt_signalled = False
 
     def tables(self) -> Iterator[SSTableBase]:
         for level in self.levels:
@@ -337,6 +367,31 @@ class _Version:
                 for level in self.levels
             ]
         return self._bounds
+
+    def compaction_inputs(
+        self, level: int
+    ) -> tuple[list[SSTableBase], list[SSTableBase]]:
+        """What compacting ``level`` rewrites: its sources (all of L0,
+        newest first; a deeper level's first table) and the next
+        level's tables their key range overlaps, in key order."""
+        levels = self.levels
+        sources = list(levels[level]) if level == 0 else levels[level][:1]
+        if not sources:
+            return [], []
+        lo = min(t.min_key for t in sources)
+        hi = max(t.max_key for t in sources)
+        below = levels[level + 1] if level + 1 < len(levels) else []
+        return sources, [t for t in below if t.overlaps(lo, hi)]
+
+    def l0_rewrite_entries(self) -> int:
+        """Entries an L0 compaction of this layout would rewrite — what
+        the read debt is weighed against.  Lazy like :meth:`bounds`,
+        for the same reason."""
+        if self._l0_rewrite is None:
+            self._l0_rewrite = sum(
+                t.n_entries for tables in self.compaction_inputs(0) for t in tables
+            )
+        return self._l0_rewrite
 
 
 class _Frozen:
@@ -549,6 +604,13 @@ class LSMTree:
         self.stall_seconds = 0.0
         self.flush_count = 0
         self.compaction_count = 0
+        #: L0 compactions the read debt asked for (the table count had
+        #: not), and the debt itself: wasted L0 probes since the last
+        #: L0 compaction.  Readers bump it without the lock — it is a
+        #: hint that decides *when* to compact, never an accounting
+        #: figure, so a lost update only delays the trigger by a probe.
+        self.read_compaction_count = 0
+        self._read_debt = 0
         self._snapshots_live = 0
         self._bg_error: BaseException | None = None
 
@@ -1094,11 +1156,36 @@ class LSMTree:
         return None
 
     def _next_compaction(self) -> tuple[Callable, Any] | None:
-        """The lowest overflowing level, as a work item (lock held)."""
+        """The lowest overflowing level, else level 0 when the reads
+        have paid for its compaction, as a work item (lock held)."""
         for i, level in enumerate(self._version.levels):
             if len(level) > self._level_limit(i):
                 return self._compact_level, i
+        if self._read_compaction_due():
+            return self._compact_level, 0
         return None
+
+    def _read_compaction_due(self) -> bool:
+        """L0 holds tables and the read debt covers rewriting them
+        (no debt, no table footer looked at)."""
+        version, debt = self._version, self._read_debt
+        return debt > 0 and bool(version.levels[0]) and (
+            debt >= _READ_DEBT_PER_ENTRY * version.l0_rewrite_entries()
+        )
+
+    def _charge_reads(self, view: _View, wasted: int) -> None:
+        """Book ``wasted`` L0 probes (key searched, not found) made on
+        ``view`` as read debt, and wake the compactor when that makes
+        the compaction due.  Probes of a layout that is no longer
+        current are dropped: its L0 is already gone or going."""
+        version = view.version
+        if version is not self._version:
+            return
+        self._read_debt += wasted
+        if not version.debt_signalled and self._read_compaction_due():
+            with self._cond:
+                version.debt_signalled = True
+                self._cond.notify_all()
 
     def _next_work(self) -> tuple[Callable, Any] | None:
         """Flushes before compactions: the order one thread runs both in."""
@@ -1116,13 +1203,15 @@ class LSMTree:
         is queued, and a failure is the caller's to see at once.
         """
         while True:
-            with self._cond:
-                while (job := pick()) is None and wait and not self._closed:
-                    self._cond.wait()
-                if job is None or self._closed:
-                    return
-            run, arg = job
             try:
+                # Picking reads table footers (the read-debt weighing):
+                # a failure there is a failure of the work, too.
+                with self._cond:
+                    while (job := pick()) is None and wait and not self._closed:
+                        self._cond.wait()
+                    if job is None or self._closed:
+                        return
+                run, arg = job
                 run(arg)
             except BaseException as exc:  # noqa: BLE001 — surfaced to writers
                 with self._cond:
@@ -1176,21 +1265,15 @@ class LSMTree:
         flusher added mid-merge survive untouched.
         """
         with self._lock:
-            cur = self._version.levels
-            if level == 0:
-                sources = list(cur[0])
-            else:
-                sources = [cur[level][0]]
-            lo = min(t.min_key for t in sources)
-            hi = max(t.max_key for t in sources)
-            next_level = cur[level + 1] if level + 1 < len(cur) else []
-            overlapping = [t for t in next_level if t.overlaps(lo, hi)]
+            version = self._version
+            sources, overlapping = version.compaction_inputs(level)
+            if not sources:
+                return  # emptied since it was picked: nothing to merge
             # Tombstones drop when the output lands on the bottom level.
-            drop_tombstones = len(cur) <= level + 2
-        merged = self._merge_tables(sources, overlapping, drop_tombstones)
+            drop_tombstones = len(version.levels) <= level + 2
         new_tables = [
-            self._build_table(merged[i : i + self._sstable_entries])
-            for i in range(0, len(merged), self._sstable_entries)
+            self._build_table(pairs)
+            for pairs in self._merge_tables(sources, overlapping, drop_tombstones)
         ]
         source_ids = {t.table_id for t in sources}
         overlap_ids = {t.table_id for t in overlapping}
@@ -1206,6 +1289,12 @@ class LSMTree:
                 self._install_manifest()
             self._release_version(old_version)
             self.compaction_count += 1
+            if level == 0:
+                # Whichever trigger asked, the probes these tables cost
+                # are paid off; under the table limit only the debt asks.
+                self._read_debt = 0
+                if len(sources) <= self._level_limit(0):
+                    self.read_compaction_count += 1
             self._cond.notify_all()
         # The replaced tables left the current version; their blocks are
         # evicted and files unlinked when the last snapshot/iterator
@@ -1213,19 +1302,44 @@ class LSMTree:
 
     def _merge_tables(
         self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
-    ) -> list[tuple[bytes, Any]]:
-        """Newest-wins merge of runs (``newer`` is newest-first)."""
-        merged: dict[bytes, Any] = {}
-        for table in older:
-            for k, v in table.items():
-                merged[k] = v
-        for table in reversed(newer):  # apply oldest first, newest last
-            for k, v in table.items():
-                merged[k] = v
-        out = sorted(merged.items())
-        if drop_tombstones:
-            out = [(k, v) for k, v in out if v is not TOMBSTONE]
-        return out
+    ) -> Iterator[list[tuple[bytes, Any]]]:
+        """Newest-wins merge of the runs ``newer`` (newest first, may
+        overlap) into ``older`` (the next level's disjoint tables they
+        overlap, in key order): yields the sorted entries of each
+        output table, ``sstable_entries`` long except the last.
+
+        The merge is partitioned along ``older``'s table boundaries.
+        A partition is one old table plus the slice of every newer run
+        below the next old table's ``min_key`` (found through the
+        fences), merged by dict update — oldest first, so the newest
+        write wins — and sorted on its own; what does not fill a table
+        is carried into the next partition.  Live objects stay
+        O(``sstable_entries`` + the newer runs' share of a partition)
+        where one dict over all the inputs was O(level).
+        """
+        size = self._sstable_entries
+        oldest_first = newer[::-1]
+
+        def partition(i: int, low: bytes | None, high: bytes | None):
+            # Its own scope: the dict is gone before the next one is built.
+            merged: dict[bytes, Any] = dict(older[i].items()) if older else {}
+            for table in oldest_first:
+                merged.update(table.items_between(low, high))
+            if drop_tombstones:
+                return sorted((k, v) for k, v in merged.items() if v is not TOMBSTONE)
+            return sorted(merged.items())
+
+        carry: list[tuple[bytes, Any]] = []
+        low = None
+        for i, high in enumerate([t.min_key for t in older[1:]] + [None]):
+            carry += partition(i, low, high)
+            full = len(carry) - len(carry) % size
+            for start in range(0, full, size):
+                yield carry[start : start + size]
+            carry = carry[full:]
+            low = high
+        if carry:
+            yield carry
 
     # -- block access with simulated I/O ------------------------------------------------
 
@@ -1252,19 +1366,32 @@ class LSMTree:
             value = layer.get(key, _MISSING)
             if value is not _MISSING:
                 return None if value is TOMBSTONE else value
+        return self._tables_get(view, key)
+
+    def _tables_get(self, view: _View, key: bytes) -> Any | None:
+        """One key's answer from the tables of ``view`` (no memtable
+        layer holds it), newest source first; every L0 table searched
+        in vain is charged as read debt."""
         levels = view.levels
+        value, wasted = _MISSING, 0
         for li, (mins, maxs) in enumerate(view.version.bounds()):
             if li == 0:
-                tables = [t for t, lo, hi in zip(levels[0], mins, maxs) if lo <= key <= hi]
+                for table, lo, hi in zip(levels[0], mins, maxs):
+                    if lo <= key <= hi:
+                        value = self._table_get(table, key)
+                        if value is not _MISSING:
+                            break
+                        wasted += 1
             else:
                 # Disjoint level: at most one candidate table.
                 ti = bisect_right(mins, key) - 1
-                tables = [levels[li][ti]] if ti >= 0 and key <= maxs[ti] else ()
-            for table in tables:
-                value = self._table_get(table, key)
-                if value is not _MISSING:
-                    return None if value is TOMBSTONE else value
-        return None
+                if ti >= 0 and key <= maxs[ti]:
+                    value = self._table_get(levels[li][ti], key)
+            if value is not _MISSING:
+                break
+        if wasted:
+            self._charge_reads(view, wasted)
+        return None if value is _MISSING or value is TOMBSTONE else value
 
     def _table_get(self, table: SSTableBase, key: bytes) -> Any:
         """One table's answer for an in-range ``key``: the filter
@@ -1274,7 +1401,9 @@ class LSMTree:
             if not table.may_contain(key):
                 self.io.filter_negatives += 1
                 return _MISSING
-        return self._read_block(table, table.block_for(key)).find(key, _MISSING)
+        # In range, so at or past the first fence: the index is >= 0.
+        block_idx = bisect_right(table.fences, key) - 1
+        return self._read_block(table, block_idx).find(key, _MISSING)
 
     def get_many(self, keys: Sequence[bytes]) -> list[Any]:
         """Batch point reads matching element-wise scalar :meth:`get`.
@@ -1295,45 +1424,62 @@ class LSMTree:
 
     def _get_many_in(self, view: _View, keys: Sequence[bytes]) -> list[Any]:
         keys = list(keys)
-        out: list[Any] = [None] * len(keys)
+        # ``_MISSING`` marks a slot no source has resolved yet (a
+        # resolved one holds the answer, ``None`` for a tombstone).
+        out: list[Any] = [_MISSING] * len(keys)
+        mems = view.mems
         pending: list[int] = []
         for i, key in enumerate(keys):
-            for layer in view.mems:
+            for layer in mems:
                 value = layer.get(key, _MISSING)
                 if value is not _MISSING:
                     out[i] = None if value is TOMBSTONE else value
                     break
             else:
                 pending.append(i)
+        if len(pending) == 1:  # one key: no grouping to set up
+            out[pending[0]] = self._tables_get(view, keys[pending[0]])
+            return out
         levels = view.levels
+        wasted = 0
         for li, (mins, maxs) in enumerate(view.version.bounds()):
             if not pending:
                 break
             if li == 0:
                 for table, lo, hi in zip(levels[0], mins, maxs):
                     members = [i for i in pending if lo <= keys[i] <= hi]
-                    if members:
-                        done = self._table_get_many(table, keys, out, members)
-                        pending = [i for i in pending if i not in done]
+                    if not members:
+                        continue
+                    hits = self._table_get_many(table, keys, out, members)
+                    wasted += len(members) - hits
+                    if hits:
+                        pending = [i for i in pending if out[i] is _MISSING]
+                        if not pending:
+                            break
                 continue
             # Disjoint level: each key has at most one candidate table.
             by_table: dict[int, list[int]] = {}
             for i in pending:
-                ti = bisect_right(mins, keys[i]) - 1
-                if ti >= 0 and keys[i] <= maxs[ti]:
+                key = keys[i]
+                ti = bisect_right(mins, key) - 1
+                if ti >= 0 and key <= maxs[ti]:
                     by_table.setdefault(ti, []).append(i)
-            done = set()
+            hits = 0
             for ti, members in by_table.items():
-                done |= self._table_get_many(levels[li][ti], keys, out, members)
-            if done:
-                pending = [i for i in pending if i not in done]
+                hits += self._table_get_many(levels[li][ti], keys, out, members)
+            if hits:
+                pending = [i for i in pending if out[i] is _MISSING]
+        for i in pending:
+            out[i] = None
+        if wasted:
+            self._charge_reads(view, wasted)
         return out
 
     def _table_get_many(
         self, table: SSTableBase, keys: list[bytes], out: list[Any], idxs: list[int]
-    ) -> set[int]:
+    ) -> int:
         """Resolve what ``table`` holds of the in-range ``keys[idxs]``
-        into ``out``; return the indexes resolved (the rest were filter
+        into ``out``; return how many it held (the rest were filter
         negatives or false positives)."""
         flt = table.filter
         if flt is not None:
@@ -1350,19 +1496,18 @@ class LSMTree:
             passed = [i for i, hit in zip(idxs, mask) if hit]
             self.io.filter_negatives += len(idxs) - len(passed)
             idxs = passed
-        # Each block is fetched once however many keys land in it.
-        by_block: dict[int, list[int]] = {}
-        for i in idxs:
-            by_block.setdefault(table.block_for(keys[i]), []).append(i)
-        done: set[int] = set()
-        for block_idx in sorted(by_block):
-            block = self._read_block(table, block_idx)
-            for i in by_block[block_idx]:
-                value = block.find(keys[i], _MISSING)
-                if value is not _MISSING:
-                    out[i] = None if value is TOMBSTONE else value
-                    done.add(i)
-        return done
+        # Blocks in order, each fetched once however many keys land in
+        # it (in range, so at or past the first fence: indexes >= 0).
+        fences, read_block = table.fences, self._read_block
+        hits, current, block = 0, None, None
+        for block_idx, i in sorted([(bisect_right(fences, keys[i]) - 1, i) for i in idxs]):
+            if block_idx != current:
+                current, block = block_idx, read_block(table, block_idx)
+            value = block.find(keys[i], _MISSING)
+            if value is not _MISSING:
+                out[i] = None if value is TOMBSTONE else value
+                hits += 1
+        return hits
 
     # -- Seek / Next (Figure 4.3 middle) ------------------------------------------------------
 
@@ -1545,6 +1690,9 @@ class LSMTree:
             return
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
+            # Read debt can come due with no one waking the compactor
+            # (readers bump it unlocked): make it look before we wait.
+            self._cond.notify_all()
             while (
                 self._bg_error is None
                 and not self._closed
@@ -1574,12 +1722,15 @@ class LSMTree:
         return sum(len(level) for level in self._version.levels)
 
     def compaction_backlog(self) -> int:
-        """Tables above their level limits (0 when fully compacted)."""
+        """Tables waiting on a compaction: those above their level
+        limits, plus L0 while its read-driven compaction is due (0 when
+        nothing is)."""
         levels = self._version.levels
-        return sum(
+        over = sum(
             max(0, len(level) - self._level_limit(i))
             for i, level in enumerate(levels)
         )
+        return over or (len(levels[0]) if self._read_compaction_due() else 0)
 
     def info(self) -> dict[str, Any]:
         """JSON-ready engine counters (the per-shard STATS payload)."""
@@ -1605,5 +1756,7 @@ class LSMTree:
             "stall_seconds": self.stall_seconds,
             "flushes": self.flush_count,
             "compactions": self.compaction_count,
+            "read_debt": self._read_debt,
+            "read_compactions": self.read_compaction_count,
             "snapshots": self._snapshots_live,
         }

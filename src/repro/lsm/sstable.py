@@ -30,7 +30,7 @@ of being misparsed.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, Sequence
 
 from . import disk_format
@@ -100,6 +100,21 @@ class SSTableBase:
     def items(self) -> Iterator[tuple[bytes, Any]]:
         for idx in range(self.n_blocks):
             yield from self.read_block(idx)
+
+    def items_between(
+        self, low: bytes | None, high: bytes | None
+    ) -> Iterator[tuple[bytes, Any]]:
+        """Entries with ``low <= key < high`` (``None`` = unbounded) in
+        key order.  The fences pick the blocks, so only those the range
+        touches are read — uncached, like :meth:`items`."""
+        fences = self.fences
+        first = 0 if low is None else self.block_for(low)
+        last = len(fences) if high is None else bisect_left(fences, high)
+        for idx in range(first, last):
+            block = self.read_block(idx)
+            start = block.first_ge(low) if low is not None and idx == first else 0
+            stop = block.first_ge(high) if high is not None and idx == last - 1 else None
+            yield from block.items(start, stop)
 
     def filter_memory_bytes(self) -> int:
         return self.filter.memory_bytes() if self.filter is not None else 0

@@ -123,6 +123,8 @@ def _cmd_torture(args: argparse.Namespace) -> int:
                 f"snapshot_checks={result.snapshot_checks} "
                 f"raw_checks={result.raw_checks} "
                 f"flushes={info.get('flushes')} compactions={info.get('compactions')} "
+                f"read_compactions={info.get('read_compactions')} "
+                f"read_debt={info.get('read_debt')} "
                 f"stalls={info.get('stalls')} slowdowns={info.get('slowdowns')}  "
                 f"{result.elapsed_seconds:.2f}s"
             )

@@ -15,19 +15,28 @@ tests pin the moving parts down one at a time:
   compacted-away tables until the last snapshot referencing them is
   released (the DESIGN.md §8 protocol);
 * a short threaded torture round (writer + snapshot readers + churning
-  background threads) passes end to end.
+  background threads) passes end to end;
+* read-driven compaction: wasted L0 probes are a second trigger that
+  changes no answer, converges a read-only engine to an empty L0 with
+  one compaction per L0 generation, and never fires under a
+  write-heavy mix; the partitioned merge it runs through writes the
+  tables the whole-level merge wrote.
 """
 
+import math
+import random
 import threading
 import time
 
 import pytest
 
 from repro.lsm import LSMTree
-from repro.lsm.sstable import DiskSSTable, TOMBSTONE
+from repro.lsm import engine as engine_mod
+from repro.lsm.sstable import DiskSSTable, SSTable, TOMBSTONE
 from repro.testing.faultfs import MemFS
 from repro.testing.threaded import generate_write_ops, model_after, run_torture
 from repro.trees.gapped_btree import GappedBPlusTree
+from repro.workloads import random_u64_keys, ycsb
 from repro.workloads.keys import encode_u64
 
 CONFIG = dict(
@@ -182,10 +191,13 @@ class TestBackpressure:
             _fill(db, 100)
             db.wait_idle()
             info = db.info()
-            for key in ("stalls", "slowdowns", "stall_seconds"):
+            for key in ("stalls", "slowdowns", "stall_seconds", "read_debt",
+                        "read_compactions"):
                 assert key in info, f"info() missing engine counter {key!r}"
             assert info["immutables"] == info["compaction_backlog"] == 0
             assert info["flushes"] > 0 and info["compactions"] > 0
+            # No read was made: every compaction was the table count's.
+            assert info["read_debt"] == info["read_compactions"] == 0
             db.close()
 
     def test_inline_mode_never_counts_backpressure(self):
@@ -375,6 +387,292 @@ class TestSnapshots:
         snaps[-1].release()
         assert not fs.exists(victim.path)
         db.close()
+
+
+def _read_until_due(db, keys, cap=200_000):
+    """``get_many`` x8 over ``keys`` (cycled) until the read debt makes
+    L0's compaction due (or the compactor already took it); returns
+    the keys read."""
+    done, ran = 0, db.read_compaction_count
+    while db.compaction_backlog() == 0 and db.read_compaction_count == ran:
+        assert done < cap, "read debt never came due"
+        batch = [keys[(done + j) % len(keys)] for j in range(8)]
+        db.get_many(batch)
+        done += 8
+    return done
+
+
+def _layout(db):
+    return [[(t.min_key, t.max_key, t.n_entries) for t in level] for level in db.levels]
+
+
+class TestReadDrivenCompaction:
+    """The second compaction trigger (DESIGN.md §8): one unit of read
+    debt per L0 table a point read searched in vain, level 0 offered
+    once the debt is worth the rewrite."""
+
+    @pytest.mark.parametrize("per_entry", [0, math.inf], ids=["always", "never"])
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_answers_do_not_depend_on_the_trigger(
+        self, monkeypatch, seed, background, per_entry
+    ):
+        """Differential property: a PUT / DELETE / get / get_many /
+        scan / snapshot stream answers from the dict model whether
+        every wasted probe compacts or none ever does."""
+        monkeypatch.setattr(engine_mod, "_READ_DEBT_PER_ENTRY", per_entry)
+        rng = random.Random(seed)
+        db = LSMTree.open(
+            "db", fs=MemFS(), **dict(CONFIG, background=background, slowdown_sleep=0.0)
+        )
+        keys = [encode_u64(i) for i in range(120)]
+        model: dict = {}
+        snaps: list = []
+        for step in range(1500):
+            roll = rng.random()
+            key = rng.choice(keys)
+            if roll < 0.40:
+                db.put(key, step)
+                model[key] = step
+            elif roll < 0.50:
+                db.delete(key)
+                model.pop(key, None)
+            elif roll < 0.70:
+                assert db.get(key) == model.get(key)
+            elif roll < 0.85:
+                batch = rng.choices(keys, k=rng.randint(1, 9))
+                assert db.get_many(batch) == [model.get(k) for k in batch]
+            elif roll < 0.92:
+                want = sorted((k, v) for k, v in model.items() if k >= key)[:7]
+                assert db.scan(key, 7) == want
+            elif roll < 0.96 or not snaps:
+                snaps.append((db.snapshot(), dict(model)))
+            else:
+                snap, pinned = snaps.pop(rng.randrange(len(snaps)))
+                batch = rng.choices(keys, k=6)
+                assert snap.get_many(batch) == [pinned.get(k) for k in batch]
+                assert snap.get(key) == pinned.get(key)
+                assert snap.scan(b"", 200) == sorted(pinned.items())
+                snap.release()
+        db.wait_idle()
+        for snap, pinned in snaps:
+            assert snap.scan(b"", 200) == sorted(pinned.items())
+            snap.release()
+        assert db.scan(b"", 200) == sorted(model.items())
+        info = db.info()
+        if per_entry:
+            assert info["read_compactions"] == 0
+        else:
+            assert info["read_compactions"] > 0
+        db.close()
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_snapshot_outlives_a_read_driven_compaction(self, background):
+        """A snapshot pinned before the compaction keeps reading its own
+        version, and the L0 tables it pinned stay on disk until it is
+        released."""
+        fs = MemFS()
+        db = LSMTree.open("db", fs=fs, **dict(CONFIG, background=background))
+        order = random.Random(6).sample(range(400), 400)  # overlapping tables
+        while not (db.levels[0] and any(db.levels[1:])):
+            db.put(encode_u64(order.pop()), db.last_seq)
+            db.wait_idle()  # deterministic under both executors
+        snap = db.snapshot()
+        pinned = snap.scan(b"", 1000)
+        l0_paths = [path for _, path in snap.table_layout()[0]]
+        assert l0_paths
+        _read_until_due(db, [key for key, _ in pinned])
+        db.wait_idle()
+        info = db.info()
+        assert info["read_compactions"] == 1 and info["l0_tables"] == 0
+        assert info["read_debt"] < 8  # zeroed at the commit
+        assert all(fs.exists(path) for path in l0_paths)
+        assert snap.scan(b"", 1000) == pinned
+        assert snap.get_many([k for k, _ in pinned]) == [v for _, v in pinned]
+        assert db.scan(b"", 1000) == pinned
+        snap.release()
+        assert not any(fs.exists(path) for path in l0_paths)
+        db.close()
+
+    def test_read_only_phase_converges_to_an_empty_l0(self):
+        """The served shape: a thread-run engine with shipped sizes,
+        10k keys, four L0 tables nothing will ever compact by count,
+        then Zipfian ``get_many`` x8 and no write.  One compaction per
+        L0 generation, asked for by the readers alone, after which a
+        key costs at most one block search per level."""
+        keys = random_u64_keys(10_000, seed=23)
+        db = LSMTree.open("db", fs=MemFS(), background=True)
+        for i in range(0, len(keys), 64):
+            db.write_batch([(k, i) for k in keys[i : i + 64]])
+            db.wait_idle()  # one flush at a time: a deterministic layout
+        assert db.info()["l0_tables"] == 4 and db.info()["compaction_backlog"] == 0
+        hot = [op.key for op in ycsb.generate("C", keys, 60_000, seed=23).operations]
+        by_count = db.compaction_count
+        for generation in (1, 2):
+            _read_until_due(db, hot)
+            # The reader that crossed the threshold woke the compactor:
+            # nothing else (no write, no wait_idle) will.
+            with db._cond:
+                assert db._cond.wait_for(
+                    lambda: db.read_compaction_count == generation, timeout=30.0
+                )
+            db.wait_idle()
+            info = db.info()
+            assert info["l0_tables"] == 0 and info["compaction_backlog"] == 0
+            assert info["read_compactions"] == generation
+            assert info["compactions"] == by_count + generation
+            levels = sum(1 for level in db.levels if level)
+            db.io.reset()
+            for i in range(0, 8_000, 8):
+                db.get_many(hot[i : i + 8])
+            assert (db.io.block_reads + db.io.cache_hits) / 8_000 <= levels
+            assert db.info()["read_debt"] == 0  # nothing left to waste a probe on
+            if generation == 1:  # the next L0 generation: two tables
+                for i in range(0, 1024, 64):
+                    db.write_batch([(k, -1) for k in keys[i : i + 64]])
+                    db.wait_idle()
+                assert db.info()["l0_tables"] == 2
+        db.close()
+
+    def test_a_write_heavy_mix_never_reaches_the_threshold(self, monkeypatch):
+        """Restraint: on a YCSB-A stream (the ledger's ``wire_a`` shape,
+        one shard, caller-run so the outcome is exact) the table count
+        resets the debt long before the reads have paid for anything —
+        the layout is the one the trigger-less engine builds."""
+        keys = random_u64_keys(10_000, seed=62)
+        plan = ycsb.generate("A", keys, 30_000, seed=62)
+        outcomes = []
+        for per_entry in (engine_mod._READ_DEBT_PER_ENTRY, math.inf):
+            monkeypatch.setattr(engine_mod, "_READ_DEBT_PER_ENTRY", per_entry)
+            db = LSMTree()
+            db.put_many([(k, 0) for k in keys])
+            high_water = 0
+            for i, op in enumerate(plan.operations):
+                if op.op == "read":
+                    db.get(op.key)
+                else:
+                    db.put(op.key, i)
+                high_water = max(high_water, db._read_debt)
+            outcomes.append((_layout(db), db.compaction_count, db.read_compaction_count))
+            limit = db._version.l0_rewrite_entries()  # with one L0 table: the lowest
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == 0 and outcomes[0][1] > 3
+        # Not a near miss: the debt peaked at about half of what L0 costs.
+        assert 0 < high_water < 0.65 * limit
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_an_empty_l0_is_never_offered_nor_compacted(self, background):
+        """Regression: ``_compact_level`` on a level with no tables died
+        in ``min()`` of an empty sequence and poisoned the engine."""
+        db = LSMTree.open("db", fs=MemFS(), **dict(CONFIG, background=background))
+        _fill(db, 100)
+        db.wait_idle()
+        while db.levels[0]:  # drain L0 through the ordinary trigger
+            _fill(db, CONFIG["memtable_entries"], start=1000 + db.last_seq)
+            db.wait_idle()
+        db._read_debt = 10**9  # due many times over, with nothing to compact
+        with db._lock:
+            assert db._next_compaction() is None
+        assert db.compaction_backlog() == 0
+        before = db.compaction_count
+        db._compact_level(0)  # a pick that raced the commit emptying L0
+        db.wait_idle()
+        assert db.compaction_count == before and db._bg_error is None
+        db.put(encode_u64(5), "still writable")
+        assert db.get(encode_u64(5)) == "still writable"
+        db.close()
+
+
+def _reference_merge(newer, older, drop_tombstones):
+    """The whole-level merge the partitioned one replaced."""
+    merged = {}
+    for table in older:
+        merged.update(table.items())
+    for table in reversed(newer):  # oldest first, newest last
+        merged.update(table.items())
+    out = sorted(merged.items())
+    return [kv for kv in out if kv[1] is not TOMBSTONE] if drop_tombstones else out
+
+
+class TestPartitionedMerge:
+    SIZE = 16
+
+    def _tables(self, rng, universe, n_older, n_newer, older_span, newer_keys):
+        """``n_older`` disjoint tables over ``older_span`` of the
+        universe (one of them larger than ``sstable_entries``) and
+        ``n_newer`` overlapping runs of about ``newer_keys`` keys drawn
+        from all of it, a fifth of them tombstones."""
+        lo, hi = older_span
+        older = []
+        if n_older:
+            pool = sorted(rng.sample(universe[lo:hi], min(hi - lo, n_older * 14 + 30)))
+            cuts = sorted(rng.sample(range(1, len(pool)), n_older - 1))
+            for a, b in zip([0] + cuts, cuts + [len(pool)]):
+                older.append(SSTable([(k, ("old", k)) for k in pool[a:b]], block_entries=4))
+        newer = []
+        for age in range(n_newer):
+            picked = sorted(rng.sample(universe, newer_keys + rng.randint(0, 8)))
+            newer.append(SSTable(
+                [(k, TOMBSTONE if rng.random() < 0.2 else ("new", age, k)) for k in picked],
+                block_entries=4,
+            ))
+        return newer, older
+
+    @pytest.mark.parametrize("drop_tombstones", [False, True], ids=["kept", "dropped"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(n_older=0, n_newer=3, older_span=(0, 0), newer_keys=20),  # empty next level
+            dict(n_older=1, n_newer=1, older_span=(100, 200), newer_keys=5),
+            dict(n_older=4, n_newer=4, older_span=(0, 400), newer_keys=30),
+            dict(n_older=3, n_newer=2, older_span=(0, 150), newer_keys=40),  # L0 beyond the last
+            dict(n_older=3, n_newer=2, older_span=(250, 400), newer_keys=40),  # L0 before the first
+            dict(n_older=2, n_newer=4, older_span=(150, 250), newer_keys=60),  # overflowing parts
+        ],
+        ids=["empty-next", "tiny", "even", "beyond-last", "before-first", "overflow"],
+    )
+    def test_output_is_the_whole_level_merge_in_full_tables(self, shape, drop_tombstones):
+        universe = [encode_u64(i * 5) for i in range(400)]
+        db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
+        for seed in range(25):
+            rng = random.Random(seed)
+            newer, older = self._tables(rng, universe, **shape)
+            want = _reference_merge(newer, older, drop_tombstones)
+            chunks = list(db._merge_tables(newer, older, drop_tombstones))
+            assert [kv for chunk in chunks for kv in chunk] == want, seed
+            assert all(len(chunk) == self.SIZE for chunk in chunks[:-1]), seed
+            assert all(chunks), seed  # never an empty table
+            if shape["n_older"] > 1:
+                assert max(t.n_entries for t in older) > self.SIZE
+
+    def test_compaction_writes_the_same_tables_as_before(self):
+        """End to end: levels built through the partitioned merge hold
+        what a whole-level merge of the same inputs would."""
+        db = LSMTree(**{**CONFIG, "level_fanout": 2})
+        rng = random.Random(4)
+        model = {}
+        merges = []
+        original = db._merge_tables
+
+        def checked(newer, older, drop):
+            chunks = list(original(newer, older, drop))
+            merges.append(len(older))
+            assert [kv for c in chunks for kv in c] == _reference_merge(newer, older, drop)
+            return iter(chunks)
+
+        db._merge_tables = checked
+        for step in range(1200):
+            key = encode_u64(rng.randrange(300))
+            if rng.random() < 0.25:
+                db.delete(key)
+                model.pop(key, None)
+            else:
+                db.put(key, step)
+                model[key] = step
+        assert max(merges) >= 2 and len(db.levels) >= 3
+        for level in db.levels[1:]:  # every table full but, at most, the last written
+            assert all(t.n_entries <= CONFIG["sstable_entries"] for t in level)
+        assert db.scan(b"", 1000) == sorted(model.items())
 
 
 class TestTortureSmoke:

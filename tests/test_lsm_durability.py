@@ -756,6 +756,54 @@ class TestKillDuringBackgroundFlushAndCompaction:
             recovered.close()
 
 
+class TestKillDuringReadDrivenCompaction:
+    """The compaction the *readers* ask for (wasted L0 probes, not the
+    table count) commits through the same ``_compact_level`` →
+    ``_install_manifest`` path: a crash at each of its durability
+    points recovers under invariants (a)-(d)."""
+
+    def _run(self, ops, fail_at):
+        """Writes until L0 and L1 both hold tables and nothing is
+        queued, then reads until the debt is due, then the compaction.
+        Returns (fs, ops applied, acked, sync points before the
+        compaction, read compactions run)."""
+        fs = FaultFS(fail_at=fail_at)
+        db = LSMTree.open("db", fs=fs, **CONFIG)
+        applied = 0
+        while not (db.levels[0] and len(db.levels) > 1 and db.levels[1]):
+            _apply(db, [ops[applied]])
+            applied += 1
+        acked = db.last_acked_seq
+        keys = sorted({key for _, key, _ in ops})
+        reads = 0
+        while not db.compaction_backlog():
+            db.get_many(keys)
+            reads += 1
+            assert reads < 1000, "read debt never came due"
+        before = fs.sync_points
+        try:
+            db.wait_idle()  # caller-run: the compaction runs here
+            db.close()
+        except PowerFailure:
+            pass
+        return fs, applied, acked, before, db.read_compaction_count
+
+    def test_every_crash_point_every_torn_mode(self):
+        ops = _workload(120, seed=31)
+        fs, applied, acked, before, ran = self._run(ops, fail_at=None)
+        assert ran == 1 and not fs.crashed
+        assert fs.sync_points - before >= 3  # table sync, manifest sync, rename
+        labels = []
+        for point in range(before + 1, fs.sync_points + 1):
+            crashed, applied_again, acked_again, _, _ = self._run(ops, fail_at=point)
+            assert (applied_again, acked_again) == (applied, acked)  # deterministic
+            assert crashed.crashed
+            labels.append(crashed.crash_label)
+            _check_recovery(crashed, ops, applied, acked, point)
+        assert any(lbl.startswith("sync db/sst-") for lbl in labels), labels
+        assert any(lbl.endswith("-> db/CURRENT") for lbl in labels), labels
+
+
 # -- batched writes (group commit) -------------------------------------------
 
 

@@ -9,6 +9,7 @@ are exercised across every pair of adjacent sources.
 """
 
 import itertools
+import math
 import random
 import sys
 from bisect import bisect_left
@@ -270,6 +271,106 @@ class TestGetMany:
         assert db.get_many(keys[:threshold]) == list(range(threshold))
         assert calls == {"scalar": threshold - 1, "vector": 1}
         assert db.io.filter_probes == 2 * threshold - 1  # both paths count every key
+
+
+class TestProbePlan:
+    """What a point read touches, counted: the trim changed how the
+    kernel walks, not what it fetches, and every L0 table searched in
+    vain is one unit of read debt."""
+
+    @pytest.fixture(params=sorted(FILTERS))
+    def stacked(self, request, monkeypatch):
+        """Five overlapping L0 tables over one L1 table; key ``8*i + t``
+        lives in source ``t`` only (t = 5: the L1 table), keys ``8*i + 7``
+        nowhere.  No compaction runs: the debt only accrues."""
+        monkeypatch.setattr(engine_mod, "_READ_DEBT_PER_ENTRY", math.inf)
+        db = LSMTree(memtable_entries=64, level0_limit=1, block_entries=8,
+                     block_cache_blocks=512, filter_factory=FILTERS[request.param])
+        span = [encode_u64(0), encode_u64(8 * 64)]  # every table covers every key
+        db.put_many([(encode_u64(8 * i + 5), "L1") for i in range(62)] + [(k, "L1") for k in span])
+        db.put_many([(encode_u64(8 * i + 6), "pad") for i in range(64)])  # pushes it to L1
+        assert [len(level) for level in db.levels] == [0, 1]
+        db._level0_limit = 8
+        for t in (4, 3, 2, 1, 0):  # oldest first: source 0 ends up newest
+            db.put_many([(encode_u64(8 * i + t), t) for i in range(1, 63)] + [(k, t) for k in span])
+        assert [len(level) for level in db.levels] == [5, 1]
+        return db, request.param
+
+    def test_wasted_l0_probes_are_the_read_debt(self, stacked):
+        db, filter_name = stacked
+        for source, wasted in ((0, 0), (2, 2), (4, 4), (5, 5), (7, 5)):
+            key = encode_u64(8 * 9 + source)
+            for read in (db.get, lambda k: db.get_many([k])[0],
+                         lambda k: db.get_many([k, encode_u64(8)])[0]):
+                before = db._read_debt
+                read(key)
+                assert db._read_debt - before == wasted, (source, filter_name)
+        # A batch owes the sum of its keys' debts.
+        before = db._read_debt
+        db.get_many([encode_u64(8 * i + t) for i in (3, 4) for t in range(8)])
+        assert db._read_debt - before == 2 * (0 + 1 + 2 + 3 + 4 + 5 + 5 + 5)
+        assert db.info()["read_debt"] == db._read_debt
+
+    def test_a_stale_view_owes_nothing(self, stacked):
+        db, _ = stacked
+        key = encode_u64(8 * 9 + 7)
+        with db.snapshot() as snap:
+            before = db._read_debt
+            snap.get(key)
+            snap.get_many([key, key])
+            assert db._read_debt - before == 15  # the current layout's tables
+            db.put_many([(encode_u64(8 * i + 3), "newer") for i in range(64)])
+            assert len(db.levels[0]) == 6  # the layout moved on
+            before = db._read_debt
+            assert snap.get(key) is None and snap.get_many([key]) == [None]
+            assert db._read_debt == before
+
+    def test_fetches_are_those_of_scalar_get(self, stacked):
+        """One filter probe per (table, key) and one cache access per
+        (table, block) a batch lands in — the blocks a ``get`` loop over
+        the same keys touches, each once — at every width, the
+        singleton path included; ``get_many`` of one key is ``get``."""
+        db, filter_name = stacked
+        rng = random.Random(3)
+        keys = [encode_u64(8 * rng.randrange(1, 63) + rng.randrange(8)) for _ in range(256)]
+        touched = []
+        read_block = db._read_block
+
+        def spy(table, block_idx):
+            touched.append((table.table_id, block_idx))
+            return read_block(table, block_idx)
+
+        db._read_block = spy
+        for width in (1, 2, 7, 256):
+            for i in range(0, len(keys), width):
+                batch = keys[i : i + width]
+                db.io.reset()
+                del touched[:]
+                want = [db.get(k) for k in batch]
+                blocks, probes = set(touched), (db.io.filter_probes, db.io.filter_negatives)
+                assert db.io.block_reads + db.io.cache_hits == len(touched)
+                db.io.reset()
+                del touched[:]
+                assert db.get_many(batch) == want
+                assert (db.io.filter_probes, db.io.filter_negatives) == probes, (width, filter_name)
+                assert sorted(touched) == sorted(blocks), (width, filter_name)
+                assert db.io.block_reads + db.io.cache_hits == len(blocks)
+
+    def test_hot_and_cold_block_search_agree(self):
+        """``Block.find`` bisects a hot block's key list itself; the
+        answers are the cold in-place search's."""
+        db = LSMTree.open("hot", fs=MemFS(), memtable_entries=64, block_entries=16)
+        keys = [encode_u64(i * 2) for i in range(64)]
+        db.put_many([(k, i) for i, k in enumerate(keys)])
+        table = db.levels[0][0]
+        probes = keys + [encode_u64(i * 2 + 1) for i in range(64)] + [b"", b"\xff" * 9]
+        cold = [table.read_block(table.block_for(k)).find(k, "absent") for k in probes]
+        blocks = [table.read_block(i) for i in range(table.n_blocks)]
+        for _ in range(12):  # past _HOT_BLOCK_PROBES: key lists are built
+            hot = [blocks[table.block_for(k)].find(k, "absent") for k in probes]
+            assert hot == cold
+        assert all(block._keys is not None for block in blocks)
+        db.close()
 
 
 class TestBlockAccounting:
