@@ -1,26 +1,30 @@
-"""Clients for the sharded key-value server.
+"""Clients for the sharded key-value server: one request pipeline, two
+transports.
 
-Two flavours share the wire codec from :mod:`repro.server.protocol`:
+:class:`Pipeline` is the whole client minus the socket (sans-IO): it
+assigns request ids, frames requests, queues them in order until their
+reply arrives, turns the server's bytes back into ``(status, body)``
+outcomes (checking each echoed id), holds the ``OVERLOADED`` retry
+policy, and is the op table — every operation is one entry naming its
+opcode, body encoder and reply decoder.  The two clients add only how
+bytes move and how a caller waits:
 
-* :class:`KVClient` — blocking, one request in flight at a time.  The
-  simplest correct client; also the *non-pipelined baseline* for the
+* :class:`KVClient` — a blocking socket, one request in flight.  The
+  simplest correct client and the *non-pipelined baseline* of the
   serving benchmarks.
-* :class:`AsyncKVClient` — asyncio, fully pipelined: every call
-  returns as soon as the frame is written and a reader task resolves
-  futures in arrival order (the server guarantees in-order responses).
-  Many coroutines sharing one connection keep dozens of requests in
-  flight, which is exactly what feeds the server's per-burst read
-  batches and write group commit.
+* :class:`AsyncKVClient` — an ``asyncio.Protocol``, fully pipelined.
+  What is issued in one event-loop tick leaves in **one**
+  ``transport.write`` (scheduled once per tick: no timer, no size cap),
+  so the server reads it as one burst — one batch lookup per shard, one
+  group commit — and replies resolve their futures straight from
+  ``data_received``, in send order.  A lone request leaves one loop
+  iteration after it was issued.
 
-Both clients absorb transient ``OVERLOADED`` backpressure with a
-bounded exponential-backoff retry (full jitter, so a thundering herd
-of clients decorrelates instead of re-arriving in lockstep).  The
-retry count is exposed as ``client.retries`` and surfaces in loadgen
-stats; ``max_retries=0`` restores the old raise-immediately behaviour.
-
-Write acks carry the committed sequence number (``put`` returns it) —
-the causal token :meth:`KVClient.get_at` hands to a replication
-follower to demand read-your-writes.
+``OVERLOADED`` is absorbed by a bounded exponential backoff with full
+jitter (a herd of clients decorrelates instead of re-arriving in
+lockstep); ``client.retries`` counts it, ``max_retries=0`` raises at
+once.  Write acks carry the committed sequence number — the causal
+token :meth:`Pipeline.get_at` hands a follower for read-your-writes.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import json
 import random
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from . import protocol
 
@@ -40,6 +46,13 @@ from . import protocol
 RETRY_BASE_DELAY = 0.001
 RETRY_MAX_DELAY = 0.1
 DEFAULT_MAX_RETRIES = 8
+
+
+#: The operations a client resends after OVERLOADED.
+_RETRIED = frozenset({
+    protocol.GET, protocol.PUT, protocol.DELETE, protocol.BATCH_GET,
+    protocol.SCAN, protocol.COUNT, protocol.SYNC, protocol.GET_AT,
+})
 
 
 def _retry_delay(attempt: int) -> float:
@@ -92,6 +105,16 @@ class FencedError(ServerError):
     primary exists.  The sender must stop acting as primary."""
 
 
+_ERRORS = {
+    protocol.OVERLOADED: ServerOverloadedError,
+    protocol.SHUTTING_DOWN: ServerShuttingDownError,
+    protocol.LAGGING: FollowerLaggingError,
+    protocol.NOT_PRIMARY: NotPrimaryError,
+    protocol.NOT_OWNER: NotOwnerError,
+    protocol.FENCED: FencedError,
+}
+
+
 @dataclass
 class WatermarkReply:
     """WATERMARK response: role, election term, and per-hosted-shard
@@ -107,25 +130,228 @@ class WatermarkReply:
         return sum(applied for _, applied in self.marks.values())
 
 
-def _raise_for(status: int, body: bytes) -> None:
-    message = body.decode("utf-8", "replace")
-    if status == protocol.OVERLOADED:
-        raise ServerOverloadedError(status, message)
-    if status == protocol.SHUTTING_DOWN:
-        raise ServerShuttingDownError(status, message)
-    if status == protocol.LAGGING:
-        raise FollowerLaggingError(status, message)
-    if status == protocol.NOT_PRIMARY:
-        raise NotPrimaryError(status, message)
-    if status == protocol.NOT_OWNER:
-        raise NotOwnerError(status, message)
-    if status == protocol.FENCED:
-        raise FencedError(status, message)
-    raise ServerError(status, message)
+# -- reply decoders ------------------------------------------------------------
 
 
-class KVClient:
-    """Blocking client: send one frame, read one frame."""
+def _decode_reply(status: int, body: bytes, decode: Callable | None) -> Any:
+    """What an operation returns for the reply ``(status, body)``: the
+    decoded OK body, None for NOT_FOUND, the matching error otherwise."""
+    if status == protocol.OK:
+        return decode(body) if decode is not None else None
+    if status == protocol.NOT_FOUND:
+        return None
+    raise _ERRORS.get(status, ServerError)(status, body.decode("utf-8", "replace"))
+
+
+def _decode_seq(body: bytes) -> int | None:
+    """A write ack: the committed sequence, or None from older servers."""
+    return protocol.decode_u64_body(body) if len(body) == 8 else None
+
+
+def _decode_json(body: bytes) -> dict:
+    return json.loads(body.decode())
+
+
+def _decode_watermark(body: bytes) -> WatermarkReply:
+    return WatermarkReply(*protocol.decode_watermarks(body))
+
+
+class Pipeline:
+    """The sans-IO request pipeline and the op table.  A transport
+    supplies ``_request(opcode, body, decode)``; every operation
+    returns what that returns — the decoded reply (:class:`KVClient`)
+    or an awaitable of it (:class:`AsyncKVClient`).
+
+    :meth:`request` takes a *token*; :meth:`feed` and :meth:`fail` hand
+    it back as ``(token, outcome)``, the outcome being the reply's
+    ``(status, body)`` or the exception the request failed with.
+    """
+
+    def __init__(self, max_retries: int = DEFAULT_MAX_RETRIES) -> None:
+        self._next_id = 0
+        self._pending: deque[tuple[int, Any]] = deque()  # (request id, token)
+        self._inbox = bytearray()
+        self._max_retries = max_retries
+        #: Why no request can be sent any more (stream lost, unframeable
+        #: or closed), else None.
+        self.error: BaseException | None = None
+        #: OVERLOADED responses absorbed by the retry schedule.
+        self.retries = 0
+
+    # -- the pipeline --------------------------------------------------------
+
+    def request(self, opcode: int, body: bytes, token: Any) -> bytes:
+        """The frame of a new request, now pending.  Framed before it is
+        enqueued (an unframeable body raises and changes nothing) and
+        enqueued before it is written (no reply finds its request
+        unknown)."""
+        if self.error is not None:
+            raise ConnectionError(f"connection lost: {self.error}")
+        request_id = self._next_id = (self._next_id + 1) & 0xFFFFFFFF
+        frame = protocol.frame(request_id, opcode, body)
+        self._pending.append((request_id, token))
+        return frame
+
+    def feed(self, data: bytes) -> list[tuple[Any, Any]]:
+        """Bytes from the server: each complete reply settles the oldest
+        pending request (a wrong echoed id fails it).  An unframeable
+        stream or an unrequested reply fails everything pending, after
+        the frames ahead of it settled theirs."""
+        buf = self._inbox
+        buf += data
+        frames: list[tuple[int, int, bytes]] = []
+        error: BaseException | None = None
+        try:
+            del buf[: protocol.parse_frames(buf, frames)]
+        except protocol.ProtocolError as exc:
+            error = exc
+        pending = self._pending
+        settled: list[tuple[Any, Any]] = []
+        for echoed, status, body in frames:
+            if not pending:
+                error = protocol.ProtocolError(f"unrequested response {echoed}")
+                break
+            request_id, token = pending.popleft()
+            if echoed == request_id:
+                settled.append((token, (status, body)))
+            else:
+                settled.append((token, protocol.ProtocolError(
+                    f"response id {echoed} != expected {request_id}"
+                )))
+        if error is not None:
+            settled += self.fail(error)
+        return settled
+
+    def fail(self, error: BaseException) -> list[tuple[Any, Any]]:
+        """The stream is gone: every pending request fails, every later
+        one is refused."""
+        self.error = error
+        settled = [
+            (token, ConnectionError(f"connection lost: {error}"))
+            for _, token in self._pending
+        ]
+        self._pending.clear()
+        return settled
+
+    def _backoff(self, opcode: int, status: int, attempt: int) -> float | None:
+        """Seconds to wait before resending a request answered
+        ``status``, or None to deliver the answer.  Resending is safe:
+        OVERLOADED is answered *before* any engine work is queued, and
+        the request's order among those in flight was undefined anyway.
+        Cluster and admin operations run their callers' own schedules."""
+        if (
+            status != protocol.OVERLOADED
+            or attempt >= self._max_retries
+            or opcode not in _RETRIED
+        ):
+            return None
+        self.retries += 1
+        return _retry_delay(attempt)
+
+    # -- operations ----------------------------------------------------------
+
+    def get(self, key: bytes) -> Any:
+        body = protocol.encode_key(key)
+        return self._request(protocol.GET, body, protocol.decode_value_body)
+
+    def put(self, key: bytes, value: Any) -> Any:
+        """Store ``value``; returns the committed sequence number (the
+        causal token for :meth:`get_at`), or None from older servers."""
+        body = protocol.encode_key_value(key, value)
+        return self._request(protocol.PUT, body, _decode_seq)
+
+    def delete(self, key: bytes) -> Any:
+        return self._request(protocol.DELETE, protocol.encode_key(key), _decode_seq)
+
+    def get_many(self, keys: Sequence[bytes], missing: Any = None) -> Any:
+        decode = partial(protocol.decode_maybe_values, missing=missing)
+        return self._request(protocol.BATCH_GET, protocol.encode_keys(keys), decode)
+
+    def scan(self, low: bytes, count: int) -> Any:
+        body = protocol.encode_scan(low, count)
+        return self._request(protocol.SCAN, body, protocol.decode_pairs)
+
+    def count(self, low: bytes, high: bytes) -> Any:
+        body = protocol.encode_range(low, high)
+        return self._request(protocol.COUNT, body, protocol.decode_u64_body)
+
+    def sync(self) -> Any:
+        return self._request(protocol.SYNC)
+
+    def stats(self) -> Any:
+        return self._request(protocol.STATS, b"", _decode_json)
+
+    def shutdown_server(self) -> Any:
+        return self._request(protocol.SHUTDOWN)
+
+    # -- cluster operations ----------------------------------------------------
+
+    def get_at(self, key: bytes, min_seq: int) -> Any:
+        """Read ``key`` from a node that has applied at least
+        ``min_seq`` (a token from :meth:`put`).  Raises
+        :class:`FollowerLaggingError` when the node is behind."""
+        body = protocol.encode_get_at(key, min_seq)
+        return self._request(protocol.GET_AT, body, protocol.decode_value_body)
+
+    def watermark(self) -> Any:
+        """The node's role, term, and per-shard (dispatched, applied)
+        replication watermarks, as a :class:`WatermarkReply`."""
+        return self._request(protocol.WATERMARK, b"", _decode_watermark)
+
+    def promote(self, new_term: int | None = None) -> Any:
+        """Flip a follower to primary (drains queued applies first).
+        Returns the node's term after the flip."""
+        body = protocol.encode_promote(new_term)
+        return self._request(protocol.PROMOTE, body, protocol.decode_u64_body)
+
+    def repl_apply(self, term: int, shard: int, frames: bytes) -> Any:
+        """Ship verbatim WAL frames to a follower shard; returns its
+        durable applied watermark.  Used by the replication sender."""
+        body = protocol.encode_repl_apply(term, shard, frames)
+        return self._request(protocol.REPL_APPLY, body, protocol.decode_u64_body)
+
+    # -- membership operations (PR 10) ---------------------------------------
+
+    def snap_begin(self, term: int, shard: int, doc: bytes) -> Any:
+        body = protocol.encode_snap_begin(term, shard, doc)
+        return self._request(protocol.SNAP_BEGIN, body)
+
+    def snap_chunk(
+        self, term: int, shard: int, name: str, offset: int, data: bytes
+    ) -> Any:
+        body = protocol.encode_snap_chunk(term, shard, name, offset, data)
+        return self._request(protocol.SNAP_CHUNK, body)
+
+    def snap_commit(self, term: int, shard: int, snap_seq: int) -> Any:
+        """Install the staged snapshot; returns the installed sequence."""
+        body = protocol.encode_snap_commit(term, shard, snap_seq)
+        return self._request(protocol.SNAP_COMMIT, body, protocol.decode_u64_body)
+
+    def migrate(
+        self, shard: int, dst_group: str, targets: Sequence[tuple[str, int]]
+    ) -> Any:
+        """Drive the source side of a live shard migration; returns the
+        handoff sequence once every target holds the shard through it."""
+        body = protocol.encode_migrate(shard, dst_group, targets)
+        return self._request(protocol.MIGRATE, body, protocol.decode_u64_body)
+
+    def migrate_commit(self, shard: int, handoff_seq: int) -> Any:
+        body = protocol.encode_migrate_commit(shard, handoff_seq)
+        return self._request(protocol.MIGRATE_COMMIT, body)
+
+    def shard_detach(self, shard: int, forward_group: str = "") -> Any:
+        body = protocol.encode_shard_detach(shard, forward_group)
+        return self._request(protocol.SHARD_DETACH, body)
+
+    def lease(self, term: int, ttl_ms: int) -> Any:
+        """Primary heartbeat: grant a lease for ``ttl_ms``.  Raises
+        :class:`FencedError` when the receiver knows a higher term."""
+        return self._request(protocol.LEASE, protocol.encode_lease(term, ttl_ms))
+
+
+class KVClient(Pipeline):
+    """The pipeline over a blocking socket: send one frame, read until
+    its reply arrived."""
 
     def __init__(
         self,
@@ -134,19 +360,12 @@ class KVClient:
         timeout: float = 30.0,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ) -> None:
+        super().__init__(max_retries)
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._file = self._sock.makefile("rb")
-        self._next_id = 0
-        self._max_retries = max_retries
-        #: OVERLOADED responses absorbed by the retry schedule.
-        self.retries = 0
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._sock.close()
 
     def __enter__(self) -> "KVClient":
         return self
@@ -155,425 +374,136 @@ class KVClient:
         self.close()
 
     def _call(self, opcode: int, body: bytes = b"") -> tuple[int, bytes]:
-        self._next_id = (self._next_id + 1) & 0xFFFFFFFF
-        request_id = self._next_id
-        self._sock.sendall(protocol.frame(request_id, opcode, body))
-        prefix = self._file.read(4)
-        if len(prefix) < 4:
-            raise ConnectionError("server closed the connection")
-        length = protocol.parse_length(prefix)
-        payload = self._file.read(length)
-        if len(payload) < length:
-            raise ConnectionError("truncated response")
-        echoed, status, rbody = protocol.parse_payload(payload)
-        if echoed != request_id:
-            raise protocol.ProtocolError(
-                f"response id {echoed} does not match request id {request_id}"
-            )
-        return status, rbody
+        """One round trip: the raw ``(status, body)`` of the reply."""
+        outcome: list = []  # the token: feed() hands it back with the outcome
+        self._sock.sendall(self.request(opcode, body, outcome))
+        while not outcome:
+            data = self._sock.recv(1 << 16)
+            if data:
+                settled = self.feed(data)
+            else:
+                settled = self.fail(ConnectionError("server closed the connection"))
+            for token, result in settled:
+                token.append(result)
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
 
-    def _call_retrying(self, opcode: int, body: bytes = b"") -> tuple[int, bytes]:
-        """One request, with bounded backoff across OVERLOADED answers.
-
-        Retrying is safe here because OVERLOADED is answered *before*
-        any engine work is queued — the request never happened.
-        """
+    def _request(
+        self, opcode: int, body: bytes = b"", decode: Callable | None = None
+    ) -> Any:
         attempt = 0
         while True:
-            status, rbody = self._call(opcode, body)
-            if status != protocol.OVERLOADED or attempt >= self._max_retries:
-                return status, rbody
-            self.retries += 1
-            time.sleep(_retry_delay(attempt))
+            status, reply = self._call(opcode, body)
+            delay = self._backoff(opcode, status, attempt)
+            if delay is None:
+                return _decode_reply(status, reply, decode)
+            time.sleep(delay)
             attempt += 1
 
-    # -- operations --------------------------------------------------------
 
-    def get(self, key: bytes) -> Any | None:
-        status, body = self._call_retrying(protocol.GET, protocol.encode_key(key))
-        if status == protocol.NOT_FOUND:
-            return None
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_value_body(body)
-
-    def put(self, key: bytes, value: Any) -> int | None:
-        """Store ``value``; returns the committed sequence number (the
-        causal token for :meth:`get_at`), or None from older servers."""
-        status, body = self._call_retrying(
-            protocol.PUT, protocol.encode_key_value(key, value)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else None
-
-    def delete(self, key: bytes) -> int | None:
-        status, body = self._call_retrying(protocol.DELETE, protocol.encode_key(key))
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else None
-
-    def get_many(self, keys: Sequence[bytes], missing: Any = None) -> list[Any]:
-        status, body = self._call_retrying(
-            protocol.BATCH_GET, protocol.encode_keys(keys)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_maybe_values(body, missing=missing)
-
-    def scan(self, low: bytes, count: int) -> list[tuple[bytes, Any]]:
-        status, body = self._call_retrying(
-            protocol.SCAN, protocol.encode_scan(low, count)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_pairs(body)
-
-    def count(self, low: bytes, high: bytes) -> int:
-        status, body = self._call_retrying(
-            protocol.COUNT, protocol.encode_range(low, high)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body)
-
-    def sync(self) -> None:
-        status, body = self._call_retrying(protocol.SYNC)
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    def stats(self) -> dict:
-        status, body = self._call(protocol.STATS)
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return json.loads(body.decode())
-
-    def shutdown_server(self) -> None:
-        status, body = self._call(protocol.SHUTDOWN)
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    # -- cluster operations ------------------------------------------------
-
-    def get_at(self, key: bytes, min_seq: int) -> Any | None:
-        """Read ``key`` from a node that has applied at least
-        ``min_seq`` (a token from :meth:`put`).  Raises
-        :class:`FollowerLaggingError` when the node is behind."""
-        status, body = self._call_retrying(
-            protocol.GET_AT, protocol.encode_get_at(key, min_seq)
-        )
-        if status == protocol.NOT_FOUND:
-            return None
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_value_body(body)
-
-    def watermark(self) -> WatermarkReply:
-        """The node's role, term, and per-shard (dispatched, applied)
-        replication watermarks."""
-        status, body = self._call(protocol.WATERMARK)
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return WatermarkReply(*protocol.decode_watermarks(body))
-
-    def promote(self, new_term: int | None = None) -> int:
-        """Flip a follower to primary (drains queued applies first).
-        Returns the node's term after the flip."""
-        status, body = self._call(protocol.PROMOTE, protocol.encode_promote(new_term))
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else 0
-
-    def repl_apply(self, term: int, shard: int, frames: bytes) -> int:
-        """Ship verbatim WAL frames to a follower shard; returns its
-        durable applied watermark.  Used by the replication sender."""
-        status, body = self._call(
-            protocol.REPL_APPLY, protocol.encode_repl_apply(term, shard, frames)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body)
-
-    # -- membership operations (PR 10) --------------------------------------
-
-    def snap_begin(self, term: int, shard: int, doc: bytes) -> None:
-        status, body = self._call(
-            protocol.SNAP_BEGIN, protocol.encode_snap_begin(term, shard, doc)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    def snap_chunk(
-        self, term: int, shard: int, name: str, offset: int, data: bytes
-    ) -> None:
-        status, body = self._call(
-            protocol.SNAP_CHUNK,
-            protocol.encode_snap_chunk(term, shard, name, offset, data),
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    def snap_commit(self, term: int, shard: int, snap_seq: int) -> int:
-        """Install the staged snapshot; returns the installed sequence."""
-        status, body = self._call(
-            protocol.SNAP_COMMIT,
-            protocol.encode_snap_commit(term, shard, snap_seq),
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body)
-
-    def migrate(
-        self, shard: int, dst_group: str, targets: Sequence[tuple[str, int]]
-    ) -> int:
-        """Drive the source side of a live shard migration; returns the
-        handoff sequence once every target holds the shard through it."""
-        status, body = self._call(
-            protocol.MIGRATE, protocol.encode_migrate(shard, dst_group, targets)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body)
-
-    def migrate_commit(self, shard: int, handoff_seq: int) -> None:
-        status, body = self._call(
-            protocol.MIGRATE_COMMIT,
-            protocol.encode_migrate_commit(shard, handoff_seq),
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    def shard_detach(self, shard: int, forward_group: str = "") -> None:
-        status, body = self._call(
-            protocol.SHARD_DETACH,
-            protocol.encode_shard_detach(shard, forward_group),
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    def lease(self, term: int, ttl_ms: int) -> None:
-        """Primary heartbeat: grant a lease for ``ttl_ms``.  Raises
-        :class:`FencedError` when the receiver knows a higher term."""
-        status, body = self._call(
-            protocol.LEASE, protocol.encode_lease(term, ttl_ms)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-
-class AsyncKVClient:
-    """Pipelined asyncio client over one connection.
-
-    Safe for many coroutines on the same event loop: frame writes are
-    atomic (single ``write`` call) and the reader task resolves pending
-    futures strictly in send order, matching the server's in-order
-    response guarantee.
-    """
+class AsyncKVClient(Pipeline, asyncio.Protocol):
+    """The pipeline as an asyncio protocol over one connection, safe
+    for many coroutines on one event loop.  The first frame queued in a
+    loop tick schedules :meth:`_flush`, which writes the tick's frames
+    together; between ``pause_writing`` and ``resume_writing`` (the
+    transport's buffer over its high-water mark) new requests wait
+    instead of buffering without bound."""
 
     def __init__(self, max_retries: int = DEFAULT_MAX_RETRIES) -> None:
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._pending: asyncio.Queue = asyncio.Queue()
-        self._reader_task: asyncio.Task | None = None
-        self._next_id = 0
-        self._conn_error: BaseException | None = None
-        self._max_retries = max_retries
-        #: OVERLOADED responses absorbed by the retry schedule.
-        self.retries = 0
+        super().__init__(max_retries)
+        self.error = ConnectionError("not connected")
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
+        self._outbox: list[bytes] = []  # this tick's frames
+        self._writable = asyncio.Event()
+        self._closed = self._loop.create_future()
 
     @classmethod
     async def connect(
         cls, host: str, port: int, max_retries: int = DEFAULT_MAX_RETRIES
     ) -> "AsyncKVClient":
-        client = cls(max_retries=max_retries)
-        client._reader, client._writer = await asyncio.open_connection(host, port)
-        sock = client._writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        client._reader_task = asyncio.create_task(client._read_loop())
+        loop = asyncio.get_running_loop()
+        _, client = await loop.create_connection(
+            lambda: cls(max_retries=max_retries), host, port
+        )
         return client
 
     async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:
-                pass
-            self._writer = None
+        if self._transport is not None:
+            self._lose(ConnectionError("client closed"))
+            self._transport.close()
+            await self._closed
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        # Bulk-read + buffer parse: under pipelining the server packs
-        # trains of responses per segment; resolve them all per wakeup.
-        buf = bytearray()
-        try:
-            while True:
-                data = await self._reader.read(1 << 16)
-                if not data:
-                    raise ConnectionError("server closed the connection")
-                buf += data
-                frames: list[tuple[int, int, bytes]] = []
-                try:
-                    del buf[: protocol.parse_frames(buf, frames)]
-                finally:
-                    # Frames ahead of an unframeable one still resolve.
-                    for echoed, status, body in frames:
-                        expected_id, future = self._pending.get_nowait()
-                        if future.cancelled():
-                            continue
-                        if echoed != expected_id:
-                            future.set_exception(
-                                protocol.ProtocolError(
-                                    f"response id {echoed} != expected {expected_id}"
-                                )
-                            )
-                            continue
-                        future.set_result((status, body))
-        except (asyncio.CancelledError, GeneratorExit):
-            self._fail_pending(ConnectionError("client closed"))
-            raise
-        except BaseException as exc:
-            self._conn_error = exc
-            self._fail_pending(exc)
+    # -- asyncio.Protocol ----------------------------------------------------
 
-    def _fail_pending(self, exc: BaseException) -> None:
-        while True:
-            try:
-                _, future = self._pending.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if not future.done():
-                future.set_exception(
-                    ConnectionError(f"connection lost: {exc}")
-                )
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.error = None
+        self._writable.set()
 
-    async def _call(self, opcode: int, body: bytes = b"") -> tuple[int, bytes]:
-        if self._writer is None:
-            raise ConnectionError("client is closed")
-        if self._conn_error is not None:
-            raise ConnectionError(f"connection lost: {self._conn_error}")
-        self._next_id = (self._next_id + 1) & 0xFFFFFFFF
-        request_id = self._next_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Enqueue before writing so the reader can never see a response
-        # for a request it does not know about.
-        self._pending.put_nowait((request_id, future))
-        self._writer.write(protocol.frame(request_id, opcode, body))
-        await self._writer.drain()
-        return await future
+    def data_received(self, data: bytes) -> None:
+        self._settle(self.feed(data))
+        if self.error is not None:  # the stream cannot be framed any more
+            self._writable.set()
+            self._transport.close()
 
-    async def _call_retrying(self, opcode: int, body: bytes = b"") -> tuple[int, bytes]:
-        """Bounded backoff across OVERLOADED answers.  A retry is a
-        fresh request at the back of the pipeline — ordering relative to
-        other in-flight requests is already undefined under backpressure
-        (the original was refused), so resending is safe."""
+    def connection_lost(self, exc: BaseException | None) -> None:
+        self._lose(exc or ConnectionError("server closed the connection"))
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    # -- the transport half of the pipeline ------------------------------------
+
+    @staticmethod
+    def _settle(settled: list[tuple[asyncio.Future, Any]]) -> None:
+        for future, outcome in settled:
+            if future.done():  # cancelled by its caller
+                continue
+            if type(outcome) is tuple:
+                future.set_result(outcome)
+            else:
+                future.set_exception(outcome)
+
+    def _lose(self, error: BaseException) -> None:
+        """Fail what is in flight and wake who waits to send (once)."""
+        if self.error is None:
+            self._settle(self.fail(error))
+            self._writable.set()
+
+    def _flush(self) -> None:
+        frames, self._outbox = self._outbox, []
+        if self.error is None:  # else their futures have already failed
+            self._transport.write(b"".join(frames))
+
+    def _call(self, opcode: int, body: bytes = b"") -> asyncio.Future:
+        """Queue one request for this tick's write; the future of its
+        raw ``(status, body)``."""
+        future = self._loop.create_future()
+        self._outbox.append(self.request(opcode, body, future))
+        if len(self._outbox) == 1:
+            self._loop.call_soon(self._flush)
+        return future
+
+    async def _request(
+        self, opcode: int, body: bytes = b"", decode: Callable | None = None
+    ) -> Any:
         attempt = 0
         while True:
-            status, rbody = await self._call(opcode, body)
-            if status != protocol.OVERLOADED or attempt >= self._max_retries:
-                return status, rbody
-            self.retries += 1
-            await asyncio.sleep(_retry_delay(attempt))
+            while not self._writable.is_set():
+                await self._writable.wait()
+            status, reply = await self._call(opcode, body)
+            delay = self._backoff(opcode, status, attempt)
+            if delay is None:
+                return _decode_reply(status, reply, decode)
+            await asyncio.sleep(delay)
             attempt += 1
-
-    # -- operations --------------------------------------------------------
-
-    async def get(self, key: bytes) -> Any | None:
-        status, body = await self._call_retrying(
-            protocol.GET, protocol.encode_key(key)
-        )
-        if status == protocol.NOT_FOUND:
-            return None
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_value_body(body)
-
-    async def put(self, key: bytes, value: Any) -> int | None:
-        status, body = await self._call_retrying(
-            protocol.PUT, protocol.encode_key_value(key, value)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else None
-
-    async def delete(self, key: bytes) -> int | None:
-        status, body = await self._call_retrying(
-            protocol.DELETE, protocol.encode_key(key)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else None
-
-    async def get_many(
-        self, keys: Sequence[bytes], missing: Any = None
-    ) -> list[Any]:
-        status, body = await self._call_retrying(
-            protocol.BATCH_GET, protocol.encode_keys(keys)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_maybe_values(body, missing=missing)
-
-    async def scan(self, low: bytes, count: int) -> list[tuple[bytes, Any]]:
-        status, body = await self._call_retrying(
-            protocol.SCAN, protocol.encode_scan(low, count)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_pairs(body)
-
-    async def count(self, low: bytes, high: bytes) -> int:
-        status, body = await self._call_retrying(
-            protocol.COUNT, protocol.encode_range(low, high)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body)
-
-    async def sync(self) -> None:
-        status, body = await self._call_retrying(protocol.SYNC)
-        if status != protocol.OK:
-            _raise_for(status, body)
-
-    async def get_at(self, key: bytes, min_seq: int) -> Any | None:
-        status, body = await self._call_retrying(
-            protocol.GET_AT, protocol.encode_get_at(key, min_seq)
-        )
-        if status == protocol.NOT_FOUND:
-            return None
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_value_body(body)
-
-    async def watermark(self) -> WatermarkReply:
-        status, body = await self._call(protocol.WATERMARK)
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return WatermarkReply(*protocol.decode_watermarks(body))
-
-    async def promote(self, new_term: int | None = None) -> int:
-        status, body = await self._call(
-            protocol.PROMOTE, protocol.encode_promote(new_term)
-        )
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return protocol.decode_u64_body(body) if len(body) == 8 else 0
-
-    async def stats(self) -> dict:
-        status, body = await self._call(protocol.STATS)
-        if status != protocol.OK:
-            _raise_for(status, body)
-        return json.loads(body.decode())
-
-    async def shutdown_server(self) -> None:
-        status, body = await self._call(protocol.SHUTDOWN)
-        if status != protocol.OK:
-            _raise_for(status, body)

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 from ..workloads import ycsb
 from ..workloads.keys import random_u64_keys
-from .client import AsyncKVClient, KVClient, ServerOverloadedError
+from .client import AsyncKVClient, KVClient, Pipeline, ServerOverloadedError
 from .server import KVServer, ServerThread
 
 #: Value stored for every PUT the generator issues.
@@ -68,26 +68,16 @@ class LoadResult:
         }
 
 
-def _apply_sync(client: KVClient, op: ycsb.Operation, value: bytes) -> None:
+def _issue(client: Pipeline, op: ycsb.Operation, value: bytes) -> Any:
+    """Issue ``op`` on either client (they share one op table): its
+    result from :class:`KVClient`, an awaitable from :class:`AsyncKVClient`."""
     if op.op == "read":
-        client.get(op.key)
-    elif op.op in ("update", "insert"):
-        client.put(op.key, value)
-    elif op.op == "scan":
-        client.scan(op.key, op.scan_len or 50)
-    else:
-        raise ValueError(f"unsupported op {op.op!r}")
-
-
-async def _apply_async(client: AsyncKVClient, op: ycsb.Operation, value: bytes) -> None:
-    if op.op == "read":
-        await client.get(op.key)
-    elif op.op in ("update", "insert"):
-        await client.put(op.key, value)
-    elif op.op == "scan":
-        await client.scan(op.key, op.scan_len or 50)
-    else:
-        raise ValueError(f"unsupported op {op.op!r}")
+        return client.get(op.key)
+    if op.op in ("update", "insert"):
+        return client.put(op.key, value)
+    if op.op == "scan":
+        return client.scan(op.key, op.scan_len or 50)
+    raise ValueError(f"unsupported op {op.op!r}")
 
 
 def run_sync_load(
@@ -118,7 +108,7 @@ def run_sync_load(
             if deadline is not None and time.perf_counter() >= deadline:
                 return
             try:
-                _apply_sync(client, op, value)
+                _issue(client, op, value)
             except ServerOverloadedError:
                 overloads[idx] += 1
                 continue
@@ -178,7 +168,7 @@ async def run_pipelined_load(
             if deadline is not None and time.perf_counter() >= deadline:
                 return
             try:
-                await _apply_async(client, op, value)
+                await _issue(client, op, value)
             except ServerOverloadedError:
                 overloads[idx] += 1
                 continue

@@ -158,6 +158,8 @@ STATUS_NAMES = {
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _HEADER = struct.Struct("<IB")  # request_id, opcode/status
+_FRAME = struct.Struct("<IIB")  # payload_len, then the header: one pack per frame
+_HEAD = _HEADER.size
 
 #: Upper bound on a single frame; a peer announcing more is corrupt or
 #: hostile and the connection is dropped rather than the buffer grown.
@@ -168,15 +170,19 @@ class ProtocolError(ValueError):
     """A malformed frame, body, or oversized length prefix."""
 
 
+def _oversize(payload_len: int) -> ProtocolError:
+    return ProtocolError(f"frame of {payload_len} bytes exceeds MAX_FRAME_BYTES")
+
+
 # -- framing -----------------------------------------------------------------
 
 
 def frame(request_id: int, code: int, body: bytes = b"") -> bytes:
     """One wire frame (works for requests and responses alike)."""
-    payload_len = _HEADER.size + len(body)
+    payload_len = _HEAD + len(body)
     if payload_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {payload_len} bytes exceeds MAX_FRAME_BYTES")
-    return _U32.pack(payload_len) + _HEADER.pack(request_id, code) + body
+        raise _oversize(payload_len)
+    return _FRAME.pack(payload_len, request_id, code) + body
 
 
 def parse_payload(payload: bytes) -> tuple[int, int, bytes]:
@@ -578,3 +584,141 @@ def decode_maybe_values(body: bytes, missing: Any = None) -> list[Any]:
     if off != len(body):
         raise ProtocolError("trailing bytes after value batch")
     return values
+
+
+# -- burst-level point-op codec ----------------------------------------------
+#
+# The server decodes and answers GET / GET_AT / BATCH_GET / PUT / DELETE
+# a *run* at a time (DESIGN.md §12): one call here walks every frame of
+# the run, so the per-frame cost is a few bytecodes inside one loop, not
+# a chain of calls.  A run is three parallel structures the caller owns:
+# ``entries`` (one ``(request_id, opcode, n, min_seq)`` per frame, ``n``
+# the number of items the frame contributed), the flat item list, and
+# ``replies`` — entry index -> ready ``(status, body)`` for the entries
+# that are already answered (a malformed body, later a refusal).
+
+Frames = Sequence[tuple[int, int, bytes]]
+Entries = list[tuple[int, int, int, int]]
+Replies = dict[int, tuple[int, bytes]]
+
+#: What decoding a malformed body can raise.  FrameError covers the
+#: storage codecs the bodies reuse, UnicodeDecodeError the embedded
+#: names: a garbage body costs its sender one BAD_REQUEST, never the
+#: connection.
+BODY_ERRORS = (
+    ProtocolError, disk_format.FrameError, KeyError, IndexError,
+    struct.error, UnicodeDecodeError,
+)
+
+_BYTES_TAG = disk_format.encode_value(b"")  # the value codec's tag for bytes
+
+
+def decode_point_reads(
+    frames: Frames, start: int, max_keys: int,
+    entries: Entries, keys: list[bytes], replies: Replies,
+) -> int:
+    """Decode the GET / GET_AT / BATCH_GET frames at ``frames[start:]``
+    into one read run; returns the index of the first frame not taken
+    (another opcode, or the run holds ``max_keys`` keys).
+
+    A well-formed GET body is read in place.  Any other goes through
+    its per-body decoder, which says what is wrong with it: that entry
+    contributes no key and is answered ``BAD_REQUEST``.
+    """
+    u32 = _U32.unpack_from
+    for i in range(start, len(frames)):
+        request_id, opcode, body = frames[i]
+        n, min_seq = 1, 0
+        try:
+            if opcode == GET:
+                if len(body) >= 4 and u32(body)[0] == len(body) - 4:
+                    keys.append(body[4:])
+                else:
+                    keys.append(decode_key(body))
+            elif opcode == GET_AT:
+                key, min_seq = decode_get_at(body)
+                keys.append(key)
+            elif opcode == BATCH_GET:
+                batch = decode_keys(body)
+                keys += batch
+                n = len(batch)
+            else:
+                return i
+        except BODY_ERRORS as exc:
+            n, replies[len(entries)] = 0, (BAD_REQUEST, str(exc).encode())
+        entries.append((request_id, opcode, n, min_seq))
+        if len(keys) >= max_keys:
+            return i + 1
+    return len(frames)
+
+
+def decode_point_writes(
+    frames: Frames, start: int,
+    entries: Entries, items: list[tuple[bytes, Any]], replies: Replies,
+) -> int:
+    """Decode the PUT / DELETE frames at ``frames[start:]`` into one
+    write run of ``(key, value)`` items (``TOMBSTONE`` for a DELETE);
+    returns the index of the first frame of another opcode.  A
+    well-formed PUT body is read in place, malformed ones are refused
+    as :func:`decode_point_reads` does; a PUT may not carry a tombstone."""
+    u32 = _U32.unpack_from
+    tombstone = disk_format.TOMBSTONE
+    for i in range(start, len(frames)):
+        request_id, opcode, body = frames[i]
+        size, n = len(body), 1
+        try:
+            if opcode == PUT:
+                # <u32 klen> key <u32 vlen> <tag> ...: vlen >= 1.
+                if (
+                    size >= 4
+                    and (at := u32(body)[0] + 8) < size
+                    and u32(body, at - 4)[0] == size - at
+                ):
+                    key = body[4 : at - 4]
+                    if body[at] == _BYTES_TAG[0]:
+                        value = body[at + 1 :]
+                    else:
+                        value = disk_format.decode_value(body, at)
+                else:
+                    key, value = decode_key_value(body)
+                if value is tombstone:
+                    raise ProtocolError("cannot PUT a tombstone")
+                items.append((key, value))
+            elif opcode == DELETE:
+                items.append((decode_key(body), tombstone))
+            else:
+                return i
+        except BODY_ERRORS as exc:
+            n, replies[len(entries)] = 0, (BAD_REQUEST, str(exc).encode())
+        entries.append((request_id, opcode, n, 0))
+    return len(frames)
+
+
+def encode_read_replies(
+    entries: Entries, values: Sequence[Any], replies: Replies
+) -> bytes:
+    """The frames answering one read run.  ``values`` holds one engine
+    result per key, in entry order (``None``: absent); an entry in
+    ``replies`` is answered with that instead.  A ``bytes`` value — what
+    a served store mostly holds — is tagged here; other types go
+    through the value codec."""
+    pack = _FRAME.pack
+    out = []
+    at = 0
+    for j, (request_id, opcode, n, _) in enumerate(entries):
+        if replies and j in replies:
+            status, body = replies[j]
+        elif opcode == BATCH_GET:
+            status, body = OK, encode_maybe_values(values[at : at + n], None)
+        elif (value := values[at]) is None:
+            status, body = NOT_FOUND, b""
+        elif type(value) is bytes:
+            status, body = OK, _BYTES_TAG + value
+        else:
+            status, body = OK, disk_format.encode_value(value)
+        at += n
+        payload_len = _HEAD + len(body)
+        if payload_len > MAX_FRAME_BYTES:
+            raise _oversize(payload_len)
+        out.append(pack(payload_len, request_id, status) + body)
+    return b"".join(out)

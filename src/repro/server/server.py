@@ -71,7 +71,6 @@ import itertools
 import json
 import threading
 import time
-from struct import error as struct_error
 from typing import Any, Callable, Sequence
 
 from ..cluster import membership
@@ -81,7 +80,7 @@ from ..lsm.disk_format import FrameError
 from ..lsm.fs import FileSystem, OsFileSystem, join
 from ..lsm.wal import iter_records as wal_iter_records
 from . import protocol
-from .shard import MAX_BURST, ShardDown, ShardRequest, ShardWorker, TOMBSTONE
+from .shard import MAX_BURST, ShardDown, ShardRequest, ShardWorker
 from .stats import ServerStats
 
 #: Cap on one SCAN response, whatever the client asked for.
@@ -92,67 +91,73 @@ MAX_SCAN_COUNT = 10_000
 #: the reader stops reading, so the peer's TCP window pushes back.
 MAX_PENDING_BURSTS = 8
 
+#: How long ``shutdown`` waits for the connections it closed to finish
+#: (one can be waiting out ``repl_ack_timeout`` on a dead follower).
+HANGUP_TIMEOUT = 5.0
+
 _POINT_READS = (protocol.GET, protocol.GET_AT, protocol.BATCH_GET)
-_POINT_WRITES = (protocol.PUT, protocol.DELETE)
+_POINT_OPS = _POINT_READS + (protocol.PUT, protocol.DELETE)
 
 
-class _ReadRun:
-    """Consecutive point reads of one burst, grouped by shard."""
+class _Run:
+    """Consecutive point ops of one burst as the burst-level codec
+    decodes them (:mod:`repro.server.protocol`): ``entries``, their
+    ``items`` in one flat list, and the ``replies`` of the entries that
+    are already answered."""
 
-    __slots__ = ("entries", "keys", "n_keys")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, list[int], int]] = []
-        self.keys: dict[int, list[bytes]] = {}  # shard -> keys, entry order
-        self.n_keys = 0
-
-    def add(self, request_id, opcode, keys, shard_ids, min_seq) -> None:
-        self.entries.append((request_id, opcode, shard_ids, min_seq))
-        for shard_id, key in zip(shard_ids, keys):
-            self.keys.setdefault(shard_id, []).append(key)
-        self.n_keys += len(keys)
-
-
-class _WriteRun:
-    """Consecutive PUT/DELETEs of one burst: one queued request and one
-    future (or one refusal) per shard."""
-
-    __slots__ = ("entries", "batches", "results")
+    __slots__ = ("entries", "items", "replies")
 
     def __init__(self) -> None:
-        self.entries: list[tuple[int, int, int]] = []
-        self.batches: dict[int, list[tuple[bytes, Any]]] = {}
+        self.entries: protocol.Entries = []
+        self.items: list = []
+        self.replies: protocol.Replies = {}
+
+
+class _ReadRun(_Run):
+    """GET / GET_AT / BATCH_GETs; the items are their keys."""
+
+    __slots__ = ()
+
+
+class _WriteRun(_Run):
+    """PUT/DELETEs; the items are ``(key, value)``.  One queued request
+    and one future (or one refusal) per shard."""
+
+    __slots__ = ("shards", "results")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.shards: list[int] = []  # of each item
         self.results: dict[int, Any] = {}  # shard -> future | (status, body)
-
-    def add(self, request_id, opcode, shard_id, key, value) -> None:
-        self.entries.append((request_id, opcode, shard_id))
-        self.batches.setdefault(shard_id, []).append((key, value))
 
 
 class _Tally:
     """One burst's counters, flushed under one stats-lock acquisition."""
 
-    __slots__ = ("samples", "get_batches", "errors", "overloads")
+    __slots__ = ("frames", "samples", "get_batches", "errors", "overloads")
 
-    def __init__(self) -> None:
+    def __init__(self, frames: int) -> None:
+        self.frames = frames
         self.samples: list[tuple[str, int, float]] = []
         self.get_batches: list[int] = []
         self.errors = self.overloads = 0
 
-    def count(self, opcodes, seconds: float) -> None:
+    def count(self, entries, seconds: float) -> None:
         """One latency sample per request, grouped by op."""
+        opcodes = [entry[1] for entry in entries]
         for opcode in set(opcodes):
             self.samples.append(
                 (protocol.OP_NAMES[opcode], opcodes.count(opcode), seconds)
             )
 
     def flush(self, stats: ServerStats) -> None:
-        if self.samples or self.errors or self.overloads:
+        if self.frames or self.samples or self.errors or self.overloads:
             stats.record_burst(
-                self.samples, self.get_batches, self.errors, self.overloads
+                self.samples, self.get_batches, self.errors, self.overloads,
+                self.frames,
             )
             self.samples, self.get_batches = [], []
-            self.errors = self.overloads = 0
+            self.frames = self.errors = self.overloads = 0
 
 
 class _Reply(Exception):
@@ -222,6 +227,8 @@ class KVServer:
         self.stats = ServerStats()
         self.shards: dict[int, ShardWorker] = {}
         self._server: asyncio.AbstractServer | None = None
+        #: Live connections: handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closing = False
         #: Keys read inline since the loop thread last yielded on purpose.
         self._inline_keys = 0
@@ -343,7 +350,7 @@ class KVServer:
 
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish queued work, sync and
-        close every engine.  Idempotent."""
+        close every engine, hang up.  Idempotent."""
         self._closing = True
         if self._server is not None:
             self._server.close()
@@ -357,6 +364,22 @@ class KVServer:
             await asyncio.get_running_loop().run_in_executor(
                 None, repl.drain_and_stop
             )
+        await self._close_connections()
+
+    async def _close_connections(self) -> None:
+        """Hang up on every live connection and wait for its handler to
+        finish, so the loop's teardown finds no task left to cancel.
+        The workers' completions were delivered before ``shutdown``
+        resumed, so what a connection was owed is already written; a
+        peer that stopped reading its replies is cut off."""
+        handlers = dict(self._connections)
+        for writer in handlers.values():
+            if writer.transport.get_write_buffer_size():
+                writer.transport.abort()
+            else:
+                writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=HANGUP_TIMEOUT)
 
     async def _stop_workers(self) -> None:
         workers, self.shards = list(self.shards.values()), {}
@@ -381,6 +404,8 @@ class KVServer:
         bounded, so a peer that pipelines without reading its answers
         is held back by its own TCP window, not buffered here."""
         self.stats.record_connection(opened=True)
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         bursts: asyncio.Queue = asyncio.Queue(MAX_PENDING_BURSTS)
         answerer = asyncio.create_task(self._answer_bursts(bursts, writer))
         buf = bytearray()
@@ -409,6 +434,7 @@ class KVServer:
             answerer.cancel()  # no-op unless we are being torn down
             while not bursts.empty():
                 self._abandon(bursts.get_nowait())
+            del self._connections[handler]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -448,55 +474,74 @@ class KVServer:
                 self._abandon(burst)
 
     def _decode_burst(self, frames: list[tuple[int, int, bytes]]) -> list:
-        """One synchronous pass over a burst's frames.  Point reads join
-        the open read run, PUT/DELETEs the open write run; anything
-        else closes the open run first and is dispatched on its own.
-        A write run is submitted the moment it closes — before this
+        """One synchronous pass over a burst's frames.  A stretch of
+        point reads is decoded as one read run and a stretch of
+        PUT/DELETEs as one write run, each by one call of the
+        burst-level codec; any other frame is dispatched on its own.
+        A write run is submitted the moment it is decoded — before this
         pass returns — so arrival order is shard-queue order."""
         steps: list = []
-        run: Any = None
-        for request_id, opcode, body in frames:
-            kind = (
-                _ReadRun if opcode in _POINT_READS
-                else _WriteRun if opcode in _POINT_WRITES else None
-            )
-            if type(run) is not kind or (
-                kind is _ReadRun and run.n_keys >= MAX_BURST
-            ):
-                self._close_run(run)
-                run = None
-            step = self._dispatch(request_id, opcode, body)
-            if type(step) is tuple:  # a decoded point op: joins the run
-                if run is None:
-                    run = kind()
-                    steps.append(run)
-                run.add(request_id, opcode, *step)
-            else:  # refused while decoding, or not a point op
-                self._close_run(run)
-                run = None
-                steps.append(step)
-        self._close_run(run)
+        at, n_frames = 0, len(frames)
+        while at < n_frames:
+            opcode = frames[at][1]
+            # A SHUTDOWN earlier in this burst may have begun the drain;
+            # from then on _dispatch refuses everything but STATS.
+            if self._closing or opcode not in _POINT_OPS:
+                steps.append(self._dispatch(*frames[at]))
+                at += 1
+            elif opcode in _POINT_READS:
+                run = _ReadRun()
+                at = protocol.decode_point_reads(
+                    frames, at, MAX_BURST, run.entries, run.items, run.replies
+                )
+                steps.append(run)
+            else:
+                run = _WriteRun()
+                at = protocol.decode_point_writes(
+                    frames, at, run.entries, run.items, run.replies
+                )
+                self._submit_writes(run)
+                steps.append(run)
         return steps
 
-    def _close_run(self, run: Any) -> None:
-        """Submit a write run: one queued request per shard."""
-        if type(run) is _WriteRun:
-            for shard_id, batch in run.batches.items():
-                try:
-                    run.results[shard_id] = self._submit(
-                        self.shards[shard_id], "write", batch
-                    )
-                except _Reply as exc:  # OVERLOADED: the shard queue is full
-                    run.results[shard_id] = exc.status, exc.body
-                except ShardDown as exc:
-                    run.results[shard_id] = protocol.ERROR, str(exc).encode()
+    def _submit_writes(self, run: _WriteRun) -> None:
+        """Route a decoded write run and queue it: one request per
+        shard.  A shard that cannot take the run — not served here, not
+        on a primary, queue full, worker dead — holds the refusal where
+        its future would be."""
+        n_shards = self.n_shards
+        run.shards = shards = [shard_of(item[0], n_shards) for item in run.items]
+        results = run.results
+        if self.role != "primary":
+            refusal = protocol.NOT_PRIMARY, b"writes go to the primary"
+            results.update(dict.fromkeys(shards, refusal))
+            return
+        batches: dict[int, list[tuple[bytes, Any]]] = {}
+        for shard_id in set(shards):
+            try:
+                self._route(shard_id, write=True)
+                batches[shard_id] = []
+            except _Reply as exc:  # NOT_OWNER, with the forward hint
+                results[shard_id] = exc.status, exc.body
+        for shard_id, item in zip(shards, run.items):
+            if shard_id in batches:
+                batches[shard_id].append(item)
+        for shard_id, batch in batches.items():
+            try:
+                results[shard_id] = self._submit(self.shards[shard_id], "write", batch)
+            except _Reply as exc:  # OVERLOADED: the shard queue is full
+                results[shard_id] = exc.status, exc.body
+            except ShardDown as exc:
+                results[shard_id] = protocol.ERROR, str(exc).encode()
 
     async def _answer_burst(self, started: float, steps: list) -> bytes:
         """Complete every step in order and return the burst's frames.
         ``started`` is when the burst was decoded: a request's recorded
         latency is the time from there to its run's answer."""
         frames: list[bytes] = []
-        tally = _Tally()
+        tally = _Tally(sum(
+            len(step.entries) if isinstance(step, _Run) else 1 for step in steps
+        ))
         for step in steps:
             if type(step) is bytes:
                 frames.append(step)
@@ -523,12 +568,13 @@ class KVServer:
                 except Exception as exc:
                     result = protocol.ERROR, str(exc).encode()
             acks[shard_id] = result
-        for request_id, _, shard_id in run.entries:
-            status, body = acks[shard_id]
+        shards, replies = iter(run.shards), run.replies
+        for j, (request_id, _, n, _) in enumerate(run.entries):
+            status, body = acks[next(shards)] if n else replies[j]
             tally.errors += status == protocol.ERROR
             tally.overloads += status == protocol.OVERLOADED
             frames.append(protocol.frame(request_id, status, body))
-        tally.count([e[1] for e in run.entries], time.perf_counter() - started)
+        tally.count(run.entries, time.perf_counter() - started)
 
     def _read_refusal(self, shard_id: int) -> tuple[int, bytes] | None:
         """Why ``shard_id`` cannot be read *now* — drain, route and
@@ -551,12 +597,16 @@ class KVServer:
         ``get_many`` of at most ``MAX_BURST`` keys per shard, yielding
         to the loop once that many keys were read without a break.  An
         exception fails this run's requests only."""
-        out: list[bytes] = []
-        errors = 0
+        entries, replies = run.entries, run.replies
         try:
-            values: dict[int, Any] = {}
+            n_shards = self.n_shards
+            shards = [shard_of(key, n_shards) for key in run.items]
+            keys_of: dict[int, list[bytes]] = {}
+            for shard_id, key in zip(shards, run.items):
+                keys_of.setdefault(shard_id, []).append(key)
+            found: dict[int, Any] = {}
             refused: dict[int, tuple[int, bytes]] = {}
-            for shard_id, keys in run.keys.items():
+            for shard_id, keys in keys_of.items():
                 got: list[Any] = []
                 for i in range(0, len(keys), MAX_BURST):
                     if self._inline_keys >= MAX_BURST:
@@ -574,41 +624,55 @@ class KVServer:
                     tally.samples.append(("shard_get", len(chunk), per_key))
                     tally.get_batches.append(len(chunk))
                     self._inline_keys += len(chunk)
-                values[shard_id] = iter(got)
-            follower = self.role != "primary"
-            for request_id, opcode, shard_ids, min_seq in run.entries:
-                got = [next(values[s]) for s in shard_ids]
-                status, body = protocol.OK, b""
-                if refused:
-                    for shard_id in shard_ids:
-                        status, body = refused.get(shard_id, (status, body))
-                if opcode == protocol.GET_AT and follower:
-                    # A follower behind the client's causal token, or
-                    # mid-resync/migration, answers LAGGING: the client
-                    # falls back to the primary instead of reading a
-                    # stale snapshot or failing the read.
-                    applied = self._repl_applied.get(shard_ids[0], 0)
-                    if status == protocol.NOT_OWNER:
-                        status, body = protocol.LAGGING, b"shard not readable here"
-                    elif status == protocol.OK and applied < min_seq:
-                        status = protocol.LAGGING
-                        body = b"follower applied %d < %d" % (applied, min_seq)
-                if status == protocol.OK:
-                    if opcode == protocol.BATCH_GET:
-                        body = protocol.encode_maybe_values(got, missing=None)
-                    elif got[0] is None:
-                        status = protocol.NOT_FOUND
-                    else:
-                        body = protocol.encode_value_body(got[0])
-                errors += status == protocol.ERROR
-                out.append(protocol.frame(request_id, status, body))
+                found[shard_id] = iter(got)
+            values = [next(found[shard_id]) for shard_id in shards]
+            if refused or self.role != "primary":
+                self._refuse_reads(run, shards, refused)
+            blob = protocol.encode_read_replies(entries, values, replies)
         except Exception as exc:
-            errors = len(run.entries)
-            error = str(exc).encode()
-            out = [protocol.frame(e[0], protocol.ERROR, error) for e in run.entries]
-        frames += out
-        tally.errors += errors
-        tally.count([e[1] for e in run.entries], time.perf_counter() - started)
+            failed = protocol.ERROR, str(exc).encode()
+            replies = {j: replies.get(j, failed) for j in range(len(entries))}
+            blob = b"".join(
+                protocol.frame(entry[0], *replies[j]) for j, entry in enumerate(entries)
+            )
+        frames.append(blob)
+        tally.errors += sum(
+            status == protocol.ERROR for status, _ in replies.values()
+        )
+        tally.count(entries, time.perf_counter() - started)
+
+    def _refuse_reads(
+        self, run: _ReadRun, shards: list[int],
+        refused: dict[int, tuple[int, bytes]],
+    ) -> None:
+        """The uncommon half of a read run: entries whose shard refused
+        the read take the refusal as their reply, and a follower's
+        ``GET_AT`` is gated on its replication watermark."""
+        follower = self.role != "primary"
+        at = 0
+        for j, (_, opcode, n, min_seq) in enumerate(run.entries):
+            mine = shards[at : at + n]
+            at += n
+            if j in run.replies:
+                continue
+            reply = None
+            for shard_id in mine:
+                reply = refused.get(shard_id, reply)
+            if opcode == protocol.GET_AT and follower:
+                # A follower behind the client's causal token, or
+                # mid-resync/migration, answers LAGGING: the client
+                # falls back to the primary instead of reading a
+                # stale snapshot or failing the read.
+                applied = self._repl_applied.get(mine[0], 0)
+                if reply is None and applied < min_seq:
+                    reply = (
+                        protocol.LAGGING,
+                        b"follower applied %d < %d" % (applied, min_seq),
+                    )
+                elif reply is not None and reply[0] == protocol.NOT_OWNER:
+                    reply = protocol.LAGGING, b"shard not readable here"
+            if reply is not None:
+                run.replies[j] = reply
 
     # -- shard routing ------------------------------------------------------
 
@@ -635,12 +699,12 @@ class KVServer:
 
     # -- request dispatch --------------------------------------------------
     #
-    # Runs inside the synchronous decode pass of a burst, which performs
-    # every shard submit *inline*, so per-connection arrival order is
-    # exactly per-shard queue order — no per-request Task, no reordering
-    # window.  A point op comes back decoded (a tuple that joins the
-    # burst's open run); anything else as final bytes or a small
-    # coroutine that formats the shard's answer.
+    # Everything that is not a point op (those are decoded a run at a
+    # time, see _decode_burst).  Runs inside the synchronous decode pass
+    # of a burst, which performs every shard submit *inline*, so
+    # per-connection arrival order is exactly per-shard queue order — no
+    # per-request Task, no reordering window.  Returns final bytes, or a
+    # small coroutine that formats the shard's answer.
 
     def _dispatch(self, request_id: int, opcode: int, body: bytes):
         started = time.perf_counter()
@@ -648,30 +712,6 @@ class KVServer:
         try:
             if self._closing and opcode != protocol.STATS:
                 raise _Reply(protocol.SHUTTING_DOWN, b"server is draining")
-
-            if opcode in _POINT_READS:  # -> (keys, shard ids, min_seq)
-                min_seq = 0
-                if opcode == protocol.GET:
-                    keys = [protocol.decode_key(body)]
-                elif opcode == protocol.GET_AT:
-                    key, min_seq = protocol.decode_get_at(body)
-                    keys = [key]
-                else:
-                    keys = protocol.decode_keys(body)
-                return keys, [shard_of(k, self.n_shards) for k in keys], min_seq
-
-            if opcode in _POINT_WRITES:  # -> (shard id, key, value)
-                if opcode == protocol.DELETE:
-                    key, value = protocol.decode_key(body), TOMBSTONE
-                else:
-                    key, value = protocol.decode_key_value(body)
-                    if value is TOMBSTONE:
-                        raise protocol.ProtocolError("cannot PUT a tombstone")
-                if self.role != "primary":
-                    raise _Reply(protocol.NOT_PRIMARY, b"writes go to the primary")
-                shard_id = shard_of(key, self.n_shards)
-                self._route(shard_id, write=True)
-                return shard_id, key, value
 
             if opcode == protocol.SCAN:
                 low, count = protocol.decode_scan(body)
@@ -802,14 +842,7 @@ class KVServer:
             # immediate error instead of a request nobody will drain.
             self.stats.record_error()
             status, reply = protocol.ERROR, str(exc).encode()
-        except (
-            protocol.ProtocolError, FrameError, KeyError, IndexError,
-            struct_error, UnicodeDecodeError,
-        ) as exc:
-            # FrameError covers the storage codecs the bodies reuse
-            # (and UnicodeDecodeError the embedded names): a garbage
-            # body must cost the peer one BAD_REQUEST, not the whole
-            # connection.
+        except protocol.BODY_ERRORS as exc:
             status, reply = protocol.BAD_REQUEST, str(exc).encode()
         return self._immediate(request_id, op_name, started, status, reply)
 

@@ -23,7 +23,6 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..lsm.sstable import TOMBSTONE  # noqa: F401  (re-exported for the server)
 from .stats import ServerStats
 
 #: Largest number of requests drained in one burst (and of keys the

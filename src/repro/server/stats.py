@@ -62,7 +62,7 @@ class LatencyHistogram:
 
 
 class _BatchSizeStat:
-    """Count/sum/max of coalesced batch sizes (one sample per engine call)."""
+    """Count/sum/max of batch sizes (one sample per engine call or burst)."""
 
     def __init__(self) -> None:
         self.calls = 0
@@ -96,6 +96,9 @@ class ServerStats:
         self.latency: dict[str, LatencyHistogram] = {}
         self.coalesced_gets = _BatchSizeStat()
         self.coalesced_writes = _BatchSizeStat()
+        #: Frames per burst: how much of what the clients pipeline one
+        #: ``read()`` actually delivers.
+        self.burst_frames = _BatchSizeStat()
         self.queue_high_water: dict[int, int] = {}
         self.overloads = 0
         self.errors = 0
@@ -105,11 +108,7 @@ class ServerStats:
     # -- mutators (worker / server threads) --------------------------------
 
     def record_op(self, op: str, seconds: float) -> None:
-        self.record_ops(op, 1, seconds)
-
-    def record_ops(self, op: str, n: int, seconds: float) -> None:
-        """``n`` logical client ops of kind ``op``, ``seconds`` each."""
-        self.record_burst([(op, n, seconds)])
+        self.record_burst([(op, 1, seconds)])
 
     def record_burst(
         self,
@@ -117,11 +116,15 @@ class ServerStats:
         get_batches: Sequence[int] = (),
         errors: int = 0,
         overloads: int = 0,
+        frames: int = 0,
     ) -> None:
         """Everything one answered burst has to report, under one lock
         acquisition: ``(op, n, seconds)`` latency samples, the width of
-        each inline ``get_many`` call, and refusal counts."""
+        each inline ``get_many`` call, refusal counts, and how many
+        ``frames`` the burst held (0: not a whole burst)."""
         with self._lock:
+            if frames:
+                self.burst_frames.record(frames)
             for op, n, seconds in samples:
                 self.ops[op] = self.ops.get(op, 0) + n
                 hist = self.latency.get(op)
@@ -171,6 +174,7 @@ class ServerStats:
                 "latency": {op: h.to_dict() for op, h in self.latency.items()},
                 "coalesced_gets": self.coalesced_gets.to_dict(),
                 "coalesced_writes": self.coalesced_writes.to_dict(),
+                "burst_frames": self.burst_frames.to_dict(),
                 "queue_high_water": dict(self.queue_high_water),
                 "overloads": self.overloads,
                 "errors": self.errors,

@@ -787,3 +787,235 @@ class TestServerFuzz:
             assert stats["applied"] == 300
         finally:
             adapter._teardown()
+
+
+# -- one op table, two transports -----------------------------------------------
+
+
+class _Driver:
+    """Runs one scenario against either client: ``call(client, op,
+    *args)`` awaits :class:`AsyncKVClient` and calls :class:`KVClient`
+    (blocking this loop is fine — the servers have their own)."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.called = set()
+
+    async def connect(self, server, **kw):
+        if self.kind == "async":
+            return await AsyncKVClient.connect(server.host, server.port, **kw)
+        return KVClient(server.host, server.port, **kw)
+
+    async def call(self, client, op, *args):
+        self.called.add(op)
+        result = getattr(client, op)(*args)
+        return await result if self.kind == "async" else result
+
+    async def close(self, client):
+        result = client.close()
+        if self.kind == "async":
+            await result
+
+
+def _op_table():
+    from repro.server.client import Pipeline
+
+    return {
+        name for name, attr in vars(Pipeline).items()
+        if callable(attr) and not name.startswith("_")
+    } - {"request", "feed", "fail"}
+
+
+@pytest.mark.parametrize("kind", ["sync", "async"])
+class TestOpMatrix:
+    def test_every_op_of_the_table(self, kind):
+        """Each operation, through its encoder, the wire, the server and
+        its reply decoder — the same scenario and the same expectations
+        for both transports, on the same pair of servers."""
+        from repro.cluster import membership
+        from repro.lsm import wal
+        from repro.server import (
+            FencedError, FollowerLaggingError, NotOwnerError, NotPrimaryError,
+        )
+
+        # A primary hosting shard 0 of 2, and a one-shard follower.
+        fs = MemFS()
+        primary = KVServer(
+            "p", n_shards=2, shard_ids=[0], fs=fs, engine_config=TINY_CONFIG
+        )
+        p_runner = ServerThread(primary).start()
+        follower, f_runner, _ = start_server(n_shards=1, role="follower")
+        candidates = [b"m%d" % i for i in range(40)]
+        k0, k1, k2 = [k for k in candidates if shard_of(k, 2) == 0][:3]
+        elsewhere = next(k for k in candidates if shard_of(k, 2) == 1)
+        driver = _Driver(kind)
+
+        async def scenario():
+            p = await driver.connect(primary)
+            f = await driver.connect(follower)
+            call = driver.call
+            try:
+                seq = await call(p, "put", k0, b"bytes")
+                assert isinstance(seq, int) and seq >= 1
+                assert await call(p, "put", k1, -7) > seq
+                assert await call(p, "get", k0) == b"bytes"
+                assert await call(p, "get", k2) is None
+                assert await call(p, "get_many", [k1, k2, k0], "gone") == [
+                    -7, "gone", b"bytes",
+                ]
+                assert await call(p, "scan", b"", 10) == sorted(
+                    [(k0, b"bytes"), (k1, -7)]
+                )
+                assert await call(p, "count", b"", b"\xff") >= 0
+                assert await call(p, "delete", k1) > seq
+                assert await call(p, "get", k1) is None
+                assert await call(p, "sync") is None
+                assert (await call(p, "stats"))["ops"]["put"] == 2
+                assert await call(p, "get_at", k0, seq) == b"bytes"
+                mark = await call(p, "watermark")
+                assert mark.is_primary and mark.term == 0 and set(mark.marks) == {0}
+                with pytest.raises(ServerError) as err:
+                    await call(p, "migrate", 0, "g2", [("127.0.0.1", 1)])
+                assert err.value.status == protocol.BAD_REQUEST
+                assert await call(p, "migrate_commit", 0, 0) is None  # idempotent
+                assert await call(p, "shard_detach", 1, "g9") is None
+                with pytest.raises(NotOwnerError) as moved:
+                    await call(p, "get", elsewhere)
+                assert moved.value.owner == "g9"
+                with pytest.raises(FencedError):
+                    await call(p, "lease", 0, 1000)  # a primary at that term
+
+                with pytest.raises(NotPrimaryError):
+                    await call(f, "put", b"k", 1)
+                frames = wal.encode_record(1, 1, b"k", b"shipped")
+                assert await call(f, "repl_apply", 0, 0, frames) == 1
+                assert await call(f, "get_at", b"k", 1) == b"shipped"
+                with pytest.raises(FollowerLaggingError):
+                    await call(f, "get_at", b"k", 99)
+                # Resync the follower's shard from the primary's engine.
+                snap_seq, doc, files = membership.build_snapshot(
+                    primary.shards[0].engine, purpose="resync"
+                )
+                assert await call(f, "snap_begin", 3, 0, doc) is None
+                for name, data in sorted(files.items()):
+                    assert await call(f, "snap_chunk", 3, 0, name, 0, data) is None
+                assert await call(f, "snap_commit", 3, 0, snap_seq) == snap_seq
+                assert await call(f, "get_at", k0, snap_seq) == b"bytes"
+                assert await call(f, "lease", 4, 1000) is None
+                assert (await call(f, "watermark")).term == 4
+                assert await call(f, "promote", 9) == 9
+                assert (await call(f, "watermark")).is_primary
+                assert await call(f, "shutdown_server") is None
+                with pytest.raises(ServerShuttingDownError):
+                    await call(f, "get", b"k")
+            finally:
+                await driver.close(p)
+                await driver.close(f)
+
+        try:
+            asyncio.run(scenario())
+            assert driver.called == _op_table()
+        finally:
+            p_runner.stop()
+            f_runner.stop()
+
+    @pytest.mark.parametrize("max_retries, refusals, absorbed", [
+        (0, 1, 0),    # no retry: the first refusal raises
+        (2, 99, 2),   # the budget is spent, then the raise
+        (8, 3, 3),    # three refusals, then service
+    ])
+    def test_overloaded_retry_policy(
+        self, kind, max_retries, refusals, absorbed, monkeypatch
+    ):
+        from repro.server import ServerOverloadedError
+
+        server, runner, _ = start_server(n_shards=1)
+        try:
+            shard = server.shards[0]
+            real_submit = shard.submit
+            left = [refusals]
+
+            def flaky(req):
+                if req.op == "write" and left[0] > 0:
+                    left[0] -= 1
+                    return False
+                return real_submit(req)
+
+            monkeypatch.setattr(shard, "submit", flaky)
+            driver = _Driver(kind)
+
+            async def scenario():
+                client = await driver.connect(server, max_retries=max_retries)
+                try:
+                    if refusals > max_retries:
+                        with pytest.raises(ServerOverloadedError):
+                            await driver.call(client, "put", b"k", 1)
+                    else:
+                        assert await driver.call(client, "put", b"k", 1) >= 1
+                        assert await driver.call(client, "get", b"k") == 1
+                    return client.retries
+                finally:
+                    await driver.close(client)
+
+            assert asyncio.run(scenario()) == absorbed
+        finally:
+            monkeypatch.undo()
+            runner.stop()
+
+    def test_oversize_request_leaves_the_pipeline_usable(self, kind, monkeypatch):
+        """A body that cannot be framed raises before anything is
+        enqueued: the requests after it are matched to their own
+        replies (was: a phantom pending entry, every later reply off by
+        one or never delivered)."""
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1 << 16)
+        server, runner, _ = start_server(n_shards=1)
+        try:
+            driver = _Driver(kind)
+
+            async def scenario():
+                client = await driver.connect(server)
+                try:
+                    await driver.call(client, "put", b"k", b"before")
+                    with pytest.raises(protocol.ProtocolError):
+                        await driver.call(
+                            client, "put", b"k", b"x" * protocol.MAX_FRAME_BYTES
+                        )
+                    return [
+                        await asyncio.wait_for(driver.call(client, "get", b"k"), 10),
+                        await asyncio.wait_for(driver.call(client, "get", b"no"), 10),
+                    ]
+                finally:
+                    await driver.close(client)
+
+            assert asyncio.run(scenario()) == [b"before", None]
+        finally:
+            monkeypatch.undo()
+            runner.stop()
+
+
+class TestSilentDrain:
+    def test_stop_with_open_connections_reports_nothing_to_the_loop(self):
+        """``shutdown()`` hangs up on live connections itself, so the
+        loop's teardown has no handler task to cancel (was: one
+        'Exception in callback ... CancelledError' per connection)."""
+        server, runner, _ = start_server(n_shards=2)
+        reported = []
+        runner._loop.call_soon_threadsafe(
+            runner._loop.set_exception_handler,
+            lambda loop, context: reported.append(context),
+        )
+        idle = KVClient(server.host, server.port)
+        busy = KVClient(server.host, server.port)
+        try:
+            busy.put(b"k", 1)
+            assert busy.get(b"k") == 1
+            runner.stop()
+            assert not runner._thread.is_alive()
+            assert reported == []
+            assert server.stats.connections_closed == server.stats.connections_opened
+            with pytest.raises((ConnectionError, OSError)):
+                busy.get(b"k")
+        finally:
+            idle.close()
+            busy.close()
+            runner.stop()

@@ -336,15 +336,21 @@ class TestReadsDuringTransitions:
 
         async def read_loop():
             client = await AsyncKVClient.connect(follower.host, follower.port)
+            alive = True
             try:
-                while not stop.is_set():
+                while alive and not stop.is_set():
                     calls = []
-                    for i in range(24):
-                        key = encode_u64(i)
-                        calls.append(client._call(protocol.GET, protocol.encode_key(key)))
-                        calls.append(client._call(
-                            protocol.GET_AT, protocol.encode_get_at(key, 0)
-                        ))
+                    try:
+                        for i in range(24):
+                            key = encode_u64(i)
+                            calls.append(client._call(
+                                protocol.GET, protocol.encode_key(key)
+                            ))
+                            calls.append(client._call(
+                                protocol.GET_AT, protocol.encode_get_at(key, 0)
+                            ))
+                    except ConnectionError:
+                        alive = False  # refused up front: the server went away
                     replies = await asyncio.wait_for(
                         asyncio.gather(*calls, return_exceptions=True), 20
                     )
@@ -529,3 +535,303 @@ class TestFlowControl:
         finally:
             monkeypatch.undo()
             runner.stop()
+
+
+# -- the client half: one write per tick, in-order settlement, back-pressure ---
+
+
+class _Recording:
+    """Stands in for a client's transport and records every write."""
+
+    def __init__(self, transport):
+        self._transport = transport
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+        self._transport.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
+class TestBurstShape:
+    """Counts that repeat exactly: what is issued in one loop tick is
+    one ``transport.write``, one server burst, one engine call per
+    shard."""
+
+    def test_one_tick_is_one_write_one_burst_one_batch_per_shard(self):
+        server, runner, _ = start_server(n_shards=2)
+        try:
+            keys = keys_on(0, 2, 8) + keys_on(1, 2, 8)
+            stats = server.stats
+
+            def counters():
+                sizes = (stats.burst_frames, stats.coalesced_writes, stats.coalesced_gets)
+                return [n for size in sizes for n in (size.calls, size.items)]
+
+            async def drive():
+                client = await AsyncKVClient.connect(server.host, server.port)
+                try:
+                    client._transport = wire = _Recording(client._transport)
+                    seen = {}
+                    for op in ("put", "get"):
+                        before = counters()
+                        if op == "put":
+                            calls = [client.put(key, key) for key in keys]
+                        else:
+                            calls = [client.get(key) for key in keys]
+                        results = await asyncio.gather(*calls)
+                        seen[op] = results, [
+                            b - a for a, b in zip(before, counters())
+                        ]
+                    return wire.writes, seen
+                finally:
+                    await client.close()
+
+            writes, seen = asyncio.run(drive())
+            assert len(writes) == 2  # 32 requests, two ticks
+            for blob in writes:
+                frames = []
+                assert protocol.parse_frames(bytearray(blob), frames) == len(blob)
+                assert len(frames) == 16
+            acks, deltas = seen["put"]
+            assert all(isinstance(seq, int) for seq in acks)
+            #        bursts, frames, write_batches, items, get_manys, keys
+            assert deltas == [1, 16, 2, 16, 0, 0]
+            values, deltas = seen["get"]
+            assert values == keys
+            assert deltas == [1, 16, 0, 0, 2, 16]
+        finally:
+            runner.stop()
+
+
+def _reply(request_id, value):
+    return protocol.frame(request_id, protocol.OK, protocol.encode_value_body(value))
+
+
+async def _scripted_server(script):
+    """A server on this loop running ``script(reader, writer)`` per
+    connection; returns ``(server, port)``."""
+
+    async def handler(reader, writer):
+        try:
+            await script(reader, writer)
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handler, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+async def _read_requests(reader, count):
+    """Read ``count`` request frames; returns their ids."""
+    buf, frames = bytearray(), []
+    while len(frames) < count:
+        data = await reader.read(1 << 16)
+        assert data, "client hung up early"
+        buf += data
+        del buf[: protocol.parse_frames(buf, frames)]
+    assert len(frames) == count
+    return [request_id for request_id, _, _ in frames]
+
+
+class TestInOrderSettlement:
+    """Replies settle pending requests strictly in send order, whatever
+    happened to the callers meanwhile; nothing is ever left hanging."""
+
+    def test_sans_io_pipeline_matches_replies_by_position_and_checks_ids(self):
+        from repro.server.client import Pipeline
+
+        pipe = Pipeline()
+        sent = b"".join(
+            pipe.request(protocol.GET, protocol.encode_key(b"k%d" % i), f"t{i}")
+            for i in range(5)
+        )
+        requests = []
+        assert protocol.parse_frames(bytearray(sent), requests) == len(sent)
+        assert [rid for rid, _, _ in requests] == [1, 2, 3, 4, 5]
+        stream = _reply(1, 10) + _reply(7, 20) + _reply(3, 30) + _reply(4, 40)
+        # Fed a byte at a time: a reply settles when its frame is whole.
+        settled = []
+        for i in range(len(stream)):
+            settled += pipe.feed(stream[i : i + 1])
+        assert [token for token, _ in settled] == ["t0", "t1", "t2", "t3"]
+        assert settled[0][1] == (protocol.OK, protocol.encode_value_body(10))
+        assert isinstance(settled[1][1], protocol.ProtocolError)  # id 7 != 2
+        assert "7" in str(settled[1][1])
+        assert settled[2][1] == (protocol.OK, protocol.encode_value_body(30))
+        # The stream breaks: the request still pending fails, later ones
+        # are refused, and a reply nobody asked for is an error too.
+        (token, failure), = pipe.fail(OSError("reset"))
+        assert token == "t4" and isinstance(failure, ConnectionError)
+        with pytest.raises(ConnectionError):
+            pipe.request(protocol.GET, b"", "late")
+        fresh = Pipeline()
+        assert fresh.feed(_reply(1, 1)) == []
+        assert isinstance(fresh.error, protocol.ProtocolError)
+
+    def test_unframeable_stream_settles_what_preceded_it(self):
+        from repro.server.client import Pipeline
+
+        pipe = Pipeline()
+        for i in range(3):
+            pipe.request(protocol.SYNC, b"", i)
+        bad_length = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "little")
+        settled = pipe.feed(_reply(1, 1) + bad_length + b"junk")
+        assert settled[0] == (0, (protocol.OK, protocol.encode_value_body(1)))
+        assert [token for token, _ in settled[1:]] == [1, 2]
+        assert all(isinstance(out, ConnectionError) for _, out in settled[1:])
+        assert pipe.error is not None
+
+    def test_cancelled_callers_do_not_shift_the_replies_of_others(self):
+        async def drive():
+            async def script(reader, writer):
+                ids = await _read_requests(reader, 6)
+                writer.write(b"".join(_reply(rid, rid * 100) for rid in ids))
+                await writer.drain()
+
+            fake, port = await _scripted_server(script)
+            client = await AsyncKVClient.connect("127.0.0.1", port)
+            try:
+                tasks = [
+                    asyncio.ensure_future(client.get(b"k%d" % i)) for i in range(6)
+                ]
+                await asyncio.sleep(0)  # every request is issued
+                tasks[1].cancel()
+                tasks[4].cancel()
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True), 10
+                )
+            finally:
+                await client.close()
+                fake.close()
+                await fake.wait_closed()
+
+        results = asyncio.run(drive())
+        assert [r for r in results if not isinstance(r, BaseException)] == [
+            100, 300, 400, 600,
+        ]
+        assert isinstance(results[1], asyncio.CancelledError)
+        assert isinstance(results[4], asyncio.CancelledError)
+
+    def test_connection_lost_mid_burst_fails_every_pending_request(self):
+        async def drive():
+            async def script(reader, writer):
+                ids = await _read_requests(reader, 8)
+                answered = b"".join(_reply(rid, rid) for rid in ids[:3])
+                writer.write(answered + _reply(ids[3], 0)[:7])  # a torn frame
+                await writer.drain()
+
+            fake, port = await _scripted_server(script)
+            client = await AsyncKVClient.connect("127.0.0.1", port)
+            try:
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(client.get(b"k%d" % i) for i in range(8)),
+                        return_exceptions=True,
+                    ),
+                    10,
+                )
+                with pytest.raises(ConnectionError):
+                    await client.get(b"after")
+                return results
+            finally:
+                await client.close()
+                fake.close()
+                await fake.wait_closed()
+
+        results = asyncio.run(drive())
+        assert results[:3] == [1, 2, 3]
+        assert all(isinstance(r, ConnectionError) for r in results[3:])
+
+    def test_id_mismatch_fails_that_request_only(self):
+        async def drive():
+            async def script(reader, writer):
+                ids = await _read_requests(reader, 3)
+                writer.write(
+                    _reply(ids[0], 1) + _reply(ids[1] + 50, 2) + _reply(ids[2], 3)
+                )
+                await writer.drain()
+                await reader.read()  # until the client hangs up
+
+            fake, port = await _scripted_server(script)
+            client = await AsyncKVClient.connect("127.0.0.1", port)
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(
+                        *(client.get(b"k%d" % i) for i in range(3)),
+                        return_exceptions=True,
+                    ),
+                    10,
+                )
+            finally:
+                await client.close()
+                fake.close()
+                await fake.wait_closed()
+
+        first, second, third = asyncio.run(drive())
+        assert (first, third) == (1, 3)
+        assert isinstance(second, protocol.ProtocolError)
+
+
+class TestClientFlowControl:
+    def test_stalled_peer_suspends_callers_and_resumes(self):
+        """The peer stops reading: the transport's buffer passes its
+        high-water mark, ``pause_writing`` closes the gate, and callers
+        arriving after that wait at it — nothing they would send is
+        framed or buffered — until the peer reads again."""
+        value = b"x" * (1 << 16)
+        first_wave, second_wave = 96, 40
+
+        async def drive():
+            reading = asyncio.Event()
+
+            async def script(reader, writer):
+                await reading.wait()
+                buf, frames, answered = bytearray(), [], 0
+                while answered < first_wave + second_wave:
+                    data = await reader.read(1 << 20)
+                    assert data, "client hung up early"
+                    buf += data
+                    del buf[: protocol.parse_frames(buf, frames)]
+                    writer.write(b"".join(
+                        protocol.frame(rid, protocol.OK, protocol.encode_u64_body(rid))
+                        for rid, _, _ in frames[answered:]
+                    ))
+                    answered = len(frames)
+                await writer.drain()
+
+            fake, port = await _scripted_server(script)
+            client = await AsyncKVClient.connect("127.0.0.1", port)
+            try:
+                # ~6 MiB in one tick: more than loopback buffers hold.
+                wave1 = [
+                    asyncio.ensure_future(client.put(b"a%d" % i, value))
+                    for i in range(first_wave)
+                ]
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)  # the tick's single write has run
+                assert not client._writable.is_set(), "writer was never paused"
+                wave2 = [
+                    asyncio.ensure_future(client.put(b"b%d" % i, value))
+                    for i in range(second_wave)
+                ]
+                for _ in range(20):
+                    await asyncio.sleep(0)
+                # The second wave is suspended at the gate, not queued.
+                assert len(client._pending) == first_wave
+                assert client._outbox == []
+                assert not any(task.done() for task in wave2)
+                buffered = client._transport.get_write_buffer_size()
+                reading.set()
+                acks = await asyncio.wait_for(asyncio.gather(*wave1, *wave2), 60)
+                return acks, buffered
+            finally:
+                await client.close()
+                fake.close()
+                await fake.wait_closed()
+
+        acks, buffered = asyncio.run(drive())
+        assert sorted(acks) == list(range(1, first_wave + second_wave + 1))
+        assert buffered <= first_wave * (len(value) + 64)

@@ -14,6 +14,8 @@ import struct
 
 import pytest
 
+from repro.lsm import TOMBSTONE
+from repro.lsm.disk_format import FrameError
 from repro.server import FencedError, KVClient, KVServer, ServerThread
 from repro.server import protocol
 from repro.testing.faultfs import MemFS
@@ -334,4 +336,166 @@ class TestRandomFuzz:
                         break
             finally:
                 sock.close()
+        _still_serviceable(server)
+
+
+# -- the burst decoder against a per-frame reference ------------------------------
+
+POINT_OPCODES = (
+    protocol.GET, protocol.GET_AT, protocol.BATCH_GET, protocol.PUT, protocol.DELETE,
+)
+
+
+def _reference_reply(model, opcode, body):
+    """What a server that decodes one frame at a time — each body through
+    its own ``protocol.decode_*`` — answers, applied to ``model``.  A
+    write ack's body (the commit sequence) is not modelled: None."""
+    try:
+        if opcode == protocol.PUT:
+            key, value = protocol.decode_key_value(body)
+            if value is TOMBSTONE:
+                raise protocol.ProtocolError("cannot PUT a tombstone")
+            model[key] = value
+            return protocol.OK, None
+        if opcode == protocol.DELETE:
+            model.pop(protocol.decode_key(body), None)
+            return protocol.OK, None
+        if opcode == protocol.BATCH_GET:
+            values = [model.get(key) for key in protocol.decode_keys(body)]
+            return protocol.OK, protocol.encode_maybe_values(values, missing=None)
+        if opcode == protocol.GET:
+            key = protocol.decode_key(body)
+        else:
+            key, _ = protocol.decode_get_at(body)
+        if key not in model:
+            return protocol.NOT_FOUND, b""
+        return protocol.OK, protocol.encode_value_body(model[key])
+    except (
+        protocol.ProtocolError, FrameError, struct.error, IndexError,
+        UnicodeDecodeError,
+    ) as exc:
+        return protocol.BAD_REQUEST, str(exc).encode()
+
+
+def _pipelined(server, requests):
+    """Send ``requests`` as ONE pipelined stream and read every reply —
+    the server cuts it into bursts wherever its reads fall."""
+    sock = _connect(server, timeout=30.0)
+    try:
+        sock.sendall(b"".join(
+            protocol.frame(i, opcode, body) for i, (opcode, body) in enumerate(requests)
+        ))
+        replies = []
+        for i in range(len(requests)):
+            got = _recv_response(sock)
+            assert got is not None, f"connection dropped before reply {i}"
+            assert got[0] == i
+            replies.append(got[1:])
+        return replies
+    finally:
+        sock.close()
+
+
+def _check_against_reference(server, model, requests):
+    """Returns the statuses the server answered with."""
+    expected = [_reference_reply(model, opcode, body) for opcode, body in requests]
+    replies = _pipelined(server, requests)
+    for i, (got, want) in enumerate(zip(replies, expected)):
+        status, body = got
+        assert status == want[0], (i, requests[i], got, want)
+        if want[1] is None:
+            assert len(body) == 8  # a commit sequence
+        else:
+            assert body == want[1], (i, requests[i], got, want)
+    return {status for status, _ in replies}
+
+
+class TestBurstCodecAgainstReference:
+    """The burst-level codec reads well-formed point-op bodies in place
+    and must answer every body — whole, cut or garbage — exactly as the
+    per-body decoders do: ``BAD_REQUEST`` costs one request, never the
+    run, the burst or the connection.
+
+    Reads and writes use disjoint keys: a pipelined read may observe a
+    *later* write of its key (DESIGN.md §12), which no sequential
+    reference reproduces.  Written keys are read back afterwards."""
+
+    READ_KEYS = [b"r-bytes", b"r-int", b"r-str", b""]
+    STORED = {b"r-bytes": b"\x00raw\xff", b"r-int": -12345, b"r-str": "héllo", b"": b"empty key"}
+
+    def _load(self, server):
+        with KVClient(server.host, server.port) as client:
+            for key, value in self.STORED.items():
+                client.put(key, value)
+        return dict(self.STORED)
+
+    def _read_back(self, server, model, written):
+        requests = [(protocol.GET, protocol.encode_key(key)) for key in sorted(written)]
+        requests.append((protocol.BATCH_GET, protocol.encode_keys(sorted(written))))
+        _check_against_reference(server, model, requests)
+
+    def _whole_bodies(self):
+        keys = self.READ_KEYS + [b"r-absent"]
+        out = [(protocol.GET, protocol.encode_key(key)) for key in keys]
+        out += [(protocol.GET_AT, protocol.encode_get_at(key, 0)) for key in keys]
+        out += [
+            (protocol.BATCH_GET, protocol.encode_keys(keys)),
+            (protocol.BATCH_GET, protocol.encode_keys([])),
+            (protocol.DELETE, protocol.encode_key(b"w-gone")),
+            (protocol.DELETE, protocol.encode_key(b"w-never")),
+        ]
+        for i, value in enumerate((b"", b"bytes\x00", 7, -(2**63), "str", "")):
+            out.append((protocol.PUT, protocol.encode_key_value(b"w-%d" % i, value)))
+        out.append((protocol.PUT, protocol.encode_key_value(b"w-gone", 1)))
+        out.append((protocol.PUT, protocol.encode_key_value(b"w-tomb", TOMBSTONE)))
+        # Length fields that lie: a value codec tag that does not exist, an
+        # int of the wrong width, an empty value encoding.
+        out.append((protocol.PUT, protocol.encode_key(b"w-x") + b"\x01\x00\x00\x00\x09"))
+        out.append((protocol.PUT, protocol.encode_key(b"w-x") + b"\x03\x00\x00\x00\x01ab"))
+        out.append((protocol.PUT, protocol.encode_key(b"w-x") + b"\x00\x00\x00\x00"))
+        return out
+
+    def test_whole_cut_and_padded_bodies_answer_as_the_reference(self, server):
+        model = self._load(server)
+        sentinel = (protocol.GET, protocol.encode_key(b"r-int"))
+        requests = []
+        for opcode, body in self._whole_bodies():
+            for cut in range(len(body) + 1):
+                requests.append((opcode, body[:cut]))
+            requests.append((opcode, body + b"\x00"))
+            requests.append(sentinel)  # the stream behind a bad body is intact
+        statuses = _check_against_reference(server, model, requests)
+        assert {protocol.OK, protocol.NOT_FOUND, protocol.BAD_REQUEST} <= statuses
+        self._read_back(server, model, [k for k in model if k.startswith(b"w-")])
+        _still_serviceable(server)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_bodies_answer_as_the_reference(self, server, seed):
+        rng = random.Random(seed)
+        model = self._load(server)
+        whole = self._whole_bodies()
+        requests = []
+        for _ in range(1500):
+            roll = rng.random()
+            if roll < 0.4:
+                requests.append(rng.choice(whole))
+            elif roll < 0.7:  # a whole body with a few bytes flipped
+                opcode, body = rng.choice(whole)
+                mutated = bytearray(body)
+                for _ in range(rng.randrange(1, 4)):
+                    if mutated:
+                        mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+                if opcode in (protocol.PUT, protocol.DELETE) and not bytes(
+                    mutated[4:]
+                ).startswith(b"w-"):
+                    continue  # keep writes off the keys being read
+                requests.append((opcode, bytes(mutated)))
+            else:
+                opcode = rng.choice(POINT_OPCODES)
+                noise = bytes(rng.randrange(256) for _ in range(rng.randrange(24)))
+                if opcode in (protocol.PUT, protocol.DELETE):
+                    noise = protocol.encode_key(b"w-%d" % rng.randrange(4))[:6] + noise
+                requests.append((opcode, noise))
+        _check_against_reference(server, model, requests)
+        self._read_back(server, model, [k for k in model if k.startswith(b"w-")])
         _still_serviceable(server)
