@@ -17,6 +17,15 @@ index, and ``examples/`` for runnable scenarios.
 
 __version__ = "1.0.0"
 
-from . import core
-
 __all__ = ["core", "__version__"]
+
+
+def __getattr__(name: str):
+    # ``repro.core`` imports every structure of the thesis (HOPE, the
+    # hybrid indexes, the compact trees); a process that only serves
+    # or stores keys should not pay for it, so it loads on first use.
+    if name == "core":
+        import importlib
+
+        return importlib.import_module(".core", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

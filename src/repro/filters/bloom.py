@@ -8,6 +8,7 @@ number of probes is chosen optimally for the configured bits per key
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -32,6 +33,21 @@ def hash64(key: bytes, seed: int = 0) -> int:
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK64
     return h ^ (h >> 31)
+
+
+def hash64_many(keys: Sequence[bytes], seed: int = 0) -> np.ndarray:
+    """:func:`hash64` of every key, as one uint64 array: the CRC rounds
+    run through ``map`` and the finaliser is column arithmetic (uint64
+    products wrap modulo 2^64, which is the ``& _MASK64`` above)."""
+    n = len(keys)
+    lo, hi = (
+        np.fromiter(map(zlib.crc32, keys, itertools.repeat(start, n)), np.uint64, n)
+        for start in (seed & 0xFFFFFFFF, (seed >> 32) ^ 0xDEADBEEF & 0xFFFFFFFF)
+    )
+    h = lo | (hi << np.uint64(32))
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
 
 
 class BloomFilter:
@@ -100,10 +116,8 @@ class BloomFilter:
                 "cannot insert into a read-only BloomFilter deserialized "
                 "with copy=False; reload with copy=True to mutate"
             )
-        h1 = np.fromiter((hash64(k, 0) for k in keys), dtype=np.uint64, count=n)
-        h2 = np.fromiter(
-            (hash64(k, _GOLDEN) | 1 for k in keys), dtype=np.uint64, count=n
-        )
+        h1 = hash64_many(keys, 0)
+        h2 = hash64_many(keys, _GOLDEN) | np.uint64(1)
         steps = np.arange(self.k, dtype=np.uint64)
         bits = (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(self.n_bits)
         flat = bits.ravel()

@@ -31,9 +31,6 @@ from .builder import PREFIX_LABEL, BuiltTrie, build_trie
 
 FANOUT = 256
 
-
-def _concat_words(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 #: Default LOUDS-Sparse : LOUDS-Dense size ratio (Section 3.4).
 DEFAULT_SIZE_RATIO = 64
 
@@ -44,21 +41,12 @@ _SELECT_SAMPLE = 64
 
 def _choose_dense_levels(trie: BuiltTrie, size_ratio: float) -> int:
     """Largest cutoff l with dense_size(l) * R <= sparse_size(l)."""
-    heights = trie.height
     # dense_size(l): nodes above l cost 2*256+1 bits each.
     # sparse_size(l): labels at level >= l cost 8+1+1 bits each.
-    nodes_above = 0
-    labels_below = trie.total_labels()
-    best = 0
-    for level in range(heights + 1):
-        dense_bits = nodes_above * (2 * FANOUT + 1)
-        sparse_bits = labels_below * 10
-        if dense_bits * size_ratio <= sparse_bits:
-            best = level
-        if level < heights:
-            nodes_above += trie.levels[level].n_nodes
-            labels_below -= len(trie.levels[level].labels)
-    return best
+    nodes_above = np.concatenate(([0], np.cumsum(trie.node_counts)))
+    labels_below = trie.total_labels() - trie.level_starts
+    fits = nodes_above * (2 * FANOUT + 1) * size_ratio <= labels_below * 10
+    return int(np.flatnonzero(fits)[-1])
 
 
 class FST:
@@ -94,106 +82,55 @@ class FST:
 
     def _encode(self, trie: BuiltTrie) -> None:
         dh = self.dense_height
+        # The first ``dh`` levels are dense, the rest sparse: each part is
+        # one slice of the builder's level-ordered columns.
+        cut = int(trie.level_starts[dh])
+        value_cut = int(trie.value_starts[dh])
         # ---- dense levels ----
         # Bitmap assembly is a pure scatter: each real label sets bit
         # (node * 256 + label) in D-Labels (and D-HasChild when it has
-        # one), so the whole level is encoded with numpy word kernels —
-        # no per-bit Python work.
-        words_per_node = FANOUT // 64
-        label_word_parts: list[np.ndarray] = []
-        child_word_parts: list[np.ndarray] = []
-        isprefix_parts: list[np.ndarray] = []
-        d_values: list[Any] = []
-        dense_node_count = 0
-        dense_child_count = 0
-        #: per dense level: starting node number (for count boundaries)
-        self._dense_level_node_start: list[int] = []
-        for level in trie.levels[:dh]:
-            self._dense_level_node_start.append(dense_node_count)
-            labels = np.asarray(level.labels, dtype=np.int64)
-            has_child = np.asarray(level.has_child, dtype=bool)
-            louds = np.asarray(level.louds, dtype=bool)
-            node_of = np.cumsum(louds) - 1  # node index within the level
-            n_nodes = level.n_nodes
-            real = labels >= 0  # PREFIX_LABEL has no bitmap position
-            label_words = np.zeros(n_nodes * words_per_node, dtype=np.uint64)
-            child_words = np.zeros(n_nodes * words_per_node, dtype=np.uint64)
-            pos = node_of[real] * FANOUT + labels[real]
-            bits = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
-            np.bitwise_or.at(label_words, pos >> 6, bits)
-            child = real & has_child
-            cpos = node_of[child] * FANOUT + labels[child]
+        # one), so the whole dense part is encoded with numpy word
+        # kernels — no per-bit or per-level Python work.
+        labels = trie.labels[:cut].astype(np.int64)
+        node_of = np.cumsum(trie.louds[:cut]) - 1  # dense node number
+        dense_node_count = int(trie.node_counts[:dh].sum())
+        words = dense_node_count * (FANOUT // 64)
+        real = labels >= 0  # PREFIX_LABEL has no bitmap position
+        child = real & trie.has_child[:cut]
+        bitmaps = []
+        for mask in (real, child):
+            pos = node_of[mask] * FANOUT + labels[mask]
+            bits = np.zeros(words, dtype=np.uint64)
             np.bitwise_or.at(
-                child_words,
-                cpos >> 6,
-                np.left_shift(np.uint64(1), (cpos & 63).astype(np.uint64)),
+                bits, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
             )
-            is_prefix = np.zeros(n_nodes, dtype=np.uint8)
-            is_prefix[node_of[~real]] = 1
-            label_word_parts.append(label_words)
-            child_word_parts.append(child_words)
-            isprefix_parts.append(is_prefix)
-            # level.values holds one value per terminating label in
-            # label order, which is exactly D-Values order.
-            d_values.extend(level.values)
-            dense_node_count += n_nodes
-            dense_child_count += int(child.sum())
-        n_dense_bits = dense_node_count * FANOUT
-        self.d_labels = BitVector(
-            _concat_words(label_word_parts), n_dense_bits
-        )
-        self.d_haschild = BitVector(
-            _concat_words(child_word_parts), n_dense_bits
-        )
-        self.d_isprefix = (
-            BitVector.from_bools(np.concatenate(isprefix_parts))
-            if isprefix_parts
-            else BitVector.zeros(0)
-        )
-        self.d_values = d_values
+            bitmaps.append(BitVector(bits, dense_node_count * FANOUT))
+        self.d_labels, self.d_haschild = bitmaps
+        is_prefix = np.zeros(dense_node_count, dtype=np.uint8)
+        is_prefix[node_of[~real]] = 1
+        self.d_isprefix = BitVector.from_bools(is_prefix)
+        # Values are one per terminating label in label order, which is
+        # exactly D-Values then S-Values order.
+        self.d_values = trie.values[:value_cut]
         self.dense_node_count = dense_node_count
-        self.dense_child_count = dense_child_count
+        self.dense_child_count = int(child.sum())
+        #: per dense level: starting node number (for count boundaries)
+        self._dense_level_node_start = (
+            np.cumsum(trie.node_counts[:dh]) - trie.node_counts[:dh]
+        ).tolist()
         self._d_labels_rank = RankSupport(self.d_labels, _DENSE_RANK_BLOCK)
         self._d_haschild_rank = RankSupport(self.d_haschild, _DENSE_RANK_BLOCK)
         self._d_isprefix_rank = RankSupport(self.d_isprefix, _DENSE_RANK_BLOCK)
 
         # ---- sparse levels ----
-        # Per-level sequences concatenate directly; the two bitvectors
-        # pack in one packbits pass each.
-        label_parts: list[np.ndarray] = []
-        hc_parts: list[np.ndarray] = []
-        louds_parts: list[np.ndarray] = []
-        s_values: list[Any] = []
-        #: per sparse level: starting label index (for count boundaries)
-        self._sparse_level_start: list[int] = []
-        sparse_node_count = 0
-        n_sparse_labels = 0
-        for level in trie.levels[dh:]:
-            self._sparse_level_start.append(n_sparse_labels)
-            label_parts.append(np.asarray(level.labels, dtype=np.int16))
-            hc_parts.append(np.asarray(level.has_child, dtype=np.uint8))
-            louds_parts.append(np.asarray(level.louds, dtype=np.uint8))
-            # level.values is one value per terminating label in label
-            # order — exactly S-Values order.
-            s_values.extend(level.values)
-            sparse_node_count += level.n_nodes
-            n_sparse_labels += len(level.labels)
-        self.s_labels = (
-            np.concatenate(label_parts) if label_parts else np.zeros(0, dtype=np.int16)
-        )
-        self.s_haschild = (
-            BitVector.from_bools(np.concatenate(hc_parts))
-            if hc_parts
-            else BitVector.zeros(0)
-        )
-        self.s_louds = (
-            BitVector.from_bools(np.concatenate(louds_parts))
-            if louds_parts
-            else BitVector.zeros(0)
-        )
-        self.s_values = s_values
-        self.sparse_node_count = sparse_node_count
-        self._sparse_level_start.append(n_sparse_labels)
+        self.s_labels = trie.labels[cut:]
+        self.s_haschild = BitVector.from_bools(trie.has_child[cut:])
+        self.s_louds = BitVector.from_bools(trie.louds[cut:])
+        self.s_values = trie.values[value_cut:]
+        self.sparse_node_count = int(trie.node_counts[dh:].sum())
+        #: per sparse level: starting label index, plus the end (for
+        #: count boundaries)
+        self._sparse_level_start = (trie.level_starts[dh:] - cut).tolist()
         self._s_haschild_rank = RankSupport(self.s_haschild, self._sparse_block())
         self._s_louds_rank = RankSupport(self.s_louds, self._sparse_block())
         self._s_louds_select = (

@@ -21,7 +21,7 @@ import struct
 import zlib
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 #: Marker value for deletions (RocksDB tombstones).  Defined here, at
 #: the bottom of the lsm import graph, and re-exported by
@@ -42,6 +42,14 @@ _VAL_STR = 3
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+#: A tombstone's encoding: its tag byte alone.  Every other encoding
+#: starts with another tag, so a compaction tells a tombstone from a
+#: value without decoding either.
+TOMBSTONE_CELL = bytes([_VAL_TOMBSTONE])
+_INT_TAG = bytes([_VAL_INT])
+_BYTES_TAG = bytes([_VAL_BYTES])
+_STR_TAG = bytes([_VAL_STR])
+
 
 class FrameError(ValueError):
     """A frame failed its length or CRC check (torn/corrupt write)."""
@@ -52,18 +60,18 @@ class FrameError(ValueError):
 
 def encode_value(value: Any) -> bytes:
     """Encode a storable value (int / bytes / str / TOMBSTONE)."""
+    if isinstance(value, bytes):
+        return _BYTES_TAG + value
     if value is TOMBSTONE:
-        return bytes([_VAL_TOMBSTONE])
+        return TOMBSTONE_CELL
     if isinstance(value, bool):  # bool is an int subclass; reject explicitly
         raise TypeError("durable LSM values must be int, bytes, or str")
     if isinstance(value, int):
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise TypeError("int values must fit in a signed 64-bit word")
-        return bytes([_VAL_INT]) + _I64.pack(value)
-    if isinstance(value, bytes):
-        return bytes([_VAL_BYTES]) + value
+        return _INT_TAG + _I64.pack(value)
     if isinstance(value, str):
-        return bytes([_VAL_STR]) + value.encode("utf-8")
+        return _STR_TAG + value.encode("utf-8")
     raise TypeError(
         f"durable LSM values must be int, bytes, or str (got {type(value).__name__})"
     )
@@ -116,21 +124,20 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 # -- entry blocks ------------------------------------------------------------
 
 
-def encode_block(pairs: list[tuple[bytes, Any]]) -> bytes:
+def encode_block(keys: Sequence[bytes], values: Sequence[bytes]) -> bytes:
     """One SSTable block, framed and CRC-checked, laid out in columns::
 
         <u32 n> <u32 klen[n]> <u32 vlen[n]> <keys...> <values...>
 
-    The same byte count as interleaving each length with its field;
+    ``values`` are already encoded (:func:`encode_value`), so a block
+    is one ``struct.pack`` of the lengths and one join per column.  The
+    same byte count as interleaving each length with its field;
     putting the lengths first lets :class:`Block` compute every offset
     with one ``unpack_from`` instead of walking the entries.
     """
-    values = [encode_value(value) for _, value in pairs]
-    n = len(pairs)
-    header = struct.pack(
-        f"<{2 * n + 1}I", n, *[len(key) for key, _ in pairs], *map(len, values)
-    )
-    return frame(header + b"".join([key for key, _ in pairs]) + b"".join(values))
+    n = len(keys)
+    header = struct.pack(f"<{2 * n + 1}I", n, *map(len, keys), *map(len, values))
+    return frame(header + b"".join(keys) + b"".join(values))
 
 
 #: Searches after which a cached block builds its key list: the list
@@ -240,6 +247,16 @@ class Block:
             yield self.key(i), self.value(i)
 
     __iter__ = items
+
+    def cells(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries ``[start, stop)`` as stored: ``(key, encoded value)``,
+        nothing decoded — what a compaction carries to its output."""
+        n, off, cut = self._n, self._off, self._payload.__getitem__
+        stop = n if stop is None else stop
+        return zip(
+            map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1])),
+            map(cut, map(slice, off[n + start : n + stop], off[n + start + 1 : n + stop + 1])),
+        )
 
 
 def decode_block(data: bytes) -> Block:

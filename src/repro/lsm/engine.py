@@ -93,6 +93,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..compact.node_cache import ClockNodeCache
 from ..trees.gapped_btree import GappedBPlusTree
+from . import disk_format
 from . import manifest as manifest_mod
 from . import wal as wal_mod
 from .fs import FileSystem, OsFileSystem, join
@@ -150,7 +151,8 @@ class DictMemtable:
     the gapped write path against the baseline it replaced, and as the
     minimal example of the memtable protocol: ``put`` / ``put_many``,
     mapping reads (``in`` / ``[]`` must be safe without the engine
-    lock), *sorted* ``items()``, ``len``, ``freeze_view`` returning an
+    lock), *sorted* ``items()`` and ``columns()`` (the flush's input:
+    a key list and a value list), ``len``, ``freeze_view`` returning an
     immutable snapshot for pinned scans, and ``seal`` — called once,
     at freeze, after which no method may mutate the memtable.
     """
@@ -185,6 +187,10 @@ class DictMemtable:
     def items(self) -> Iterator[tuple[bytes, Any]]:
         return iter(sorted(self._data.items()))
 
+    def columns(self) -> tuple[list[bytes], list[Any]]:
+        keys = sorted(self._data)
+        return keys, list(map(self._data.__getitem__, keys))
+
     def freeze_view(self) -> dict[bytes, Any]:
         return dict(self._data)
 
@@ -212,12 +218,17 @@ _VECTOR_PROBE_MIN = 16
 #: ``benchmarks/results/batch_queries.json`` (813,998 /s = 1.2 us per
 #: probe at x8, from the "L0 depth 0 / 4" rows; 2.0 us in the run
 #: before) against the "LSM compaction L0->L1" row of
-#: ``batch_updates.json`` (627,306 /s = 1.6 us per rewritten entry):
-#: the two prices are equal to within the rows' own run-to-run
-#: movement, hence 1.  At 1 a single pass over a bulk-loaded shard
-#: trips the trigger before it is half-way, so the compaction has
-#: committed when the pass ends (at 2 it tripped at 75-90 % and 4 of
-#: 50 ledger runs measured their disk footprint mid-compaction); a
+#: ``batch_updates.json`` (971,126 /s = 1.0 us per rewritten entry
+#: since the merge carries encoded values instead of decoding and
+#: re-encoding them; 627,306 /s = 1.6 us before).  A probe now costs a
+#: little more than an entry, which would argue for slightly less than
+#: 1, but the gap is inside the probe row's own run-to-run movement.
+#: The constant stays 1 because it sets *when* compactions run, and
+#: with that the layout a served shard is measured in: at 1 a single
+#: pass over a bulk-loaded shard trips the trigger before it is
+#: half-way, so the compaction has committed when the pass ends (at 2
+#: it tripped at 75-90 % and 4 of 50 ``wire_a`` runs measured their
+#: disk footprint mid-compaction, ``space_amp`` 1.66-1.79); a
 #: write-heavy mix still stays clear of it (YCSB-A peaks at half the
 #: threshold).
 _READ_DEBT_PER_ENTRY = 1
@@ -311,6 +322,11 @@ class GappedMemtable:
     def items(self) -> Iterator[tuple[bytes, Any]]:
         self._drain()
         return self._tree.items()
+
+    def columns(self) -> tuple[list[bytes], list[Any]]:
+        self._drain()
+        keys, values = self._tree.export_columns()
+        return keys.tolist(), values.tolist()
 
     def freeze_view(self):
         self._drain()
@@ -1121,15 +1137,19 @@ class LSMTree:
         self._freeze()
         self.wait_idle(timeout=None)
 
-    def _build_table(self, pairs) -> SSTableBase:
-        """Build one table from sorted ``pairs`` — on the heap, or as a
-        durable file fsynced before this returns (invariant 1)."""
+    def _build_table(self, keys: list[bytes], cells: list[Any]) -> SSTableBase:
+        """Build one table from sorted ``keys`` and their values as a
+        table stores them (:meth:`~repro.lsm.disk_format.Block.cells`:
+        encoded in durable mode, the values themselves on the heap) —
+        on the heap, or as a durable file fsynced before this returns
+        (invariant 1)."""
         with self._lock:
             tid = self._next_table_id
             self._next_table_id += 1
         if not self.durable:
             return SSTable(
-                pairs,
+                keys,
+                cells,
                 block_entries=self._block_entries,
                 filter_factory=self._filter_factory,
                 table_id=tid,
@@ -1138,7 +1158,8 @@ class LSMTree:
         write_sstable(
             self._fs,
             file_path,
-            pairs,
+            keys,
+            cells,
             tid,
             block_entries=self._block_entries,
             filter_factory=self._filter_factory,
@@ -1228,8 +1249,12 @@ class LSMTree:
         sealed); the commit — L0 insert, manifest install, WAL
         retirement — happens under it.
         """
-        # A memtable iterates in key order: the table needs no sort.
-        table = self._build_table(list(frozen.data.items()))
+        # A memtable hands out its columns in key order: no sort, no
+        # per-entry tuple, and each value is encoded exactly once.
+        keys, values = frozen.data.columns()
+        if self.durable:
+            values = list(map(disk_format.encode_value, values))
+        table = self._build_table(keys, values)
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
@@ -1272,8 +1297,8 @@ class LSMTree:
             # Tombstones drop when the output lands on the bottom level.
             drop_tombstones = len(version.levels) <= level + 2
         new_tables = [
-            self._build_table(pairs)
-            for pairs in self._merge_tables(sources, overlapping, drop_tombstones)
+            self._build_table(keys, cells)
+            for keys, cells in self._merge_tables(sources, overlapping, drop_tombstones)
         ]
         source_ids = {t.table_id for t in sources}
         overlap_ids = {t.table_id for t in overlapping}
@@ -1302,11 +1327,18 @@ class LSMTree:
 
     def _merge_tables(
         self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
-    ) -> Iterator[list[tuple[bytes, Any]]]:
+    ) -> Iterator[tuple[list[bytes], list[Any]]]:
         """Newest-wins merge of the runs ``newer`` (newest first, may
         overlap) into ``older`` (the next level's disjoint tables they
-        overlap, in key order): yields the sorted entries of each
-        output table, ``sstable_entries`` long except the last.
+        overlap, in key order): yields each output table as sorted
+        ``(keys, cells)`` columns, ``sstable_entries`` long except the
+        last.
+
+        Entries travel as their blocks store them (``Block.cells``): an
+        encoded value is carried from the input block to the output
+        block as the same bytes, never decoded or re-encoded, and a
+        tombstone is recognised by its encoding
+        (:data:`~repro.lsm.disk_format.TOMBSTONE_CELL`).
 
         The merge is partitioned along ``older``'s table boundaries.
         A partition is one old table plus the slice of every newer run
@@ -1322,24 +1354,31 @@ class LSMTree:
 
         def partition(i: int, low: bytes | None, high: bytes | None):
             # Its own scope: the dict is gone before the next one is built.
-            merged: dict[bytes, Any] = dict(older[i].items()) if older else {}
+            merged: dict[bytes, Any] = dict(older[i].cells_between(None, None)) if older else {}
             for table in oldest_first:
-                merged.update(table.items_between(low, high))
-            if drop_tombstones:
-                return sorted((k, v) for k, v in merged.items() if v is not TOMBSTONE)
-            return sorted(merged.items())
+                merged.update(table.cells_between(low, high))
+            if not drop_tombstones:
+                keys = sorted(merged)
+            elif self.durable:
+                keys = sorted([k for k, v in merged.items() if v != disk_format.TOMBSTONE_CELL])
+            else:
+                keys = sorted([k for k, v in merged.items() if v is not TOMBSTONE])
+            return keys, list(map(merged.__getitem__, keys))
 
-        carry: list[tuple[bytes, Any]] = []
+        carry_keys: list[bytes] = []
+        carry_cells: list[Any] = []
         low = None
         for i, high in enumerate([t.min_key for t in older[1:]] + [None]):
-            carry += partition(i, low, high)
-            full = len(carry) - len(carry) % size
+            keys, cells = partition(i, low, high)
+            carry_keys += keys
+            carry_cells += cells
+            full = len(carry_keys) - len(carry_keys) % size
             for start in range(0, full, size):
-                yield carry[start : start + size]
-            carry = carry[full:]
+                yield carry_keys[start : start + size], carry_cells[start : start + size]
+            del carry_keys[:full], carry_cells[:full]
             low = high
-        if carry:
-            yield carry
+        if carry_keys:
+            yield carry_keys, carry_cells
 
     # -- block access with simulated I/O ------------------------------------------------
 

@@ -29,6 +29,7 @@ of being misparsed.
 
 from __future__ import annotations
 
+import operator
 import struct
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, Sequence
@@ -101,20 +102,23 @@ class SSTableBase:
         for idx in range(self.n_blocks):
             yield from self.read_block(idx)
 
-    def items_between(
+    def cells_between(
         self, low: bytes | None, high: bytes | None
-    ) -> Iterator[tuple[bytes, Any]]:
+    ) -> list[tuple[bytes, Any]]:
         """Entries with ``low <= key < high`` (``None`` = unbounded) in
-        key order.  The fences pick the blocks, so only those the range
-        touches are read — uncached, like :meth:`items`."""
+        key order, as their blocks store them (:meth:`Block.cells`).
+        The fences pick the blocks, so only those the range touches are
+        read — uncached, like :meth:`items`."""
         fences = self.fences
         first = 0 if low is None else self.block_for(low)
         last = len(fences) if high is None else bisect_left(fences, high)
+        out: list[tuple[bytes, Any]] = []
         for idx in range(first, last):
             block = self.read_block(idx)
             start = block.first_ge(low) if low is not None and idx == first else 0
             stop = block.first_ge(high) if high is not None and idx == last - 1 else None
-            yield from block.items(start, stop)
+            out += block.cells(start, stop)
+        return out
 
     def filter_memory_bytes(self) -> int:
         return self.filter.memory_bytes() if self.filter is not None else 0
@@ -126,21 +130,25 @@ class SSTableBase:
 class MemBlock(Block):
     """An in-memory table's block: the :class:`Block` read surface over
     two parallel lists (heap tables hold arbitrary Python values, so
-    there is no payload to decode).  The key list is the one a hot
-    ``Block`` materializes, so searches take the same bisect."""
+    there is no payload to decode, and a value is stored as itself).
+    The key list is the one a hot ``Block`` materializes, so searches
+    take the same bisect."""
 
     __slots__ = ("_values",)
 
-    def __init__(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
-        self._n = len(pairs)
-        self._keys = [key for key, _ in pairs]
-        self._values = [value for _, value in pairs]
+    def __init__(self, keys: list[bytes], values: list[Any]) -> None:
+        self._n = len(keys)
+        self._keys = keys
+        self._values = values
 
     def key(self, i: int) -> bytes:
         return self._keys[i]
 
     def value(self, i: int) -> Any:
         return self._values[i]
+
+    def cells(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, Any]]:
+        return zip(self._keys[start:stop], self._values[start:stop])
 
 
 class SSTable(SSTableBase):
@@ -156,34 +164,36 @@ class SSTable(SSTableBase):
 
     def __init__(
         self,
-        pairs: Sequence[tuple[bytes, Any]],
+        keys: Sequence[bytes],
+        values: Sequence[Any],
         block_entries: int = DEFAULT_BLOCK_ENTRIES,
         filter_factory=None,
         table_id: int | None = None,
     ) -> None:
-        """``pairs`` must be sorted by strictly increasing key."""
-        if not pairs:
+        """The same columns as :func:`write_sstable`, except that a
+        value is stored as itself: ``keys`` strictly increasing,
+        ``values[i]`` belonging to ``keys[i]``."""
+        if not keys:
             raise ValueError("SSTable cannot be empty")
-        for i in range(len(pairs) - 1):
-            if pairs[i][0] >= pairs[i + 1][0]:
-                raise ValueError("SSTable pairs must be sorted and distinct")
+        if len(values) != len(keys):
+            raise ValueError("SSTable values must parallel keys")
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise ValueError("SSTable keys must be sorted and distinct")
         if table_id is None:
             table_id = SSTable._fallback_id
             SSTable._fallback_id += 1
         self.table_id = table_id
         self.blocks = [
-            MemBlock(pairs[i : i + block_entries])
-            for i in range(0, len(pairs), block_entries)
+            MemBlock(list(keys[i : i + block_entries]), list(values[i : i + block_entries]))
+            for i in range(0, len(keys), block_entries)
         ]
-        self.fences = [block.key(0) for block in self.blocks]
-        self.min_key = pairs[0][0]
-        self.max_key = pairs[-1][0]
-        self.n_entries = len(pairs)
+        self.fences = list(keys[::block_entries])
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
+        self.n_entries = len(keys)
         # Filters guard only live keys (tombstones would false-negative
         # reads of older versions, so they are included as keys too).
-        self.filter = (
-            filter_factory([k for k, _ in pairs]) if filter_factory else None
-        )
+        self.filter = filter_factory(keys) if filter_factory else None
 
     @property
     def n_blocks(self) -> int:
@@ -242,31 +252,35 @@ def _decode_filter(tag: int, blob, keys_loader, filter_factory, copy: bool = Tru
 def write_sstable(
     fs: FileSystem,
     path: str,
-    pairs: Sequence[tuple[bytes, Any]],
+    keys: Sequence[bytes],
+    values: Sequence[bytes],
     table_id: int,
     block_entries: int = DEFAULT_BLOCK_ENTRIES,
     filter_factory=None,
 ) -> None:
-    """Write one table file: blocks, filter, footer — then fsync.
+    """Write one table file from two columns — sorted, distinct
+    ``keys`` and their already-encoded ``values``
+    (:func:`~repro.lsm.disk_format.encode_value`) — as blocks, filter,
+    footer; then fsync.
 
     The file is complete and durable when this returns; visibility is
     the manifest's job (a crash before the manifest install leaves an
     orphan file that recovery garbage-collects).
     """
-    if not pairs:
+    if not keys:
         raise ValueError("SSTable cannot be empty")
-    flt = filter_factory([k for k, _ in pairs]) if filter_factory else None
+    flt = filter_factory(keys) if filter_factory else None
     filter_tag, filter_blob = _encode_filter(flt)
 
     f = fs.create(path)
     offsets: list[tuple[int, int]] = []  # (offset, framed length) per block
-    fences: list[bytes] = []
+    fences = keys[::block_entries]
     pos = 0
-    for i in range(0, len(pairs), block_entries):
-        block = list(pairs[i : i + block_entries])
-        raw = disk_format.encode_block(block)
+    for i in range(0, len(keys), block_entries):
+        raw = disk_format.encode_block(
+            keys[i : i + block_entries], values[i : i + block_entries]
+        )
         offsets.append((pos, len(raw)))
-        fences.append(block[0][0])
         f.append(raw)
         pos += len(raw)
     filter_frame = disk_format.frame(bytes([filter_tag]) + filter_blob)
@@ -276,9 +290,9 @@ def write_sstable(
 
     footer = bytearray()
     footer += disk_format.pack_u64(table_id)
-    footer += disk_format.pack_u64(len(pairs))
-    footer += disk_format.pack_bytes(pairs[0][0])
-    footer += disk_format.pack_bytes(pairs[-1][0])
+    footer += disk_format.pack_u64(len(keys))
+    footer += disk_format.pack_bytes(keys[0])
+    footer += disk_format.pack_bytes(keys[-1])
     footer += disk_format.pack_u64(filter_offset)
     footer += disk_format.pack_u64(len(filter_frame))
     footer += disk_format.pack_u64(len(offsets))
@@ -363,16 +377,20 @@ class DiskSSTable(SSTableBase):
         filter_offset, off = disk_format.unpack_u64(footer, off)
         filter_len, off = disk_format.unpack_u64(footer, off)
         n_blocks, off = disk_format.unpack_u64(footer, off)
-        self._block_spans: list[tuple[int, int]] = []
-        self._fences: list[bytes] = []
+        # Built locally and published whole: readers on several threads
+        # may parse the same footer at once, and appending to the
+        # attributes would let their parses interleave into one list.
+        spans: list[tuple[int, int]] = []
+        fences: list[bytes] = []
         for _ in range(n_blocks):
             boff, off = disk_format.unpack_u64(footer, off)
             blen, off = disk_format.unpack_u64(footer, off)
             fence, off = disk_format.unpack_bytes(footer, off)
-            self._block_spans.append((boff, blen))
-            self._fences.append(fence)
+            spans.append((boff, blen))
+            fences.append(fence)
         if off != len(footer):
             raise FrameError(f"{path}: trailing bytes in footer")
+        self._block_spans, self._fences = spans, fences
         self._filter_span = (filter_offset, filter_len)
         self._footer_loaded = True
 
@@ -385,7 +403,7 @@ class DiskSSTable(SSTableBase):
         self._filter = _decode_filter(
             payload[0],
             payload[1:],  # memoryview slice: the filter aliases the map
-            keys_loader=lambda: [k for k, _ in self.items()],
+            keys_loader=lambda: [k for k, _ in self.cells_between(None, None)],
             filter_factory=self._filter_factory,
             copy=False,
         )

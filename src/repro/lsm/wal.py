@@ -37,6 +37,8 @@ _PUT = 1
 _DELETE = 2
 
 _U32 = struct.Struct("<I")
+#: ``<u8 type> <u64 seq> <u32 keylen>``: everything before the key.
+_RECORD_HEAD = struct.Struct("<BQI")
 
 
 def wal_file_name(index: int) -> str:
@@ -44,16 +46,14 @@ def wal_file_name(index: int) -> str:
 
 
 def encode_record(kind: int, seq: int, key: bytes, value: Any = None) -> bytes:
-    payload = bytearray()
-    payload.append(kind)
-    payload += disk_format.pack_u64(seq)
-    payload += _U32.pack(len(key))
-    payload += key
     if kind == _PUT:
         val = disk_format.encode_value(value)
-        payload += _U32.pack(len(val))
-        payload += val
-    return disk_format.frame(bytes(payload))
+        payload = b"".join(
+            (_RECORD_HEAD.pack(kind, seq, len(key)), key, _U32.pack(len(val)), val)
+        )
+    else:
+        payload = _RECORD_HEAD.pack(kind, seq, len(key)) + key
+    return disk_format.frame(payload)
 
 
 class WalWriter:
@@ -101,19 +101,16 @@ class WalWriter:
         """
         if not records:
             return
-        buf = bytearray()
-        encoded: list[tuple[int, bytes]] = []
-        for seq, key, value in records:
-            if value is disk_format.TOMBSTONE:
-                frame_bytes = encode_record(_DELETE, seq, key)
-            else:
-                frame_bytes = encode_record(_PUT, seq, key, value)
-            buf += frame_bytes
-            if self._observer is not None:
-                encoded.append((seq, frame_bytes))
-        self._file.append(bytes(buf))
+        tombstone = disk_format.TOMBSTONE
+        frames = [
+            encode_record(_DELETE, seq, key)
+            if value is tombstone
+            else encode_record(_PUT, seq, key, value)
+            for seq, key, value in records
+        ]
+        self._file.append(b"".join(frames))
         if self._observer is not None:
-            self._pending_frames.extend(encoded)
+            self._pending_frames.extend(zip([r[0] for r in records], frames))
         self.last_seq = records[-1][0]
         self._unsynced += len(records)
         self.sync()

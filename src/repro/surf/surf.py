@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ..filters.bloom import hash64
+from ..filters.bloom import hash64, hash64_many
 from ..fst.fst import FST, FstIterator
 
 SuffixType = Literal["none", "hash", "real", "mixed"]
@@ -68,22 +68,24 @@ class SuRF:
                 raise ValueError("SuRF-Real needs real_bits > 0")
         elif suffix_type == "mixed" and (hash_bits <= 0 or real_bits <= 0):
             raise ValueError("SuRF-Mixed needs hash_bits and real_bits > 0")
+        if max(hash_bits, real_bits) > 64:
+            raise ValueError("suffix bits are stored as 64-bit words")
         self.suffix_type = suffix_type
         self.hash_bits = hash_bits
         self.real_bits = real_bits
-        self.fst = FST(keys, list(range(len(keys))), truncate=True, **fst_kwargs)
+        # The FST's values default to the key positions.
+        self.fst = FST(keys, truncate=True, **fst_kwargs)
         #: Tombstone bit-array (Section 4.5): allocated on first delete.
         self._tombstones: bytearray | None = None
-        # Per-key suffix words, indexed by key position (the FST values).
+        # Per-key suffix words, indexed by key position (the FST values),
+        # computed for the whole key column at once.
         self._hash_suffixes: list[int] = []
         self._real_suffixes: list[int] = []
         if hash_bits:
-            mask = (1 << hash_bits) - 1
-            self._hash_suffixes = [hash64(k) & mask for k in keys]
+            mask = np.uint64((1 << hash_bits) - 1)
+            self._hash_suffixes = (hash64_many(keys) & mask).tolist()
         if real_bits:
-            self._real_suffixes = [
-                _real_suffix_bits(s, real_bits) for s in self.fst.suffixes
-            ]
+            self._real_suffixes = self.fst.suffixes.leading_bits(real_bits).tolist()
 
     # -- point membership -----------------------------------------------------------
 

@@ -30,3 +30,33 @@ class TestCli:
         root = Path(__file__).resolve().parents[1] / "benchmarks"
         for filename in EXPERIMENTS.values():
             assert (root / filename).exists(), filename
+
+
+class TestLazyCore:
+    def test_serving_imports_no_thesis_structures(self):
+        """``repro.core`` (HOPE, the hybrid and compact indexes) loads on
+        first use: starting a server imports none of it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.server; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('repro.core', 'repro.hope', 'repro.dbms', 'repro.hybrid'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "[]"
+
+    def test_core_still_reachable(self):
+        import repro
+        from repro.core import FST, surf_real
+
+        assert repro.core.FST is FST and repro.core.surf_real is surf_real
+        with pytest.raises(AttributeError):
+            repro.not_a_module

@@ -25,10 +25,10 @@ class TestBuilder:
         trie = build_trie(sorted(PAPER_KEYS))
         assert trie.n_keys == 11
         # Level 0 has one node with labels f, s, t.
-        assert trie.levels[0].labels == [ord("f"), ord("s"), ord("t")]
-        assert trie.levels[0].has_child == [True, False, True]
+        assert trie.levels[0].labels.tolist() == [ord("f"), ord("s"), ord("t")]
+        assert trie.levels[0].has_child.tolist() == [True, False, True]
         # Level 1: node under f (prefix-key 'f' + a), node under t (o, r).
-        assert trie.levels[1].labels == [
+        assert trie.levels[1].labels.tolist() == [
             PREFIX_LABEL,
             ord("a"),
             ord("o"),
@@ -37,7 +37,7 @@ class TestBuilder:
         assert trie.levels[1].n_nodes == 2
         # Level 2: node under fa (r, s, t), node under to (p, y),
         # node under tr (i, y).
-        assert trie.levels[2].labels == [
+        assert trie.levels[2].labels.tolist() == [
             ord("r"),
             ord("s"),
             ord("t"),
@@ -54,7 +54,7 @@ class TestBuilder:
         # Shared prefix SIG (3 levels of single branches) + 1 level of
         # distinguishing bytes A, M, O.
         assert trie.height == 4
-        assert trie.levels[3].labels == [ord("A"), ord("M"), ord("O")]
+        assert trie.levels[3].labels.tolist() == [ord("A"), ord("M"), ord("O")]
         # Remaining suffixes after the stored distinguishing byte
         # (SuRF-Real would keep the first bytes of these: I, O, P).
         assert sorted(trie.suffixes) == [b"I", b"OD", b"PS"]
@@ -67,7 +67,7 @@ class TestBuilder:
 
     def test_empty_key_is_prefix_of_all(self):
         trie = build_trie([b"", b"a"])
-        assert trie.levels[0].labels == [PREFIX_LABEL, ord("a")]
+        assert trie.levels[0].labels.tolist() == [PREFIX_LABEL, ord("a")]
 
 
 def make_fst(keys, **kwargs):

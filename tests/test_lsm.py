@@ -26,20 +26,23 @@ def surf_factory(keys):
 
 class TestSSTable:
     def test_blocks_and_fences(self):
-        pairs = [(encode_u64(i), i) for i in range(300)]
-        table = SSTable(pairs, block_entries=64)
+        table = SSTable([encode_u64(i) for i in range(300)], list(range(300)), block_entries=64)
         assert len(table.blocks) == 5
         assert table.fences[0] == encode_u64(0)
         assert table.block_for(encode_u64(100)) == 1
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            SSTable([(b"b", 1), (b"a", 2)])
+            SSTable([b"b", b"a"], [1, 2])
         with pytest.raises(ValueError):
-            SSTable([])
+            SSTable([b"a", b"a"], [1, 2])
+        with pytest.raises(ValueError):
+            SSTable([b"a", b"b"], [1])
+        with pytest.raises(ValueError):
+            SSTable([], [])
 
     def test_overlaps(self):
-        table = SSTable([(b"d", 1), (b"m", 2)])
+        table = SSTable([b"d", b"m"], [1, 2])
         assert table.overlaps(b"a", b"e")
         assert table.overlaps(b"e", b"z")
         assert not table.overlaps(b"n", b"z")

@@ -30,9 +30,10 @@ import time
 
 import pytest
 
-from repro.lsm import LSMTree
+from repro.lsm import LSMTree, disk_format
 from repro.lsm import engine as engine_mod
-from repro.lsm.sstable import DiskSSTable, SSTable, TOMBSTONE
+from repro.lsm.disk_format import encode_value
+from repro.lsm.sstable import DiskSSTable, SSTable, TOMBSTONE, write_sstable
 from repro.testing.faultfs import MemFS
 from repro.testing.threaded import generate_write_ops, model_after, run_torture
 from repro.trees.gapped_btree import GappedBPlusTree
@@ -594,6 +595,22 @@ def _reference_merge(newer, older, drop_tombstones):
     return [kv for kv in out if kv[1] is not TOMBSTONE] if drop_tombstones else out
 
 
+def _on_disk(fs, tables):
+    """The same runs as durable tables: encoded values in LSM2 blocks."""
+    out = []
+    for table in tables:
+        path = f"t{table.table_id}.sst"
+        keys, values = zip(*table.items())
+        write_sstable(fs, path, list(keys), [encode_value(v) for v in values],
+                      table.table_id, block_entries=4)
+        out.append(DiskSSTable(fs, path))
+    return out
+
+
+def _unusable(*args, **kwargs):
+    raise AssertionError("the merge called the value codec")
+
+
 class TestPartitionedMerge:
     SIZE = 16
 
@@ -601,23 +618,29 @@ class TestPartitionedMerge:
         """``n_older`` disjoint tables over ``older_span`` of the
         universe (one of them larger than ``sstable_entries``) and
         ``n_newer`` overlapping runs of about ``newer_keys`` keys drawn
-        from all of it, a fifth of them tombstones."""
+        from all of it, a fifth of them tombstones.  Values are of every
+        storable kind, including the empty ones whose encoding is one
+        tag byte like a tombstone's."""
         lo, hi = older_span
         older = []
         if n_older:
             pool = sorted(rng.sample(universe[lo:hi], min(hi - lo, n_older * 14 + 30)))
             cuts = sorted(rng.sample(range(1, len(pool)), n_older - 1))
             for a, b in zip([0] + cuts, cuts + [len(pool)]):
-                older.append(SSTable([(k, ("old", k)) for k in pool[a:b]], block_entries=4))
+                keys = pool[a:b]
+                values = [rng.choice([f"old-{k.hex()}", a, ""]) for k in keys]
+                older.append(SSTable(keys, values, block_entries=4))
         newer = []
         for age in range(n_newer):
-            picked = sorted(rng.sample(universe, newer_keys + rng.randint(0, 8)))
-            newer.append(SSTable(
-                [(k, TOMBSTONE if rng.random() < 0.2 else ("new", age, k)) for k in picked],
-                block_entries=4,
-            ))
+            keys = sorted(rng.sample(universe, newer_keys + rng.randint(0, 8)))
+            values = [
+                TOMBSTONE if rng.random() < 0.2 else rng.choice([b"new%d" % age, b"", age])
+                for _ in keys
+            ]
+            newer.append(SSTable(keys, values, block_entries=4))
         return newer, older
 
+    @pytest.mark.parametrize("storage", ["heap", "disk"])
     @pytest.mark.parametrize("drop_tombstones", [False, True], ids=["kept", "dropped"])
     @pytest.mark.parametrize(
         "shape",
@@ -631,19 +654,35 @@ class TestPartitionedMerge:
         ],
         ids=["empty-next", "tiny", "even", "beyond-last", "before-first", "overflow"],
     )
-    def test_output_is_the_whole_level_merge_in_full_tables(self, shape, drop_tombstones):
+    def test_output_is_the_whole_level_merge_in_full_tables(
+        self, shape, drop_tombstones, storage, monkeypatch
+    ):
+        """On the heap a table stores values as themselves; on disk the
+        merge carries each encoded value from its input block to the
+        output as the same bytes, and never calls the value codec."""
         universe = [encode_u64(i * 5) for i in range(400)]
-        db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
+        if storage == "heap":
+            db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
+        else:
+            db = LSMTree.open("db", fs=MemFS(), sstable_entries=self.SIZE, block_entries=4)
         for seed in range(25):
             rng = random.Random(seed)
             newer, older = self._tables(rng, universe, **shape)
             want = _reference_merge(newer, older, drop_tombstones)
+            if storage == "disk":
+                fs = MemFS()
+                newer, older = _on_disk(fs, newer), _on_disk(fs, older)
+                want = [(k, encode_value(v)) for k, v in want]
+                monkeypatch.setattr(disk_format, "encode_value", _unusable)
+                monkeypatch.setattr(disk_format, "decode_value", _unusable)
             chunks = list(db._merge_tables(newer, older, drop_tombstones))
-            assert [kv for chunk in chunks for kv in chunk] == want, seed
-            assert all(len(chunk) == self.SIZE for chunk in chunks[:-1]), seed
-            assert all(chunks), seed  # never an empty table
+            monkeypatch.undo()
+            assert [kv for keys, cells in chunks for kv in zip(keys, cells)] == want, seed
+            assert all(len(keys) == self.SIZE for keys, _ in chunks[:-1]), seed
+            assert all(keys for keys, _ in chunks), seed  # never an empty table
             if shape["n_older"] > 1:
                 assert max(t.n_entries for t in older) > self.SIZE
+        db.close()
 
     def test_compaction_writes_the_same_tables_as_before(self):
         """End to end: levels built through the partitioned merge hold
@@ -657,7 +696,8 @@ class TestPartitionedMerge:
         def checked(newer, older, drop):
             chunks = list(original(newer, older, drop))
             merges.append(len(older))
-            assert [kv for c in chunks for kv in c] == _reference_merge(newer, older, drop)
+            got = [kv for keys, cells in chunks for kv in zip(keys, cells)]
+            assert got == _reference_merge(newer, older, drop)
             return iter(chunks)
 
         db._merge_tables = checked

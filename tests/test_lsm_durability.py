@@ -30,6 +30,20 @@ def surf_factory(keys):
     return surf_real(sorted(keys), real_bits=4)
 
 
+def encode_pairs(pairs):
+    """``(key, value)`` pairs as the table writers take them: a key
+    column and a column of encoded values."""
+    return [k for k, _ in pairs], [disk_format.encode_value(v) for _, v in pairs]
+
+
+def block_of(pairs):
+    return disk_format.encode_block(*encode_pairs(pairs))
+
+
+def write_pairs(fs, path, pairs, **kw):
+    write_sstable(fs, path, *encode_pairs(pairs), **kw)
+
+
 # -- disk format -------------------------------------------------------------
 
 
@@ -54,14 +68,14 @@ class TestDiskFormat:
 
     def test_block_roundtrip(self):
         pairs = [(encode_u64(i), i) for i in range(100)]
-        block = disk_format.decode_block(disk_format.encode_block(pairs))
+        block = disk_format.decode_block(block_of(pairs))
         assert len(block) == 100 and list(block) == pairs
         assert block[0] == pairs[0] and block[-1] == pairs[-1]
         with pytest.raises(IndexError):
             block[100]
 
     def test_block_roundtrip_every_value_kind(self):
-        block = disk_format.decode_block(disk_format.encode_block(self.MIXED))
+        block = disk_format.decode_block(block_of(self.MIXED))
         assert list(block) == self.MIXED
         assert block.find(b"e") is TOMBSTONE  # identity, not a copy
         for i, (key, value) in enumerate(self.MIXED):
@@ -77,7 +91,7 @@ class TestDiskFormat:
         key list once it has been probed enough; both must agree on
         stored keys, gaps between them, and both ends."""
         pairs = [(encode_u64(i * 2), i) for i in range(64)]
-        raw = disk_format.encode_block(pairs)
+        raw = block_of(pairs)
         probes = [encode_u64(i) for i in range(130)] + [b"", b"\xff" * 9]
         for probe in probes:
             cold, hot = disk_format.decode_block(raw), disk_format.decode_block(raw)
@@ -88,7 +102,7 @@ class TestDiskFormat:
             assert hot.find(probe, "absent") == cold.find(probe, "absent")
 
     def test_empty_block_roundtrip(self):
-        block = disk_format.decode_block(disk_format.encode_block([]))
+        block = disk_format.decode_block(block_of([]))
         assert len(block) == 0 and list(block) == []
         assert block.first_ge(b"") == 0 and block.find(b"") is None
 
@@ -98,16 +112,16 @@ class TestDiskFormat:
         interleaved = 4 + sum(
             8 + len(k) + len(disk_format.encode_value(v)) for k, v in self.MIXED
         )
-        assert len(disk_format.encode_block(self.MIXED)) == 8 + interleaved
+        assert len(block_of(self.MIXED)) == 8 + interleaved
 
     def test_block_handouts_do_not_alias_the_source_buffer(self):
-        source = bytearray(disk_format.encode_block(self.MIXED))
+        source = bytearray(block_of(self.MIXED))
         block = disk_format.decode_block(memoryview(source))
         source[:] = bytes(len(source))  # the "mmap" goes away
         assert list(block) == self.MIXED
 
     def test_every_single_bit_flip_is_detected(self):
-        blob = disk_format.encode_block(self.MIXED[:4])
+        blob = block_of(self.MIXED[:4])
         for i in range(len(blob)):
             for bit in range(8):
                 damaged = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
@@ -115,7 +129,7 @@ class TestDiskFormat:
                     disk_format.decode_block(damaged)
 
     def test_every_truncation_is_detected(self):
-        blob = disk_format.encode_block(self.MIXED)
+        blob = block_of(self.MIXED)
         for cut in range(len(blob)):
             with pytest.raises(disk_format.FrameError):
                 disk_format.decode_block(blob[:cut])
@@ -223,7 +237,7 @@ class TestManifest:
 
 class TestDiskSSTable:
     def _write(self, fs, pairs, filter_factory=None, **kw):
-        write_sstable(fs, "t.sst", pairs, table_id=7, filter_factory=filter_factory, **kw)
+        write_pairs(fs, "t.sst", pairs, table_id=7, filter_factory=filter_factory, **kw)
         return DiskSSTable(fs, "t.sst", filter_factory=filter_factory)
 
     def test_roundtrip_blocks_fences_metadata(self):
@@ -281,7 +295,7 @@ class TestDiskSSTable:
     def test_corrupt_block_raises_on_read(self):
         fs = MemFS()
         pairs = [(encode_u64(i), i) for i in range(128)]
-        write_sstable(fs, "t.sst", pairs, table_id=0, block_entries=64)
+        write_pairs(fs, "t.sst", pairs, table_id=0, block_entries=64)
         table = DiskSSTable(fs, "t.sst")
         data = bytearray(fs.read("t.sst"))
         data[20] ^= 0xFF  # inside block 0's payload
@@ -296,7 +310,7 @@ class TestDiskSSTable:
         """A file with the pre-columnar "LSMS" trailer — what an engine
         one PR older wrote — fails the magic check at open."""
         fs = MemFS()
-        write_sstable(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
+        write_pairs(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
         blob = fs.read("t.sst")
         assert blob.endswith(b"LSM2")
         f = fs.create("old.sst")
@@ -309,7 +323,7 @@ class TestDiskSSTable:
 
     def test_truncated_file_rejected_at_open(self):
         fs = MemFS()
-        write_sstable(fs, "t.sst", [(b"a", 1)], table_id=0)
+        write_pairs(fs, "t.sst", [(b"a", 1)], table_id=0)
         blob = fs.read("t.sst")
         for cut in (0, 4, len(blob) // 2, len(blob) - 1):
             f = fs.create("cut.sst")
@@ -446,7 +460,7 @@ class TestRecovery:
         _apply(db, _workload(60, seed=10))
         db.close()
         # Simulate a crashed flush: an orphan table and a stale tmp.
-        write_sstable(fs, "db/sst-00009999.sst", [(b"zz", 1)], table_id=9999)
+        write_pairs(fs, "db/sst-00009999.sst", [(b"zz", 1)], table_id=9999)
         f = fs.create("db/MANIFEST-00099999.tmp")
         f.append(b"junk")
         f.sync()

@@ -29,6 +29,7 @@ from repro.fst.serialize import (
     surf_to_bytes,
 )
 from repro.lsm import LSMTree
+from repro.lsm.disk_format import encode_value
 from repro.lsm.fs import MappedFile, OsFileSystem
 from repro.lsm.sstable import DiskSSTable, SSTableReader, write_sstable
 from repro.surf import SuRF
@@ -114,7 +115,8 @@ class TestMappedFile:
 class TestLazyOpen:
     def _write(self, fs, path, n=200, **kw):
         pairs = [(encode_u64(i), i) for i in range(n)]
-        write_sstable(fs, path, pairs, table_id=7, block_entries=8, **kw)
+        values = [encode_value(v) for _, v in pairs]
+        write_sstable(fs, path, [k for k, _ in pairs], values, table_id=7, block_entries=8, **kw)
         return pairs
 
     def test_manifest_id_construction_does_zero_io(self):
@@ -128,6 +130,33 @@ class TestLazyOpen:
         assert t.n_entries == 200
         assert not t._filter_loaded
         assert t.read_block(0)[0] == (encode_u64(0), 0)
+        t.close()
+
+    def test_footer_parsed_by_two_readers_at_once(self, monkeypatch):
+        """Two threads may find the footer unparsed and parse it at the
+        same time.  Here the second parse runs to completion between
+        the first one's fence reads; the table must still list each
+        block once (appending to shared lists doubled them, and a scan
+        then replayed the table)."""
+        from repro.lsm import disk_format
+
+        fs = MemFS()
+        fs.mkdir("d")
+        pairs = self._write(fs, "d/t.sst")
+        t = DiskSSTable(fs, "d/t.sst", table_id=7)
+        unpack_bytes, calls = disk_format.unpack_bytes, []
+
+        def interleaved(data, offset):
+            calls.append(offset)
+            if len(calls) == 3:  # the first fence: another reader parses now
+                t._ensure_footer()
+            return unpack_bytes(data, offset)
+
+        monkeypatch.setattr(disk_format, "unpack_bytes", interleaved)
+        assert t.n_blocks == 25
+        monkeypatch.undo()
+        assert t.fences == [k for k, _ in pairs[::8]]
+        assert list(t.items()) == pairs
         t.close()
 
     def test_footer_id_mismatch_detected(self):
