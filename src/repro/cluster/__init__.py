@@ -1,11 +1,11 @@
 """Multi-node cluster layer: routing, WAL-shipping replication, failover.
 
-Import structure note: :mod:`repro.server.server` imports
-:mod:`repro.cluster.routing` (the shared ``route_key``), while the
-replication/failover modules here import the server package.  Exports
-are therefore resolved lazily — importing :mod:`repro.cluster` pulls in
-nothing but :mod:`.routing`, and the heavier modules load on first
-attribute access, which breaks the cycle.
+Import structure note: :mod:`repro.server.server` imports only
+:mod:`repro.cluster.routing` (the shared ``route_key``), while the node
+(a ``KVServer`` subclass), replication and failover modules import the
+server package.  Exports are therefore resolved lazily — importing
+:mod:`repro.cluster` pulls in nothing but :mod:`.routing`, and the
+heavier modules load on first attribute access, which breaks the cycle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "build_snapshot",
     "install_snapshot",
     "default_placement",
+    "ClusterServer",
     "Cluster",
     "ClusterGroup",
     "ClusterNode",
@@ -46,6 +47,7 @@ _LAZY = {
     "build_snapshot": "membership",
     "install_snapshot": "membership",
     "default_placement": "routing",
+    "ClusterServer": "node",
     "Cluster": "failover",
     "ClusterGroup": "failover",
     "ClusterNode": "failover",

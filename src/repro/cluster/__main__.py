@@ -47,8 +47,8 @@ import threading
 import time
 
 from ..server.client import KVClient, ServerError
-from ..server.server import KVServer
 from .membership import LeaseManager
+from .node import ClusterServer
 from .replicator import DEFAULT_LOG_CAP_BYTES, PrimaryReplication
 from .routing import route_key
 
@@ -57,7 +57,7 @@ async def _node(args: argparse.Namespace) -> int:
     replication = PrimaryReplication(
         allow_resync=not args.no_resync, log_cap_bytes=args.repl_log_cap
     )
-    server = KVServer(
+    server = ClusterServer(
         args.path,
         n_shards=args.shards,
         host=args.host,

@@ -1,7 +1,7 @@
 """Cluster-aware client: placement routing + read-your-writes.
 
 A cluster is a set of *replication groups*.  Each group is one primary
-:class:`~repro.server.server.KVServer` plus its WAL-shipping followers
+:class:`~repro.cluster.node.ClusterServer` plus its WAL-shipping followers
 (every node in a group hosts the same shard subset).  Keys hash into a
 **global shard space** (:func:`~repro.cluster.routing.route_key` over
 ``n_shards``); a *placement map* — shard id → group name, seeded from

@@ -2,7 +2,7 @@
 
 This is the cluster analogue of
 :class:`~repro.server.server.ServerThread`: every node is a full
-:class:`~repro.server.server.KVServer` (own engines, own event loop
+:class:`~repro.cluster.node.ClusterServer` (own engines, own event loop
 thread, own port) so tests, the kill matrix, and the benchmarks drive
 a real multi-node system in one process — and the subprocess CLI
 (``python -m repro.cluster``) runs the very same classes one node per
@@ -42,9 +42,10 @@ from typing import Any, Callable, Sequence
 
 from ..lsm.fs import FileSystem
 from ..server.client import KVClient
-from ..server.server import KVServer, ServerThread
+from ..server.server import ServerThread
 from .client import ClusterTopology, GroupTopology, NodeAddress
 from .membership import LeaseManager
+from .node import ClusterServer
 from .replicator import DEFAULT_LOG_CAP_BYTES, PrimaryReplication
 from .routing import default_placement
 
@@ -71,7 +72,7 @@ class ClusterNode:
         self.replication = PrimaryReplication(
             allow_resync=allow_resync, log_cap_bytes=log_cap_bytes
         )
-        self.server = KVServer(
+        self.server = ClusterServer(
             path,
             n_shards=n_shards,
             host=host,

@@ -377,7 +377,7 @@ class _FollowerLink(threading.Thread):
 
 
 class PrimaryReplication:
-    """Coordinator a primary :class:`~repro.server.server.KVServer`
+    """Coordinator a primary :class:`~repro.cluster.node.ClusterServer`
     attaches at construction: installs the WAL observers, owns the
     per-shard logs and follower links, and gates write acks."""
 
@@ -412,7 +412,7 @@ class PrimaryReplication:
         self._draining = False
         self._stopped = False
 
-    # -- wiring (called by KVServer) ---------------------------------------
+    # -- wiring (called by ClusterServer) -----------------------------------
 
     def _log(self, shard_id: int) -> _ShardLog:
         log = self._logs.get(shard_id)
@@ -443,7 +443,7 @@ class PrimaryReplication:
     def bind(self, server: Any) -> None:
         """Anchor the logs to the opened engines and start the links.
 
-        Called by :meth:`KVServer.start` after every engine has
+        Called by :meth:`ClusterServer.start` after every engine has
         recovered: a shard whose log is still empty has all of its data
         in SSTables (nothing to stream), so its floor is the engine's
         last sequence; a shard that buffered frames during recovery

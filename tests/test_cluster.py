@@ -406,9 +406,10 @@ class TestClusterKillMatrix:
         pfs, views, acked, max_ack = self._cluster_run(ops, fail_at=point)
         assert pfs.crashed
         for mode in CRASH_MODES:
-            from repro.server import KVServer, ServerThread
+            from repro.cluster import ClusterServer
+            from repro.server import ServerThread
 
-            server = KVServer(
+            server = ClusterServer(
                 "killdb/g0-n1",
                 n_shards=1,
                 fs=views[mode],
@@ -861,10 +862,24 @@ class TestLeaseElection:
             cluster.enable_election(lease_interval=0.05, lease_ttl=0.4)
             time.sleep(0.5)  # leases flowing
             group.primary.stop()
+            peers = {n.server.port for n in group.nodes()}
+
+            def elected():
+                """The follower whose lease thread has finished its
+                election: the event is logged and every peer re-attached.
+                (PROMOTE flips the role on the node's loop *before* its
+                reply reaches the lease thread, so the role alone says
+                the thread may still be between the two.)"""
+                for n in group.followers:
+                    links = n.replication.stats()["links"]
+                    if ("promoted", n.server.term) in n.lease.events and (
+                        peers - {n.server.port} <= {link["port"] for link in links}
+                    ):
+                        return n
+                return None
+
             end = time.monotonic() + 30
-            while time.monotonic() < end:
-                if any(n.server.role == "primary" for n in group.followers):
-                    break
+            while elected() is None and time.monotonic() < end:
                 time.sleep(0.05)
             promoted = [
                 n for n in group.followers if n.server.role == "primary"
@@ -977,8 +992,8 @@ class TestResyncInstallCrash:
     def _run(self, fail_at):
         import time
 
-        from repro.cluster import PrimaryReplication
-        from repro.server import KVServer, ServerThread
+        from repro.cluster import ClusterServer, PrimaryReplication
+        from repro.server import ServerThread
 
         pfs = [MemFS(), MemFS()]
         # Tiny cap: the 60 seed writes must overflow it, so the empty
@@ -986,14 +1001,14 @@ class TestResyncInstallCrash:
         # path (a 4 MiB default cap would let it stream from seq 0 and
         # never exercise the install).
         replication = PrimaryReplication(log_cap_bytes=1024)
-        primary = KVServer(
+        primary = ClusterServer(
             "rsdb/p", n_shards=1, fs=lambda i: pfs[i],
             engine_config=TINY_CONFIG, role="primary",
             replication=replication,
         )
         prunner = ServerThread(primary).start()
         ffs = FaultFS()
-        follower = KVServer(
+        follower = ClusterServer(
             "rsdb/f", n_shards=1, fs=lambda i: ffs,
             engine_config=TINY_CONFIG, role="follower",
         )

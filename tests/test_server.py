@@ -18,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.cluster.node import ClusterServer
 from repro.lsm import LSMTree, TOMBSTONE
 from repro.lsm.disk_format import FrameError
 from repro.server import (
@@ -73,10 +74,10 @@ def answer_burst(server, runner, requests):
     return answer_steps(server, runner, decode_burst(server, runner, requests))
 
 
-def start_server(n_shards=2, **kw):
+def start_server(n_shards=2, cls=KVServer, **kw):
     """In-process server over per-shard MemFS; returns (server, runner, fss)."""
     fss = [MemFS() for _ in range(n_shards)]
-    server = KVServer(
+    server = cls(
         "kv",
         n_shards=n_shards,
         fs=lambda i: fss[i],
@@ -671,6 +672,26 @@ class TestServeSignals:
             db1.close()
 
 
+class TestImportBoundary:
+    def test_single_node_server_loads_no_cluster_state_machine(self):
+        """The server shares only the key router with the cluster layer;
+        replication, election and migration live in ``repro.cluster``
+        and load with the cluster node, not with the server."""
+        script = (
+            "import sys, repro.server.server\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'cluster'])))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        ).stdout
+        assert out.split() == ["repro.cluster", "repro.cluster.routing"]
+
+
 # -- crash durability through the network stack ------------------------------
 
 CRASH_CONFIG = dict(
@@ -840,11 +861,13 @@ class TestOpMatrix:
 
         # A primary hosting shard 0 of 2, and a one-shard follower.
         fs = MemFS()
-        primary = KVServer(
+        primary = ClusterServer(
             "p", n_shards=2, shard_ids=[0], fs=fs, engine_config=TINY_CONFIG
         )
         p_runner = ServerThread(primary).start()
-        follower, f_runner, _ = start_server(n_shards=1, role="follower")
+        follower, f_runner, _ = start_server(
+            n_shards=1, cls=ClusterServer, role="follower"
+        )
         candidates = [b"m%d" % i for i in range(40)]
         k0, k1, k2 = [k for k in candidates if shard_of(k, 2) == 0][:3]
         elsewhere = next(k for k in candidates if shard_of(k, 2) == 1)

@@ -19,6 +19,7 @@ import warnings
 import pytest
 
 from repro.cluster import membership
+from repro.cluster.node import ClusterServer
 from repro.cluster.routing import route_key
 from repro.server import AsyncKVClient, KVClient
 from repro.server import protocol
@@ -261,7 +262,7 @@ class TestReadsDuringTransitions:
     away before the burst was answered."""
 
     def test_detach_between_decode_and_answer(self, monkeypatch):
-        server, runner, _ = start_server(n_shards=1)
+        server, runner, _ = start_server(n_shards=1, cls=ClusterServer)
         try:
             with KVClient(server.host, server.port) as c:
                 c.put(b"k", 1)
@@ -278,7 +279,9 @@ class TestReadsDuringTransitions:
         """What SNAP_COMMIT does first — pop the worker, mark the shard
         ``installing`` — turns reads into NOT_OWNER, and GET_AT on a
         follower into LAGGING (the client falls back to the primary)."""
-        server, runner, _ = start_server(n_shards=1, role="follower")
+        server, runner, _ = start_server(
+            n_shards=1, cls=ClusterServer, role="follower"
+        )
         try:
             steps = decode_burst(server, runner, READS)
             worker = server.shards[0]
@@ -329,7 +332,9 @@ class TestReadsDuringTransitions:
         reader hammers it: every reply is a value, NOT_FOUND, or a
         clean refusal — never ERROR — and the reader never hangs."""
         source, source_runner, _ = start_server(n_shards=1)
-        follower, follower_runner, _ = start_server(n_shards=1, role="follower")
+        follower, follower_runner, _ = start_server(
+            n_shards=1, cls=ClusterServer, role="follower"
+        )
         stop = threading.Event()
         seen: dict[str, int] = {}
         failures: list[str] = []

@@ -14,7 +14,8 @@ import struct
 
 import pytest
 
-from repro.lsm import TOMBSTONE
+from repro.cluster.node import ClusterServer
+from repro.lsm import TOMBSTONE, wal
 from repro.lsm.disk_format import FrameError
 from repro.server import FencedError, KVClient, KVServer, ServerThread
 from repro.server import protocol
@@ -32,14 +33,30 @@ TINY_CONFIG = dict(
 #: Every opcode the server knows, plus a few it never will.
 ALL_OPCODES = sorted(protocol.OP_NAMES) + [0, 42, 77, 255]
 
+#: The opcodes only a cluster node serves.
+CLUSTER_OPCODES = (
+    protocol.REPL_APPLY, protocol.WATERMARK, protocol.PROMOTE, protocol.LEASE,
+    protocol.SNAP_BEGIN, protocol.SNAP_CHUNK, protocol.SNAP_COMMIT,
+    protocol.MIGRATE, protocol.MIGRATE_COMMIT, protocol.SHARD_DETACH,
+)
+
+
+def _serve(cls, path):
+    fss = [MemFS(), MemFS()]
+    srv = cls(path, n_shards=2, fs=lambda i: fss[i], engine_config=TINY_CONFIG)
+    return srv, ServerThread(srv).start()
+
 
 @pytest.fixture(scope="module")
 def server():
-    fss = [MemFS(), MemFS()]
-    srv = KVServer(
-        "fuzz", n_shards=2, fs=lambda i: fss[i], engine_config=TINY_CONFIG
-    )
-    runner = ServerThread(srv).start()
+    srv, runner = _serve(KVServer, "fuzz")
+    yield srv
+    runner.stop()
+
+
+@pytest.fixture(scope="module")
+def cluster_server():
+    srv, runner = _serve(ClusterServer, "fuzz-node")
     yield srv
     runner.stop()
 
@@ -135,11 +152,59 @@ class TestMalformedFrames:
             sock.close()
         _still_serviceable(server)
 
+    def test_cluster_opcodes_are_unknown_to_a_plain_server(self, server):
+        """A single-node server serves no cluster opcode: each one, with
+        a body its cluster handler would accept, is answered like any
+        opcode the server lacks, and the same connection carries on."""
+        import json as _json
+
+        doc = {"purpose": "migrate", "snap_seq": 1, "next_table_id": 1,
+               "levels": [[]], "files": []}
+        bodies = {
+            protocol.REPL_APPLY: protocol.encode_repl_apply(
+                0, 0, wal.encode_record(1, 1, b"k", b"v")
+            ),
+            protocol.WATERMARK: b"",
+            protocol.PROMOTE: protocol.encode_promote(5),
+            protocol.LEASE: protocol.encode_lease(1, 1000),
+            protocol.SNAP_BEGIN: protocol.encode_snap_begin(
+                0, 0, _json.dumps(doc).encode()
+            ),
+            protocol.SNAP_CHUNK: protocol.encode_snap_chunk(
+                0, 0, "sst-00000001.sst", 0, b"data"
+            ),
+            protocol.SNAP_COMMIT: protocol.encode_snap_commit(0, 0, 1),
+            protocol.MIGRATE: protocol.encode_migrate(0, "g1", [("127.0.0.1", 1)]),
+            protocol.MIGRATE_COMMIT: protocol.encode_migrate_commit(0, 1),
+            protocol.SHARD_DETACH: protocol.encode_shard_detach(0, "g1"),
+        }
+        assert sorted(bodies) == sorted(CLUSTER_OPCODES)
+        sock = _connect(server)
+        try:
+            for i, (opcode, body) in enumerate(bodies.items()):
+                sock.sendall(protocol.frame(i, opcode, body))
+                request_id, status, reply = _recv_response(sock)
+                assert (request_id, status) == (i, protocol.BAD_REQUEST)
+                assert reply == b"unknown opcode %d" % opcode
+            sock.sendall(
+                protocol.frame(98, protocol.PUT, protocol.encode_key_value(b"c", 3))
+                + protocol.frame(99, protocol.GET, protocol.encode_key(b"c"))
+            )
+            assert _recv_response(sock)[:2] == (98, protocol.OK)
+            assert _recv_response(sock) == (
+                99, protocol.OK, protocol.encode_value_body(3)
+            )
+        finally:
+            sock.close()
+        _still_serviceable(server)
+
     @pytest.mark.parametrize("opcode", ALL_OPCODES)
-    def test_garbage_body_every_opcode(self, server, opcode):
+    def test_garbage_body_every_opcode(self, server, cluster_server, opcode):
         """Unparseable bodies for every opcode (known and unknown) get
         an answer — BAD_REQUEST, or a legitimate status for ops whose
         body happens to decode — and the connection stays usable."""
+        if opcode in CLUSTER_OPCODES:
+            server = cluster_server
         bodies = [
             b"", b"\x00", b"\xff" * 8,
             struct.pack("<I", 2**31) + b"tail",  # huge inner length
@@ -172,10 +237,11 @@ class TestMalformedFrames:
             sock.close()
         _still_serviceable(server)
 
-    def test_repl_apply_garbage_frames_rejected(self, server):
+    def test_repl_apply_garbage_frames_rejected(self, cluster_server):
         """REPL_APPLY is decoded strictly: a CRC-corrupt WAL frame must
         be BAD_REQUEST (a primary is never wrong twice), and on a
         primary the opcode itself is refused."""
+        server = cluster_server
         body = protocol.encode_repl_apply(0, 0, b"not-wal-frames-at-all")
         sock = _connect(server)
         try:
@@ -192,7 +258,8 @@ class TestMembershipOpcodes:
     stateful; abuse of their state machines must be answered (never a
     crash, never a hang) and leave the server serviceable."""
 
-    def test_snap_chunk_without_begin(self, server):
+    def test_snap_chunk_without_begin(self, cluster_server):
+        server = cluster_server
         body = protocol.encode_snap_chunk(0, 0, "sst-00000001.sst", 0, b"data")
         sock = _connect(server)
         try:
@@ -203,7 +270,8 @@ class TestMembershipOpcodes:
             sock.close()
         _still_serviceable(server)
 
-    def test_snap_commit_without_begin(self, server):
+    def test_snap_commit_without_begin(self, cluster_server):
+        server = cluster_server
         body = protocol.encode_snap_commit(0, 0, 10)
         sock = _connect(server)
         try:
@@ -214,7 +282,8 @@ class TestMembershipOpcodes:
             sock.close()
         _still_serviceable(server)
 
-    def test_snap_begin_oversized_declared_snapshot(self, server):
+    def test_snap_begin_oversized_declared_snapshot(self, cluster_server):
+        server = cluster_server
         import json as _json
 
         from repro.cluster.membership import MAX_SNAPSHOT_BYTES
@@ -237,7 +306,8 @@ class TestMembershipOpcodes:
             sock.close()
         _still_serviceable(server)
 
-    def test_snap_begin_path_traversal_name_rejected(self, server):
+    def test_snap_begin_path_traversal_name_rejected(self, cluster_server):
+        server = cluster_server
         import json as _json
 
         doc = {
@@ -257,7 +327,8 @@ class TestMembershipOpcodes:
             sock.close()
         _still_serviceable(server)
 
-    def test_migrate_refused_off_primary_shapes(self, server):
+    def test_migrate_refused_off_primary_shapes(self, cluster_server):
+        server = cluster_server
         # Bad shard id, no targets, garbage target strings: all are
         # answered without the server attempting any connection.
         cases = [
@@ -279,12 +350,7 @@ class TestMembershipOpcodes:
         lease legitimately mutates term state, so the shared fixture
         must not see one): stale terms are FENCED, an equal-term claim
         against a primary is FENCED, a newer term demotes it."""
-        fss = [MemFS(), MemFS()]
-        srv = KVServer(
-            "fuzz-lease", n_shards=2, fs=lambda i: fss[i],
-            engine_config=TINY_CONFIG,
-        )
-        runner = ServerThread(srv).start()
+        srv, runner = _serve(ClusterServer, "fuzz-lease")
         try:
             with KVClient(srv.host, srv.port) as c:
                 c.promote(5)  # primary at term 5
@@ -300,30 +366,36 @@ class TestMembershipOpcodes:
 
 
 class TestRandomFuzz:
-    def test_random_byte_streams_never_hang_the_server(self, server):
+    def test_random_byte_streams_never_hang_the_server(
+        self, server, cluster_server
+    ):
         """Seeded random garbage, interleaved with random valid frames;
-        the server must answer or close every time, within timeout."""
+        the server must answer or close every time, within timeout.  A
+        frame with a cluster opcode goes to the cluster node."""
         rng = random.Random(0xC1A0)
         for round_no in range(30):
-            sock = _connect(server, timeout=10.0)
+            noise = rng.random() < 0.5
+            if not noise:
+                # SHUTDOWN would legitimately stop the server; a
+                # random LEASE body that happens to decode would
+                # legitimately adopt its term and demote the shared
+                # fuzz primary.  Both are state changes a valid
+                # frame is *supposed* to make, so neither belongs
+                # in blind fuzzing (LEASE gets garbage bodies in
+                # test_garbage_body_every_opcode instead).
+                opcode = rng.choice([
+                    op for op in ALL_OPCODES
+                    if op not in (protocol.SHUTDOWN, protocol.LEASE)
+                ])
+            clustered = not noise and opcode in CLUSTER_OPCODES
+            sock = _connect(cluster_server if clustered else server, timeout=10.0)
             try:
-                if rng.random() < 0.5:
+                if noise:
                     # Pure noise (may or may not frame-align).
                     blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
                     sock.sendall(blob)
                 else:
                     # A well-framed request with a random opcode/body.
-                    # SHUTDOWN would legitimately stop the server; a
-                    # random LEASE body that happens to decode would
-                    # legitimately adopt its term and demote the shared
-                    # fuzz primary.  Both are state changes a valid
-                    # frame is *supposed* to make, so neither belongs
-                    # in blind fuzzing (LEASE gets garbage bodies in
-                    # test_garbage_body_every_opcode instead).
-                    opcode = rng.choice([
-                        op for op in ALL_OPCODES
-                        if op not in (protocol.SHUTDOWN, protocol.LEASE)
-                    ])
                     body = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
                     sock.sendall(protocol.frame(round_no, opcode, body))
                 sock.shutdown(socket.SHUT_WR)
@@ -337,6 +409,7 @@ class TestRandomFuzz:
             finally:
                 sock.close()
         _still_serviceable(server)
+        _still_serviceable(cluster_server)
 
 
 # -- the burst decoder against a per-frame reference ------------------------------
