@@ -46,7 +46,6 @@ from ..lsm.wal import iter_records as wal_iter_records
 from ..server import protocol
 from ..server.server import KVServer, _Reply
 from . import membership
-from .routing import route_key
 
 
 class ClusterServer(KVServer):
@@ -162,7 +161,6 @@ class ClusterServer(KVServer):
         if self.role == "primary":
             super()._submit_writes(run)
             return
-        run.shards = [route_key(item[0], self.n_shards) for item in run.items]
         refusal = protocol.NOT_PRIMARY, b"writes go to the primary"
         run.results.update(dict.fromkeys(run.shards, refusal))
 
@@ -183,15 +181,15 @@ class ClusterServer(KVServer):
     def _reads_gated(self) -> bool:
         return self.role != "primary"
 
-    def _refuse_reads(self, run, shards, refused) -> None:
+    def _refuse_reads(self, run, refused) -> None:
         """Refusals as on any server; then a follower's ``GET_AT``
         behind the client's causal token, or mid-resync/migration,
         answers LAGGING: the client falls back to the primary instead
         of reading a stale snapshot or failing the read."""
-        super()._refuse_reads(run, shards, refused)
+        super()._refuse_reads(run, refused)
         if self.role == "primary":
             return
-        at = 0
+        at, shards = 0, run.shards
         for j, (_, opcode, n, min_seq) in enumerate(run.entries):
             if opcode == protocol.GET_AT and n:
                 reply = run.replies.get(j)

@@ -588,14 +588,15 @@ def decode_maybe_values(body: bytes, missing: Any = None) -> list[Any]:
 
 # -- burst-level point-op codec ----------------------------------------------
 #
-# The server decodes and answers GET / GET_AT / BATCH_GET / PUT / DELETE
-# a *run* at a time (DESIGN.md §12): one call here walks every frame of
-# the run, so the per-frame cost is a few bytecodes inside one loop, not
-# a chain of calls.  A run is three parallel structures the caller owns:
+# The server decodes GET / GET_AT / BATCH_GET / PUT / DELETE a *stretch*
+# at a time (DESIGN.md §12): one call here walks every frame of the
+# stretch, so the per-frame cost is a few bytecodes inside one loop, not
+# a chain of calls.  A stretch is parallel structures the caller owns:
 # ``entries`` (one ``(request_id, opcode, n, min_seq)`` per frame, ``n``
-# the number of items the frame contributed), the flat item list, and
-# ``replies`` — entry index -> ready ``(status, body)`` for the entries
-# that are already answered (a malformed body, later a refusal).
+# the number of items the frame contributed), the flat key list of its
+# reads, the flat ``(key, value)`` list of its writes, and ``replies`` —
+# entry index -> ready ``(status, body)`` for the entries that are
+# already answered (a malformed body, later a refusal).
 
 Frames = Sequence[tuple[int, int, bytes]]
 Entries = list[tuple[int, int, int, int]]
@@ -613,61 +614,32 @@ BODY_ERRORS = (
 _BYTES_TAG = disk_format.encode_value(b"")  # the value codec's tag for bytes
 
 
-def decode_point_reads(
-    frames: Frames, start: int, max_keys: int,
-    entries: Entries, keys: list[bytes], replies: Replies,
+def decode_point_ops(
+    frames: Frames, start: int, entries: Entries, keys: list[bytes],
+    items: list[tuple[bytes, Any]], replies: Replies,
 ) -> int:
-    """Decode the GET / GET_AT / BATCH_GET frames at ``frames[start:]``
-    into one read run; returns the index of the first frame not taken
-    (another opcode, or the run holds ``max_keys`` keys).
+    """Decode the stretch of point-op frames at ``frames[start:]``;
+    returns the index of the first frame of another opcode.  A read
+    adds its keys to ``keys``, a write one ``(key, value)`` item to
+    ``items`` (``TOMBSTONE`` for a DELETE).
 
-    A well-formed GET body is read in place.  Any other goes through
-    its per-body decoder, which says what is wrong with it: that entry
-    contributes no key and is answered ``BAD_REQUEST``.
+    A well-formed GET or PUT body is read in place.  Any other goes
+    through its per-body decoder, which says what is wrong with it:
+    that entry contributes no item and is answered ``BAD_REQUEST``.  A
+    PUT may not carry a tombstone.
     """
-    u32 = _U32.unpack_from
-    for i in range(start, len(frames)):
-        request_id, opcode, body = frames[i]
-        n, min_seq = 1, 0
-        try:
-            if opcode == GET:
-                if len(body) >= 4 and u32(body)[0] == len(body) - 4:
-                    keys.append(body[4:])
-                else:
-                    keys.append(decode_key(body))
-            elif opcode == GET_AT:
-                key, min_seq = decode_get_at(body)
-                keys.append(key)
-            elif opcode == BATCH_GET:
-                batch = decode_keys(body)
-                keys += batch
-                n = len(batch)
-            else:
-                return i
-        except BODY_ERRORS as exc:
-            n, replies[len(entries)] = 0, (BAD_REQUEST, str(exc).encode())
-        entries.append((request_id, opcode, n, min_seq))
-        if len(keys) >= max_keys:
-            return i + 1
-    return len(frames)
-
-
-def decode_point_writes(
-    frames: Frames, start: int,
-    entries: Entries, items: list[tuple[bytes, Any]], replies: Replies,
-) -> int:
-    """Decode the PUT / DELETE frames at ``frames[start:]`` into one
-    write run of ``(key, value)`` items (``TOMBSTONE`` for a DELETE);
-    returns the index of the first frame of another opcode.  A
-    well-formed PUT body is read in place, malformed ones are refused
-    as :func:`decode_point_reads` does; a PUT may not carry a tombstone."""
     u32 = _U32.unpack_from
     tombstone = disk_format.TOMBSTONE
     for i in range(start, len(frames)):
         request_id, opcode, body = frames[i]
-        size, n = len(body), 1
+        size, n, min_seq = len(body), 1, 0
         try:
-            if opcode == PUT:
+            if opcode == GET:
+                if size >= 4 and u32(body)[0] == size - 4:
+                    keys.append(body[4:])
+                else:
+                    keys.append(decode_key(body))
+            elif opcode == PUT:
                 # <u32 klen> key <u32 vlen> <tag> ...: vlen >= 1.
                 if (
                     size >= 4
@@ -684,24 +656,31 @@ def decode_point_writes(
                 if value is tombstone:
                     raise ProtocolError("cannot PUT a tombstone")
                 items.append((key, value))
+            elif opcode == GET_AT:
+                key, min_seq = decode_get_at(body)
+                keys.append(key)
+            elif opcode == BATCH_GET:
+                batch = decode_keys(body)
+                keys += batch
+                n = len(batch)
             elif opcode == DELETE:
                 items.append((decode_key(body), tombstone))
             else:
                 return i
         except BODY_ERRORS as exc:
             n, replies[len(entries)] = 0, (BAD_REQUEST, str(exc).encode())
-        entries.append((request_id, opcode, n, 0))
+        entries.append((request_id, opcode, n, min_seq))
     return len(frames)
 
 
 def encode_read_replies(
     entries: Entries, values: Sequence[Any], replies: Replies
-) -> bytes:
-    """The frames answering one read run.  ``values`` holds one engine
-    result per key, in entry order (``None``: absent); an entry in
-    ``replies`` is answered with that instead.  A ``bytes`` value — what
-    a served store mostly holds — is tagged here; other types go
-    through the value codec."""
+) -> list[bytes]:
+    """The frames answering one read run, one per entry.  ``values``
+    holds one engine result per key, in entry order (``None``: absent);
+    an entry in ``replies`` is answered with that instead.  A ``bytes``
+    value — what a served store mostly holds — is tagged here; other
+    types go through the value codec."""
     pack = _FRAME.pack
     out = []
     at = 0
@@ -721,4 +700,4 @@ def encode_read_replies(
         if payload_len > MAX_FRAME_BYTES:
             raise _oversize(payload_len)
         out.append(pack(payload_len, request_id, status) + body)
-    return b"".join(out)
+    return out

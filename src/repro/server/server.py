@@ -10,13 +10,15 @@ stats-lock acquisition, so clients may pipeline arbitrarily many
 requests.
 
 Thread model: each engine has a single *writer* — its shard worker
-thread (:mod:`repro.server.shard`).  A run of PUT/DELETEs becomes one
-queued request per shard (one WAL group commit, one future), submitted
-the moment the run is decoded so pipelined writes overlap; SCAN, COUNT,
-SYNC and STATS use the same queue.  Point reads — GET, BATCH_GET,
-GET_AT — never leave the event-loop thread: a run of them is one
-:meth:`LSMTree.get_many` per shard (the engine's pinned, lock-free read
-path), executed when the burst is answered.
+thread (:mod:`repro.server.shard`).  A *stretch* is a maximal run of
+point ops (GET, GET_AT, BATCH_GET, PUT, DELETE) in one burst; all its
+PUT/DELETEs become one queued request per shard (one WAL group commit,
+one future), submitted the moment the stretch is decoded so pipelined
+writes overlap; SCAN, COUNT, SYNC and STATS use the same queue.  Point
+reads never leave the event-loop thread: the stretch's reads that
+touch no shard written before them run first, the rest after the
+writes are acknowledged, each part as one :meth:`LSMTree.get_many` per
+shard (the engine's pinned, lock-free read path).
 
 Every other opcode is looked up in one ``opcode → handler`` table; an
 opcode it lacks is answered ``BAD_REQUEST``.  A cluster node
@@ -26,10 +28,10 @@ table; this module loads none of its state machines.
 Ordering guarantees: per connection, per shard — a request observes
 every earlier same-connection request routed to the same shard.
 Writes and queued ops keep arrival order in the shard queue; a read
-run executes strictly after every earlier request of its connection
-has *completed* (it may also observe a later pipelined write, which is
-concurrent with it).  Cross-shard requests (SCAN/COUNT/BATCH_GET
-spanning shards) fan out and merge.
+executes strictly after every earlier request of its connection to its
+shards has *completed* (it may also observe a later pipelined write,
+which is concurrent with it).  Cross-shard requests (SCAN/COUNT/
+BATCH_GET spanning shards) fan out and merge.
 
 Shutdown drains: stop accepting, mark the server closing (new requests
 get ``SHUTTING_DOWN``), let every queued request complete, then sync
@@ -67,21 +69,22 @@ MAX_PENDING_BURSTS = 8
 #: (on a cluster node one can be waiting on a dead follower's ack).
 HANGUP_TIMEOUT = 5.0
 
-_POINT_READS = (protocol.GET, protocol.GET_AT, protocol.BATCH_GET)
-_POINT_OPS = _POINT_READS + (protocol.PUT, protocol.DELETE)
+_WRITES = (protocol.PUT, protocol.DELETE)
+_POINT_OPS = (protocol.GET, protocol.GET_AT, protocol.BATCH_GET) + _WRITES
 
 
 class _Run:
-    """Consecutive point ops of one burst as the burst-level codec
-    decodes them (:mod:`repro.server.protocol`): ``entries``, their
-    ``items`` in one flat list, and the ``replies`` of the entries that
-    are already answered."""
+    """Point ops of one stretch as the burst-level codec decodes them
+    (:mod:`repro.server.protocol`): ``entries``, their ``items`` in one
+    flat list, the shard of each item, and the ``replies`` of the
+    entries that are already answered."""
 
-    __slots__ = ("entries", "items", "replies")
+    __slots__ = ("entries", "items", "shards", "replies")
 
     def __init__(self) -> None:
         self.entries: protocol.Entries = []
         self.items: list = []
+        self.shards: list[int] = []
         self.replies: protocol.Replies = {}
 
 
@@ -95,12 +98,26 @@ class _WriteRun(_Run):
     """PUT/DELETEs; the items are ``(key, value)``.  One queued request
     and one future (or one refusal) per shard."""
 
-    __slots__ = ("shards", "results")
+    __slots__ = ("results",)
 
     def __init__(self) -> None:
         super().__init__()
-        self.shards: list[int] = []  # of each item
         self.results: dict[int, Any] = {}  # shard -> future | (status, body)
+
+
+class _Stretch:
+    """A stretch of point ops that holds writes, folded into three
+    parts answered in this order: the ``early`` reads, which touch no
+    shard written before them in the stretch; every write, as one
+    run; the ``late`` reads.  ``order`` names each entry's part
+    (0, 1, 2), in request order."""
+
+    __slots__ = ("early", "writes", "late", "order")
+
+    def __init__(self) -> None:
+        self.early, self.late = _ReadRun(), _ReadRun()
+        self.writes = _WriteRun()
+        self.order: list[int] = []
 
 
 class _Tally:
@@ -378,8 +395,8 @@ class KVServer:
         coroutines are closed, write futures cancelled (the writes
         themselves stay queued and commit).  A no-op after answering."""
         for step in burst[1] if burst else ():
-            if type(step) is _WriteRun:
-                for result in step.results.values():
+            if type(step) is _Stretch:
+                for result in step.writes.results.values():
                     if type(result) is not tuple:
                         result.cancel()
             elif type(step) is not _ReadRun and type(step) is not bytes:
@@ -405,43 +422,72 @@ class KVServer:
 
     def _decode_burst(self, frames: list[tuple[int, int, bytes]]) -> list:
         """One synchronous pass over a burst's frames.  A stretch of
-        point reads is decoded as one read run and a stretch of
-        PUT/DELETEs as one write run, each by one call of the
-        burst-level codec; any other frame is dispatched on its own.
-        A write run is submitted the moment it is decoded — before this
-        pass returns — so arrival order is shard-queue order."""
+        point ops is decoded by one call of the burst-level codec and
+        each read key routed once; a stretch without writes is one read
+        run, one with writes is folded (:meth:`_fold`).  Any other frame
+        is dispatched on its own.  A stretch's writes are submitted the
+        moment it is decoded — before this pass returns — so arrival
+        order is shard-queue order."""
         steps: list = []
         at, n_frames = 0, len(frames)
+        n_shards = self.n_shards
         while at < n_frames:
-            opcode = frames[at][1]
             # A SHUTDOWN earlier in this burst may have begun the drain;
             # from then on _dispatch refuses everything but STATS.
-            if self._closing or opcode not in _POINT_OPS:
+            if self._closing or frames[at][1] not in _POINT_OPS:
                 steps.append(self._dispatch(*frames[at]))
                 at += 1
-            elif opcode in _POINT_READS:
-                run = _ReadRun()
-                at = protocol.decode_point_reads(
-                    frames, at, MAX_BURST, run.entries, run.items, run.replies
-                )
-                steps.append(run)
-            else:
-                run = _WriteRun()
-                at = protocol.decode_point_writes(
-                    frames, at, run.entries, run.items, run.replies
-                )
-                self._submit_writes(run)
-                steps.append(run)
+                continue
+            run, items = _ReadRun(), []
+            at = protocol.decode_point_ops(
+                frames, at, run.entries, run.items, items, run.replies
+            )
+            run.shards = [shard_of(key, n_shards) for key in run.items]
+            steps.append(self._fold(run, items) if items else run)
         return steps
 
-    def _submit_writes(self, run: _WriteRun) -> None:
-        """Route a decoded write run and queue it: one request per
-        shard.  A shard that cannot take the run — not served here,
-        queue full, worker dead — holds the refusal where its future
-        would be."""
+    def _fold(self, run: _ReadRun, items: list[tuple[bytes, Any]]) -> _Stretch:
+        """Split a decoded stretch — ``run`` holds every entry, the read
+        keys and their shards, ``items`` the writes — into early reads,
+        one write run and late reads, and submit the writes.  A read is
+        late once any of its keys routes to a shard a write before it
+        touched."""
         n_shards = self.n_shards
-        run.shards = shards = [shard_of(item[0], n_shards) for item in run.items]
-        results = run.results
+        stretch = _Stretch()
+        early, writes, late = stretch.early, stretch.writes, stretch.late
+        writes.items = items
+        writes.shards = write_shards = [shard_of(item[0], n_shards) for item in items]
+        keys, shards, replies, order = run.items, run.shards, run.replies, stretch.order
+        written: set[int] = set()
+        k = w = 0
+        for j, entry in enumerate(run.entries):
+            n = entry[2]
+            if entry[1] in _WRITES:
+                part, tag = writes, 1
+                if n:
+                    written.add(write_shards[w])
+                    w += 1
+            else:
+                mine = shards[k : k + n]
+                if written.isdisjoint(mine):
+                    part, tag = early, 0
+                else:
+                    part, tag = late, 2
+                part.items += keys[k : k + n]
+                part.shards += mine
+                k += n
+            if j in replies:
+                part.replies[len(part.entries)] = replies[j]
+            part.entries.append(entry)
+            order.append(tag)
+        self._submit_writes(writes)
+        return stretch
+
+    def _submit_writes(self, run: _WriteRun) -> None:
+        """Queue a routed write run: one request per shard.  A shard
+        that cannot take the run — not served here, queue full, worker
+        dead — holds the refusal where its future would be."""
+        shards, results = run.shards, run.results
         batches: dict[int, list[tuple[bytes, Any]]] = {}
         for shard_id in set(shards):
             try:
@@ -466,26 +512,46 @@ class KVServer:
         latency is the time from there to its run's answer."""
         frames: list[bytes] = []
         tally = _Tally(sum(
-            len(step.entries) if isinstance(step, _Run) else 1 for step in steps
+            len(step.entries) if type(step) is _ReadRun
+            else len(step.order) if type(step) is _Stretch else 1
+            for step in steps
         ))
         for step in steps:
             if type(step) is bytes:
                 frames.append(step)
             elif type(step) is _ReadRun:
                 await self._answer_reads(step, started, frames, tally)
-            elif type(step) is _WriteRun:
-                await self._answer_writes(step, started, frames, tally)
+            elif type(step) is _Stretch:
+                await self._answer_stretch(step, started, frames, tally)
             else:
                 tally.flush(self.stats)  # a STATS step must see this burst
                 frames.append(await step)
         tally.flush(self.stats)
         return b"".join(frames)
 
+    async def _answer_stretch(
+        self, stretch: _Stretch, started: float, frames: list[bytes], tally: _Tally
+    ) -> None:
+        """Early reads, then the write run's acks, then late reads —
+        each late read runs after its shard's commit — and the frames
+        back in request order."""
+        early: list[bytes] = []
+        writes: list[bytes] = []
+        late: list[bytes] = []
+        if stretch.early.entries:
+            await self._answer_reads(stretch.early, started, early, tally)
+        await self._answer_writes(stretch.writes, started, writes, tally)
+        if stretch.late.entries:
+            await self._answer_reads(stretch.late, started, late, tally)
+        parts = iter(early), iter(writes), iter(late)
+        frames += [next(parts[tag]) for tag in stretch.order]
+
     async def _answer_writes(
         self, run: _WriteRun, started: float, frames: list[bytes], tally: _Tally
     ) -> None:
         """Await each shard's group commit (and replication gate); a
-        failure answers ``ERROR`` to exactly that shard's requests."""
+        failure answers ``ERROR`` to every request of the run routed to
+        that shard."""
         acks: dict[int, tuple[int, bytes]] = {}
         for shard_id, result in run.results.items():
             if type(result) is not tuple:
@@ -523,10 +589,8 @@ class KVServer:
         ``get_many`` of at most ``MAX_BURST`` keys per shard, yielding
         to the loop once that many keys were read without a break.  An
         exception fails this run's requests only."""
-        entries, replies = run.entries, run.replies
+        entries, replies, shards = run.entries, run.replies, run.shards
         try:
-            n_shards = self.n_shards
-            shards = [shard_of(key, n_shards) for key in run.items]
             keys_of: dict[int, list[bytes]] = {}
             for shard_id, key in zip(shards, run.items):
                 keys_of.setdefault(shard_id, []).append(key)
@@ -553,27 +617,26 @@ class KVServer:
                 found[shard_id] = iter(got)
             values = [next(found[shard_id]) for shard_id in shards]
             if refused or self._reads_gated:
-                self._refuse_reads(run, shards, refused)
-            blob = protocol.encode_read_replies(entries, values, replies)
+                self._refuse_reads(run, refused)
+            answered = protocol.encode_read_replies(entries, values, replies)
         except Exception as exc:
             failed = protocol.ERROR, str(exc).encode()
             replies = {j: replies.get(j, failed) for j in range(len(entries))}
-            blob = b"".join(
+            answered = [
                 protocol.frame(entry[0], *replies[j]) for j, entry in enumerate(entries)
-            )
-        frames.append(blob)
+            ]
+        frames += answered
         tally.errors += sum(
             status == protocol.ERROR for status, _ in replies.values()
         )
         tally.count(entries, time.perf_counter() - started)
 
     def _refuse_reads(
-        self, run: _ReadRun, shards: list[int],
-        refused: dict[int, tuple[int, bytes]],
+        self, run: _ReadRun, refused: dict[int, tuple[int, bytes]]
     ) -> None:
         """The uncommon half of a read run: entries whose shard refused
         the read take the refusal as their reply."""
-        at = 0
+        at, shards = 0, run.shards
         for j, (_, _, n, _) in enumerate(run.entries):
             mine = shards[at : at + n]
             at += n
@@ -612,7 +675,7 @@ class KVServer:
 
     def _dispatch(self, request_id: int, opcode: int, body: bytes):
         """Answer one frame that is not a point op (those are decoded a
-        run at a time, see _decode_burst).  The handler runs inside the
+        stretch at a time, see _decode_burst).  The handler runs inside the
         synchronous decode pass of a burst, so whatever it submits to a
         shard queue is submitted *inline*: per-connection arrival order
         is exactly per-shard queue order — no per-request Task, no

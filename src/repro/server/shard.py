@@ -206,12 +206,11 @@ class ShardWorker(threading.Thread):
             for item in run:
                 self._fail(item, exc)
             return
-        self.stats.record_write_batch(len(entries))
         # Every request in the run is acknowledged at the run's final
         # sequence number — the batch committed atomically, so that seq
         # is a valid (if conservative) causal token for each of them.
         last_seq = ret if isinstance(ret, int) else getattr(self.engine, "last_seq", 0)
-        self._complete_many([(item, last_seq) for item in run])
+        self._complete_writes(run, last_seq, len(entries))
 
     def _do_single(self, item: ShardRequest) -> None:
         try:
@@ -274,21 +273,26 @@ class ShardWorker(threading.Thread):
         )
         self._deliver(item, lambda fut: fut.set_result(result))
 
-    def _complete_many(self, completed: list[tuple[ShardRequest, Any]]) -> None:
-        """Deliver a whole coalesced run with ONE loop wakeup per event
-        loop — per-future ``call_soon_threadsafe`` costs a cross-thread
-        wakeup each, which dominates once runs grow to dozens of
-        requests."""
+    def _complete_writes(
+        self, run: list[ShardRequest], seq: Any, batch_size: int
+    ) -> None:
+        """Deliver a committed write run at ``seq``: its stats under one
+        lock acquisition, and ONE loop wakeup per event loop —
+        per-future ``call_soon_threadsafe`` costs a cross-thread wakeup
+        each, which dominates once runs grow to dozens of requests."""
         now = time.perf_counter()
-        by_loop: dict[Any, list[tuple[Any, Any]]] = {}
-        for item, result in completed:
-            self.stats.record_op(f"shard_{item.op}", now - item.enqueued_at)
-            by_loop.setdefault(item.loop, []).append((item.future, result))
-        for loop, pairs in by_loop.items():
-            def apply(pairs=pairs) -> None:
-                for fut, result in pairs:
+        self.stats.record_burst(
+            [("shard_write", 1, now - item.enqueued_at) for item in run],
+            write_batch=batch_size,
+        )
+        by_loop: dict[Any, list[Any]] = {}
+        for item in run:
+            by_loop.setdefault(item.loop, []).append(item.future)
+        for loop, futures in by_loop.items():
+            def apply(futures=futures) -> None:
+                for fut in futures:
                     if not fut.done():
-                        fut.set_result(result)
+                        fut.set_result(seq)
 
             try:
                 loop.call_soon_threadsafe(apply)

@@ -117,14 +117,19 @@ class ServerStats:
         errors: int = 0,
         overloads: int = 0,
         frames: int = 0,
+        write_batch: int = 0,
     ) -> None:
-        """Everything one answered burst has to report, under one lock
-        acquisition: ``(op, n, seconds)`` latency samples, the width of
-        each inline ``get_many`` call, refusal counts, and how many
-        ``frames`` the burst held (0: not a whole burst)."""
+        """Everything one answered burst — or one committed write batch
+        — has to report, under one lock acquisition: ``(op, n,
+        seconds)`` latency samples, the width of each inline
+        ``get_many`` call, refusal counts, how many ``frames`` the burst
+        held (0: not a whole burst) and the entries of a ``write_batch``
+        call (0: none)."""
         with self._lock:
             if frames:
                 self.burst_frames.record(frames)
+            if write_batch:
+                self.coalesced_writes.record(write_batch)
             for op, n, seconds in samples:
                 self.ops[op] = self.ops.get(op, 0) + n
                 hist = self.latency.get(op)
@@ -135,10 +140,6 @@ class ServerStats:
                 self.coalesced_gets.record(size)
             self.errors += errors
             self.overloads += overloads
-
-    def record_write_batch(self, size: int) -> None:
-        with self._lock:
-            self.coalesced_writes.record(size)
 
     def record_queue_depth(self, shard_id: int, depth: int) -> None:
         with self._lock:

@@ -347,6 +347,7 @@ class TestCoalescing:
         asyncio.run(drive())
         stat = worker.stats.coalesced_writes
         assert stat.calls == 1 and stat.items == 15
+        assert worker.stats.latency["shard_write"].count == 15
         assert worker.engine.get(encode_u64(7)) == 7
         worker.stop()
         worker.join(timeout=10)

@@ -175,6 +175,40 @@ class TestOrdering:
             monkeypatch.undo()
             runner.stop()
 
+    def test_failing_commit_errors_every_write_of_the_stretch(self, monkeypatch):
+        """All of a stretch's writes to one shard are one group commit:
+        when it fails, every one of them is answered ERROR — also the
+        PUT after the read — and the read in between is still answered
+        from the engine, after the commit."""
+        server, runner, _ = start_server(n_shards=2)
+        try:
+            a, *others = keys_on(0, 2, 21)
+            # The worker commits one queued request at a time, so the
+            # outcome cannot depend on whether it merged two of them.
+            server.shards[0].max_burst = 1
+            engine = server.shards[0].engine
+            real_write_batch = engine.write_batch
+
+            def poisoned(entries):
+                if any(key == a for key, _ in entries):
+                    raise RuntimeError("injected group-commit failure")
+                return real_write_batch(entries)
+
+            monkeypatch.setattr(engine, "write_batch", poisoned)
+            for b in others:
+                replies = answer_burst(server, runner, [
+                    (protocol.PUT, protocol.encode_key_value(a, 1)),
+                    (protocol.GET, protocol.encode_key(a)),
+                    (protocol.PUT, protocol.encode_key_value(b, 2)),
+                ])
+                assert [status for status, _ in replies] == [
+                    protocol.ERROR, protocol.NOT_FOUND, protocol.ERROR,
+                ]
+            assert server.stats.errors == 2 * len(others)
+        finally:
+            monkeypatch.undo()
+            runner.stop()
+
     def test_read_run_exception_fails_that_run_only(self, monkeypatch):
         server, runner, _ = start_server(n_shards=1)
         try:
@@ -607,6 +641,37 @@ class TestBurstShape:
             values, deltas = seen["get"]
             assert values == keys
             assert deltas == [1, 16, 0, 0, 2, 16]
+        finally:
+            runner.stop()
+
+    def test_alternating_tick_is_one_commit_and_one_read_per_shard(self):
+        """PUT k, GET k, PUT k', GET k', ... over both shards in one
+        tick: every GET follows a write to its shard, so the stretch is
+        one write run (one queued request and one ``write_batch`` per
+        shard) and one ``get_many`` per shard after the commits."""
+        server, runner, _ = start_server(n_shards=2)
+        try:
+            keys = [k for pair in zip(keys_on(0, 2, 4), keys_on(1, 2, 4)) for k in pair]
+
+            async def drive():
+                client = await AsyncKVClient.connect(server.host, server.port)
+                try:
+                    calls = []
+                    for i, key in enumerate(keys):
+                        calls += [client.put(key, i), client.get(key)]
+                    return await asyncio.gather(*calls)
+                finally:
+                    await client.close()
+
+            results = asyncio.run(drive())
+            assert results[1::2] == list(range(len(keys)))
+            stats = server.stats  # a fresh server: every counter started at 0
+            sizes = (stats.burst_frames, stats.coalesced_writes, stats.coalesced_gets)
+            #        bursts, frames, write_batches, items, get_manys, keys,
+            #        widest get_many, queued write requests
+            assert [n for size in sizes for n in (size.calls, size.items)] + [
+                stats.coalesced_gets.max_size, stats.latency["shard_write"].count,
+            ] == [1, 16, 2, 8, 2, 8, 4, 2]
         finally:
             runner.stop()
 
