@@ -9,7 +9,9 @@ The dense/sparse cutoff follows the paper's size-ratio rule with
 
 Navigation uses the customized rank/select structures of Section 3.6:
 rank blocks of 64 bits on the dense bitmaps and 512 bits on the sparse
-ones, select sampling rate 64 on S-LOUDS.  The label-search strategy is
+ones, select sampling rate 64 on S-LOUDS.  A point probe is one flat
+walk over memoryviews of exactly the arrays :meth:`FST.size_bits`
+counts (see :meth:`FST._lookup`).  The label-search strategy is
 configurable (``vector`` = the SIMD stand-in, ``binary``, ``linear``)
 for the Figure 3.6 ablation.
 
@@ -19,14 +21,15 @@ and the approximate-free ``count`` used by SuRF's range counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from ..bench.counters import COUNTERS
-from ..succinct.bitvector import BitVector
+from ..succinct.bitvector import BitVector, int_view
 from ..succinct.rank import RankSupport
-from ..succinct.select import SelectSupport
+from ..succinct.select import SelectSupport, _select_in_word
 from .builder import PREFIX_LABEL, BuiltTrie, build_trie
 
 FANOUT = 256
@@ -66,8 +69,6 @@ class FST:
         if label_search not in ("vector", "binary", "linear"):
             raise ValueError("label_search must be vector|binary|linear")
         self._label_search = label_search
-        self._sparse_rank_block_override = sparse_rank_block
-        self._select_sample_override = select_sample
         trie = build_trie(keys, values, truncate=truncate)
         self.n_keys = trie.n_keys
         self.height = trie.height
@@ -77,6 +78,7 @@ class FST:
             dense_levels = _choose_dense_levels(trie, size_ratio)
         self.dense_height = min(dense_levels, trie.height)
         self._encode(trie)
+        self._finish(sparse_rank_block, select_sample)
 
     # -- encoding -------------------------------------------------------------
 
@@ -118,9 +120,6 @@ class FST:
         self._dense_level_node_start = (
             np.cumsum(trie.node_counts[:dh]) - trie.node_counts[:dh]
         ).tolist()
-        self._d_labels_rank = RankSupport(self.d_labels, _DENSE_RANK_BLOCK)
-        self._d_haschild_rank = RankSupport(self.d_haschild, _DENSE_RANK_BLOCK)
-        self._d_isprefix_rank = RankSupport(self.d_isprefix, _DENSE_RANK_BLOCK)
 
         # ---- sparse levels ----
         self.s_labels = trie.labels[cut:]
@@ -131,19 +130,49 @@ class FST:
         #: per sparse level: starting label index, plus the end (for
         #: count boundaries)
         self._sparse_level_start = (trie.level_starts[dh:] - cut).tolist()
-        self._s_haschild_rank = RankSupport(self.s_haschild, self._sparse_block())
-        self._s_louds_rank = RankSupport(self.s_louds, self._sparse_block())
-        self._s_louds_select = (
-            SelectSupport(self.s_louds, bit=1, sample_rate=self._select_rate())
-            if len(self.s_louds)
-            else None
+
+    def _finish(
+        self,
+        sparse_rank_block: int = _SPARSE_RANK_BLOCK,
+        select_sample: int = _SELECT_SAMPLE,
+    ) -> None:
+        """Build the rank/select supports over the encoded arrays and
+        bind the views :meth:`_lookup` walks (run after building and
+        after loading, :func:`~repro.fst.serialize.fst_from_bytes`)."""
+        self._d_labels_rank = RankSupport(self.d_labels, _DENSE_RANK_BLOCK)
+        self._d_haschild_rank = RankSupport(self.d_haschild, _DENSE_RANK_BLOCK)
+        self._d_isprefix_rank = RankSupport(self.d_isprefix, _DENSE_RANK_BLOCK)
+        self._s_haschild_rank = RankSupport(self.s_haschild, sparse_rank_block)
+        self._s_louds_rank = RankSupport(self.s_louds, sparse_rank_block)
+        select = None
+        if len(self.s_louds):
+            select = SelectSupport(self.s_louds, bit=1, sample_rate=select_sample)
+        self._s_louds_select = select
+        # Zero-copy views that index to plain ints, aliasing exactly the
+        # arrays size_bits() counts: the walk keeps no table of its own.
+        self._walk = (
+            int_view(self.d_labels.words),
+            int_view(self.d_haschild.words),
+            int_view(self.d_isprefix.words),
+            int_view(self._d_labels_rank.lut),
+            int_view(self._d_haschild_rank.lut),
+            int_view(self._d_isprefix_rank.lut),
+            self.d_values,
+            self.dense_height,
+            self.dense_node_count,
+            self.s_labels,
+            int_view(self.s_labels),
+            int_view(self.s_haschild.words),
+            int_view(self._s_haschild_rank.lut),
+            int_view(self.s_louds.words),
+            int_view(self._s_louds_rank.lut),
+            int_view(select.samples) if select else None,
+            select_sample,
+            sparse_rank_block,
+            sparse_rank_block // 64,
+            self.s_values,
+            self.dense_child_count - self.dense_node_count,
         )
-
-    def _sparse_block(self) -> int:
-        return getattr(self, "_sparse_rank_block_override", _SPARSE_RANK_BLOCK)
-
-    def _select_rate(self) -> int:
-        return getattr(self, "_select_sample_override", _SELECT_SAMPLE)
 
     # -- basic node navigation ---------------------------------------------------
 
@@ -172,30 +201,6 @@ class FST:
                 return (word_idx << 6) + ((word & -word).bit_length() - 1)
             word_idx += 1
         return n
-
-    def _sparse_find_label(self, start: int, end: int, byte: int) -> int | None:
-        """Index of ``byte`` among s_labels[start:end], or None."""
-        mode = self._label_search
-        if mode == "vector":
-            # numpy vectorized equality: the SIMD-search stand-in.
-            hits = np.nonzero(self.s_labels[start:end] == byte)[0]
-            return start + int(hits[0]) if len(hits) else None
-        if mode == "binary":
-            lo, hi = start, end
-            # Prefix pseudo-label (-1) sorts first; array is sorted.
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.s_labels[mid] < byte:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < end and self.s_labels[lo] == byte:
-                return lo
-            return None
-        for i in range(start, end):
-            if self.s_labels[i] == byte:
-                return i
-        return None
 
     # -- value positions -----------------------------------------------------------
 
@@ -233,63 +238,158 @@ class FST:
         return found[0] if found is not None else None
 
     def _lookup(self, key: bytes) -> tuple[Any, bytes] | None:
-        """Returns (value, remaining_key_after_stored_prefix) or None."""
+        """Returns (value, remaining_key_after_stored_prefix) or None.
+
+        One flat LOUDS-DS walk (Sections 3.3-3.6) over the views bound
+        by :meth:`_finish`.  Each level is a few word reads and integer
+        operations, with no call into the bit-vector, rank or select
+        objects:
+
+        * rank is inlined as ``lut[block] + (word & mask).bit_count()``
+          (plus the whole words before ``word`` in its block when the
+          sparse block is wider than 64 bits);
+        * a sparse node's start is ``select1(node + 1)`` on S-LOUDS: the
+          select sample bounds a ``bisect`` over the S-LOUDS rank LUT,
+          which names the block that holds the bit; its words are
+          scanned by popcount, and the bit is found in its word through
+          the byte offset table;
+        * the node's end is the next S-LOUDS bit, found by word scan;
+        * the label search is the configured ``label_search`` mode.
+        """
         if self.n_keys == 0:
             return None
-        node = 0
-        level = 0
-        # ---- dense walk ----
-        while level < self.dense_height:
-            # One LOUDS-Dense step: a D-Labels word, the colocated
-            # D-HasChild word, and (amortised) the dense rank LUT line.
-            COUNTERS.node_visit(2 * FANOUT // 8, lines_touched=2)
-            if level == len(key):
-                if self.d_isprefix.get(node):
-                    return self.d_values[self._dense_prefix_value_index(node)], b""
-                return None
-            pos = node * FANOUT + key[level]
-            if not self.d_labels.get(pos):
-                return None
-            if not self.d_haschild.get(pos):
-                value = self.d_values[self._dense_value_index(pos)]
-                remaining = key[level + 1 :]
-                if not self.truncated and remaining:
+        (
+            d_labels, d_haschild, d_isprefix, dl_lut, dh_lut, dp_lut, d_values,
+            dense_height, dense_nodes, s_labels, labels, haschild, hc_lut,
+            louds, louds_lut, samples, rate, block, block_words, s_values,
+            child_base,
+        ) = self._walk
+        profiling = COUNTERS.enabled
+        n = len(key)
+        node = level = 0
+        # ---- LOUDS-Dense: a bit test and a rank per level ----
+        while level < dense_height:
+            # A D-Labels word, the colocated D-HasChild word, and
+            # (amortised) the dense rank LUT line.
+            if profiling:
+                COUNTERS.node_visit(2 * FANOUT // 8, lines_touched=2)
+            if level == n:
+                w, bit = node >> 6, node & 63
+                if not (d_isprefix[w] >> bit) & 1:
                     return None
-                return value, remaining
-            node = self._d_haschild_rank.rank1(pos)  # global child number
+                # Prefix values up to this node's, plus the terminal
+                # labels of every node before it (node * 256 is a word
+                # boundary, so the LUT entry is the whole rank).
+                first = node << 2
+                value = (
+                    dp_lut[w] + (d_isprefix[w] & ((2 << bit) - 1)).bit_count() - 1
+                    + dl_lut[first] - dh_lut[first]
+                )
+                return d_values[value], b""
+            pos = (node << 8) | key[level]
+            w = pos >> 6
+            bit = 1 << (pos & 63)
+            lw = d_labels[w]
+            if not lw & bit:
+                return None
+            hw = d_haschild[w]
+            upto = (bit << 1) - 1
+            if not hw & bit:
+                remaining = key[level + 1 :]
+                if remaining and not self.truncated:
+                    return None
+                pw, pbit = node >> 6, node & 63
+                value = (
+                    dp_lut[pw] + (d_isprefix[pw] & ((2 << pbit) - 1)).bit_count()
+                    + dl_lut[w] + (lw & upto).bit_count()
+                    - dh_lut[w] - (hw & upto).bit_count() - 1
+                )
+                return d_values[value], remaining
+            node = dh_lut[w] + (hw & upto).bit_count()  # global child number
             level += 1
-            if node >= self.dense_node_count:
+            if node >= dense_nodes:
                 break
         else:
             # Ran out of dense levels while still inside them: the trie
             # is fully dense and the key is longer than every path.
-            if self.dense_height == self.height:
+            if dense_height == self.height:
                 return None
-        # ---- sparse walk ----
-        snode = node - self.dense_node_count
+        # ---- LOUDS-Sparse: select, label search and rank per level ----
+        n_labels = len(labels)
+        last_word = len(louds) - 1
+        mode = self._label_search
+        snode = node - dense_nodes
         while True:
-            start, end = self._sparse_node_range(snode)
-            # One LOUDS-Sparse step: the label chunk (SIMD-sized), the
-            # S-HasChild word, and the rank/select LUT line; >90 % of
-            # nodes fit one 16-label chunk (Section 3.6).
-            COUNTERS.node_visit(
-                end - start + 16, lines_touched=2 + (end - start) // 16
-            )
-            if level == len(key):
-                if self.s_labels[start] == PREFIX_LABEL:
-                    return self.s_values[self._sparse_value_index(start)], b""
-                return None
-            idx = self._sparse_find_label(start, end, key[level])
-            if idx is None:
-                return None
-            if not self.s_haschild.get(idx):
-                value = self.s_values[self._sparse_value_index(idx)]
-                remaining = key[level + 1 :]
-                if not self.truncated and remaining:
+            # Node start = select1(snode + 1) over S-LOUDS.
+            start = samples[snode // rate]
+            if snode % rate:
+                r = snode + 1
+                b = bisect_left(louds_lut, r, start // block + 1) - 1
+                j = r - louds_lut[b]
+                w = b * block_words
+                word = louds[w]
+                ones = word.bit_count()
+                while ones < j:
+                    j -= ones
+                    w += 1
+                    word = louds[w]
+                    ones = word.bit_count()
+                start = (w << 6) + (
+                    (word & -word).bit_length() - 1 if j == 1 else _select_in_word(word, j)
+                )
+            # Node end = the next S-LOUDS bit (nodes are small).
+            p = start + 1
+            w = p >> 6
+            word = louds[w] >> (p & 63) if p < n_labels else 0
+            while not word and w < last_word:
+                w += 1
+                word = louds[w]
+                p = w << 6
+            end = p + (word & -word).bit_length() - 1 if word else n_labels
+            # The label chunk (SIMD-sized), the S-HasChild word, and the
+            # rank/select LUT line; >90 % of nodes fit one 16-label
+            # chunk (Section 3.6).
+            if profiling:
+                COUNTERS.node_visit(
+                    end - start + 16, lines_touched=2 + (end - start) // 16
+                )
+            if level == n:
+                if labels[start] != PREFIX_LABEL:
                     return None
-                return value, remaining
-            child = self.dense_child_count + self._s_haschild_rank.rank1(idx)
-            snode = child - self.dense_node_count
+                idx = start  # the prefix-key label: terminal
+            else:
+                byte = key[level]
+                if mode == "binary":
+                    # Prefix pseudo-label (-1) sorts first; labels sort
+                    # within a node.
+                    idx = bisect_left(labels, byte, start, end)
+                    if idx == end or labels[idx] != byte:
+                        return None
+                elif mode == "linear":
+                    idx = start
+                    while idx < end and labels[idx] != byte:
+                        idx += 1
+                    if idx == end:
+                        return None
+                else:
+                    # numpy vectorized equality: the SIMD-search stand-in.
+                    hits = np.flatnonzero(s_labels[start:end] == byte)
+                    if not len(hits):
+                        return None
+                    idx = start + int(hits[0])
+            # rank1(idx) over S-HasChild.
+            w = idx >> 6
+            hw = haschild[w]
+            bit = idx & 63
+            ones = hc_lut[idx // block] + (hw & ((2 << bit) - 1)).bit_count()
+            for x in range(idx // block * block_words, w):
+                ones += haschild[x].bit_count()
+            if not (hw >> bit) & 1:
+                remaining = key[level + 1 :]
+                if remaining and not self.truncated:
+                    return None
+                return s_values[idx - ones], remaining
+            snode = child_base + ones
             level += 1
 
     def __contains__(self, key: bytes) -> bool:
@@ -335,17 +435,15 @@ class FST:
         tables = getattr(self, "_sparse_tables", None)
         if tables is None:
             n = len(self.s_louds)
-            if n:
-                bits = np.unpackbits(
-                    self.s_louds.words.view(np.uint8), bitorder="little", count=n
-                )
-                starts = np.flatnonzero(bits).astype(np.int64)
-                node_of = np.cumsum(bits, dtype=np.int64) - 1
-            else:
-                starts = np.zeros(0, dtype=np.int64)
-                node_of = np.zeros(0, dtype=np.int64)
-            node_starts = np.concatenate([starts, [n]]).astype(np.int64)
-            comp = node_of * 512 + self.s_labels.astype(np.int64) + 1
+            # Both tables are int32 (half the resident bytes of int64):
+            # node numbers times 512 must stay below 2**31.
+            assert (self.sparse_node_count + 1) * 512 < 1 << 31, "too many sparse nodes"
+            bits = np.unpackbits(
+                self.s_louds.words.view(np.uint8), bitorder="little", count=n
+            )
+            node_starts = np.append(np.flatnonzero(bits), n).astype(np.int32)
+            node_of = np.cumsum(bits, dtype=np.int32) - 1
+            comp = node_of * 512 + self.s_labels + 1
             tables = (node_starts, comp)
             self._sparse_tables = tables
         return tables
@@ -479,7 +577,8 @@ class FST:
                 s_idx, snode, s_level = s_idx[keep], snode[keep], s_level[keep]
                 if not s_idx.size:
                     break
-            target = snode * 512 + mat[s_idx, s_level] + 1
+            # In comp's own dtype, or searchsorted would convert comp.
+            target = (snode * 512 + mat[s_idx, s_level] + 1).astype(comp.dtype)
             li = np.searchsorted(comp, target)
             safe_li = np.minimum(li, n_comp - 1)
             found = (li < n_comp) & (comp[safe_li] == target)

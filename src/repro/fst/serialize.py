@@ -3,7 +3,8 @@
 The paper's flagship deployment persists one SuRF per SSTable next to
 the table file (Section 4.2), so filters must round-trip through bytes.
 The format is a little-endian header + the raw succinct arrays; rank
-and select supports are derived structures and are rebuilt on load.
+and select supports are derived structures and are rebuilt on load
+with the FST defaults.
 
 Values must be non-negative 64-bit integers (key indexes / record
 pointers), which is what both SuRF and the paper's index workloads
@@ -16,10 +17,8 @@ import struct
 
 import numpy as np
 
-from ..succinct.bitvector import BitVector
-from ..succinct.rank import RankSupport
-from ..succinct.select import SelectSupport
-from .fst import FST, _DENSE_RANK_BLOCK
+from ..succinct.bitvector import BitVector, int_view
+from .fst import FST
 
 MAGIC = b"FST1"
 SURF_MAGIC = b"SRF1"
@@ -68,13 +67,14 @@ def _unpack_u64_list(buf: memoryview, offset: int) -> tuple[list[int], int]:
     return [int(v) for v in arr], offset + 8 * n
 
 
-def _unpack_u64_array(buf: memoryview, offset: int) -> tuple[np.ndarray, int]:
+def _unpack_u64_view(buf: memoryview, offset: int) -> tuple[memoryview, int]:
     """View-path variant of :func:`_unpack_u64_list`: a zero-copy
-    ``np.frombuffer`` view (read-only when the buffer is)."""
+    memoryview (read-only when the buffer is) whose items are plain
+    ints, as fast to index as the list."""
     (n,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
     arr = np.frombuffer(buf[offset : offset + 8 * n], dtype=np.uint64)
-    return arr, offset + 8 * n
+    return int_view(arr), offset + 8 * n
 
 
 def fst_to_bytes(fst: FST) -> bytes:
@@ -110,8 +110,8 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     """Reconstruct an FST; rank/select supports are rebuilt.
 
     ``copy=False`` is the zero-copy path: the bit-vector words, sparse
-    labels, and value arrays are ``np.frombuffer`` views aliasing
-    ``data`` (read-only when ``data`` is, e.g. over an mmap'd SSTable).
+    labels, and value columns are views aliasing ``data`` (read-only
+    when ``data`` is, e.g. over an mmap'd SSTable).
     The caller owns the buffer's lifetime; the FST never mutates these
     arrays, so sharing is safe.  Rank/select supports are still built
     fresh — they are derived, engine-private, and small.
@@ -141,10 +141,8 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst.truncated = bool(truncated)
     fst.suffixes = []  # reconstructible only from the key corpus
     fst._label_search = "binary"
-    fst._sparse_rank_block_override = 512
-    fst._select_sample_override = 64
 
-    unpack_values = _unpack_u64_list if copy else _unpack_u64_array
+    unpack_values = _unpack_u64_list if copy else _unpack_u64_view
     fst.d_labels, offset = _unpack_bitvector(buf, offset, copy)
     fst.d_haschild, offset = _unpack_bitvector(buf, offset, copy)
     fst.d_isprefix, offset = _unpack_bitvector(buf, offset, copy)
@@ -162,16 +160,7 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst._dense_level_node_start, offset = _unpack_u64_list(buf, offset)
     fst._sparse_level_start, offset = _unpack_u64_list(buf, offset)
 
-    fst._d_labels_rank = RankSupport(fst.d_labels, _DENSE_RANK_BLOCK)
-    fst._d_haschild_rank = RankSupport(fst.d_haschild, _DENSE_RANK_BLOCK)
-    fst._d_isprefix_rank = RankSupport(fst.d_isprefix, _DENSE_RANK_BLOCK)
-    fst._s_haschild_rank = RankSupport(fst.s_haschild, 512)
-    fst._s_louds_rank = RankSupport(fst.s_louds, 512)
-    fst._s_louds_select = (
-        SelectSupport(fst.s_louds, bit=1, sample_rate=64)
-        if len(fst.s_louds)
-        else None
-    )
+    fst._finish()
     return fst
 
 
@@ -223,7 +212,7 @@ def surf_from_bytes(data, copy: bool = True):
     offset += fst_len
     tombstones = bytearray(buf[offset : offset + tomb_len]) if tomb_len else None
     offset += tomb_len
-    unpack_values = _unpack_u64_list if copy else _unpack_u64_array
+    unpack_values = _unpack_u64_list if copy else _unpack_u64_view
     hash_suffixes, offset = unpack_values(buf, offset)
     real_suffixes, offset = unpack_values(buf, offset)
 

@@ -44,6 +44,17 @@ def pack_bools(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def int_view(arr: np.ndarray) -> memoryview:
+    """A zero-copy memoryview of a contiguous integer array whose items
+    index to plain Python ints (a numpy array boxes each element).
+
+    Cast through bytes to the native format: numpy exports an array at
+    an unaligned offset — a view into a serialized blob — with a
+    standard-size format (``=Q``) that memoryview cannot index.
+    """
+    return memoryview(arr).cast("B").cast(arr.dtype.char)
+
+
 class BitVector:
     """An immutable sequence of bits.
 

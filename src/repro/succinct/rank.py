@@ -24,6 +24,16 @@ DENSE_RANK_BLOCK_BITS = 64
 SPARSE_RANK_BLOCK_BITS = 512
 
 
+def _cumulative_popcounts(bv: BitVector) -> np.ndarray:
+    """``cum[k]`` = ones strictly before word ``k``, for every word and
+    the end (``uint32``: the entries must fit 32 bits)."""
+    n_words = (len(bv) + WORD_BITS - 1) // WORD_BITS
+    cum = np.zeros(n_words + 1, dtype=np.int64)
+    np.cumsum(_popcounts_per_word(bv.words[:n_words]), out=cum[1:])
+    assert cum[-1] < 1 << 32, "rank entries must fit 32 bits"
+    return cum.astype(np.uint32)
+
+
 class RankSupport:
     """rank1/rank0 over an immutable :class:`BitVector`.
 
@@ -40,19 +50,20 @@ class RankSupport:
         self._bv = bv
         self._block_bits = block_bits
         words_per_block = block_bits // WORD_BITS
-        per_word = _popcounts_per_word(bv.words).astype(np.uint64)
-        n_blocks = (len(bv) + block_bits - 1) // block_bits if len(bv) else 0
-        # lut[k] = number of ones strictly before block k.
-        padded = np.zeros(n_blocks * words_per_block, dtype=np.uint64)
-        padded[: len(per_word)] = per_word
-        block_pops = padded.reshape(n_blocks, words_per_block).sum(axis=1) if n_blocks else padded
-        self._lut = np.zeros(n_blocks + 1, dtype=np.uint64)
-        if n_blocks:
-            np.cumsum(block_pops, out=self._lut[1:])
+        # lut[k] = number of ones strictly before block k (plus the total
+        # at the end), stored at the 32 bits per entry size_bits() charges.
+        cum = _cumulative_popcounts(bv)
+        self._lut = np.append(cum[: len(cum) - 1 : words_per_block], cum[-1])
         #: Per-word cumulative popcounts for the batch path; built
-        #: lazily on the first ``rank1_many`` call (query accelerator,
-        #: not part of the paper's modeled LUT overhead).
-        self._word_cum: np.ndarray | None = None
+        #: lazily on the first ``rank1_many`` call.  With 64-bit blocks
+        #: the LUT *is* that table, so nothing more is kept.
+        self._word_cum: np.ndarray | None = self._lut if words_per_block == 1 else None
+
+    @property
+    def lut(self) -> np.ndarray:
+        """``lut[k]`` = ones before block ``k`` (``uint32``, one entry per
+        block plus the total): what a flat probe inlines rank from."""
+        return self._lut
 
     def rank1(self, i: int) -> int:
         """Number of ones in ``[0, i]``; requires ``0 <= i < len(bv)``."""
@@ -74,10 +85,7 @@ class RankSupport:
         """``cum[k]`` = ones strictly before word ``k`` (lazy cache)."""
         cum = self._word_cum
         if cum is None:
-            per_word = _popcounts_per_word(self._bv.words).astype(np.int64)
-            cum = np.zeros(len(per_word) + 1, dtype=np.int64)
-            np.cumsum(per_word, out=cum[1:])
-            self._word_cum = cum
+            cum = self._word_cum = _cumulative_popcounts(self._bv)
         return cum
 
     def rank1_many(self, positions: np.ndarray) -> np.ndarray:
@@ -100,7 +108,7 @@ class RankSupport:
         # the word (uint64 left shift drops the rest modulo 2^64).
         shift = (np.int64(63) - (pos & 63)).astype(np.uint64)
         masked = np.left_shift(self._bv.words[word_idx], shift)
-        return cum[word_idx] + _popcounts_per_word(masked).astype(np.int64)
+        return cum[word_idx].astype(np.int64) + _popcounts_per_word(masked)
 
     def rank0_many(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank0` (same contract as :meth:`rank1_many`)."""

@@ -16,12 +16,13 @@ answer: the sample bounds a bisect over the directory from below, and
 at most eight words are scanned after it.  The directory is counted in
 :meth:`SelectSupport.size_bits` (+0.5 % on a SuRF-Real filter).
 
-Construction is vectorized: per-word popcounts come from the shared
-16-bit table, a cumulative sum locates each sampled rank's word via one
-``searchsorted``, and only the in-word offsets are resolved in Python —
-O(n / sample_rate) calls instead of one call per bit.  In-word select
-walks bytes through a 256x8 offset table (at most 8 steps), the Python
-analogue of the broadword/PDEP tricks C implementations use.
+Construction is one numpy pass: unpack the words, ``flatnonzero`` the
+target bits, and keep every ``sample_rate``-th position; the directory
+is one ``searchsorted`` of the block starts into those positions.  Both
+tables are stored as ``uint32``, the width :meth:`SelectSupport.size_bits`
+charges.  In-word select walks bytes through a 256x8 offset table (at
+most 8 steps), the Python analogue of the broadword/PDEP tricks C
+implementations use.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bitvector import WORD_BITS, _WORD_MASK, BitVector, _popcounts_per_word
+from .bitvector import WORD_BITS, _WORD_MASK, BitVector
 
 #: Words per directory block (512 bits, one cache line — the sparse
 #: rank LUT's granularity).
@@ -81,39 +82,31 @@ class SelectSupport:
         self._rate = sample_rate
         n_bits = len(bv)
         n_words = (n_bits + WORD_BITS - 1) // WORD_BITS
-        per_word = _popcounts_per_word(bv.words[:n_words]).astype(np.int64)
-        if bit == 0:
-            per_word = WORD_BITS - per_word
-            rem = n_bits & 63
-            if rem:
-                # The last word's padding zeros are not part of the vector.
-                per_word[-1] -= WORD_BITS - rem
-        cum = np.cumsum(per_word)
-        self._total = int(cum[-1]) if n_words else 0
-        #: Target bits strictly before each block (a list: ``bisect``
-        #: over it is ~10x cheaper than ``np.searchsorted`` per call).
-        self._block_before: list[int] = [0] + cum[
-            _BLOCK_WORDS - 1 : n_words - 1 : _BLOCK_WORDS
-        ].tolist()
-        ranks = np.arange(1, self._total + 1, sample_rate, dtype=np.int64)
-        word_idx = np.searchsorted(cum, ranks, side="left")
-        before = np.zeros(len(ranks), dtype=np.int64)
-        np.subtract(cum[word_idx], per_word[word_idx], out=before)
-        samples = np.empty(len(ranks), dtype=np.uint64)
-        words = bv.words
-        for s, (wi, r, b) in enumerate(
-            zip(word_idx.tolist(), ranks.tolist(), before.tolist())
-        ):
-            word = int(words[wi])
-            if bit == 0:
-                word = ~word & _WORD_MASK
-            samples[s] = (wi << 6) + _select_in_word(word, r - b)
-        self._samples = samples
+        assert n_bits < 1 << 32, "select entries must fit 32 bits"
+        # Every target bit's position in one pass; the samples are every
+        # ``sample_rate``-th of them.
+        bits = np.unpackbits(
+            bv.words[:n_words].view(np.uint8), bitorder="little", count=n_bits
+        )
+        positions = np.flatnonzero(bits if bit else bits ^ 1)
+        self._total = len(positions)
+        self._samples = positions[::sample_rate].astype(np.uint32)
+        #: Target bits strictly before each block, searched by ``bisect``
+        #: through a memoryview (stored at the 32 bits it is charged).
+        block_starts = np.arange(0, n_bits, _BLOCK_WORDS * WORD_BITS)
+        before = np.searchsorted(positions, block_starts).astype(np.uint32)
+        self._block_before = memoryview(before if len(before) else np.zeros(1, np.uint32))
 
     @property
     def total(self) -> int:
         """Number of target bits in the vector."""
         return self._total
+
+    @property
+    def samples(self) -> np.ndarray:
+        """``samples[k]`` = position of target bit ``k * rate + 1``
+        (``uint32``): what a flat probe starts its select scan from."""
+        return self._samples
 
     def select(self, r: int) -> int:
         """Position of the r-th (1-based) target bit."""

@@ -38,6 +38,14 @@ def _real_suffix_bits(suffix: bytes, n_bits: int) -> int:
     return value >> (needed * 8 - n_bits)
 
 
+def _gather(column: list[int] | memoryview, positions: list[int]) -> np.ndarray:
+    """``column[positions]`` as ``uint64``: only the hit entries are
+    read, never a conversion of the whole column."""
+    return np.fromiter(
+        map(column.__getitem__, positions), dtype=np.uint64, count=len(positions)
+    )
+
+
 class SuRF:
     """Succinct Range Filter over a static set of byte keys."""
 
@@ -78,9 +86,10 @@ class SuRF:
         #: Tombstone bit-array (Section 4.5): allocated on first delete.
         self._tombstones: bytearray | None = None
         # Per-key suffix words, indexed by key position (the FST values),
-        # computed for the whole key column at once.
-        self._hash_suffixes: list[int] = []
-        self._real_suffixes: list[int] = []
+        # computed for the whole key column at once.  A loaded filter
+        # holds zero-copy memoryviews instead; both index to plain ints.
+        self._hash_suffixes: list[int] | memoryview = []
+        self._real_suffixes: list[int] | memoryview = []
         if hash_bits:
             mask = np.uint64((1 << hash_bits) - 1)
             self._hash_suffixes = (hash64_many(keys) & mask).tolist()
@@ -126,9 +135,7 @@ class SuRF:
         hits = [i for i, f in enumerate(found) if f is not None]
         if not hits:
             return out
-        kidx = np.fromiter(
-            (found[i][0] for i in hits), dtype=np.int64, count=len(hits)
-        )
+        positions = [found[i][0] for i in hits]
         ok = np.ones(len(hits), dtype=bool)
         if self._tombstones is not None:
             # View, not copy: the bytearray is allocated full-size on the
@@ -136,25 +143,24 @@ class SuRF:
             # the duration of this call is safe (only a *resize* would
             # raise BufferError); bit-sets via delete() cannot run
             # concurrently with a lookup on a single-threaded shard.
+            kidx = np.array(positions, dtype=np.int64)
             tomb = np.frombuffer(self._tombstones, dtype=np.uint8)
             ok &= (tomb[kidx >> 3] >> (kidx & 7).astype(np.uint8)) & 1 == 0
         if self.hash_bits:
             mask = (1 << self.hash_bits) - 1
             query = np.fromiter(
                 (hash64(keys[i]) & mask for i in hits),
-                dtype=np.int64,
+                dtype=np.uint64,
                 count=len(hits),
             )
-            stored = np.asarray(self._hash_suffixes, dtype=np.int64)[kidx]
-            ok &= query == stored
+            ok &= query == _gather(self._hash_suffixes, positions)
         if self.real_bits:
             query = np.fromiter(
                 (_real_suffix_bits(found[i][1], self.real_bits) for i in hits),
-                dtype=np.int64,
+                dtype=np.uint64,
                 count=len(hits),
             )
-            stored = np.asarray(self._real_suffixes, dtype=np.int64)[kidx]
-            ok &= query == stored
+            ok &= query == _gather(self._real_suffixes, positions)
         for i, good in zip(hits, ok.tolist()):
             out[i] = good
         return out
@@ -283,10 +289,10 @@ class SuRF:
         return surf_to_bytes(self)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SuRF":
+    def from_bytes(cls, data: bytes, copy: bool = True) -> "SuRF":
         from ..fst.serialize import surf_from_bytes
 
-        return surf_from_bytes(data)
+        return surf_from_bytes(data, copy=copy)
 
     def __len__(self) -> int:
         return self.fst.n_keys

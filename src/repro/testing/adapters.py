@@ -333,7 +333,9 @@ class FilterAdapter(Adapter):
             flt = self._ensure()
             if not hasattr(flt, "to_bytes"):
                 return SKIPPED
-            self.filter = type(flt).from_bytes(flt.to_bytes())
+            # The zero-copy load an SSTable serves, so the batch ==
+            # scalar check below also runs on view-backed arrays.
+            self.filter = type(flt).from_bytes(flt.to_bytes(), copy=False)
             return None
         flt = self._ensure()
         if op.op in ("get", "contains"):

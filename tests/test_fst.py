@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.counters import COUNTERS
 from repro.fst import FST, build_trie
 from repro.fst.builder import PREFIX_LABEL
+from repro.fst.serialize import fst_from_bytes
 from repro.workloads import email_keys, random_u64_keys
 
 PAPER_KEYS = [b"f", b"far", b"fas", b"fast", b"fat", b"s", b"top", b"toy", b"trie", b"trip", b"try"]
@@ -255,6 +257,113 @@ class TestTruncateMode:
         full = FST(keys, list(range(len(keys))))
         trunc = FST(keys, list(range(len(keys))), truncate=True)
         assert trunc.size_bits() < full.size_bits()
+
+
+#: Key families that take every branch of the point walk.
+FAMILIES = {
+    "empty_key": [b"", b"a", b"ab", b"b", b"ba"],
+    "prefix_chain": [b"k" * n for n in range(1, 40)],
+    "zero_ff": [b"\x00", b"\x00\x00", b"\x00\xff", b"\x00\xff\x00", b"\xff",
+                b"\xff\x00", b"\xff\xff", b"\xff\xff\xff"],
+    "single": [b"lonely"],
+    "u64": random_u64_keys(300, seed=41),
+    "email": email_keys(150, seed=42),
+}
+#: (sparse rank block, select sampling rate) settings of the Section
+#: 3.6 space/time dial.
+DIALS = [(512, 64), (64, 64), (64, 8), (64, 1)]
+#: Trie layouts; a dense-only trie has no sparse part for the dial to set.
+LAYOUTS = [(layout, dial) for layout in ("ratio", "sparse_only") for dial in DIALS]
+LAYOUTS.append(("dense_only", DIALS[0]))
+
+
+def near_misses(keys):
+    """Stored keys plus absent neighbours: extensions by 0x00 / 0xFF,
+    truncations, a flipped first byte, and the empty key."""
+    out = set(keys) | {b""}
+    for k in keys[::3]:
+        out |= {k + b"\x00", k + b"\xff", k[:-1], bytes([k[0] ^ 1]) + k[1:] if k else b"\x01"}
+    return sorted(out)
+
+
+def sorted_list_get(pairs, key):
+    i = bisect.bisect_left(pairs, key)
+    return i if i < len(pairs) and pairs[i] == key else None
+
+
+class TestScalarBatchParity:
+    """The scalar walk, the batched walk and a sorted-list oracle agree
+    on every key family, label-search mode, rank/select dial and load
+    path (built, ``copy=True``, zero-copy ``copy=False``)."""
+
+    @pytest.mark.parametrize(
+        ("layout", "dial"), LAYOUTS, ids=[f"{lay}-{b}-{r}" for lay, (b, r) in LAYOUTS]
+    )
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_scalar_equals_batch_equals_oracle(self, family, layout, dial):
+        pairs = sorted(FAMILIES[family])
+        queries = near_misses(pairs)
+        dense_levels = {"ratio": None, "sparse_only": 0, "dense_only": 100}[layout]
+        block, rate = dial
+        for truncate in (False, True):
+            for mode in ("vector", "binary", "linear"):
+                built = FST(pairs, list(range(len(pairs))), dense_levels=dense_levels,
+                            truncate=truncate, label_search=mode,
+                            sparse_rank_block=block, select_sample=rate)
+                if layout == "dense_only":
+                    assert built.dense_height == built.height
+                if layout == "sparse_only":
+                    assert built.dense_height == 0
+                blob = built.to_bytes()
+                for copy in (True, False):
+                    loaded = fst_from_bytes(blob, copy=copy)
+                    loaded._label_search = mode
+                    loaded._finish(block, rate)
+                    for fst in (built, loaded):
+                        scalar = [fst._lookup(q) for q in queries]
+                        assert scalar == fst._lookup_many(queries)
+                        for i, k in enumerate(pairs):
+                            assert fst.get(k) == i
+                        if not truncate:
+                            assert [fst.get(q) for q in queries] == [
+                                sorted_list_get(pairs, q) for q in queries
+                            ]
+
+
+class TestAccessCounts:
+    #: (node_visits, cache_lines) of the scalar and the batched walk on
+    #: the query set below; the access model must not drift with the
+    #: walk's implementation.
+    EXPECTED = {
+        ("email", None): (6323, 12646),
+        ("email", 0): (6323, 12646),
+        ("u64", None): (5417, 10834),
+        ("u64", 0): (5417, 21004),
+    }
+
+    @pytest.mark.parametrize(("family", "dense_levels"), sorted(EXPECTED, key=str))
+    def test_exact_counts(self, family, dense_levels):
+        if family == "email":
+            keys = sorted(email_keys(400, seed=7))
+        else:
+            keys = sorted(random_u64_keys(1000, seed=7))
+        queries = (keys[::3] + [k + b"!" for k in keys[::7]]
+                   + [k[:-1] for k in keys[::5]] + [b""])
+        fst = FST(keys, list(range(len(keys))), dense_levels=dense_levels)
+        expected = self.EXPECTED[(family, dense_levels)]
+        COUNTERS.start()
+        try:
+            for q in queries:
+                fst.get(q)
+        finally:
+            scalar = COUNTERS.stop()
+        COUNTERS.start()
+        try:
+            fst.get_many(queries)
+        finally:
+            batch = COUNTERS.stop()
+        assert (scalar.node_visits, scalar.cache_lines) == expected
+        assert (batch.node_visits, batch.cache_lines) == expected
 
 
 class TestFstProperties:

@@ -11,6 +11,7 @@ from repro.succinct import (
     RankSupport,
     SelectSupport,
 )
+from repro.succinct.select import _select_in_word
 
 
 class TestBitVector:
@@ -99,6 +100,17 @@ class TestRankSupport:
         assert RankSupport(bv, block_bits=512).size_bits() == 2 * 32
         assert RankSupport(bv, block_bits=64).size_bits() == 16 * 32
 
+    @pytest.mark.parametrize("block_bits", [64, 512])
+    def test_tables_stored_at_the_charged_width(self, block_bits):
+        """The LUT and the batch path's per-word table are 32 bits per
+        entry; at 64-bit blocks they are one table."""
+        bv = BitVector.from_bools(np.random.default_rng(3).random(3000) < 0.3)
+        rs = RankSupport(bv, block_bits=block_bits)
+        pos = np.arange(0, 3000, 7)
+        assert rs.rank1_many(pos).tolist() == [rs.rank1(int(p)) for p in pos]
+        assert rs.lut.dtype == rs._word_cum.dtype == np.uint32
+        assert (rs._word_cum is rs.lut) == (block_bits == 64)
+
 
 class TestSelectSupport:
     def test_select1_matches_naive(self):
@@ -136,6 +148,42 @@ class TestSelectSupport:
         ss = SelectSupport(BitVector.from_bits(bits), bit=1, sample_rate=rate)
         for r in (1, 150, 300):
             assert ss.select(r) == r - 1
+
+    @pytest.mark.parametrize("rate", [1, 8, 64, 256])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_samples_match_per_sample_loop(self, rate, bit):
+        """The one-pass build stores the samples the per-sample loop it
+        replaced computed, on seeded vectors of every density."""
+        rng = np.random.default_rng(rate * 2 + bit)
+        for n_bits, density in ((5000, 0.06), (4097, 0.5), (1000, 0.97), (63, 0.5)):
+            bv = BitVector.from_bools(rng.random(n_bits) < density)
+            ss = SelectSupport(bv, bit=bit, sample_rate=rate)
+            expected = loop_samples(bv, bit, rate)
+            assert ss.samples.tolist() == expected
+            assert ss.samples.dtype == np.uint32
+            assert ss.total == int(np.count_nonzero(np.unpackbits(
+                bv.words.view(np.uint8), bitorder="little", count=n_bits
+            ) == bit))
+
+
+def loop_samples(bv, bit, rate):
+    """Select samples built one sample at a time: a cumulative popcount
+    finds each sampled rank's word, and the offset is resolved in it."""
+    n_bits = len(bv)
+    n_words = (n_bits + 63) // 64
+    words = [int(w) for w in bv.words[:n_words]]
+    if bit == 0:
+        words = [~w & ((1 << 64) - 1) for w in words]
+        if n_bits & 63:
+            words[-1] &= (1 << (n_bits & 63)) - 1
+    cum = np.cumsum([w.bit_count() for w in words]) if words else np.zeros(0, np.int64)
+    total = int(cum[-1]) if n_words else 0
+    samples = []
+    for r in range(1, total + 1, rate):
+        wi = int(np.searchsorted(cum, r, side="left"))
+        before = int(cum[wi]) - words[wi].bit_count()
+        samples.append((wi << 6) + _select_in_word(words[wi], r - before))
+    return samples
 
 
 class TestRankSelectProperties:

@@ -6,6 +6,7 @@ The cardinal rule everywhere: a SuRF may false-positive, but a false
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -191,3 +192,45 @@ class TestTombstones:
     def test_provably_absent_delete_rejected(self):
         f = surf_base(EMAIL_KEYS)
         assert not f.delete(b"\x00definitely-not-stored")
+
+
+@pytest.mark.parametrize(("name", "make"), VARIANTS, ids=[v[0] for v in VARIANTS])
+class TestScalarBatchParity:
+    """``lookup`` and ``lookup_many`` answer alike on a built filter and
+    on both load paths (``copy=True`` and the zero-copy view an SSTable
+    serves), and the truncated trie's scalar and batched walks return
+    the same (value, remaining suffix)."""
+
+    def test_lookup_equals_lookup_many(self, name, make):
+        rng = random.Random(83)
+        edge = [b"", b"\x00", b"\x00\xff", b"\xff", b"\xff\x00", b"\xff\xff"]
+        for keys in (INT_KEYS, EMAIL_KEYS, edge, [b"lonely"]):
+            built = make(keys)
+            deleted = keys[len(keys) // 2]
+            built.delete(deleted)
+            blob = built.to_bytes()
+            probes = keys[::5] + [perturb(rng, k) for k in keys[::2] if k] + [b""]
+            for f in (built, SuRF.from_bytes(blob), SuRF.from_bytes(blob, copy=False)):
+                assert [f.lookup(q) for q in probes] == f.lookup_many(probes)
+                assert f.lookup_many(keys) == [k != deleted for k in keys]
+                fst = f.fst
+                assert [fst._lookup(q) for q in probes] == fst._lookup_many(probes)
+
+
+class TestLookupManyAllocation:
+    def test_one_key_batch_copies_no_suffix_column(self):
+        """A batch reads the suffix words of its hits, not a converted
+        copy of the table's whole column."""
+        keys = sorted(random_u64_keys(65_536, seed=84))
+        view = SuRF.from_bytes(
+            surf_mixed(keys, hash_bits=4, real_bits=4).to_bytes(), copy=False
+        )
+        probe = [keys[123]]
+        assert view.lookup_many(probe) == [True]  # warm-up: lazy batch tables
+        tracemalloc.start()
+        try:
+            assert view.lookup_many(probe) == [True]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
