@@ -18,9 +18,10 @@ write time — a storage format must not silently depend on pickle.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Any, Iterator, Sequence
 
 #: Marker value for deletions (RocksDB tombstones).  Defined here, at
@@ -124,37 +125,58 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 # -- entry blocks ------------------------------------------------------------
 
 
+# Block reads its little-endian offset header in place through
+# memoryview.cast("I"), which is native order and native size.
+if sys.byteorder != "little" or struct.calcsize("I") != 4:
+    raise ImportError(
+        "repro.lsm needs a little-endian host with a 4-byte C unsigned int "
+        f"(byteorder={sys.byteorder}, sizeof(unsigned int)={struct.calcsize('I')})"
+    )
+
+
 def encode_block(keys: Sequence[bytes], values: Sequence[bytes]) -> bytes:
     """One SSTable block, framed and CRC-checked, laid out in columns::
 
-        <u32 n> <u32 klen[n]> <u32 vlen[n]> <keys...> <values...>
+        <u32 off[0..2n]> <keys...> <values...>
 
+    ``off[0] = 4 * (2n + 1)`` is where the keys start (so it also gives
+    ``n``); key ``i`` is ``[off[i], off[i+1])``, value ``i`` is
+    ``[off[n+i], off[n+i+1])`` and ``off[2n]`` is the payload size.
     ``values`` are already encoded (:func:`encode_value`), so a block
-    is one ``struct.pack`` of the lengths and one join per column.  The
-    same byte count as interleaving each length with its field;
-    putting the lengths first lets :class:`Block` compute every offset
-    with one ``unpack_from`` instead of walking the entries.
+    is one ``struct.pack`` of the running sum and one join per column.
+    The same byte count as interleaving each length with its field;
+    storing the offsets themselves lets :class:`Block` read them in
+    place instead of decoding anything.
     """
     n = len(keys)
-    header = struct.pack(f"<{2 * n + 1}I", n, *map(len, keys), *map(len, values))
-    return frame(header + b"".join(keys) + b"".join(values))
+    offsets = accumulate(chain(map(len, keys), map(len, values)), initial=8 * n + 4)
+    return frame(struct.pack(f"<{2 * n + 1}I", *offsets) + b"".join(keys) + b"".join(values))
 
 
 #: Searches after which a cached block builds its key list: the list
-#: costs ~9 us and saves ~1.2 us per search after that.
+#: (with its offset-order check) costs ~9 us and saves ~1.0 us per
+#: search after that — 1.2 us bisecting in place over the offset view,
+#: 0.2 us over the list; break-even 8.4-9.2 searches on a 64-entry
+#: block (EXPERIMENTS.md, "Blocks that open without decoding").
 _HOT_BLOCK_PROBES = 8
 
 
 class Block:
     """One decoded SSTable block: a sorted run of ``(key, value)``.
 
-    Owns a single ``bytes`` copy of the block payload plus one list of
-    field offsets; keys are sliced and values decoded only for the entries a
-    caller touches, so a point read that misses the block cache pays
-    for one copy, one ``unpack_from`` and a bisect — not for building
-    every entry.  Everything handed out is a fresh ``bytes``/``int``/
-    ``str`` object: nothing aliases the payload's source buffer (an
-    mmap'd table file) or the cached block itself.
+    Owns a single ``bytes`` copy of the block payload plus a ``u32``
+    view of the offset header inside it; keys are sliced and values
+    decoded only for the entries a caller touches, so a point read that
+    misses the block cache pays for one copy, one cast and a bisect —
+    not for decoding the header or building every entry.  Everything
+    handed out is a fresh ``bytes``/``int``/``str`` object: nothing
+    aliases the payload's source buffer (an mmap'd table file) or the
+    cached block itself.
+
+    Opening checks the header's shape and both ends of the offsets, not
+    that each pair is ordered (that would be a pass per cache miss): a
+    decreasing pair is a :class:`FrameError` once a walk over the
+    offsets — :meth:`cells` or the hot key list — reaches it.
     """
 
     __slots__ = ("_payload", "_n", "_off", "_keys", "_probes")
@@ -162,21 +184,18 @@ class Block:
     def __init__(self, payload: bytes) -> None:
         if len(payload) < 4:
             raise FrameError("truncated block payload")
-        (n,) = _U32.unpack_from(payload, 0)
-        base = 4 + 8 * n
+        (base,) = _U32.unpack_from(payload, 0)
+        if base & 7 != 4:
+            raise FrameError("block key offset is not 4 * (2n + 1)")
         if base > len(payload):
             raise FrameError("block entry count out of range")
         self._payload = payload
-        self._n = n
-        #: Field boundaries: keys lie back to back and the values follow
-        #: them, so one running sum over both length columns places
-        #: key ``i`` at ``[off[i], off[i+1])`` and value ``i`` at
-        #: ``[off[n+i], off[n+i+1])``.
-        self._off = list(
-            accumulate(struct.unpack_from(f"<{2 * n}I", payload, 4), initial=base)
-        )
-        if self._off[-1] != len(payload):
-            raise FrameError("block lengths do not match payload size")
+        self._n = base >> 3
+        #: Field boundaries, read in place: key ``i`` at
+        #: ``[off[i], off[i+1])``, value ``i`` at ``[off[n+i], off[n+i+1])``.
+        self._off = off = memoryview(payload)[:base].cast("I")
+        if off[-1] != len(payload):
+            raise FrameError("block offsets do not match payload size")
         #: The key column as a list, built once the block proves hot
         #: (see :meth:`first_ge`); ``_probes`` counts searches so far.
         self._keys: list[bytes] | None = None
@@ -184,6 +203,15 @@ class Block:
 
     def __len__(self) -> int:
         return self._n
+
+    def _offsets(self) -> list[int]:
+        """Every field offset as a list, checked never to decrease —
+        for the walks that touch every field (the hot key list, a
+        compaction's :meth:`cells`), not for a point read."""
+        off = self._off.tolist()
+        if off != sorted(off):
+            raise FrameError("block offsets decrease")
+        return off
 
     def key(self, i: int) -> bytes:
         return self._payload[self._off[i] : self._off[i + 1]]
@@ -204,7 +232,7 @@ class Block:
 
         A cold block — most blocks, when the data outgrows the cache —
         is searched in place: a hand-rolled bisect slices only the ~6
-        keys it visits (1.4 us on 64 entries), where building the key
+        keys it visits (1.2 us on 64 entries), where building the key
         list first costs 9 us.  A block that keeps being probed (a
         cache-resident working set) has paid that difference after
         ``_HOT_BLOCK_PROBES`` searches, so it then materializes the
@@ -223,6 +251,7 @@ class Block:
                     else:
                         hi = mid
                 return lo
+            off = self._offsets()
             keys = self._keys = [
                 payload[a:b] for a, b in zip(off, off[1 : self._n + 1])
             ]
@@ -251,7 +280,7 @@ class Block:
     def cells(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Entries ``[start, stop)`` as stored: ``(key, encoded value)``,
         nothing decoded — what a compaction carries to its output."""
-        n, off, cut = self._n, self._off, self._payload.__getitem__
+        n, off, cut = self._n, self._offsets(), self._payload.__getitem__
         stop = n if stop is None else stop
         return zip(
             map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1])),

@@ -201,11 +201,14 @@ class DictMemtable:
 _MISSING = object()
 #: Value slot of a cursor run's lower-bound marker (see ``_table_run``).
 _BOUND = object()
-#: Fewest keys landing in one table for which the filter's vectorized
-#: ``lookup_many`` beats one scalar probe per key.  Source: the "LSM
-#: get, SuRF-Real, vector kernel forced" rows of
-#: ``benchmarks/results/batch_queries.json`` (one default-size table):
-#: 0.64x the scalar loop at 8 keys, 1.13x at 16, 3.4x at 64.
+#: Keys landing in one table from which the filter is probed with its
+#: vectorized ``lookup_many`` instead of one scalar probe per key.  Set
+#: at the crossover of the older, method-call scalar probe (≈ 16 keys);
+#: since the flat LOUDS-DS walk the scalar probe wins up to ≈ 40 keys
+#: per table (per-key time of ``lookup_many`` over scalar ``lookup``:
+#: 2.06x at 16 keys, 1.14x at 32, 0.68x at 64 — EXPERIMENTS.md, "Point
+#: probes in the thesis's shape").  Not retuned yet: a faster read
+#: path runs more ledger laps, and the ledger's RSS grows with them.
 _VECTOR_PROBE_MIN = 16
 #: Wasted L0 probes one rewritten entry is worth.  A point read that
 #: searches an L0 table (or probes its filter) without finding its key

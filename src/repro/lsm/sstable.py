@@ -17,14 +17,15 @@ Two concrete kinds share one interface (:class:`SSTableBase`):
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
     [block 0] [block 1] ... [block n-1] [filter frame] [footer frame]
-    <u32 footer_frame_len> <magic "LSM2">
+    <u32 footer_frame_len> <magic "LSM3">
 
 The footer is found from the fixed-size trailer at the end of the
 file, RocksDB-style, so a table is self-describing.  The magic doubles
-as the format tag: "LSM2" blocks are columnar (see
+as the format tag: "LSM3" blocks are columnar with an offset header
+that a reader uses in place (see
 :func:`~repro.lsm.disk_format.encode_block`), and a file written with
-the interleaved "LSMS" layout is rejected by the magic check instead
-of being misparsed.
+an older layout — "LSM2" length columns, "LSMS" interleaved entries —
+is rejected by the magic check instead of being misparsed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .fs import FileSystem
 
 DEFAULT_BLOCK_ENTRIES = 64
 
-TABLE_MAGIC = b"LSM2"
+TABLE_MAGIC = b"LSM3"
 
 #: Filter-blob tags in the table footer.
 _FILTER_NONE = 0

@@ -596,7 +596,7 @@ def _reference_merge(newer, older, drop_tombstones):
 
 
 def _on_disk(fs, tables):
-    """The same runs as durable tables: encoded values in LSM2 blocks."""
+    """The same runs as durable tables: encoded values in LSM3 blocks."""
     out = []
     for table in tables:
         path = f"t{table.table_id}.sst"

@@ -9,6 +9,7 @@ nothing reordered, all CRCs verified on the way back in.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,15 +136,69 @@ class TestDiskFormat:
                 disk_format.decode_block(blob[:cut])
 
     def test_inconsistent_lengths_with_a_good_crc_are_rejected(self):
-        """A CRC-clean payload whose columns do not add up (the old
-        interleaved layout, say) is a FrameError, never a misparse."""
+        """A CRC-clean payload whose header does not describe it (the
+        old interleaved or length-column layouts, say) is a FrameError,
+        never a misparse."""
         u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
-        old_layout = u32(2) + b"".join(
-            u32(len(k)) + k + u32(len(v)) + v for k, v in ((b"a", b"\x02x"), (b"b", b"\x02y"))
+        pairs = ((b"a", b"\x02x"), (b"b", b"\x02y"))
+        interleaved = u32(2) + b"".join(u32(len(k)) + k + u32(len(v)) + v for k, v in pairs)
+        length_columns = u32(2, 1, 1, 2, 2) + b"ab\x02x\x02y"
+        cases = (
+            interleaved, length_columns, u32(3), u32(1, 5, 1) + b"k\x00", b"\x01",
+            u32(8, 8),  # off[0] = 8 is not 4 * (2n + 1)
+            u32(6, 6) + b"\x00\x00",  # nor is 6
+            u32(20, 20, 20, 20),  # off[0] = 20 runs past a 16-byte payload
+            u32(20, 21, 22, 24, 25) + b"ab\x02x\x02y",  # last offset 25, payload 26
+            u32(20, 21, 22, 24, 27) + b"ab\x02x\x02y",  # last offset past the payload
         )
-        for payload in (old_layout, u32(3), u32(1, 5, 1) + b"k\x00", b"\x01"):
+        for payload in cases:
             with pytest.raises(disk_format.FrameError):
                 disk_format.decode_block(disk_format.frame(payload))
+        assert list(disk_format.decode_block(
+            disk_format.frame(u32(20, 21, 22, 24, 26) + b"ab\x02x\x02y")
+        )) == [(b"a", b"x"), (b"b", b"y")]
+
+    def test_decreasing_offsets_are_rejected_by_the_walks(self):
+        """Opening a block checks the header's ends, not every pair (a
+        pass per cache miss); a pair that decreases is a FrameError at
+        the latest when the compaction (``cells``) or the hot key list
+        walks the offsets."""
+        u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
+        raw = disk_format.frame(u32(20, 22, 21, 24, 26) + b"ab\x02x\x02y")
+        with pytest.raises(disk_format.FrameError, match="decrease"):
+            list(disk_format.decode_block(raw).cells())
+        block = disk_format.decode_block(raw)
+        with pytest.raises(disk_format.FrameError, match="decrease"):
+            for _ in range(disk_format._HOT_BLOCK_PROBES + 1):
+                block.first_ge(b"a")
+
+    def test_offsets_are_read_as_four_byte_words(self):
+        """The header is cast in place to native ``I``, which the module
+        checks at import is a little-endian u32."""
+        block = disk_format.decode_block(block_of(self.MIXED))
+        assert block._off.format == "I" and block._off.itemsize == 4
+        assert len(block._off) == 2 * len(self.MIXED) + 1
+        assert block._off[0] == 4 * len(block._off)
+
+    def test_a_cold_block_allocates_its_payload_and_a_constant(self):
+        """Opening a block copies the payload and casts a view of its
+        header — no per-entry objects — so a cached 64-entry block is
+        the payload plus a few hundred bytes (a list of its 129 offsets
+        alone would be ~5 KiB)."""
+        pairs = [(encode_u64(i), b"v" * 100) for i in range(64)]
+        raw = block_of(pairs)
+        source = memoryview(raw)  # what DiskSSTable.read_block hands in
+        payload_size = len(raw) - 8
+        disk_format.decode_block(source)  # warm-up
+        tracemalloc.start()
+        try:
+            block = disk_format.decode_block(source)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(block) == 64
+        assert held < payload_size + 1024, held
+        assert peak < payload_size + 2048, peak
 
 
 # -- WAL ---------------------------------------------------------------------
@@ -307,19 +362,20 @@ class TestDiskSSTable:
             table.read_block(0)
 
     def test_old_format_table_is_rejected_loudly(self):
-        """A file with the pre-columnar "LSMS" trailer — what an engine
-        one PR older wrote — fails the magic check at open."""
+        """A file with an older trailer — "LSMS" (interleaved entries)
+        or "LSM2" (length columns) — fails the magic check at open."""
         fs = MemFS()
         write_pairs(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
         blob = fs.read("t.sst")
-        assert blob.endswith(b"LSM2")
-        f = fs.create("old.sst")
-        f.append(blob[:-4] + b"LSMS")
-        f.sync()
-        with pytest.raises(disk_format.FrameError, match="bad magic"):
-            DiskSSTable(fs, "old.sst")
-        with pytest.raises(disk_format.FrameError, match="bad magic"):
-            DiskSSTable(fs, "old.sst", table_id=0).read_block(0)
+        assert blob.endswith(b"LSM3")
+        for old_magic in (b"LSMS", b"LSM2"):
+            f = fs.create("old.sst")
+            f.append(blob[:-4] + old_magic)
+            f.sync()
+            with pytest.raises(disk_format.FrameError, match="bad magic"):
+                DiskSSTable(fs, "old.sst")
+            with pytest.raises(disk_format.FrameError, match="bad magic"):
+                DiskSSTable(fs, "old.sst", table_id=0).read_block(0)
 
     def test_truncated_file_rejected_at_open(self):
         fs = MemFS()

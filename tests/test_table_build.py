@@ -234,11 +234,21 @@ def test_transient_memory_is_bounded_by_the_key_bytes():
 
 
 def previous_encode_block(pairs):
-    """The per-entry block encoder the column encoder replaced."""
-    values = [disk_format.encode_value(value) for _, value in pairs]
-    n = len(pairs)
-    header = struct.pack(f"<{2 * n + 1}I", n, *[len(k) for k, _ in pairs], *map(len, values))
-    return disk_format.frame(header + b"".join([k for k, _ in pairs]) + b"".join(values))
+    """A per-entry block writer: entry by entry it appends each key,
+    then each encoded value, to its column and records the offset where
+    the field starts; the offset after the last value closes the
+    header."""
+    header, key_column, value_column = [], bytearray(), bytearray()
+    key_start = 4 * (2 * len(pairs) + 1)
+    for key, _ in pairs:
+        header.append(key_start + len(key_column))
+        key_column += key
+    for _, value in pairs:
+        header.append(key_start + len(key_column) + len(value_column))
+        value_column += disk_format.encode_value(value)
+    header.append(key_start + len(key_column) + len(value_column))
+    payload = b"".join(struct.pack("<I", off) for off in header) + key_column + value_column
+    return disk_format.frame(bytes(payload))
 
 
 def previous_write_sstable(fs, path, pairs, table_id, block_entries, filter_factory=None):
