@@ -11,7 +11,7 @@ commits.
 Entry points::
 
     python -m repro.server serve --path DIR --shards 4 --port 4440
-    python -m repro.server bench --workload C --shards 4
+    python3 benchmarks/e2e/run.py --workload wire_c   # YCSB-C load, every read checked
 
 See :mod:`repro.server.protocol` for the wire format and
 :mod:`repro.server.client` for the blocking and pipelined clients.
@@ -29,7 +29,7 @@ from .client import (
     ServerShuttingDownError,
     WatermarkReply,
 )
-from .server import KVServer, ServerThread, shard_of
+from .server import KVServer, ServerThread
 from .shard import ShardDown, ShardWorker
 from .stats import LatencyHistogram, ServerStats
 
@@ -50,5 +50,4 @@ __all__ = [
     "ServerThread",
     "ShardDown",
     "ShardWorker",
-    "shard_of",
 ]

@@ -9,9 +9,8 @@ policy, and is the op table — every operation is one entry naming its
 opcode, body encoder and reply decoder.  The two clients add only how
 bytes move and how a caller waits:
 
-* :class:`KVClient` — a blocking socket, one request in flight.  The
-  simplest correct client and the *non-pipelined baseline* of the
-  serving benchmarks.
+* :class:`KVClient` — a blocking socket, one request in flight: the
+  simplest correct client, for tests, tools and the cluster layer.
 * :class:`AsyncKVClient` — an ``asyncio.Protocol``, fully pipelined.
   What is issued in one event-loop tick leaves in **one**
   ``transport.write`` (scheduled once per tick: no timer, no size cap),
@@ -144,7 +143,8 @@ def _decode_reply(status: int, body: bytes, decode: Callable | None) -> Any:
 
 
 def _decode_seq(body: bytes) -> int | None:
-    """A write ack: the committed sequence, or None from older servers."""
+    """A write ack: the committed sequence, or None from a non-durable
+    engine (the server acks it with an empty body)."""
     return protocol.decode_u64_body(body) if len(body) == 8 else None
 
 
@@ -256,7 +256,7 @@ class Pipeline:
 
     def put(self, key: bytes, value: Any) -> Any:
         """Store ``value``; returns the committed sequence number (the
-        causal token for :meth:`get_at`), or None from older servers."""
+        causal token for :meth:`get_at`), or None from a non-durable engine."""
         body = protocol.encode_key_value(key, value)
         return self._request(protocol.PUT, body, _decode_seq)
 

@@ -158,12 +158,6 @@ class _Reply(Exception):
         self.status, self.body = status, body
 
 
-#: Backwards-compatible alias: the shard mapping now lives in
-#: :mod:`repro.cluster.routing` so the server, the load generator, and
-#: the cluster router can never drift apart.
-shard_of = route_key
-
-
 class KVServer:
     """The serving subsystem: hosted shards, one event loop, one port."""
 
@@ -442,7 +436,7 @@ class KVServer:
             at = protocol.decode_point_ops(
                 frames, at, run.entries, run.items, items, run.replies
             )
-            run.shards = [shard_of(key, n_shards) for key in run.items]
+            run.shards = [route_key(key, n_shards) for key in run.items]
             steps.append(self._fold(run, items) if items else run)
         return steps
 
@@ -456,7 +450,7 @@ class KVServer:
         stretch = _Stretch()
         early, writes, late = stretch.early, stretch.writes, stretch.late
         writes.items = items
-        writes.shards = write_shards = [shard_of(item[0], n_shards) for item in items]
+        writes.shards = write_shards = [route_key(item[0], n_shards) for item in items]
         keys, shards, replies, order = run.items, run.shards, run.replies, stretch.order
         written: set[int] = set()
         k = w = 0
@@ -820,7 +814,7 @@ class KVServer:
 class ServerThread:
     """Run a :class:`KVServer` on a private event loop in a daemon
     thread — the bridge that lets synchronous harnesses (tests, the
-    differential fuzzer, the sync client benchmarks) drive the asyncio
+    differential fuzzer, the in-process cluster) drive the asyncio
     server in-process."""
 
     def __init__(self, server: KVServer) -> None:

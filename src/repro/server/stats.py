@@ -10,6 +10,7 @@ describes the whole process.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Sequence
 
@@ -17,7 +18,7 @@ from typing import Any, Sequence
 class LatencyHistogram:
     """Power-of-two microsecond buckets: cheap, mergeable, quantile-able.
 
-    Bucket ``i`` counts samples in ``[2**i, 2**(i+1))`` microseconds
+    Bucket ``i`` counts samples in ``[2**(i-1), 2**i)`` microseconds
     (bucket 0 absorbs sub-microsecond samples).  28 buckets reach ~2.2
     minutes, far beyond any sane request latency.
     """
@@ -40,10 +41,11 @@ class LatencyHistogram:
         self.total_seconds += seconds * n
 
     def quantile_us(self, q: float) -> float:
-        """Upper edge (µs) of the bucket holding the q-quantile sample."""
+        """Upper edge (µs) of the bucket holding the q-quantile sample,
+        taken by nearest rank: the ``ceil(q * count)``-th smallest."""
         if not self.count:
             return 0.0
-        target = max(int(self.count * q), 1)
+        target = max(math.ceil(self.count * q), 1)
         seen = 0
         for i, n in enumerate(self.buckets):
             seen += n

@@ -16,7 +16,6 @@ from .ycsb import (
     WORKLOAD_MIXES,
     YcsbWorkload,
     generate,
-    partition,
     point_query_keys,
 )
 from .zipf import (
@@ -40,7 +39,6 @@ __all__ = [
     "WORKLOAD_MIXES",
     "YcsbWorkload",
     "generate",
-    "partition",
     "point_query_keys",
     "ScrambledZipfianGenerator",
     "UniformGenerator",

@@ -121,22 +121,6 @@ def generate(
     return YcsbWorkload(workload, load_keys, operations, insert_pool)
 
 
-def partition(operations: Sequence[Operation], n_streams: int) -> list[list[Operation]]:
-    """Round-robin split of an operation stream across ``n_streams``
-    clients, preserving each stream's relative order.
-
-    Round-robin (rather than contiguous chunks) keeps every stream's
-    mix and key-popularity profile statistically identical to the
-    whole, so per-connection throughput is comparable.
-    """
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
-    streams: list[list[Operation]] = [[] for _ in range(n_streams)]
-    for i, op in enumerate(operations):
-        streams[i % n_streams].append(op)
-    return streams
-
-
 def point_query_keys(
     keys: Sequence[bytes],
     n_queries: int,

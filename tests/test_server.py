@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.cluster.node import ClusterServer
+from repro.cluster.routing import route_key
 from repro.lsm import LSMTree, TOMBSTONE
 from repro.lsm.disk_format import FrameError
 from repro.server import (
@@ -29,7 +30,6 @@ from repro.server import (
     ServerShuttingDownError,
     ServerThread,
     ShardDown,
-    shard_of,
 )
 from repro.server import protocol
 from repro.server.shard import ShardRequest, ShardWorker
@@ -159,6 +159,28 @@ class TestLatencyHistogram:
         assert d["count"] == 6
         assert d["p50_us"] <= d["p99_us"]
         assert h.quantile_us(0.99) >= 1000
+        # Nearest rank: the median of three is the second sample.  Bucket
+        # i holds [2**(i-1), 2**i) us, so 1 us reports 2 and 1 ms 1024.
+        h = LatencyHistogram()
+        for us in (1, 1000, 1000):
+            h.record(us / 1e6)
+        assert h.quantile_us(0.5) == 1024.0
+        assert h.quantile_us(0.3) == 2.0
+
+    def test_bucket_bounds(self):
+        # Bucket i holds [2**(i-1), 2**i) us; bucket 0 takes anything
+        # under 1 us and the last bucket everything beyond its edge.
+        for i in range(1, LatencyHistogram.N_BUCKETS - 1):
+            for us in (2 ** (i - 1), 2**i - 1):
+                h = LatencyHistogram()
+                h.record((us + 0.25) / 1e6)
+                assert h.buckets[i] == 1, (i, us)
+                assert h.quantile_us(1.0) == float(2**i)
+        h = LatencyHistogram()
+        h.record(0.5e-6)
+        h.record(1e6)
+        assert h.buckets[0] == 1
+        assert h.buckets[-1] == 1
 
     def test_empty(self):
         h = LatencyHistogram()
@@ -191,7 +213,7 @@ class TestServerOps:
         try:
             keys = [encode_u64(i) for i in range(60)]
             # Sanity: the keys actually land on every shard.
-            assert len({shard_of(k, 3) for k in keys}) == 3
+            assert len({route_key(k, 3) for k in keys}) == 3
             with KVClient(server.host, server.port) as c:
                 for i, k in enumerate(keys):
                     c.put(k, i)
@@ -489,15 +511,6 @@ class TestClientRetry:
         finally:
             monkeypatch.undo()
             runner.stop()
-
-    def test_loadgen_reports_retries(self):
-        from repro.server.loadgen import LoadResult
-
-        result = LoadResult(
-            workload="C", mode="sync", n_connections=1, pipeline_depth=1,
-            ops_done=10, elapsed=1.0, overloads=0, retries=3,
-        )
-        assert result.to_dict()["retries"] == 3
 
 
 # -- shutdown ----------------------------------------------------------------
@@ -870,8 +883,8 @@ class TestOpMatrix:
             n_shards=1, cls=ClusterServer, role="follower"
         )
         candidates = [b"m%d" % i for i in range(40)]
-        k0, k1, k2 = [k for k in candidates if shard_of(k, 2) == 0][:3]
-        elsewhere = next(k for k in candidates if shard_of(k, 2) == 1)
+        k0, k1, k2 = [k for k in candidates if route_key(k, 2) == 0][:3]
+        elsewhere = next(k for k in candidates if route_key(k, 2) == 1)
         driver = _Driver(kind)
 
         async def scenario():
