@@ -398,216 +398,9 @@ class FST:
     def __len__(self) -> int:
         return self.n_keys
 
-    # -- batched point lookup (level-synchronous traversal) -----------------
-
-    def _dense_value_indexes(self, pos: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_dense_value_index` over bit positions."""
-        node = pos // FANOUT
-        return (
-            self._d_isprefix_rank.rank1_many(node)
-            + self._d_labels_rank.rank1_many(pos)
-            - self._d_haschild_rank.rank1_many(pos)
-            - 1
-        )
-
-    def _dense_prefix_value_indexes(self, node: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_dense_prefix_value_index` over node numbers."""
-        before = node * FANOUT - 1
-        safe = np.maximum(before, 0)
-        labels = self._d_labels_rank.rank1_many(safe)
-        childs = self._d_haschild_rank.rank1_many(safe)
-        root = before < 0
-        labels[root] = 0
-        childs[root] = 0
-        return self._d_isprefix_rank.rank1_many(node) - 1 + labels - childs
-
-    def _sparse_batch_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazy accelerators for the batched sparse walk.
-
-        ``node_starts[k]`` is the S-Labels index where sparse node ``k``
-        begins (with a sentinel at ``n_labels``), replacing per-key
-        select calls with one gather.  ``comp`` is the globally sorted
-        composite key ``node * 512 + label + 1`` — node numbers are
-        nondecreasing over S-Labels and labels sort within each node, so
-        one ``searchsorted`` answers every per-node label search in the
-        batch at once.
-        """
-        tables = getattr(self, "_sparse_tables", None)
-        if tables is None:
-            n = len(self.s_louds)
-            # Both tables are int32 (half the resident bytes of int64):
-            # node numbers times 512 must stay below 2**31.
-            assert (self.sparse_node_count + 1) * 512 < 1 << 31, "too many sparse nodes"
-            bits = np.unpackbits(
-                self.s_louds.words.view(np.uint8), bitorder="little", count=n
-            )
-            node_starts = np.append(np.flatnonzero(bits), n).astype(np.int32)
-            node_of = np.cumsum(bits, dtype=np.int32) - 1
-            comp = node_of * 512 + self.s_labels + 1
-            tables = (node_starts, comp)
-            self._sparse_tables = tables
-        return tables
-
     def get_many(self, keys: Sequence[bytes]) -> list[Any | None]:
-        """Batched exact-match lookup; one result slot per key.
-
-        Bit-for-bit equivalent to ``[self.get(k) for k in keys]`` but
-        executed level-synchronously: the whole batch advances through
-        one LOUDS-Dense / LOUDS-Sparse level per step with vectorized
-        bitmap tests, ``rank1_many`` kernels and a single
-        ``searchsorted`` label search (the BS-tree-style data-parallel
-        read path).
-        """
-        found = self._lookup_many(keys)
-        return [f[0] if f is not None else None for f in found]
-
-    def _lookup_many(
-        self, keys: Sequence[bytes]
-    ) -> list[tuple[Any, bytes] | None]:
-        """Batched :meth:`_lookup`: (value, remaining) or None per key."""
-        n = len(keys)
-        results: list[tuple[Any, bytes] | None] = [None] * n
-        if n == 0 or self.n_keys == 0:
-            return results
-        # Pad the batch into an (n, maxlen) byte matrix so each level
-        # step reads its column with one gather.
-        lens = np.fromiter((len(k) for k in keys), dtype=np.int64, count=n)
-        maxlen = int(lens.max())
-        mat = np.zeros((n, max(maxlen, 1)), dtype=np.int64)
-        if maxlen:
-            buf = np.frombuffer(b"".join(keys), dtype=np.uint8)
-            row_starts = np.zeros(n, dtype=np.int64)
-            np.cumsum(lens[:-1], out=row_starts[1:])
-            rows = np.repeat(np.arange(n), lens)
-            mat[rows, np.arange(len(buf)) - np.repeat(row_starts, lens)] = buf
-        truncated = self.truncated
-        profiling = COUNTERS.enabled
-        idx = np.arange(n, dtype=np.int64)  # original slot of each live lane
-        node = np.zeros(n, dtype=np.int64)
-        level = 0
-        # Lanes that leave the dense levels continue in the sparse walk.
-        sp_idx_parts: list[np.ndarray] = []
-        sp_node_parts: list[np.ndarray] = []
-        sp_level_parts: list[np.ndarray] = []
-
-        def to_sparse(lanes: np.ndarray, nodes: np.ndarray, at_level: int) -> None:
-            sp_idx_parts.append(lanes)
-            sp_node_parts.append(nodes)
-            sp_level_parts.append(np.full(len(lanes), at_level, dtype=np.int64))
-
-        # ---- dense walk ----
-        while level < self.dense_height and idx.size:
-            if profiling:
-                for _ in range(len(idx)):
-                    COUNTERS.node_visit(2 * FANOUT // 8, lines_touched=2)
-            ended = lens[idx] == level
-            if ended.any():
-                e_idx, e_node = idx[ended], node[ended]
-                is_pref = self.d_isprefix.get_many(e_node).astype(bool)
-                if is_pref.any():
-                    hit_idx = e_idx[is_pref]
-                    vidx = self._dense_prefix_value_indexes(e_node[is_pref])
-                    for oi, vi in zip(hit_idx.tolist(), vidx.tolist()):
-                        results[oi] = (self.d_values[vi], b"")
-                keep = ~ended
-                idx, node = idx[keep], node[keep]
-                if not idx.size:
-                    break
-            pos = node * FANOUT + mat[idx, level]
-            has_label = self.d_labels.get_many(pos).astype(bool)
-            idx, pos = idx[has_label], pos[has_label]
-            if not idx.size:
-                break
-            has_child = self.d_haschild.get_many(pos).astype(bool)
-            term = ~has_child
-            if term.any():
-                term_idx = idx[term]
-                vidx = self._dense_value_indexes(pos[term])
-                for oi, vi in zip(term_idx.tolist(), vidx.tolist()):
-                    remaining = keys[oi][level + 1 :]
-                    if truncated or not remaining:
-                        results[oi] = (self.d_values[vi], remaining)
-            idx, pos = idx[has_child], pos[has_child]
-            if not idx.size:
-                break
-            node = self._d_haschild_rank.rank1_many(pos)
-            level += 1
-            crossed = node >= self.dense_node_count
-            if crossed.any():
-                to_sparse(idx[crossed], node[crossed], level)
-                keep = ~crossed
-                idx, node = idx[keep], node[keep]
-        # Lanes that exhausted the dense levels: sparse-domain nodes
-        # continue below; a lane still inside the dense numbering means
-        # the trie is fully dense and the key outruns every stored path
-        # (the scalar walk's for/else miss), so it stays None.
-        if idx.size:
-            crossed = node >= self.dense_node_count
-            if crossed.any():
-                to_sparse(idx[crossed], node[crossed], level)
-
-        # ---- sparse walk ----
-        if not sp_idx_parts:
-            return results
-        s_idx = np.concatenate(sp_idx_parts)
-        snode = np.concatenate(sp_node_parts) - self.dense_node_count
-        s_level = np.concatenate(sp_level_parts)
-        node_starts, comp = self._sparse_batch_tables()
-        n_comp = len(comp)
-        s_labels = self.s_labels
-        hc_rank = self._s_haschild_rank
-        s_values = self.s_values
-        while s_idx.size:
-            if profiling:
-                extents = node_starts[snode + 1] - node_starts[snode]
-                for ext in extents.tolist():
-                    COUNTERS.node_visit(ext + 16, lines_touched=2 + ext // 16)
-            ended = lens[s_idx] == s_level
-            if ended.any():
-                e_idx = s_idx[ended]
-                e_start = node_starts[snode[ended]]
-                is_pref = s_labels[e_start] == PREFIX_LABEL
-                if is_pref.any():
-                    hit_idx = e_idx[is_pref]
-                    hit_start = e_start[is_pref]
-                    vidx = hit_start - hc_rank.rank1_many(hit_start)
-                    for oi, vi in zip(hit_idx.tolist(), vidx.tolist()):
-                        results[oi] = (s_values[vi], b"")
-                keep = ~ended
-                s_idx, snode, s_level = s_idx[keep], snode[keep], s_level[keep]
-                if not s_idx.size:
-                    break
-            # In comp's own dtype, or searchsorted would convert comp.
-            target = (snode * 512 + mat[s_idx, s_level] + 1).astype(comp.dtype)
-            li = np.searchsorted(comp, target)
-            safe_li = np.minimum(li, n_comp - 1)
-            found = (li < n_comp) & (comp[safe_li] == target)
-            s_idx, snode, s_level, li = (
-                s_idx[found],
-                snode[found],
-                s_level[found],
-                li[found],
-            )
-            if not s_idx.size:
-                break
-            has_child = self.s_haschild.get_many(li).astype(bool)
-            term = ~has_child
-            if term.any():
-                t_idx, t_level = s_idx[term], s_level[term]
-                vidx = li[term] - hc_rank.rank1_many(li[term])
-                for oi, vi, lv in zip(
-                    t_idx.tolist(), vidx.tolist(), t_level.tolist()
-                ):
-                    remaining = keys[oi][lv + 1 :]
-                    if truncated or not remaining:
-                        results[oi] = (s_values[vi], remaining)
-            s_idx, s_level, li = s_idx[has_child], s_level[has_child], li[has_child]
-            if not s_idx.size:
-                break
-            child = self.dense_child_count + hc_rank.rank1_many(li)
-            snode = child - self.dense_node_count
-            s_level = s_level + 1
-        return results
+        """``[self.get(k) for k in keys]``: one result slot per key."""
+        return [self.get(k) for k in keys]
 
     # -- iteration -----------------------------------------------------------------------
 
@@ -660,8 +453,7 @@ class FST:
     def _count_below(self, key: bytes) -> int:
         """Number of stored entries with stored key < ``key`` (stored
         prefixes of ``key`` count as smaller only if strictly shorter)."""
-        boundaries = self._extend_boundaries(key)
-        total = 0
+        boundaries, total = self._extend_boundaries(key)
         for level, (kind, pos) in enumerate(boundaries):
             if kind == "dense":
                 lvl_start_node = self._dense_level_node_start[level]
@@ -694,15 +486,19 @@ class FST:
             return 0
         return i - self._s_haschild_rank.rank1(i - 1)
 
-    def _extend_boundaries(self, key: bytes) -> list[tuple[str, int]]:
+    def _extend_boundaries(self, key: bytes) -> tuple[list[tuple[str, int]], int]:
         """Per-level boundary positions: at each level, the position of
         the first label whose subtree/terminal keys are all >= ``key``.
 
-        Returns one ("dense"|"sparse", position) per level; dense
+        Returns one ("dense"|"sparse", position) per level — dense
         positions are absolute D-Labels bit positions and sparse ones
-        are S-Labels indexes.
+        are S-Labels indexes — and the number of dense prefix keys below
+        ``key`` that those positions exclude: a dense node's prefix key
+        is charged at its slot 0, so a boundary there (``key`` goes on
+        with byte 0x00) does not count the shorter stored key.
         """
         out: list[tuple[str, int]] = []
+        prefixes = 0
         node = 0
         level = 0
         on_path = True  # walked prefix still equals key[:level]
@@ -719,7 +515,7 @@ class FST:
                     nxt = self._dense_first_child_at_or_after(node_start)
                     if nxt is None:
                         out.extend(self._tail_boundaries(level + 1))
-                        return out
+                        return out, prefixes
                     node = nxt
                     level += 1
                     continue
@@ -730,35 +526,35 @@ class FST:
                     nxt = self._dense_first_child_at_or_after(node_start)
                     if nxt is None:
                         out.extend(self._tail_boundaries(level + 1))
-                        return out
+                        return out, prefixes
                     node = nxt
                     level += 1
                     continue
                 byte = key[level]
                 pos = node_start + byte
+                has_child = False
+                if self.d_labels.get(pos):
+                    has_child = self.d_haschild.get(pos)
+                    if not has_child and len(key) > level + 1:
+                        # A terminal label's stored key, path + byte, is a
+                        # proper prefix of key: it sorts below the bound.
+                        pos += 1
+                if pos == node_start and self.d_isprefix.get(node):
+                    # The node's prefix key, key[:level], sorts below key
+                    # but is charged at slot 0, where the bound sits.
+                    prefixes += 1
                 out.append(("dense", pos))
-                if self.d_labels.get(pos) and self.d_haschild.get(pos):
+                if has_child:
                     node = self._d_haschild_rank.rank1(pos)
                     level += 1
-                    if node >= self.dense_node_count:
-                        # Transitioned into sparse levels.
-                        continue
                     continue
-                # Path diverges (label terminal or absent): boundary for
-                # deeper levels = first child subtree at or after pos+1.
-                # A terminal label at pos equals a stored prefix <= key:
-                # it lies before the boundary, which is pos+1... but the
-                # value "between" arithmetic treats [start, pos) so we
-                # must advance past pos when its entry sorts < key.
-                if self.d_labels.get(pos) and not self.d_haschild.get(pos):
-                    # stored key = path+byte; it is < key iff key is longer.
-                    if len(key) > level + 1:
-                        out[-1] = ("dense", pos + 1)
-                nxt = self._dense_first_child_at_or_after(out[-1][1])
+                # Path diverges: the boundary for deeper levels is the
+                # first child subtree at or after this one.
+                nxt = self._dense_first_child_at_or_after(pos)
                 on_path = False
                 if nxt is None:
                     out.extend(self._tail_boundaries(level + 1))
-                    return out
+                    return out, prefixes
                 node = nxt
                 level += 1
                 continue
@@ -770,7 +566,7 @@ class FST:
                 nxt = self._sparse_first_child_at_or_after(start)
                 if nxt is None:
                     out.extend(self._tail_boundaries(level + 1))
-                    return out
+                    return out, prefixes
                 node = nxt
                 level += 1
                 continue
@@ -780,7 +576,7 @@ class FST:
                 nxt = self._sparse_first_child_at_or_after(start)
                 if nxt is None:
                     out.extend(self._tail_boundaries(level + 1))
-                    return out
+                    return out, prefixes
                 node = nxt
                 level += 1
                 continue
@@ -803,10 +599,10 @@ class FST:
             nxt = self._sparse_first_child_at_or_after(out[-1][1])
             if nxt is None:
                 out.extend(self._tail_boundaries(level + 1))
-                return out
+                return out, prefixes
             node = nxt
             level += 1
-        return out
+        return out, prefixes
 
     def _tail_boundaries(self, from_level: int) -> list[tuple[str, int]]:
         """Boundaries at end-of-level for levels >= from_level (no

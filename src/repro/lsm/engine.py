@@ -201,15 +201,6 @@ class DictMemtable:
 _MISSING = object()
 #: Value slot of a cursor run's lower-bound marker (see ``_table_run``).
 _BOUND = object()
-#: Keys landing in one table from which the filter is probed with its
-#: vectorized ``lookup_many`` instead of one scalar probe per key.  Set
-#: at the crossover of the older, method-call scalar probe (≈ 16 keys);
-#: since the flat LOUDS-DS walk the scalar probe wins up to ≈ 40 keys
-#: per table (per-key time of ``lookup_many`` over scalar ``lookup``:
-#: 2.06x at 16 keys, 1.14x at 32, 0.68x at 64 — EXPERIMENTS.md, "Point
-#: probes in the thesis's shape").  Not retuned yet: a faster read
-#: path runs more ledger laps, and the ledger's RSS grows with them.
-_VECTOR_PROBE_MIN = 16
 #: Wasted L0 probes one rewritten entry is worth.  A point read that
 #: searches an L0 table (or probes its filter) without finding its key
 #: adds one unit of *read debt*; once the debt reaches this many units
@@ -1451,12 +1442,11 @@ class LSMTree:
         """Batch point reads matching element-wise scalar :meth:`get`.
 
         The batch walks the LSM hierarchy level-synchronously: per
-        table, the still-unresolved keys in the table's range are
-        probed together — through the filter's vectorized
-        ``lookup_many`` when there are enough of them to pay for it
-        (see ``_VECTOR_PROBE_MIN``), one scalar probe each otherwise.
-        A key resolved by a newer table (value *or* tombstone) never
-        touches older tables, preserving newest-wins semantics exactly.
+        table, each still-unresolved key in the table's range gets one
+        filter probe, as in :meth:`get`, and the keys that pass share
+        the table's block fetches.  A key resolved by a newer table
+        (value *or* tombstone) never touches older tables, preserving
+        newest-wins semantics exactly.
         """
         view = self._pin()
         try:
@@ -1523,19 +1513,10 @@ class LSMTree:
         """Resolve what ``table`` holds of the in-range ``keys[idxs]``
         into ``out``; return how many it held (the rest were filter
         negatives or false positives)."""
-        flt = table.filter
-        if flt is not None:
-            probe = None
-            if len(idxs) >= _VECTOR_PROBE_MIN:
-                probe = getattr(flt, "lookup_many", None) or getattr(
-                    flt, "may_contain_many", None
-                )
-            if probe is not None:
-                mask = probe([keys[i] for i in idxs])
-            else:
-                mask = [table.may_contain(keys[i]) for i in idxs]
+        if table.filter is not None:
+            may_contain = table.may_contain
+            passed = [i for i in idxs if may_contain(keys[i])]
             self.io.filter_probes += len(idxs)
-            passed = [i for i, hit in zip(idxs, mask) if hit]
             self.io.filter_negatives += len(idxs) - len(passed)
             idxs = passed
         # Blocks in order, each fetched once however many keys land in

@@ -23,7 +23,7 @@ WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 # 16-bit popcount table shared by every rank/select structure in the
-# package: 64 KiB once per process (re-exported by ``rank.py``).
+# package: 64 KiB once per process.
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint32)
 
 
@@ -122,24 +122,6 @@ class BitVector:
     def __iter__(self) -> Iterator[int]:
         for i in range(self._n_bits):
             yield self.get(i)
-
-    def get_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized bit read: ``uint8`` 0/1 per position in one gather.
-
-        ``positions`` is any int array (duplicates and arbitrary order
-        allowed); every position must lie in ``[0, len(self))``.
-        """
-        pos = np.ascontiguousarray(positions, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.uint8)
-        lo, hi = int(pos.min()), int(pos.max())
-        if lo < 0 or hi >= self._n_bits:
-            bad = lo if lo < 0 else hi
-            raise IndexError(f"bit index {bad} out of range [0, {self._n_bits})")
-        words = self._words[pos >> 6]
-        return ((words >> (pos & 63).astype(np.uint64)) & np.uint64(1)).astype(
-            np.uint8
-        )
 
     @property
     def words(self) -> np.ndarray:

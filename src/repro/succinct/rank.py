@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# The 16-bit popcount table and the per-word popcount kernel live in
-# ``bitvector`` (shared with the bulk query paths); re-exported here for
-# backward compatibility.
-from .bitvector import WORD_BITS, BitVector, _POP16, _popcounts_per_word
+from .bitvector import WORD_BITS, BitVector, _popcounts_per_word
 
 #: Dense sampling used by LOUDS-Dense rank structures.
 DENSE_RANK_BLOCK_BITS = 64
@@ -42,7 +39,7 @@ class RankSupport:
     navigation formulas in Sections 3.2-3.3).
     """
 
-    __slots__ = ("_bv", "_block_bits", "_lut", "_word_cum")
+    __slots__ = ("_bv", "_block_bits", "_lut")
 
     def __init__(self, bv: BitVector, block_bits: int = SPARSE_RANK_BLOCK_BITS) -> None:
         if block_bits % WORD_BITS != 0:
@@ -54,10 +51,6 @@ class RankSupport:
         # at the end), stored at the 32 bits per entry size_bits() charges.
         cum = _cumulative_popcounts(bv)
         self._lut = np.append(cum[: len(cum) - 1 : words_per_block], cum[-1])
-        #: Per-word cumulative popcounts for the batch path; built
-        #: lazily on the first ``rank1_many`` call.  With 64-bit blocks
-        #: the LUT *is* that table, so nothing more is kept.
-        self._word_cum: np.ndarray | None = self._lut if words_per_block == 1 else None
 
     @property
     def lut(self) -> np.ndarray:
@@ -78,44 +71,6 @@ class RankSupport:
     def rank0(self, i: int) -> int:
         """Number of zeros in ``[0, i]``; requires ``0 <= i < len(bv)``."""
         return i + 1 - self.rank1(i)
-
-    # -- batch kernels ----------------------------------------------------
-
-    def _word_cumsum(self) -> np.ndarray:
-        """``cum[k]`` = ones strictly before word ``k`` (lazy cache)."""
-        cum = self._word_cum
-        if cum is None:
-            cum = self._word_cum = _cumulative_popcounts(self._bv)
-        return cum
-
-    def rank1_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank1` over an int array of positions.
-
-        One word gather + one table-driven popcount pass for the whole
-        batch; duplicates and arbitrary order are allowed, and every
-        position must lie in ``[0, len(bv))``.
-        """
-        pos = np.ascontiguousarray(positions, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        lo, hi = int(pos.min()), int(pos.max())
-        if lo < 0 or hi >= len(self._bv):
-            bad = lo if lo < 0 else hi
-            raise IndexError(f"rank index {bad} out of range [0, {len(self._bv)})")
-        cum = self._word_cumsum()
-        word_idx = pos >> 6
-        # Keep bits [0, pos & 63] by shifting them up against the top of
-        # the word (uint64 left shift drops the rest modulo 2^64).
-        shift = (np.int64(63) - (pos & 63)).astype(np.uint64)
-        masked = np.left_shift(self._bv.words[word_idx], shift)
-        return cum[word_idx].astype(np.int64) + _popcounts_per_word(masked)
-
-    def rank0_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank0` (same contract as :meth:`rank1_many`)."""
-        pos = np.ascontiguousarray(positions, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return pos + 1 - self.rank1_many(pos)
 
     def total_ones(self) -> int:
         if len(self._bv) == 0:

@@ -38,14 +38,6 @@ def _real_suffix_bits(suffix: bytes, n_bits: int) -> int:
     return value >> (needed * 8 - n_bits)
 
 
-def _gather(column: list[int] | memoryview, positions: list[int]) -> np.ndarray:
-    """``column[positions]`` as ``uint64``: only the hit entries are
-    read, never a conversion of the whole column."""
-    return np.fromiter(
-        map(column.__getitem__, positions), dtype=np.uint64, count=len(positions)
-    )
-
-
 class SuRF:
     """Succinct Range Filter over a static set of byte keys."""
 
@@ -124,46 +116,8 @@ class SuRF:
     may_contain = lookup
 
     def lookup_many(self, keys: Sequence[bytes]) -> list[bool]:
-        """Batched :meth:`lookup`: identical answers, one result per key.
-
-        The trie walk goes through the FST's level-synchronous
-        ``_lookup_many``; suffix verification compares the whole hit set
-        against the stored suffix arrays in one vectorized pass.
-        """
-        found = self.fst._lookup_many(keys)
-        out = [False] * len(keys)
-        hits = [i for i, f in enumerate(found) if f is not None]
-        if not hits:
-            return out
-        positions = [found[i][0] for i in hits]
-        ok = np.ones(len(hits), dtype=bool)
-        if self._tombstones is not None:
-            # View, not copy: the bytearray is allocated full-size on the
-            # first delete and never resized, so exporting its buffer for
-            # the duration of this call is safe (only a *resize* would
-            # raise BufferError); bit-sets via delete() cannot run
-            # concurrently with a lookup on a single-threaded shard.
-            kidx = np.array(positions, dtype=np.int64)
-            tomb = np.frombuffer(self._tombstones, dtype=np.uint8)
-            ok &= (tomb[kidx >> 3] >> (kidx & 7).astype(np.uint8)) & 1 == 0
-        if self.hash_bits:
-            mask = (1 << self.hash_bits) - 1
-            query = np.fromiter(
-                (hash64(keys[i]) & mask for i in hits),
-                dtype=np.uint64,
-                count=len(hits),
-            )
-            ok &= query == _gather(self._hash_suffixes, positions)
-        if self.real_bits:
-            query = np.fromiter(
-                (_real_suffix_bits(found[i][1], self.real_bits) for i in hits),
-                dtype=np.uint64,
-                count=len(hits),
-            )
-            ok &= query == _gather(self._real_suffixes, positions)
-        for i, good in zip(hits, ok.tolist()):
-            out[i] = good
-        return out
+        """``[self.lookup(k) for k in keys]``: one result per key."""
+        return [self.lookup(k) for k in keys]
 
     #: Filter-vocabulary alias (see :meth:`may_contain`).
     may_contain_many = lookup_many

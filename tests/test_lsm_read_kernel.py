@@ -196,8 +196,8 @@ class TestMergedCursor:
 
 
 class TestGetMany:
-    """``get_many`` is ``get`` element-wise at every width, on both
-    sides of the per-table vector-probe crossover."""
+    """``get_many`` is ``get`` element-wise at every width, with one
+    scalar filter probe per (table, key)."""
 
     @pytest.fixture(scope="class", params=sorted(FILTERS))
     def wide(self, request):
@@ -221,8 +221,7 @@ class TestGetMany:
         for key in rng.sample(keys, 230):  # ...and overwrites
             db.put(key, 2)
             model[key] = 2
-        # Newer tables shadow older ones, and a 64-key batch puts more
-        # than _VECTOR_PROBE_MIN keys into one table.
+        # Newer tables shadow older ones.
         assert db.levels[0] and any(db.levels[1:]) and len(db._memtable)
         absent = [encode_u64(i * 7 + 3) for i in range(900)]
         yield db, model, keys, absent
@@ -231,7 +230,7 @@ class TestGetMany:
     def test_every_width_matches_scalar_get(self, wide):
         db, model, keys, absent = wide
         rng = random.Random(9)
-        for width in range(1, 65):
+        for width in itertools.chain(range(1, 65), (96, 128, 255, 256)):
             batch = rng.choices(keys, k=width - width // 3) + rng.choices(absent, k=width // 3)
             batch += batch[: width // 4]  # duplicate keys in one batch
             rng.shuffle(batch)
@@ -244,33 +243,34 @@ class TestGetMany:
         finally:
             snap.release()
 
-    def test_dispatch_by_keys_per_table(self, monkeypatch):
-        """Below ``_VECTOR_PROBE_MIN`` keys in one table the scalar
-        probe runs; from it upward the vector kernel does."""
+    def test_one_scalar_probe_per_table_key(self, monkeypatch):
+        """A batch probes the filter of every table a key lands in once
+        per key with ``SuRF.lookup``, never with ``lookup_many``, and
+        ``io.filter_probes`` counts exactly those probes."""
         db = LSMTree(memtable_entries=1 << 20, sstable_entries=1 << 20,
                      filter_factory=FILTERS["surf_real"])
         keys = [encode_u64(i) for i in range(200)]
         db.put_many([(k, i) for i, k in enumerate(keys)])
         db.flush_memtable()
-        calls = {"scalar": 0, "vector": 0}
-        lookup, lookup_many = SuRF.lookup, SuRF.lookup_many
+        calls = []
+        lookup = SuRF.lookup
 
         def counted_lookup(self, key):
-            calls["scalar"] += 1
+            calls.append(key)
             return lookup(self, key)
 
-        def counted_lookup_many(self, keys):
-            calls["vector"] += 1
-            return lookup_many(self, keys)
+        def no_batch_probe(self, keys):
+            raise AssertionError("get_many probed a filter with lookup_many")
 
         monkeypatch.setattr(SuRF, "lookup", counted_lookup)
-        monkeypatch.setattr(SuRF, "lookup_many", counted_lookup_many)
-        threshold = engine_mod._VECTOR_PROBE_MIN
-        assert db.get_many(keys[: threshold - 1]) == list(range(threshold - 1))
-        assert calls == {"scalar": threshold - 1, "vector": 0}
-        assert db.get_many(keys[:threshold]) == list(range(threshold))
-        assert calls == {"scalar": threshold - 1, "vector": 1}
-        assert db.io.filter_probes == 2 * threshold - 1  # both paths count every key
+        monkeypatch.setattr(SuRF, "lookup_many", no_batch_probe)
+        assert sum(len(level) for level in db.levels) == 1
+        for width in (1, 15, 16, 200):
+            del calls[:]
+            db.io.reset()
+            assert db.get_many(keys[:width]) == list(range(width))
+            assert sorted(calls) == keys[:width]
+            assert db.io.filter_probes == width
 
 
 class TestProbePlan:

@@ -223,66 +223,3 @@ class TestTimerClamp:
         assert np.isfinite(cost)
         assert cost > 0
 
-
-class TestBatchKernels:
-    """rank1_many / get_many must agree bit-for-bit with scalar rank."""
-
-    @given(
-        st.lists(st.booleans(), min_size=1, max_size=600),
-        st.sampled_from([64, 512]),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_rank1_many_matches_scalar(self, bits, block_bits, rnd):
-        bv = BitVector.from_bits(bits)
-        rs = RankSupport(bv, block_bits=block_bits)
-        # Unsorted positions with duplicates.
-        positions = [rnd.randrange(len(bv)) for _ in range(64)]
-        got = rs.rank1_many(np.array(positions, dtype=np.int64))
-        assert got.tolist() == [rs.rank1(p) for p in positions]
-        got0 = rs.rank0_many(np.array(positions, dtype=np.int64))
-        assert got0.tolist() == [rs.rank0(p) for p in positions]
-
-    @given(
-        st.lists(st.booleans(), min_size=1, max_size=600),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_get_many_matches_scalar(self, bits, rnd):
-        bv = BitVector.from_bits(bits)
-        positions = [rnd.randrange(len(bv)) for _ in range(64)]
-        got = bv.get_many(np.array(positions, dtype=np.int64))
-        assert got.tolist() == [bv[p] for p in positions]
-
-    def test_empty_batches(self):
-        bv = BitVector.from_bits([1, 0, 1])
-        rs = RankSupport(bv)
-        assert bv.get_many(np.array([], dtype=np.int64)).tolist() == []
-        assert rs.rank1_many(np.array([], dtype=np.int64)).tolist() == []
-        assert rs.rank0_many(np.array([], dtype=np.int64)).tolist() == []
-
-    def test_duplicates_and_unsorted(self):
-        bv = BitVector.from_bits([1, 1, 0, 1, 0, 0, 1])
-        rs = RankSupport(bv, block_bits=64)
-        pos = np.array([6, 0, 3, 3, 6, 0], dtype=np.int64)
-        assert rs.rank1_many(pos).tolist() == [4, 1, 3, 3, 4, 1]
-        assert bv.get_many(pos).tolist() == [1, 1, 1, 1, 1, 1]
-
-    def test_out_of_range_raises(self):
-        bv = BitVector.from_bits([1, 0, 1, 1])
-        rs = RankSupport(bv)
-        for bad in ([-1], [4], [0, 4], [-1, 2]):
-            arr = np.array(bad, dtype=np.int64)
-            with pytest.raises(IndexError):
-                bv.get_many(arr)
-            with pytest.raises(IndexError):
-                rs.rank1_many(arr)
-
-    def test_word_boundary_positions(self):
-        # Positions 63/64/127 exercise the word-edge shift arithmetic.
-        bits = [(i * 7 + 3) % 5 < 2 for i in range(200)]
-        bv = BitVector.from_bits(bits)
-        rs = RankSupport(bv, block_bits=64)
-        pos = np.array([0, 62, 63, 64, 65, 126, 127, 128, 191, 199], dtype=np.int64)
-        assert rs.rank1_many(pos).tolist() == [rs.rank1(int(p)) for p in pos]
-        assert bv.get_many(pos).tolist() == [bv[int(p)] for p in pos]

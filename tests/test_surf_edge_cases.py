@@ -198,8 +198,7 @@ class TestTombstones:
 class TestScalarBatchParity:
     """``lookup`` and ``lookup_many`` answer alike on a built filter and
     on both load paths (``copy=True`` and the zero-copy view an SSTable
-    serves), and the truncated trie's scalar and batched walks return
-    the same (value, remaining suffix)."""
+    serves)."""
 
     def test_lookup_equals_lookup_many(self, name, make):
         rng = random.Random(83)
@@ -213,8 +212,6 @@ class TestScalarBatchParity:
             for f in (built, SuRF.from_bytes(blob), SuRF.from_bytes(blob, copy=False)):
                 assert [f.lookup(q) for q in probes] == f.lookup_many(probes)
                 assert f.lookup_many(keys) == [k != deleted for k in keys]
-                fst = f.fst
-                assert [fst._lookup(q) for q in probes] == fst._lookup_many(probes)
 
 
 class TestLookupManyAllocation:
@@ -226,7 +223,7 @@ class TestLookupManyAllocation:
             surf_mixed(keys, hash_bits=4, real_bits=4).to_bytes(), copy=False
         )
         probe = [keys[123]]
-        assert view.lookup_many(probe) == [True]  # warm-up: lazy batch tables
+        assert view.lookup_many(probe) == [True]  # warm-up
         tracemalloc.start()
         try:
             assert view.lookup_many(probe) == [True]
