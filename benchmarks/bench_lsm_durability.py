@@ -1,30 +1,31 @@
 """Durable LSM engine: what durability costs and what recovery costs.
 
-Three questions the durable engine (WAL + manifest + on-disk SSTables)
-must answer with numbers:
+Three questions the engine (WAL + manifest + on-disk SSTables) must
+answer with numbers:
 
-* WAL tax — write throughput of the durable engine relative to the
-  in-memory engine, across group-commit sizes (``wal_sync_every`` 1 /
-  64 / 512).  fsync-per-record is the pathological floor; batched
-  fsync points are the paper-adjacent configuration.
-* media tax — the same durable configuration on the in-memory
-  fault-model filesystem (MemFS) vs the real filesystem isolates
-  serialization cost from actual fsync cost.
+* WAL tax — write throughput across group-commit sizes
+  (``wal_sync_every`` 1 / 64 / 512).  fsync-per-record is the
+  pathological floor; batched fsync points are the paper-adjacent
+  configuration.
+* media tax — the same configuration on the in-memory filesystem
+  (MemFS, where a path-less engine runs) vs the real filesystem
+  isolates serialization cost from actual fsync cost.  Ratios are
+  against ``memfs sync_every=512``: the least the engine pays per
+  write.
 * recovery time — ``LSMTree.open`` on an existing directory replays
   the manifest + WAL tail; reopening must be milliseconds, not a
   rebuild.
 
-The acceptance bar: batched group commit (``wal_sync_every >= 64``)
-keeps durable writes within 20x of in-memory on MemFS (serialization
-overhead only — the gap is framing/codec work, not fsync), and
-recovery of a multi-level database completes in under 5 seconds.
+The acceptance bar: larger commit groups are not slower than
+fsync-per-record on disk, and recovery of a multi-level database
+completes in under 5 seconds.
 """
 
 import time
 
 from repro.bench.harness import measure_ops, report, scaled
 from repro.lsm import LSMTree
-from repro.testing.faultfs import MemFS
+from repro.lsm.fs import MemFS
 from repro.workloads.keys import encode_u64
 
 CONFIG = dict(
@@ -47,12 +48,6 @@ def run_experiment(tmp_path):
     rows = []
     stats = {}
 
-    # WAL-off baseline: the in-memory engine.
-    m = measure_ops(lambda: _fill(LSMTree(**CONFIG), n), n, repeats=1)
-    base = m.ops_per_sec
-    rows.append(["in-memory (WAL off)", "-", f"{base:,.0f}", "1.00x"])
-    stats["base"] = base
-
     for fs_name, make_fs in (("memfs", lambda: MemFS()), ("disk", lambda: None)):
         for sync_every in (1, 64, 512):
             label = f"durable {fs_name} sync_every={sync_every}"
@@ -68,15 +63,13 @@ def run_experiment(tmp_path):
                 db.close()
 
             m = measure_ops(run, n, repeats=1)
-            rows.append(
-                [
-                    label,
-                    sync_every,
-                    f"{m.ops_per_sec:,.0f}",
-                    f"{base / m.ops_per_sec:.2f}x slower",
-                ]
-            )
+            rows.append([label, sync_every, m.ops_per_sec])
             stats[(fs_name, sync_every)] = m.ops_per_sec
+    base = stats[("memfs", 512)]
+    rows = [
+        [label, sync_every, f"{ops:,.0f}", f"{base / ops:.2f}x"]
+        for label, sync_every, ops in rows
+    ]
 
     # Recovery time: reopen a populated multi-level database.
     path = str(tmp_path / "db-recover")
@@ -112,12 +105,9 @@ def test_lsm_durability(benchmark, tmp_path):
     report(
         "lsm_durability",
         "Durable LSM: WAL group-commit cost and recovery time",
-        ["configuration", "sync_every", "write ops/s (or time)", "vs WAL off"],
+        ["configuration", "sync_every", "write ops/s (or time)", "time vs memfs 512"],
         rows,
     )
-    # Batched group commit must stay within 20x of in-memory on MemFS:
-    # that gap is pure framing/codec overhead, no fsync involved.
-    assert stats["base"] / stats[("memfs", 64)] < 20.0
     # Larger commit groups must not be slower than fsync-per-record.
     assert stats[("disk", 512)] >= stats[("disk", 1)]
     # Recovery replays metadata + WAL tail, never rebuilds tables.

@@ -47,7 +47,7 @@ from typing import Any
 
 from ..lsm import manifest as lsm_manifest
 from ..lsm.disk_format import encode_value
-from ..lsm.fs import FileSystem, WritableFile, join
+from ..lsm.fs import FileSystem, MemFS, join
 from ..lsm.sstable import table_file_name, write_sstable
 from ..lsm.wal import wal_file_name
 from ..server.client import (
@@ -63,38 +63,6 @@ SNAP_CHUNK_BYTES = 256 * 1024
 MAX_SNAPSHOT_BYTES = 1 << 30
 
 
-class _BufFile(WritableFile):
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def append(self, data: bytes) -> None:
-        self.data += data
-
-    def sync(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _BufFS(FileSystem):
-    """Just enough filesystem to run ``write_sstable`` into memory."""
-
-    def __init__(self) -> None:
-        self.files: dict[str, _BufFile] = {}
-
-    def create(self, path: str) -> WritableFile:
-        f = _BufFile()
-        self.files[path] = f
-        return f
-
-    def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        data = bytes(self.files[path].data)
-        if length is None:
-            return data[offset:]
-        return data[offset : offset + length]
-
-
 def build_snapshot(
     engine: Any, purpose: str
 ) -> tuple[int, bytes, dict[str, bytes]]:
@@ -108,8 +76,6 @@ def build_snapshot(
     try:
         layout = snap.table_layout()
         fs = engine.fs
-        if fs is None:
-            raise ValueError("cannot snapshot a pure in-memory engine")
         files: dict[str, bytes] = {}
         levels: list[list[int]] = []
         all_ids: list[int] = []
@@ -127,7 +93,7 @@ def build_snapshot(
             # The pinned memtable ships as one synthetic newest-first
             # L0 table, written exactly like the engine's own flushes.
             table_id = max(all_ids, default=-1) + 1
-            buf = _BufFS()
+            buf = MemFS()
             write_sstable(
                 buf,
                 "mem",

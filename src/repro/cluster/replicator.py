@@ -190,7 +190,7 @@ class _FollowerLink(threading.Thread):
         #: ``dispatched``, refreshed from its WATERMARK on connect).
         self.cursor: dict[int, int] = {}
         #: Highest durably applied sequence per shard, from acks.
-        self.durable: dict[int, int] = {}
+        self.acked: dict[int, int] = {}
         self.state = "connecting"
         self.last_error: str | None = None
         #: Completed snapshot resyncs over this link's lifetime.
@@ -203,8 +203,8 @@ class _FollowerLink(threading.Thread):
     def voting(self) -> bool:
         return self.state == "streaming"
 
-    def durable_for(self, shard_id: int) -> int:
-        return self.durable.get(shard_id, -1)
+    def acked_for(self, shard_id: int) -> int:
+        return self.acked.get(shard_id, -1)
 
     def stop(self) -> None:
         self._stop_evt.set()
@@ -309,7 +309,7 @@ class _FollowerLink(threading.Thread):
                     )
                 else:
                     self.cursor[shard_id] = dispatched
-                    self.durable[shard_id] = applied
+                    self.acked[shard_id] = applied
         if behind:
             if not coord._allow_resync:
                 shard_id, why = behind[0]
@@ -322,7 +322,7 @@ class _FollowerLink(threading.Thread):
                 snap_seq = self._resync_shard(shard_id)
                 with coord._cond:
                     self.cursor[shard_id] = snap_seq
-                    self.durable[shard_id] = snap_seq
+                    self.acked[shard_id] = snap_seq
                 self.resyncs += 1
         self._set_state("streaming")
         coord._advance()
@@ -372,7 +372,7 @@ class _FollowerLink(threading.Thread):
             for shard_id, frames, last in work:
                 applied = client.repl_apply(term, shard_id, frames)
                 self.cursor[shard_id] = last
-                self.durable[shard_id] = max(self.durable.get(shard_id, -1), applied)
+                self.acked[shard_id] = max(self.acked.get(shard_id, -1), applied)
             coord._advance()
 
 
@@ -483,7 +483,7 @@ class PrimaryReplication:
             self._migrations.pop(shard_id, None)
             for link in self._links:
                 link.cursor.pop(shard_id, None)
-                link.durable.pop(shard_id, None)
+                link.acked.pop(shard_id, None)
             self._cond.notify_all()
         self._advance()
 
@@ -570,7 +570,7 @@ class PrimaryReplication:
         voting = [link for link in self._links if link.voting]
         if not voting:
             return float("inf")
-        return min(link.durable_for(shard_id) for link in voting)
+        return min(link.acked_for(shard_id) for link in voting)
 
     def _trim_limit_locked(self, shard_id: int) -> int | None:
         """Lowest sequence any connected link or pin still needs; None
@@ -613,7 +613,7 @@ class PrimaryReplication:
             if shard_id in self._ingest:
                 continue
             if voting:
-                floor = min(link.durable_for(shard_id) for link in voting)
+                floor = min(link.acked_for(shard_id) for link in voting)
                 limit = self._trim_limit_locked(shard_id)
                 if limit is not None:
                     floor = min(floor, limit)
@@ -744,7 +744,7 @@ class PrimaryReplication:
             while True:
                 lagging = [
                     link for link in self._links
-                    if link.state in _TRIM_STATES and link.durable_for(shard_id) < seq
+                    if link.state in _TRIM_STATES and link.acked_for(shard_id) < seq
                 ]
                 if not lagging:
                     return
@@ -782,7 +782,7 @@ class PrimaryReplication:
                         "state": link.state,
                         "voting": link.voting,
                         "cursor": {str(s): c for s, c in sorted(link.cursor.items())},
-                        "durable": {str(s): d for s, d in sorted(link.durable.items())},
+                        "durable": {str(s): d for s, d in sorted(link.acked.items())},
                         "resyncs": link.resyncs,
                         "reconnects": link.reconnects,
                         "last_error": link.last_error,

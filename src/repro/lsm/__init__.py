@@ -1,13 +1,13 @@
-"""LSM-tree storage engine (Chapter 4 substrate): simulated or durable."""
+"""LSM-tree storage engine (Chapter 4 substrate): one durable engine,
+on POSIX files or, without a path, on a private in-memory filesystem."""
 
 from .engine import IoStats, LSMTree
 from .fs import FileSystem, OsFileSystem
 from .manifest import ManifestState
-from .sstable import DiskSSTable, SSTable, TOMBSTONE, write_sstable
+from .sstable import DiskSSTable, TOMBSTONE, write_sstable
 
 __all__ = [
     "LSMTree",
-    "SSTable",
     "DiskSSTable",
     "write_sstable",
     "TOMBSTONE",

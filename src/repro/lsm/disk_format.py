@@ -66,7 +66,7 @@ def encode_value(value: Any) -> bytes:
     if value is TOMBSTONE:
         return TOMBSTONE_CELL
     if isinstance(value, bool):  # bool is an int subclass; reject explicitly
-        raise TypeError("durable LSM values must be int, bytes, or str")
+        raise TypeError("LSM values must be int, bytes, or str")
     if isinstance(value, int):
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise TypeError("int values must fit in a signed 64-bit word")
@@ -74,7 +74,7 @@ def encode_value(value: Any) -> bytes:
     if isinstance(value, str):
         return _STR_TAG + value.encode("utf-8")
     raise TypeError(
-        f"durable LSM values must be int, bytes, or str (got {type(value).__name__})"
+        f"LSM values must be int, bytes, or str (got {type(value).__name__})"
     )
 
 

@@ -1,4 +1,4 @@
-"""A leveled LSM-tree storage engine (Section 4.2), durable or simulated.
+"""A leveled LSM-tree storage engine (Section 4.2).
 
 The architecture mirrors Figure 4.2 with the LevelDB lifecycle: writes
 land in a *mutable* memtable; at capacity the memtable **freezes** into
@@ -43,17 +43,17 @@ overlapping tables to pay for rewriting them (*read debt*, see
 ``_READ_DEBT_PER_ENTRY``) — both are offers of ``_next_compaction``
 and run through ``_compact_level`` under either executor.
 
-Two storage modes also share all of it:
-
-* **in-memory** (``path=None``): SSTables live on the heap, I/O is
-  simulated — the original reproduction substrate;
-* **durable** (``path=...``): writes are sequenced through a
-  write-ahead log with batched fsync (group commit), flushes and
-  compactions write CRC-framed table files and commit them through a
-  versioned manifest (write-temp → sync → rename), and
-  :meth:`LSMTree.open` recovers exactly the last acknowledged state —
-  a write is acknowledged once its WAL record is fsynced
-  (``seq <= last_acked_seq``).
+There is one storage mode, too.  Writes are sequenced through a
+write-ahead log with batched fsync (group commit), flushes and
+compactions write CRC-framed table files and commit them through a
+versioned manifest (write-temp → sync → rename), and
+:meth:`LSMTree.open` recovers exactly the last acknowledged state — a
+write is acknowledged once its WAL record is fsynced
+(``seq <= last_acked_seq``).  Every value is stored encoded
+(``int`` / ``bytes`` / ``str``; anything else raises ``TypeError``).
+An engine built without a ``path`` runs the same code on a private
+in-memory filesystem (:class:`~repro.lsm.fs.MemFS`), and
+``LSMTree.open(db.path, fs=db.fs)`` recovers it like any other.
 
 **Snapshots.**  Every write is stamped with a sequence number;
 :meth:`LSMTree.snapshot` pins the current one and returns a
@@ -96,13 +96,12 @@ from ..trees.gapped_btree import GappedBPlusTree
 from . import disk_format
 from . import manifest as manifest_mod
 from . import wal as wal_mod
-from .fs import FileSystem, OsFileSystem, join
+from .fs import FileSystem, MemFS, OsFileSystem, join
 from .manifest import ManifestState
 from .sstable import (
     DEFAULT_BLOCK_ENTRIES,
     Block,
     DiskSSTable,
-    SSTable,
     SSTableBase,
     TOMBSTONE,
     table_file_name,
@@ -420,7 +419,7 @@ class _Frozen:
         #: mapping reads and sorted ``items()`` are safe lock-free.
         self.data = data
         self.last_seq = last_seq
-        self.wal: wal_mod.WalWriter | None = wal
+        self.wal: wal_mod.WalWriter = wal
         self.wal_index = wal_index
 
 
@@ -580,8 +579,8 @@ class LSMTree:
         self._immutables: list[_Frozen] = []
         self._block_cache = ClockNodeCache(block_cache_blocks)
         self.io = IoStats(self._block_cache)
-        #: Engine-scoped table-id allocator (persisted via the manifest
-        #: in durable mode, so recovered engines never reuse an id).
+        #: Engine-scoped table-id allocator (persisted via the manifest,
+        #: so recovered engines never reuse an id).
         self._next_table_id = 0
         #: Monotonic write sequence; every put/delete gets the next one.
         self._seq = 0
@@ -624,9 +623,10 @@ class LSMTree:
         self._snapshots_live = 0
         self._bg_error: BaseException | None = None
 
+        if path is None:
+            path, fs = "db", MemFS()
         self.path = path
-        self._fs = fs if fs is not None else (OsFileSystem() if path else None)
-        self._wal: wal_mod.WalWriter | None = None
+        self._fs = fs if fs is not None else OsFileSystem()
         self._wal_sync_every = wal_sync_every
         #: Commit observer threaded into every WAL segment (replication
         #: tap — see the ``wal`` module docstring for the contract).
@@ -634,8 +634,7 @@ class LSMTree:
         self._wal_index = 0
         self._manifest_version = 0
         self._closed = False
-        if path is not None:
-            self._open_durable()
+        self._open_or_recover()
 
         self._flusher: threading.Thread | None = None
         self._compactor: threading.Thread | None = None
@@ -671,13 +670,10 @@ class LSMTree:
     # -- durability: open / recover ------------------------------------------------
 
     @property
-    def durable(self) -> bool:
-        return self.path is not None
-
-    @property
-    def fs(self) -> FileSystem | None:
-        """The backing filesystem (None for pure in-memory engines).
-        Snapshot shipping reads pinned table bytes through this."""
+    def fs(self) -> FileSystem:
+        """The backing filesystem (a private :class:`MemFS` when the
+        engine was built without a path).  Snapshot shipping reads
+        pinned table bytes through this."""
         return self._fs
 
     @property
@@ -693,23 +689,20 @@ class LSMTree:
     def last_acked_seq(self) -> int:
         """Writes with seq <= this are guaranteed to survive a crash.
 
-        In-memory engines have no durability, so every accepted write
-        counts as acknowledged.  In durable mode a write is acked by
-        the first fsync that covers its WAL record: a group commit
-        (every ``wal_sync_every`` records, every ``write_batch``, every
-        :meth:`sync`) or, at the latest, the freeze-time sync of its
-        segment — so every record of a memtable is acknowledged
-        *before* its flush starts, whoever runs the flush, and stays
-        recoverable from that segment until the CURRENT rename makes
-        the SSTable reachable and the segment is retired.  The manifest
+        A write is acked by the first fsync that covers its WAL record:
+        a group commit (every ``wal_sync_every`` records, every
+        ``write_batch``, every :meth:`sync`) or, at the latest, the
+        freeze-time sync of its segment — so every record of a memtable
+        is acknowledged *before* its flush starts, whoever runs the
+        flush, and stays recoverable from that segment until the
+        CURRENT rename makes the SSTable reachable and the segment is
+        retired.  The manifest
         install only carries the floor across the retirement; it never
         acknowledges anything first.
         """
-        if self._wal is None:
-            return self._seq
         return max(self._acked_floor, self._wal.synced_seq)
 
-    def _open_durable(self) -> None:
+    def _open_or_recover(self) -> None:
         fs, path = self._fs, self.path
         fs.mkdir(path)
         state = manifest_mod.load_current(fs, path)
@@ -851,8 +844,7 @@ class LSMTree:
 
     def sync(self) -> None:
         """Force the WAL durability barrier (acknowledge everything)."""
-        if self._wal is not None:
-            self._wal.sync()
+        self._wal.sync()
 
     def close(self) -> None:
         """Sync and release the WAL; a write or flush after this raises
@@ -874,10 +866,8 @@ class LSMTree:
                 thread.join(timeout=10.0)
         try:
             for frozen in self._immutables:
-                if frozen.wal is not None:
-                    frozen.wal.close()
-            if self._wal is not None:
-                self._wal.close()
+                frozen.wal.close()
+            self._wal.close()
         finally:
             for table in self._version.tables():
                 table.close()
@@ -920,7 +910,7 @@ class LSMTree:
         its cached blocks, unlink the file, release the mapping."""
         for idx in range(table.n_blocks):
             self._block_cache.evict((table.table_id, idx))
-        if self.durable and not self._closed:
+        if not self._closed:
             try:
                 self._fs.remove(table.path)
             except Exception:
@@ -975,9 +965,8 @@ class LSMTree:
 
     def _admit_write(self) -> None:
         """Gate in front of every write and flush: a closed engine and
-        one whose flush or compaction failed refuse (the same way in
-        both storage modes); a thread-run engine then pays its
-        backpressure."""
+        one whose flush or compaction failed refuse; a thread-run engine
+        then pays its backpressure."""
         if self._closed:
             raise ValueError("engine is closed")
         self._check_bg_error()
@@ -1017,9 +1006,11 @@ class LSMTree:
 
     def put(self, key: bytes, value: Any) -> None:
         self._admit_write()
+        # The record is encoded before the sequence number is taken: an
+        # unstorable value raises with no gap left in the WAL's
+        # sequence, which recovery would stop at.
+        self._wal.append_put(self._seq + 1, key, value)
         self._seq += 1
-        if self._wal is not None:
-            self._wal.append_put(self._seq, key, value)
         with self._lock:
             self._memtable.put(key, value)
             self._visible_seq = self._seq
@@ -1028,8 +1019,7 @@ class LSMTree:
     def delete(self, key: bytes) -> None:
         self._admit_write()
         self._seq += 1
-        if self._wal is not None:
-            self._wal.append_delete(self._seq, key)
+        self._wal.append_delete(self._seq, key)
         with self._lock:
             self._memtable.put(key, TOMBSTONE)
             self._visible_seq = self._seq
@@ -1039,12 +1029,11 @@ class LSMTree:
         """Apply a mixed put/delete batch as one acknowledgement unit.
 
         ``entries`` are ``(key, value)`` pairs applied in order, with
-        ``value is TOMBSTONE`` marking a delete.  In durable mode every
-        record rides a *single* WAL group commit — one fsync covers the
-        whole batch, so when this returns the batch is fully
-        acknowledged (``last_acked_seq`` covers its final sequence
-        number) and a crash can never split it from the caller's point
-        of view.  The memtable is updated in one pass (under the lock,
+        ``value is TOMBSTONE`` marking a delete.  Every record rides a
+        *single* WAL group commit — one fsync covers the whole batch,
+        so when this returns the batch is fully acknowledged
+        (``last_acked_seq`` covers its final sequence number) and a
+        crash can never split it from the caller's point of view.  The memtable is updated in one pass (under the lock,
         so a snapshot sees all of the batch or none of it) and the
         freeze check runs once, after the batch.
 
@@ -1061,10 +1050,9 @@ class LSMTree:
         for key, value in entries:
             seq += 1
             records.append((seq, key, value))
-        if self._wal is not None:
-            # append_batch encodes everything before appending, so a
-            # TypeError from the value codec leaves WAL and seq intact.
-            self._wal.append_batch(records)
+        # append_batch encodes everything before appending, so a
+        # TypeError from the value codec leaves WAL and seq intact.
+        self._wal.append_batch(records)
         self._seq = seq
         with self._lock:
             # One vectorized apply: the whole group commit lands in the
@@ -1102,16 +1090,14 @@ class LSMTree:
         if not len(self._memtable):
             return
         old_wal, old_index = self._wal, self._wal_index
-        if old_wal is not None:
-            old_wal.sync()  # durability point: frozen records are acked
+        old_wal.sync()  # durability point: frozen records are acked
         # Rotation and registration are one atomic step under the lock:
         # a concurrent flush commit must never compute its manifest WAL
         # pointer between the new segment appearing and the frozen
         # memtable (which still owns the old segment) being listed.
         with self._cond:
-            if old_wal is not None:
-                self._start_wal(self._wal_index + 1)
-                self._acked_floor = max(self._acked_floor, old_wal.synced_seq)
+            self._start_wal(self._wal_index + 1)
+            self._acked_floor = max(self._acked_floor, old_wal.synced_seq)
             # Sealed here, under the lock readers pin under, and before
             # it is listed: whoever reads it next (the flush, a pinned
             # scan, a snapshot) shares no lock and must find nothing
@@ -1131,23 +1117,13 @@ class LSMTree:
         self._freeze()
         self.wait_idle(timeout=None)
 
-    def _build_table(self, keys: list[bytes], cells: list[Any]) -> SSTableBase:
-        """Build one table from sorted ``keys`` and their values as a
-        table stores them (:meth:`~repro.lsm.disk_format.Block.cells`:
-        encoded in durable mode, the values themselves on the heap) —
-        on the heap, or as a durable file fsynced before this returns
-        (invariant 1)."""
+    def _build_table(self, keys: list[bytes], cells: list[bytes]) -> DiskSSTable:
+        """Build one table from sorted ``keys`` and their encoded values
+        (:meth:`~repro.lsm.disk_format.Block.cells`) as a table file
+        fsynced before this returns (invariant 1)."""
         with self._lock:
             tid = self._next_table_id
             self._next_table_id += 1
-        if not self.durable:
-            return SSTable(
-                keys,
-                cells,
-                block_entries=self._block_entries,
-                filter_factory=self._filter_factory,
-                table_id=tid,
-            )
         file_path = join(self.path, table_file_name(tid))
         write_sstable(
             self._fs,
@@ -1246,27 +1222,23 @@ class LSMTree:
         # A memtable hands out its columns in key order: no sort, no
         # per-entry tuple, and each value is encoded exactly once.
         keys, values = frozen.data.columns()
-        if self.durable:
-            values = list(map(disk_format.encode_value, values))
-        table = self._build_table(keys, values)
+        table = self._build_table(keys, list(map(disk_format.encode_value, values)))
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
             old_version = self._install_version(levels)
             self._immutables.pop(0)
-            if self.durable:
-                self._flushed_seq = max(self._flushed_seq, frozen.last_seq)
-                self._install_manifest()
+            self._flushed_seq = max(self._flushed_seq, frozen.last_seq)
+            self._install_manifest()
             self._release_version(old_version)
             self.flush_count += 1
             self._cond.notify_all()
         # Only now is the frozen segment redundant (invariant 3).
-        if frozen.wal is not None:
-            frozen.wal.close()  # synced in full at freeze: no fsync here
-            try:
-                self._fs.remove(frozen.wal.path)
-            except FileNotFoundError:
-                pass
+        frozen.wal.close()  # synced in full at freeze: no fsync here
+        try:
+            self._fs.remove(frozen.wal.path)
+        except FileNotFoundError:
+            pass
 
     # -- compaction -----------------------------------------------------------------
 
@@ -1304,8 +1276,7 @@ class LSMTree:
             keep = [t for t in levels[level + 1] if t.table_id not in overlap_ids]
             levels[level + 1] = sorted(keep + new_tables, key=lambda t: t.min_key)
             old_version = self._install_version(levels)
-            if self.durable:
-                self._install_manifest()
+            self._install_manifest()
             self._release_version(old_version)
             self.compaction_count += 1
             if level == 0:
@@ -1321,7 +1292,7 @@ class LSMTree:
 
     def _merge_tables(
         self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
-    ) -> Iterator[tuple[list[bytes], list[Any]]]:
+    ) -> Iterator[tuple[list[bytes], list[bytes]]]:
         """Newest-wins merge of the runs ``newer`` (newest first, may
         overlap) into ``older`` (the next level's disjoint tables they
         overlap, in key order): yields each output table as sorted
@@ -1353,10 +1324,8 @@ class LSMTree:
                 merged.update(table.cells_between(low, high))
             if not drop_tombstones:
                 keys = sorted(merged)
-            elif self.durable:
-                keys = sorted([k for k, v in merged.items() if v != disk_format.TOMBSTONE_CELL])
             else:
-                keys = sorted([k for k, v in merged.items() if v is not TOMBSTONE])
+                keys = sorted([k for k, v in merged.items() if v != disk_format.TOMBSTONE_CELL])
             return keys, list(map(merged.__getitem__, keys))
 
         carry_keys: list[bytes] = []

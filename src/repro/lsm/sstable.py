@@ -5,14 +5,11 @@ An SSTable holds sorted key-value pairs divided into fixed-size blocks
 (first key of each block) form the fence index kept in the table cache;
 an optional filter (Bloom or SuRF) guards the table (Section 4.2).
 
-Two concrete kinds share one interface (:class:`SSTableBase`):
-
-* :class:`SSTable` keeps its blocks in memory — the original simulated
-  engine, where reading an uncached block costs one *counted* I/O;
-* :class:`DiskSSTable` is backed by a file written by
-  :func:`write_sstable`; only the footer (fences, offsets, filter) is
-  resident, and ``read_block`` does a real positioned read with CRC
-  verification.
+A table is a file written by :func:`write_sstable` and read through
+:class:`SSTableBase` by :class:`DiskSSTable`: only the footer (fences,
+offsets, filter) is resident, and ``read_block`` does a positioned
+read with CRC verification — the engine counts each one that misses
+its block cache as one I/O.
 
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
@@ -55,7 +52,7 @@ def table_file_name(table_id: int) -> str:
 
 
 class SSTableBase:
-    """Interface both table kinds implement.
+    """The interface the engine reads a table through.
 
     Concrete subclasses provide ``table_id``, ``fences``, ``min_key``,
     ``max_key``, ``n_entries``, ``filter``, ``n_blocks`` and
@@ -125,86 +122,10 @@ class SSTableBase:
         return self.filter.memory_bytes() if self.filter is not None else 0
 
     def close(self) -> None:
-        """Release any backing resources (no-op for in-memory tables)."""
+        """Release any backing resources."""
 
 
-class MemBlock(Block):
-    """An in-memory table's block: the :class:`Block` read surface over
-    two parallel lists (heap tables hold arbitrary Python values, so
-    there is no payload to decode, and a value is stored as itself).
-    The key list is the one a hot ``Block`` materializes, so searches
-    take the same bisect."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, keys: list[bytes], values: list[Any]) -> None:
-        self._n = len(keys)
-        self._keys = keys
-        self._values = values
-
-    def key(self, i: int) -> bytes:
-        return self._keys[i]
-
-    def value(self, i: int) -> Any:
-        return self._values[i]
-
-    def cells(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, Any]]:
-        return zip(self._keys[start:stop], self._values[start:stop])
-
-
-class SSTable(SSTableBase):
-    """One immutable in-memory sorted run.
-
-    ``table_id`` should come from the owning engine's allocator so ids
-    are engine-scoped (and persistable); the module-level fallback
-    counter exists only for standalone construction in tests, where no
-    block cache is shared between engines.
-    """
-
-    _fallback_id = 0
-
-    def __init__(
-        self,
-        keys: Sequence[bytes],
-        values: Sequence[Any],
-        block_entries: int = DEFAULT_BLOCK_ENTRIES,
-        filter_factory=None,
-        table_id: int | None = None,
-    ) -> None:
-        """The same columns as :func:`write_sstable`, except that a
-        value is stored as itself: ``keys`` strictly increasing,
-        ``values[i]`` belonging to ``keys[i]``."""
-        if not keys:
-            raise ValueError("SSTable cannot be empty")
-        if len(values) != len(keys):
-            raise ValueError("SSTable values must parallel keys")
-        if not all(map(operator.lt, keys, keys[1:])):
-            raise ValueError("SSTable keys must be sorted and distinct")
-        if table_id is None:
-            table_id = SSTable._fallback_id
-            SSTable._fallback_id += 1
-        self.table_id = table_id
-        self.blocks = [
-            MemBlock(list(keys[i : i + block_entries]), list(values[i : i + block_entries]))
-            for i in range(0, len(keys), block_entries)
-        ]
-        self.fences = list(keys[::block_entries])
-        self.min_key = keys[0]
-        self.max_key = keys[-1]
-        self.n_entries = len(keys)
-        # Filters guard only live keys (tombstones would false-negative
-        # reads of older versions, so they are included as keys too).
-        self.filter = filter_factory(keys) if filter_factory else None
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def read_block(self, idx: int) -> Block:
-        return self.blocks[idx]
-
-
-# -- durable tables ----------------------------------------------------------
+# -- table files -------------------------------------------------------------
 
 
 def _encode_filter(flt: Any) -> tuple[int, bytes]:
@@ -270,6 +191,10 @@ def write_sstable(
     """
     if not keys:
         raise ValueError("SSTable cannot be empty")
+    if len(values) != len(keys):
+        raise ValueError("SSTable values must parallel keys")
+    if not all(map(operator.lt, keys, keys[1:])):
+        raise ValueError("SSTable keys must be sorted and distinct")
     flt = filter_factory(keys) if filter_factory else None
     filter_tag, filter_blob = _encode_filter(flt)
 

@@ -78,9 +78,9 @@ class WalWriter:
         #: Frames appended since the last durability barrier, kept only
         #: when an observer wants them (replication).
         self._pending_frames: list[tuple[int, bytes]] = []
-        # An empty segment must itself be durable before the manifest
-        # can point at it.
-        self._file.sync()
+        # No sync here: ``create`` made the segment's name durable, and
+        # an empty segment has nothing else to persist before the
+        # manifest can point at it.
 
     def append_put(self, seq: int, key: bytes, value: Any) -> None:
         self._append(encode_record(_PUT, seq, key, value), seq)

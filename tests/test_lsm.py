@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filters import BloomFilter
-from repro.lsm import LSMTree, TOMBSTONE, SSTable
+from repro.lsm import DiskSSTable, LSMTree, TOMBSTONE, write_sstable
+from repro.lsm.disk_format import encode_value
+from repro.lsm.fs import MemFS
 from repro.surf import surf_real
 from repro.workloads import encode_u64, random_u64_keys
 from repro.workloads.sensors import (
@@ -24,25 +26,33 @@ def surf_factory(keys):
     return surf_real(sorted(keys), real_bits=4)
 
 
+def sstable(keys, values, **kw):
+    """One table file on a fresh MemFS, values encoded as the engine
+    stores them."""
+    fs = MemFS()
+    write_sstable(fs, "t.sst", keys, [encode_value(v) for v in values], 0, **kw)
+    return DiskSSTable(fs, "t.sst")
+
+
 class TestSSTable:
     def test_blocks_and_fences(self):
-        table = SSTable([encode_u64(i) for i in range(300)], list(range(300)), block_entries=64)
-        assert len(table.blocks) == 5
+        table = sstable([encode_u64(i) for i in range(300)], list(range(300)), block_entries=64)
+        assert table.n_blocks == 5
         assert table.fences[0] == encode_u64(0)
         assert table.block_for(encode_u64(100)) == 1
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            SSTable([b"b", b"a"], [1, 2])
+            sstable([b"b", b"a"], [1, 2])
         with pytest.raises(ValueError):
-            SSTable([b"a", b"a"], [1, 2])
+            sstable([b"a", b"a"], [1, 2])
         with pytest.raises(ValueError):
-            SSTable([b"a", b"b"], [1])
+            sstable([b"a", b"b"], [1])
         with pytest.raises(ValueError):
-            SSTable([], [])
+            sstable([], [])
 
     def test_overlaps(self):
-        table = SSTable([b"d", b"m"], [1, 2])
+        table = sstable([b"d", b"m"], [1, 2])
         assert table.overlaps(b"a", b"e")
         assert table.overlaps(b"e", b"z")
         assert not table.overlaps(b"n", b"z")

@@ -33,7 +33,7 @@ import pytest
 from repro.lsm import LSMTree, disk_format
 from repro.lsm import engine as engine_mod
 from repro.lsm.disk_format import encode_value
-from repro.lsm.sstable import DiskSSTable, SSTable, TOMBSTONE, write_sstable
+from repro.lsm.sstable import DiskSSTable, TOMBSTONE, write_sstable
 from repro.testing.faultfs import MemFS
 from repro.testing.threaded import generate_write_ops, model_after, run_torture
 from repro.trees.gapped_btree import GappedBPlusTree
@@ -210,11 +210,11 @@ class TestBackpressure:
 
 
 class TestClosedEngine:
-    @pytest.mark.parametrize("durable", [False, True], ids=["mem", "durable"])
+    @pytest.mark.parametrize("opened", [False, True], ids=["no-path", "open"])
     @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
-    def test_write_or_flush_after_close_raises(self, background, durable):
+    def test_write_or_flush_after_close_raises(self, background, opened):
         config = dict(CONFIG, background=background)
-        db = LSMTree.open("db", fs=MemFS(), **config) if durable else LSMTree(**config)
+        db = LSMTree.open("db", fs=MemFS(), **config) if opened else LSMTree(**config)
         _fill(db, 3)
         db.close()
         key = encode_u64(99)
@@ -584,25 +584,30 @@ class TestReadDrivenCompaction:
         db.close()
 
 
-def _reference_merge(newer, older, drop_tombstones):
-    """The whole-level merge the partitioned one replaced."""
+def _reference_merge(newer, older, drop_tombstones, tombstone=TOMBSTONE):
+    """The whole-level merge the partitioned one replaced, over runs of
+    ``(key, value)`` pairs (``newer`` newest first)."""
     merged = {}
-    for table in older:
-        merged.update(table.items())
-    for table in reversed(newer):  # oldest first, newest last
-        merged.update(table.items())
+    for run in older:
+        merged.update(run)
+    for run in reversed(newer):  # oldest first, newest last
+        merged.update(run)
     out = sorted(merged.items())
-    return [kv for kv in out if kv[1] is not TOMBSTONE] if drop_tombstones else out
+    return [kv for kv in out if kv[1] != tombstone] if drop_tombstones else out
 
 
-def _on_disk(fs, tables):
-    """The same runs as durable tables: encoded values in LSM3 blocks."""
+def _cells(tables):
+    """Each table's entries as its blocks store them: encoded values."""
+    return [table.cells_between(None, None) for table in tables]
+
+
+def _on_disk(fs, runs, first_id):
+    """Each run as a table file: encoded values in LSM3 blocks."""
     out = []
-    for table in tables:
-        path = f"t{table.table_id}.sst"
-        keys, values = zip(*table.items())
-        write_sstable(fs, path, list(keys), [encode_value(v) for v in values],
-                      table.table_id, block_entries=4)
+    for table_id, run in enumerate(runs, first_id):
+        path = f"t{table_id}.sst"
+        write_sstable(fs, path, [k for k, _ in run], [encode_value(v) for _, v in run],
+                      table_id, block_entries=4)
         out.append(DiskSSTable(fs, path))
     return out
 
@@ -615,7 +620,7 @@ class TestPartitionedMerge:
     SIZE = 16
 
     def _tables(self, rng, universe, n_older, n_newer, older_span, newer_keys):
-        """``n_older`` disjoint tables over ``older_span`` of the
+        """Runs of ``n_older`` disjoint tables over ``older_span`` of the
         universe (one of them larger than ``sstable_entries``) and
         ``n_newer`` overlapping runs of about ``newer_keys`` keys drawn
         from all of it, a fifth of them tombstones.  Values are of every
@@ -629,7 +634,7 @@ class TestPartitionedMerge:
             for a, b in zip([0] + cuts, cuts + [len(pool)]):
                 keys = pool[a:b]
                 values = [rng.choice([f"old-{k.hex()}", a, ""]) for k in keys]
-                older.append(SSTable(keys, values, block_entries=4))
+                older.append(list(zip(keys, values)))
         newer = []
         for age in range(n_newer):
             keys = sorted(rng.sample(universe, newer_keys + rng.randint(0, 8)))
@@ -637,10 +642,9 @@ class TestPartitionedMerge:
                 TOMBSTONE if rng.random() < 0.2 else rng.choice([b"new%d" % age, b"", age])
                 for _ in keys
             ]
-            newer.append(SSTable(keys, values, block_entries=4))
+            newer.append(list(zip(keys, values)))
         return newer, older
 
-    @pytest.mark.parametrize("storage", ["heap", "disk"])
     @pytest.mark.parametrize("drop_tombstones", [False, True], ids=["kept", "dropped"])
     @pytest.mark.parametrize(
         "shape",
@@ -655,26 +659,20 @@ class TestPartitionedMerge:
         ids=["empty-next", "tiny", "even", "beyond-last", "before-first", "overflow"],
     )
     def test_output_is_the_whole_level_merge_in_full_tables(
-        self, shape, drop_tombstones, storage, monkeypatch
+        self, shape, drop_tombstones, monkeypatch
     ):
-        """On the heap a table stores values as themselves; on disk the
-        merge carries each encoded value from its input block to the
-        output as the same bytes, and never calls the value codec."""
+        """The merge carries each encoded value from its input block to
+        the output as the same bytes, and never calls the value codec."""
         universe = [encode_u64(i * 5) for i in range(400)]
-        if storage == "heap":
-            db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
-        else:
-            db = LSMTree.open("db", fs=MemFS(), sstable_entries=self.SIZE, block_entries=4)
+        db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
         for seed in range(25):
             rng = random.Random(seed)
             newer, older = self._tables(rng, universe, **shape)
-            want = _reference_merge(newer, older, drop_tombstones)
-            if storage == "disk":
-                fs = MemFS()
-                newer, older = _on_disk(fs, newer), _on_disk(fs, older)
-                want = [(k, encode_value(v)) for k, v in want]
-                monkeypatch.setattr(disk_format, "encode_value", _unusable)
-                monkeypatch.setattr(disk_format, "decode_value", _unusable)
+            want = [(k, encode_value(v)) for k, v in _reference_merge(newer, older, drop_tombstones)]
+            fs = MemFS()
+            newer, older = _on_disk(fs, newer, 0), _on_disk(fs, older, len(newer))
+            monkeypatch.setattr(disk_format, "encode_value", _unusable)
+            monkeypatch.setattr(disk_format, "decode_value", _unusable)
             chunks = list(db._merge_tables(newer, older, drop_tombstones))
             monkeypatch.undo()
             assert [kv for keys, cells in chunks for kv in zip(keys, cells)] == want, seed
@@ -697,7 +695,9 @@ class TestPartitionedMerge:
             chunks = list(original(newer, older, drop))
             merges.append(len(older))
             got = [kv for keys, cells in chunks for kv in zip(keys, cells)]
-            assert got == _reference_merge(newer, older, drop)
+            assert got == _reference_merge(
+                _cells(newer), _cells(older), drop, disk_format.TOMBSTONE_CELL
+            )
             return iter(chunks)
 
         db._merge_tables = checked

@@ -8,15 +8,18 @@ write and (b) is an exact prefix of the op sequence — nothing invented,
 nothing reordered, all CRCs verified on the way back in.
 """
 
+import json
+import os
 import random
 import tracemalloc
 
 import pytest
 
-from repro.lsm import DiskSSTable, LSMTree, SSTable, TOMBSTONE, write_sstable
+from repro.lsm import DiskSSTable, LSMTree, TOMBSTONE, write_sstable
 from repro.lsm import disk_format, manifest as manifest_mod, wal as wal_mod
 from repro.lsm.fs import OsFileSystem, join
 from repro.lsm.manifest import ManifestState
+from repro.cluster import membership
 from repro.filters.bloom import BloomFilter
 from repro.surf import surf_real
 from repro.testing.faultfs import CRASH_MODES, FaultFS, MemFS, PowerFailure
@@ -536,11 +539,6 @@ class TestRecovery:
         _assert_state_matches(db2, _model_after(ops, 200))
         assert isinstance(db2._fs, OsFileSystem)
 
-    def test_durable_rejects_unstorable_values(self):
-        db = LSMTree.open("db", fs=MemFS(), **CONFIG)
-        with pytest.raises(TypeError):
-            db.put(b"k", 3.14)
-
     def test_recovery_with_filters(self):
         for factory in (bloom_factory, surf_factory):
             fs = MemFS()
@@ -551,6 +549,87 @@ class TestRecovery:
             db2 = LSMTree.open("db", fs=fs, filter_factory=factory, **CONFIG)
             _assert_state_matches(db2, _model_after(ops, 150))
             assert db2.filter_memory_bytes() > 0
+
+
+class TestOneStorageMode:
+    """An engine built without a path is the same engine as an opened
+    one, on a private MemFS: the same values, the same acks, the same
+    recovery."""
+
+    @pytest.mark.parametrize("opened", [False, True], ids=["no-path", "open"])
+    @pytest.mark.parametrize(
+        "value", [None, 1.5, True, (1,), [1]], ids=["none", "float", "bool", "tuple", "list"]
+    )
+    def test_unstorable_value_is_rejected_without_a_sequence_gap(self, value, opened):
+        """The rejected put takes no sequence number: a later acked
+        write sits right behind the last stored one in the WAL, so
+        recovery (which stops at a gap) still reaches it."""
+        db = LSMTree.open("db", fs=MemFS(), **CONFIG) if opened else LSMTree(**CONFIG)
+        db.put(b"a", 1)
+        with pytest.raises(TypeError):
+            db.put(b"b", value)
+        assert db.last_seq == 1 and db.get(b"b") is None
+        assert db.scan(b"", 5) == [(b"a", 1)] and db.count(b"", b"z") == 1
+        db.put(b"c", 2)
+        db.sync()
+        again = LSMTree.open(db.path, fs=db.fs, **CONFIG)
+        assert again.scan(b"", 5) == [(b"a", 1), (b"c", 2)] and again.last_seq == 2
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_open_on_its_fs_recovers_every_acked_write(self, background):
+        ops = _workload(300, seed=14)
+        db = LSMTree(**CONFIG, background=background)
+        _apply(db, ops)
+        acked = db.last_acked_seq
+        assert db.flush_count > 0
+        # What a power failure would leave of the private filesystem.
+        crashed = FaultFS.crashed_view(db.fs, "drop")
+        db.close()
+        recovered = LSMTree.open(db.path, fs=crashed, **CONFIG)
+        assert recovered.last_seq >= acked
+        _assert_state_matches(recovered, _model_after(ops, recovered.last_seq))
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_a_put_is_acked_by_the_wal_sync(self, background):
+        db = LSMTree(**CONFIG, background=background)
+        db.put(b"k", 1)
+        assert db.last_acked_seq < db.last_seq == 1
+        db.sync()
+        assert db.last_acked_seq == db.last_seq == 1
+        db.close()
+
+    def test_build_snapshot_ships_a_path_less_engine(self):
+        ops = _workload(150, seed=13)
+        db = LSMTree(**CONFIG)
+        _apply(db, ops)
+        assert db.table_count() and len(db._memtable)  # tables and a memtable ship
+        snap_seq, doc, files = membership.build_snapshot(db, purpose="resync")
+        fs = MemFS()
+        membership.install_snapshot(fs, "copy", json.loads(doc), files)
+        copy = LSMTree.open("copy", fs=fs, **CONFIG)
+        assert copy.last_seq == snap_seq == 150
+        _assert_state_matches(copy, _model_after(ops, 150))
+
+    def test_create_fsyncs_the_parent_directory(self, tmp_path, monkeypatch):
+        """A fresh WAL segment's records are acked by a file fsync; its
+        name must be durable by then, not at the next manifest rename."""
+        opened, synced = {}, []
+        real_open, real_fsync = os.open, os.fsync
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = str(path)
+            return fd
+
+        def spy_fsync(fd):
+            synced.append(opened.get(fd))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        f = OsFileSystem().create(str(tmp_path / "wal-00000001.log"))
+        assert synced == [str(tmp_path)]
+        f.close()
 
 
 def _check_recovery(fs, ops, started, acked, point):
@@ -672,7 +751,7 @@ class TestKillAtEverySyncPoint:
                 nf.append(mf.content)
             # Copies land fully durable without consuming crash points.
             for mf in f._files.values():
-                mf.durable, mf.volatile = bytes(mf.volatile), bytearray()
+                mf.synced, mf.volatile = bytes(mf.volatile), bytearray()
             return f
 
         # How many durability points does one clean recovery use?

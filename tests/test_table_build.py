@@ -197,12 +197,12 @@ class TestLongSharedPrefix:
         assert all(surf.lookup_many(self.KEYS)) and surf.lookup(self.KEYS[1])
         assert not surf.lookup(b"a" * 1500 + b"z")
 
-    @pytest.mark.parametrize("durable", [False, True], ids=["heap", "disk"])
-    def test_lsm_flush_and_get(self, durable):
+    @pytest.mark.parametrize("opened", [False, True], ids=["no-path", "open"])
+    def test_lsm_flush_and_get(self, opened):
         prefix = b"p" * 4096
         keys = [prefix + b"%02d" % i for i in range(20)]
         kw = dict(filter_factory=surf_real, memtable_entries=8)
-        db = LSMTree.open("db", fs=MemFS(), **kw) if durable else LSMTree(**kw)
+        db = LSMTree.open("db", fs=MemFS(), **kw) if opened else LSMTree(**kw)
         for i, key in enumerate(keys):
             db.put(key, i)
         db.flush_memtable()
