@@ -166,7 +166,7 @@ class ClusterServer(KVServer):
 
     async def _fmt_ack(self, shard_id: int, fut: asyncio.Future) -> tuple[int, bytes]:
         seq = await fut
-        if isinstance(seq, int) and self._replication is not None:
+        if self._replication is not None:
             # Synchronous replication gate: the local group commit made
             # the write durable *here*; the ack waits until every
             # voting follower confirms it durable *there*, so a

@@ -383,7 +383,6 @@ class PrimaryReplication:
 
     def __init__(
         self,
-        auto_trim: bool = True,
         allow_resync: bool = True,
         log_cap_bytes: int = DEFAULT_LOG_CAP_BYTES,
     ) -> None:
@@ -397,7 +396,6 @@ class PrimaryReplication:
         #: Per-shard waiters: (seq, asyncio future), kept sorted enough
         #: by append order (seqs are assigned monotonically per shard).
         self._waiters: dict[int, list[tuple[int, Any]]] = {}
-        self._auto_trim = auto_trim
         self._allow_resync = allow_resync
         self._log_cap_bytes = log_cap_bytes
         #: Shards this node is *ingesting* via migration: their logs
@@ -432,7 +430,7 @@ class PrimaryReplication:
                 # Enforce the byte cap here, not only on acks: with no
                 # follower attached (or all of them down) nothing else
                 # runs, and an unbounded log would defeat the cap.
-                if self._auto_trim and log.buffered_bytes > self._log_cap_bytes:
+                if log.buffered_bytes > self._log_cap_bytes:
                     log.trim_to_cap(
                         self._log_cap_bytes, self._trim_limit_locked(shard_id)
                     )
@@ -600,8 +598,7 @@ class PrimaryReplication:
                     else:
                         still.append((seq, fut))
                 self._waiters[shard_id] = still
-            if self._auto_trim:
-                self._trim_locked()
+            self._trim_locked()
         for fut in resolved:
             self._loop.call_soon_threadsafe(
                 lambda f=fut: f.done() or f.set_result(True)

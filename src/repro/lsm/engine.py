@@ -964,12 +964,19 @@ class LSMTree:
             raise err
 
     def _admit_write(self) -> None:
-        """Gate in front of every write and flush: a closed engine and
-        one whose flush or compaction failed refuse; a thread-run engine
-        then pays its backpressure."""
+        """Gate in front of every write and flush: a closed engine, one
+        whose flush or compaction failed and one whose WAL failed refuse;
+        a thread-run engine then pays its backpressure.
+
+        A WAL failure is fail-stop: the live segment's writer keeps its
+        first append or fsync error, which every write raises until
+        reopen (reads keep serving).  A freeze rotates only away from a
+        segment whose fsync succeeded, so that error is the engine's."""
         if self._closed:
             raise ValueError("engine is closed")
         self._check_bg_error()
+        if self._wal.error is not None:
+            raise self._wal.error
         if self._background:
             self._apply_backpressure()
 
@@ -1018,8 +1025,8 @@ class LSMTree:
 
     def delete(self, key: bytes) -> None:
         self._admit_write()
+        self._wal.append_delete(self._seq + 1, key)
         self._seq += 1
-        self._wal.append_delete(self._seq, key)
         with self._lock:
             self._memtable.put(key, TOMBSTONE)
             self._visible_seq = self._seq

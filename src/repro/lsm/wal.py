@@ -75,6 +75,8 @@ class WalWriter:
         self.last_seq = 0
         self.synced_seq = 0
         self._observer = observer
+        #: The first exception the segment file raised (see :meth:`_io`).
+        self.error: BaseException | None = None
         #: Frames appended since the last durability barrier, kept only
         #: when an observer wants them (replication).
         self._pending_frames: list[tuple[int, bytes]] = []
@@ -108,7 +110,7 @@ class WalWriter:
             else encode_record(_PUT, seq, key, value)
             for seq, key, value in records
         ]
-        self._file.append(b"".join(frames))
+        self._io(self._file.append, b"".join(frames))
         if self._observer is not None:
             self._pending_frames.extend(zip([r[0] for r in records], frames))
         self.last_seq = records[-1][0]
@@ -116,7 +118,7 @@ class WalWriter:
         self.sync()
 
     def _append(self, record: bytes, seq: int) -> None:
-        self._file.append(record)
+        self._io(self._file.append, record)
         if self._observer is not None:
             self._pending_frames.append((seq, record))
         self.last_seq = seq
@@ -126,11 +128,27 @@ class WalWriter:
 
     def sync(self) -> None:
         """Group-commit barrier: every appended record becomes durable."""
+        if self.error is not None:
+            raise self.error
         if self._unsynced:
-            self._file.sync()
+            self._io(self._file.sync)
             self._unsynced = 0
         self.synced_seq = self.last_seq
         self._notify_committed()
+
+    def _io(self, call: Callable[..., None], *args: Any) -> None:
+        """Run one call on the segment file; its first failure poisons
+        the writer (fail-stop).  Past a torn frame or a failed fsync an
+        ack would cover records recovery cannot reach, so every later
+        append and sync re-raises that error.  A value the codec rejects
+        fails before any byte reaches the file and poisons nothing."""
+        if self.error is not None:
+            raise self.error
+        try:
+            call(*args)
+        except BaseException as exc:
+            self.error = exc
+            raise
 
     def _notify_committed(self) -> None:
         """Hand the committed frames to the observer (after the fsync —
@@ -141,7 +159,8 @@ class WalWriter:
             self._observer(frames)
 
     def close(self) -> None:
-        self.sync()
+        if self.error is None:
+            self.sync()
         self._file.close()
 
 

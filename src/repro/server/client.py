@@ -142,12 +142,6 @@ def _decode_reply(status: int, body: bytes, decode: Callable | None) -> Any:
     raise _ERRORS.get(status, ServerError)(status, body.decode("utf-8", "replace"))
 
 
-def _decode_seq(body: bytes) -> int | None:
-    """A write ack: the committed sequence, or None from a non-durable
-    engine (the server acks it with an empty body)."""
-    return protocol.decode_u64_body(body) if len(body) == 8 else None
-
-
 def _decode_json(body: bytes) -> dict:
     return json.loads(body.decode())
 
@@ -256,12 +250,13 @@ class Pipeline:
 
     def put(self, key: bytes, value: Any) -> Any:
         """Store ``value``; returns the committed sequence number (the
-        causal token for :meth:`get_at`), or None from a non-durable engine."""
+        causal token for :meth:`get_at`)."""
         body = protocol.encode_key_value(key, value)
-        return self._request(protocol.PUT, body, _decode_seq)
+        return self._request(protocol.PUT, body, protocol.decode_u64_body)
 
     def delete(self, key: bytes) -> Any:
-        return self._request(protocol.DELETE, protocol.encode_key(key), _decode_seq)
+        return self._request(protocol.DELETE, protocol.encode_key(key),
+                             protocol.decode_u64_body)
 
     def get_many(self, keys: Sequence[bytes], missing: Any = None) -> Any:
         decode = partial(protocol.decode_maybe_values, missing=missing)

@@ -768,10 +768,7 @@ class KVServer:
         return [self._submit(self.shards[s], "sync", None) for s in sorted(self.shards)]
 
     async def _fmt_ack(self, shard_id: int, fut: asyncio.Future) -> tuple[int, bytes]:
-        seq = await fut
-        if not isinstance(seq, int):
-            return protocol.OK, b""  # non-durable engine: no token
-        return protocol.OK, protocol.encode_u64_body(seq)
+        return protocol.OK, protocol.encode_u64_body(await fut)
 
     @staticmethod
     async def _fmt_scan(count, futs) -> tuple[int, bytes]:

@@ -201,7 +201,7 @@ class ShardWorker(threading.Thread):
         try:
             # One write_batch == one WAL group commit: a single fsync
             # acknowledges every write in the run.
-            ret = self.engine.write_batch(entries)
+            last_seq = self.engine.write_batch(entries)
         except Exception as exc:
             for item in run:
                 self._fail(item, exc)
@@ -209,7 +209,6 @@ class ShardWorker(threading.Thread):
         # Every request in the run is acknowledged at the run's final
         # sequence number — the batch committed atomically, so that seq
         # is a valid (if conservative) causal token for each of them.
-        last_seq = ret if isinstance(ret, int) else getattr(self.engine, "last_seq", 0)
         self._complete_writes(run, last_seq, len(entries))
 
     def _do_single(self, item: ShardRequest) -> None:

@@ -51,10 +51,12 @@ Batch algorithms (the ``put_many`` path)
 3. *sparse* batches walk the directory with ``bisect`` — one search
    per touched leaf, not per key — cutting the batch into contiguous
    per-leaf segments.  A segment that fits the leaf's free slots is
-   absorbed into its gaps (per-key nearest-gap shifts for a few keys,
-   a list-mode walk or a vectorized merge-and-repack as segments
-   grow); an overflowing segment merges with the leaf's live run and
-   rebalance-splits into fresh ``FILL_FACTOR``-occupied leaves.
+   absorbed into its gaps by the scalar insert's nearest-gap walk
+   (once per key on numpy copies for up to three keys, on Python lists
+   from four); an overflowing segment merges with the leaf's live run
+   and rebalance-splits into fresh ``FILL_FACTOR``-occupied leaves.
+   There is no batch delete: ``delete_many`` is the
+   :class:`~repro.trees.base.OrderedIndex` loop over ``delete``.
 
 Values are opaque (the LSM memtable stores its ``TOMBSTONE`` sentinel
 as an ordinary value); serialization (:meth:`to_bytes`) follows the
@@ -277,6 +279,70 @@ def _find_slot(state: _LeafState, key: bytes) -> int:
     return -1
 
 
+def _set_value(state: _LeafState, slot: int, value: Any) -> _LeafState:
+    """``state`` with the valid entry at ``slot`` overwritten (only the
+    value column is copied; keys, validity and the key list are shared)."""
+    vals = state.vals.copy()
+    vals[slot] = value
+    return _LeafState(state.keys, vals, state.valid, state.count,
+                      state.min_key, keys_list=state._keys_list)
+
+
+def _gap_insert(state: _LeafState, key: bytes, value: Any) -> _LeafState:
+    """``state`` with ``key`` (absent from its valid slots; the leaf
+    has a gap) inserted: the one numpy "nearest gap, shift" walk.
+
+    The slots between the insertion point and the nearer gap move one
+    toward it (the gapped layout's point: slots moved is the distance
+    to the nearest gap, not n/2).  Numpy copies, because C memcpy of
+    the three columns beats a list round-trip for a single key.
+    """
+    kl = state.key_list()
+    lo = bisect.bisect_left(kl, key)
+    hi = bisect.bisect_right(kl, key, lo=lo)
+    keys = state.keys.copy()
+    vals = state.vals.copy()
+    valid = state.valid.copy()
+    if hi > lo:
+        # A gap already carries this exact key (its valid owner was
+        # deleted): claim it with no shift; the key list stays exact.
+        pos, new_kl = lo, kl
+    else:
+        gap_r = -1
+        for j in range(lo, len(valid)):
+            if not valid[j]:
+                gap_r = j
+                break
+        gap_l = -1
+        for j in range(lo - 1, -1, -1):
+            if not valid[j]:
+                gap_l = j
+                break
+        # The cached key list shifts in lockstep — a short list splice
+        # is far cheaper than the full tolist() rebuild the next probe
+        # would otherwise pay.
+        new_kl = kl.copy()
+        if gap_l < 0 or (gap_r >= 0 and gap_r - lo <= lo - 1 - gap_l):
+            keys[lo + 1: gap_r + 1] = keys[lo:gap_r]
+            vals[lo + 1: gap_r + 1] = vals[lo:gap_r]
+            valid[lo + 1: gap_r + 1] = valid[lo:gap_r]
+            new_kl[lo + 1: gap_r + 1] = new_kl[lo:gap_r]
+            pos = lo
+        else:
+            keys[gap_l:lo - 1] = keys[gap_l + 1:lo]
+            vals[gap_l:lo - 1] = vals[gap_l + 1:lo]
+            valid[gap_l:lo - 1] = valid[gap_l + 1:lo]
+            new_kl[gap_l:lo - 1] = new_kl[gap_l + 1:lo]
+            pos = lo - 1
+        new_kl[pos] = key
+    keys[pos] = key
+    vals[pos] = value
+    valid[pos] = True
+    min_key = key if state.count == 0 or key < state.min_key else state.min_key
+    return _LeafState(keys, vals, valid, state.count + 1, min_key,
+                      keys_list=new_kl)
+
+
 class GappedView:
     """A frozen, read-consistent view over one captured :class:`_Dir`.
 
@@ -374,11 +440,7 @@ class GappedBPlusTree(OrderedIndex):
         if slot >= 0:
             if insert_only:
                 return False
-            vals = state.vals.copy()
-            vals[slot] = value
-            new = _LeafState(state.keys, vals, state.valid, state.count,
-                             state.min_key, keys_list=state._keys_list)
-            self._replace_leaf(idx, [new], 0)
+            self._replace_leaf(idx, [_set_value(state, slot, value)], 0)
             return True
         if update_only:
             return False
@@ -388,63 +450,7 @@ class GappedBPlusTree(OrderedIndex):
             mk, mv = _merge_runs(lk, lv, _obj_array([key]), _obj_array([value]))
             self._replace_leaf(idx, _build_leaves(mk, mv, self._capacity), 1)
             return True
-        # Room in the leaf: claim an equal-key gap or shift to the
-        # nearest one.  Stays on numpy copies (C memcpy of the three
-        # columns beats a list round-trip for a single key).
-        kl = state.key_list()
-        lo = bisect.bisect_left(kl, key)
-        hi = bisect.bisect_right(kl, key, lo=lo)
-        keys = state.keys.copy()
-        vals = state.vals.copy()
-        valid = state.valid.copy()
-        if hi > lo:
-            # A gap already carries this exact key (its valid owner was
-            # deleted): claim it with no shift — the cached key list is
-            # still exact.
-            pos = lo
-            new_kl = kl
-        else:
-            cap = self._capacity
-            gap_r = -1
-            for j in range(lo, cap):
-                if not valid[j]:
-                    gap_r = j
-                    break
-            gap_l = -1
-            for j in range(lo - 1, -1, -1):
-                if not valid[j]:
-                    gap_l = j
-                    break
-            # Shift toward the nearer gap (the gapped layout's point:
-            # slots moved is the distance to the nearest gap, not n/2).
-            # The cached key list shifts in lockstep — a short list
-            # splice is far cheaper than the full tolist() rebuild the
-            # next probe would otherwise pay.
-            new_kl = kl.copy()
-            if gap_l < 0 or (gap_r >= 0 and gap_r - lo <= lo - 1 - gap_l):
-                keys[lo + 1: gap_r + 1] = keys[lo:gap_r]
-                vals[lo + 1: gap_r + 1] = vals[lo:gap_r]
-                valid[lo + 1: gap_r + 1] = valid[lo:gap_r]
-                new_kl[lo + 1: gap_r + 1] = new_kl[lo:gap_r]
-                pos = lo
-            else:
-                keys[gap_l:lo - 1] = keys[gap_l + 1:lo]
-                vals[gap_l:lo - 1] = vals[gap_l + 1:lo]
-                valid[gap_l:lo - 1] = valid[gap_l + 1:lo]
-                new_kl[gap_l:lo - 1] = new_kl[gap_l + 1:lo]
-                pos = lo - 1
-        keys[pos] = key
-        vals[pos] = value
-        valid[pos] = True
-        if new_kl is not kl:
-            new_kl[pos] = key
-        elif kl[pos] != key:
-            new_kl = kl.copy()
-            new_kl[pos] = key
-        min_key = key if state.count == 0 or key < state.min_key else state.min_key
-        new = _LeafState(keys, vals, valid, state.count + 1, min_key,
-                         keys_list=new_kl)
-        self._replace_leaf(idx, [new], 1)
+        self._replace_leaf(idx, [_gap_insert(state, key, value)], 1)
         return True
 
     def insert(self, key: bytes, value: Any) -> bool:
@@ -488,89 +494,37 @@ class GappedBPlusTree(OrderedIndex):
 
     def _absorb_segment(self, state: _LeafState, bk: list,
                         bv: list) -> tuple[_LeafState, int]:
-        """Upsert a small sorted segment into one leaf's gaps.
+        """Upsert a sorted segment into one leaf's gaps.
 
         The caller guarantees the segment fits (``count + len(bk) <=
         capacity``); returns the fresh leaf state and the number of
-        *new* keys.  Two regimes by segment size: a couple of keys
-        claim an equal-key gap or shift toward the nearest gap on
-        numpy column copies (slots moved is the distance to that gap,
-        never a rebuild), while segments of four keys or more take the
-        vectorized merge-and-repack path, whose near-constant cost
-        beats the interpreted per-key gap walk from about that size.
+        *new* keys.  A segment of fewer than four keys loops the scalar
+        path's helpers (:func:`_gap_insert` on numpy column copies); from
+        four keys on, :meth:`_absorb_segment_list` runs the same walk on
+        Python lists.
         """
         if len(bk) >= 4:
-            if len(bk) > self._capacity // 8:
-                return self._absorb_segment_pack(state, bk, bv)
             return self._absorb_segment_list(state, bk, bv)
-        cap = self._capacity
-        keys_l = state.key_list().copy()
-        keys = state.keys.copy()
-        vals = state.vals.copy()
-        valid = state.valid.copy()
         count = state.count
         for key, value in zip(bk, bv):
-            lo = bisect.bisect_left(keys_l, key)
-            hi = bisect.bisect_right(keys_l, key, lo=lo)
-            slot = -1
-            for j in range(lo, hi):
-                if valid[j]:
-                    slot = j
-                    break
-            if slot >= 0:  # live key: overwrite in place
-                vals[slot] = value
-                continue
-            if hi > lo:  # a gap already carries this exact key
-                pos = lo
+            slot = _find_slot(state, key)
+            if slot >= 0:
+                state = _set_value(state, slot, value)
             else:
-                gap_r = -1
-                for j in range(lo, cap):
-                    if not valid[j]:
-                        gap_r = j
-                        break
-                gap_l = -1
-                for j in range(lo - 1, -1, -1):
-                    if not valid[j]:
-                        gap_l = j
-                        break
-                if gap_l < 0 or (gap_r >= 0 and gap_r - lo <= lo - 1 - gap_l):
-                    keys[lo + 1: gap_r + 1] = keys[lo:gap_r]
-                    vals[lo + 1: gap_r + 1] = vals[lo:gap_r]
-                    valid[lo + 1: gap_r + 1] = valid[lo:gap_r]
-                    keys_l[lo + 1: gap_r + 1] = keys_l[lo:gap_r]
-                    pos = lo
-                else:
-                    keys[gap_l:lo - 1] = keys[gap_l + 1:lo]
-                    vals[gap_l:lo - 1] = vals[gap_l + 1:lo]
-                    valid[gap_l:lo - 1] = valid[gap_l + 1:lo]
-                    keys_l[gap_l:lo - 1] = keys_l[gap_l + 1:lo]
-                    pos = lo - 1
-            keys[pos] = key
-            keys_l[pos] = key
-            vals[pos] = value
-            valid[pos] = True
-            count += 1
-        # The segment is sorted, so its first key is the only candidate
-        # for a new leaf minimum.
-        if state.count == 0 or bk[0] < state.min_key:
-            min_key = bk[0]
-        else:
-            min_key = state.min_key
-        new = _LeafState(keys, vals, valid, count, min_key, keys_list=keys_l)
-        return new, count - state.count
+                state = _gap_insert(state, key, value)
+        return state, state.count - count
 
     def _absorb_segment_list(self, state: _LeafState, bk: list,
                              bv: list) -> tuple[_LeafState, int]:
-        """List-mode :meth:`_absorb_segment` for mid-size segments
-        (same gap-walk algorithm; see there for the dispatch
-        rationale).  All three columns convert to Python lists once —
-        per-key list slicing is markedly cheaper than numpy slice
-        assignment, which repays the conversion from about four keys
-        on.  Two economies the segment's sort order allows: the
-        insertion-point search resumes from the previous key's slot
-        (``bisect`` with a moving ``lo`` bound), and a single equality
-        check on the slot replaces the second bisect — batch keys are
-        deduped, so an equal run can only be gap duplicates."""
+        """:func:`_gap_insert`'s walk on Python lists, for every
+        segment of four keys or more that fits the leaf.  All three
+        columns convert to lists once — per-key list slicing is markedly
+        cheaper than numpy slice assignment, which repays the conversion
+        from about four keys on.  Two economies the segment's sort order
+        allows: the insertion-point search resumes from the previous
+        key's slot (``bisect`` with a moving ``lo`` bound), and a single
+        equality check on the slot replaces the second bisect — batch
+        keys are deduped, so an equal run can only be gap duplicates."""
         cap = self._capacity
         keys_l = state.key_list().copy()
         vals_l = state.vals.tolist()
@@ -632,49 +586,12 @@ class GappedBPlusTree(OrderedIndex):
         new = _LeafState(keys, vals, valid, count, min_key, keys_list=keys_l)
         return new, count - state.count
 
-    def _absorb_segment_pack(self, state: _LeafState, bk: list,
-                             bv: list) -> tuple[_LeafState, int]:
-        """Vectorized :meth:`_absorb_segment` for segments of >= 4
-        keys: instead of walking each key to a nearby gap, merge the
-        segment into the leaf's live run with one ``searchsorted``
-        plus ``np.insert`` (C pointer memmoves) and relay the merged
-        run through :func:`_pack_leaf`, which respreads the gaps
-        evenly.  A handful of numpy kernels whose cost is nearly
-        independent of the segment size — and the repacked leaf comes
-        out with ideal gap spacing, where the in-place walk leaves
-        gaps wherever they happened to fall."""
-        lk = state.keys[state.valid]
-        lv = state.vals[state.valid]
-        b = _obj_array(bk)
-        bvv = _obj_array(bv)
-        if len(lk):
-            # Batch keys are deduped, so duplicates can only pair one
-            # batch key with one live key: overwrite those in place
-            # and insert the rest (equal positions keep batch order).
-            pos = lk.searchsorted(b)
-            dup = pos < len(lk)
-            if dup.any():
-                dup[dup] = lk[pos[dup]] == b[dup]
-            if dup.any():
-                lv = lv.copy()
-                lv[pos[dup]] = bvv[dup]
-                fresh = ~dup
-                b, bvv, pos = b[fresh], bvv[fresh], pos[fresh]
-            if len(b):
-                mk = np.insert(lk, pos, b)
-                mv = np.insert(lv, pos, bvv)
-            else:
-                mk, mv = lk, lv
-        else:
-            mk, mv = b, bvv
-        return _pack_leaf(mk, mv, self._capacity), len(b)
-
     def put_many(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
         """Vectorized bulk upsert: a bisect walk over the directory
         partitions the sorted batch into contiguous per-leaf segments
-        (one search per *touched leaf*, not per key); small segments
-        are absorbed into leaf gaps in place, larger ones merge-and-
-        rebalance the leaf in one pass (splitting on overflow)."""
+        (one search per *touched leaf*, not per key); a segment that
+        fits is absorbed into its leaf's gaps, one that does not merges
+        with the leaf and rebalance-splits it."""
         if not len(pairs):
             return
         # Last-wins dedup + sort, all C-level (dict build, one sort).
@@ -747,59 +664,6 @@ class GappedBPlusTree(OrderedIndex):
             i = e
         new_leaves.extend(d.leaves[prev:])
         self._install(new_leaves, count)
-
-    def delete_many(self, keys: Sequence[bytes]) -> list[bool]:
-        """Vectorized bulk delete; one result slot per key, in order."""
-        if not len(keys):
-            return []
-        qkeys = _obj_array(keys)
-        skeys = np.unique(qkeys)  # sorted + dedup'd probe set
-        d = self._dir
-        li = np.searchsorted(d.seps, skeys, side="right") - 1
-        np.maximum(li, 0, out=li)
-        cuts = np.flatnonzero(np.diff(li)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [len(skeys)]))
-        removed: set[bytes] = set()
-        new_leaves: list[_LeafState] = []
-        count = d.count
-        prev = 0
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            idx = int(li[s])
-            new_leaves.extend(d.leaves[prev:idx])
-            prev = idx + 1
-            state = d.leaves[idx]
-            slots = np.flatnonzero(state.valid)
-            lk = state.keys[slots]
-            seg = skeys[s:e]
-            pos = np.searchsorted(lk, seg)
-            hit = pos < len(lk)
-            if hit.any():
-                hit[hit] = lk[pos[hit]] == seg[hit]
-            if not hit.any():
-                new_leaves.append(state)
-                continue
-            removed.update(seg[hit].tolist())
-            valid = state.valid.copy()
-            valid[slots[pos[hit]]] = False
-            n = state.count - int(hit.sum())
-            count -= int(hit.sum())
-            if n == 0:
-                continue  # drop the emptied leaf from the directory
-            min_key = state.keys[np.flatnonzero(valid)[0]]
-            new_leaves.append(_LeafState(state.keys, state.vals, valid, n,
-                                         min_key))
-        new_leaves.extend(d.leaves[prev:])
-        self._install(new_leaves, count)
-        # A key repeated in the batch deletes once: only its first
-        # occurrence reports True (sequential-apply semantics).
-        out: list[bool] = []
-        for k in keys:
-            hit = k in removed
-            if hit:
-                removed.discard(k)
-            out.append(hit)
-        return out
 
     # -- reads ---------------------------------------------------------------
 

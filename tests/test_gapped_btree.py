@@ -256,3 +256,80 @@ class TestBatchReadPaths:
         assert t.get(k(1)) is None
         assert t.get_many([k(1), k(2), k(3)]) == [None, 2, None]
         assert list(t.items()) == [(k(1), None), (k(2), 2)]
+
+
+def _leaf_invariants(t: GappedBPlusTree) -> None:
+    """Every leaf's key column is sorted gaps included, each gap repeats
+    its left neighbour's key, the count matches the validity column and
+    ``min_key`` is the smallest valid key."""
+    for leaf in t._dir.leaves:
+        keys = leaf.keys.tolist()
+        valid = leaf.valid.tolist()
+        assert keys == sorted(keys)
+        for j in range(1, len(keys)):
+            if not valid[j]:
+                assert keys[j] == keys[j - 1]
+        assert leaf.count == sum(valid)
+        if leaf.count:
+            assert leaf.min_key == keys[valid.index(True)]
+
+
+class TestSegmentRegimes:
+    """One ``put_many`` segment into one leaf, at every size where the
+    absorb path changes or nearly does: the per-key walk (< 4 keys), the
+    list walk (4 keys up to an exact fit, across ``cap // 8``) and the
+    overflow merge."""
+
+    SIZES = ("1", "3", "4", "cap//8", "cap//8+1", "fits", "overflow")
+
+    @pytest.mark.parametrize("overwrite", [False, True],
+                             ids=["new", "overwrite"])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("cap", [16, 512])
+    def test_segment_into_one_leaf(self, cap, size, overwrite):
+        per_leaf = int(cap * FILL_FACTOR)
+        t = tree_of([(k(2 * i), i) for i in range(6 * per_leaf)], capacity=cap)
+        target = 2
+        leaf = t._dir.leaves[target]
+        lo_key, hi_key = leaf.min_key, t._dir.leaves[target + 1].min_key
+        free = cap - leaf.count
+        n = {"1": 1, "3": 3, "4": 4, "cap//8": cap // 8,
+             "cap//8+1": cap // 8 + 1, "fits": free,
+             "overflow": free + 1}[size]
+        # New (odd) keys inside the leaf's range; with ``overwrite`` every
+        # other segment key is one the leaf already holds.
+        pool = [key for key, _ in t.items() if lo_key <= key < hi_key]
+        if not overwrite:
+            pool = [k(int(key[4:]) + 1) for key in pool]
+            pool = [key for key in pool if key < hi_key]
+        else:
+            news = [k(int(key[4:]) + 1) for key in pool]
+            pool = [key for pair in zip(news, pool) for key in pair]
+        assert len(pool) >= n
+        segment = [pool[j * len(pool) // n] for j in range(n)]
+        batch = [(key, -j - 1) for j, key in enumerate(segment)]
+        assert n * 4 < len(t)  # below the dense whole-tree rebuild
+
+        view = t.freeze_view()
+        before = list(view.items())
+        leaves_before = t.leaf_count()
+        oracle = dict(before)
+        oracle.update(batch)
+
+        t.put_many(batch)
+
+        assert list(t.items()) == sorted(oracle.items())
+        assert len(t) == len(oracle)
+        assert all(t.get(key) == value for key, value in oracle.items())
+        assert t.get(k(1_000_001)) is None
+        _leaf_invariants(t)
+        if size != "overflow":
+            assert t.leaf_count() == leaves_before  # absorbed in place
+        elif not overwrite:
+            assert t.leaf_count() > leaves_before  # merged and split
+        if size == "fits" and not overwrite:
+            assert t._dir.leaves[target].count == cap
+        # The view captured before the write is untouched by it.
+        assert list(view.items()) == before
+        assert len(view) == len(before)
+        assert all(view.get(key) == dict(before).get(key) for key in segment)

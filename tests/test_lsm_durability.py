@@ -8,6 +8,7 @@ write and (b) is an exact prefix of the op sequence — nothing invented,
 nothing reordered, all CRCs verified on the way back in.
 """
 
+import errno
 import json
 import os
 import random
@@ -17,7 +18,7 @@ import pytest
 
 from repro.lsm import DiskSSTable, LSMTree, TOMBSTONE, write_sstable
 from repro.lsm import disk_format, manifest as manifest_mod, wal as wal_mod
-from repro.lsm.fs import OsFileSystem, join
+from repro.lsm.fs import OsFileSystem, _MemWritableFile, join
 from repro.lsm.manifest import ManifestState
 from repro.cluster import membership
 from repro.filters.bloom import BloomFilter
@@ -630,6 +631,92 @@ class TestOneStorageMode:
         f = OsFileSystem().create(str(tmp_path / "wal-00000001.log"))
         assert synced == [str(tmp_path)]
         f.close()
+
+
+class _FailingWal(_MemWritableFile):
+    """A WAL segment file that fails once, when its filesystem's
+    ``fault`` is armed: a short append (half the bytes land, then
+    ``ENOSPC``) or an fsync that raises ``EIO``."""
+
+    def append(self, data):
+        if self._fs.fault == "short-append":
+            self._fs.fault = None
+            super().append(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super().append(data)
+
+    def sync(self):
+        if self._fs.fault == "eio-sync":
+            self._fs.fault = None
+            raise OSError(errno.EIO, "Input/output error")
+        super().sync()
+
+
+class _WalFaultFS(FaultFS):
+    fault = None
+
+    def create(self, path):
+        f = super().create(path)
+        return _FailingWal(self, path) if "/wal-" in path else f
+
+
+class TestWalFailStop:
+    """The first error of a WAL append or fsync poisons the engine:
+    every later write raises it until reopen, reads keep serving, and
+    the store reopens with every acked write.  Without the poison, a
+    write after a short append is acked behind a torn frame that replay
+    stops at (lost), and one after a failed fsync reuses its sequence
+    number (the store will not open)."""
+
+    @staticmethod
+    def _reopen_everywhere(fs, db, acked):
+        for mode in CRASH_MODES:
+            again = LSMTree.open(db.path, fs=fs.crashed_view(mode), **CONFIG)
+            assert again.last_seq >= acked
+            for seq in range(1, acked + 1):
+                assert again.get(b"k%03d" % seq) == seq
+            assert again.get(b"c") is None
+            again.close()
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    @pytest.mark.parametrize("fault", ["short-append", "eio-sync"])
+    def test_a_failed_group_commit_fail_stops(self, fault, background):
+        fs = _WalFaultFS()
+        db = LSMTree.open("db", fs=fs, **CONFIG, background=background)
+        assert db.write_batch([(b"k001", 1)]) == 1
+        fs.fault = fault
+        with pytest.raises(OSError) as first:
+            db.write_batch([(b"b", 2)])
+        for write in (lambda: db.write_batch([(b"c", 3)]),
+                      lambda: db.put(b"c", 3), lambda: db.delete(b"k001"),
+                      db.sync, db.flush_memtable):
+            with pytest.raises(OSError) as again:
+                write()
+            assert again.value is first.value
+        assert db.last_acked_seq == 1 and db.last_seq == 1
+        assert db.get(b"k001") == 1 and db.get(b"c") is None
+        db.close()
+        self._reopen_everywhere(fs, db, acked=1)
+
+    @pytest.mark.parametrize("background", [False, True], ids=["caller", "threads"])
+    def test_a_failed_freeze_sync_fail_stops(self, background):
+        fs = _WalFaultFS()
+        db = LSMTree.open("db", fs=fs, **CONFIG, background=background)
+        n = CONFIG["memtable_entries"]
+        for seq in range(1, n):
+            db.put(b"k%03d" % seq, seq)
+        acked = db.last_acked_seq
+        assert 0 < acked < n - 1
+        fs.fault = "eio-sync"  # the freeze-time sync of the full segment
+        with pytest.raises(OSError) as first:
+            db.put(b"k%03d" % n, n)
+        with pytest.raises(OSError) as again:
+            db.put(b"c", 3)
+        assert again.value is first.value
+        assert not db._immutables and db.last_acked_seq == acked
+        assert db.get(b"k001") == 1
+        db.close()
+        self._reopen_everywhere(fs, db, acked)
 
 
 def _check_recovery(fs, ops, started, acked, point):
