@@ -14,7 +14,9 @@ LOUDS-Sparse).  Two modes:
 A key that is a proper prefix of other keys is represented by the
 *prefix-key* pseudo-label :data:`PREFIX_LABEL` placed first in its node
 (encoded later as D-IsPrefixKey in dense levels and as the positional
-0xFF label in sparse levels).
+0xFF label in sparse levels: the thesis's ``$``).  Such a key is a
+proper prefix of its successor, so its node always holds a second
+label — except in the trie of the lone empty key.
 
 The build is column arithmetic over the concatenated keys, with no
 per-key Python work.  Every label of the trie is attributed to the
@@ -102,7 +104,9 @@ class BuiltTrie:
     labels: np.ndarray  # int16; PREFIX_LABEL for the prefix-key label
     has_child: np.ndarray  # bool
     louds: np.ndarray  # bool; True = first label in its node
-    values: list[Any]  # one per terminating label, in label order
+    #: One per terminating label, in label (leaf) order; by default the
+    #: key positions, i.e. the leaf -> key permutation.
+    values: list[Any]
     #: Where each level starts in the label columns / in ``values``,
     #: plus the end (``height + 1`` entries each).
     level_starts: np.ndarray
@@ -215,13 +219,21 @@ def build_trie(
 
     # Level order is (depth, key): a stable sort by depth (radix-sorted
     # for the usual key lengths); terminal values likewise by depth.
+    widths = np.bincount(depth)
+    height = len(widths)
+    node_counts = np.bincount(depth[louds], minlength=height)
     narrow = np.min_scalar_type(int(lens.max(initial=0)))
     order = np.argsort(depth.astype(narrow), kind="stable")
+    labels, has_child, louds = labels[order], has_child[order], louds[order]
+    # `$` opens its node, so it is alone there iff the next label opens
+    # the next node (or there is none): only {b""} builds such a node.
+    node_last = np.append(louds[1:], True)
+    assert n == 1 or not (node_last & (labels == PREFIX_LABEL)).any(), (
+        "a prefix-key label alone in its node"
+    )
     by_term = np.argsort(term.astype(narrow), kind="stable").tolist()
     if values is not None:
         by_term = list(map(values.__getitem__, by_term))
-    widths = np.bincount(depth)
-    height = len(widths)
 
     if truncate:  # what follows the terminal label (nothing after a prefix key)
         suffixes = SuffixColumn(buf, starts + m + 1, np.where(prefix, 0, lens - m - 1))
@@ -229,13 +241,13 @@ def build_trie(
         empty = np.zeros(n, dtype=np.int64)
         suffixes = SuffixColumn(np.zeros(1, dtype=np.uint8), empty, empty)
     return BuiltTrie(
-        labels=labels[order],
-        has_child=has_child[order],
-        louds=louds[order],
+        labels=labels,
+        has_child=has_child,
+        louds=louds,
         values=by_term,
         level_starts=np.concatenate(([0], np.cumsum(widths))),
         value_starts=np.concatenate(([0], np.cumsum(np.bincount(term, minlength=height)))),
-        node_counts=np.bincount(depth[louds], minlength=height),
+        node_counts=node_counts,
         n_keys=n,
         suffixes=suffixes,
     )

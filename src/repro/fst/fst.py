@@ -11,9 +11,17 @@ Navigation uses the customized rank/select structures of Section 3.6:
 rank blocks of 64 bits on the dense bitmaps and 512 bits on the sparse
 ones, select sampling rate 64 on S-LOUDS.  A point probe is one flat
 walk over memoryviews of exactly the arrays :meth:`FST.size_bits`
-counts (see :meth:`FST._lookup`).  The label-search strategy is
-configurable (``vector`` = the SIMD stand-in, ``binary``, ``linear``)
-for the Figure 3.6 ablation.
+counts (see :meth:`FST._lookup`); it ends at a terminal's *leaf rank*,
+its index in label order, which an index FST maps through its value
+column and SuRF uses to index its suffix columns and tombstones.
+
+S-Labels are bytes.  The prefix-key label ``$`` is 0xFF at a node's
+first slot: a real 0xFF sorts last in its node, and a node holding
+only ``$`` cannot exist (see :mod:`.builder`), so 0xFF at ``start`` is
+``$`` iff the node has another label (:func:`_is_dollar`).
+
+The label-search strategy is configurable (``vector`` = the SIMD
+stand-in, ``binary``, ``linear``) for the Figure 3.6 ablation.
 
 Supports ``get``, ``seek`` (LowerBound iterator), ``next``, ``items``
 and the approximate-free ``count`` used by SuRF's range counts.
@@ -40,6 +48,14 @@ DEFAULT_SIZE_RATIO = 64
 _DENSE_RANK_BLOCK = 64
 _SPARSE_RANK_BLOCK = 512
 _SELECT_SAMPLE = 64
+
+#: The S-Labels byte of ``$``, the prefix-key label.
+DOLLAR = 0xFF
+
+
+def _is_dollar(labels, start: int, end: int) -> bool:
+    """Is the first label of the sparse node [start, end) ``$``?"""
+    return end - start > 1 and bool(labels[start] == DOLLAR)
 
 
 def _choose_dense_levels(trie: BuiltTrie, size_ratio: float) -> int:
@@ -73,9 +89,17 @@ class FST:
         self.n_keys = trie.n_keys
         self.height = trie.height
         self.truncated = truncate
-        self.suffixes = trie.suffixes  # used by SuRF; value order
+        self.suffixes = trie.suffixes  # used by SuRF; key order
+        #: One value per key in leaf order (default: the key positions);
+        #: None for a trie that stores none (SuRF's), whose lookups
+        #: answer the leaf rank itself.
+        self.values: list[Any] | None = trie.values
         if dense_levels is None:
             dense_levels = _choose_dense_levels(trie, size_ratio)
+        if len(trie.labels) == 1 and trie.labels[0] == PREFIX_LABEL:
+            # The lone empty key: a sparse node of only `$` would read
+            # as a real 0xFF, so the root is dense (D-IsPrefixKey).
+            dense_levels = 1
         self.dense_height = min(dense_levels, trie.height)
         self._encode(trie)
         self._finish(sparse_rank_block, select_sample)
@@ -87,7 +111,6 @@ class FST:
         # The first ``dh`` levels are dense, the rest sparse: each part is
         # one slice of the builder's level-ordered columns.
         cut = int(trie.level_starts[dh])
-        value_cut = int(trie.value_starts[dh])
         # ---- dense levels ----
         # Bitmap assembly is a pure scatter: each real label sets bit
         # (node * 256 + label) in D-Labels (and D-HasChild when it has
@@ -111,9 +134,6 @@ class FST:
         is_prefix = np.zeros(dense_node_count, dtype=np.uint8)
         is_prefix[node_of[~real]] = 1
         self.d_isprefix = BitVector.from_bools(is_prefix)
-        # Values are one per terminating label in label order, which is
-        # exactly D-Values then S-Values order.
-        self.d_values = trie.values[:value_cut]
         self.dense_node_count = dense_node_count
         self.dense_child_count = int(child.sum())
         #: per dense level: starting node number (for count boundaries)
@@ -122,10 +142,10 @@ class FST:
         ).tolist()
 
         # ---- sparse levels ----
-        self.s_labels = trie.labels[cut:]
+        # uint8: PREFIX_LABEL (-1) wraps to DOLLAR (0xFF).
+        self.s_labels = trie.labels[cut:].astype(np.uint8)
         self.s_haschild = BitVector.from_bools(trie.has_child[cut:])
         self.s_louds = BitVector.from_bools(trie.louds[cut:])
-        self.s_values = trie.values[value_cut:]
         self.sparse_node_count = int(trie.node_counts[dh:].sum())
         #: per sparse level: starting label index, plus the end (for
         #: count boundaries)
@@ -148,6 +168,13 @@ class FST:
         if len(self.s_louds):
             select = SelectSupport(self.s_louds, bit=1, sample_rate=select_sample)
         self._s_louds_select = select
+        #: Terminals in the dense levels: the leaf rank of the first
+        #: sparse terminal.
+        self.dense_leaves = (
+            self._d_labels_rank.total_ones()
+            - self._d_haschild_rank.total_ones()
+            + self._d_isprefix_rank.total_ones()
+        )
         # Zero-copy views that index to plain ints, aliasing exactly the
         # arrays size_bits() counts: the walk keeps no table of its own.
         self._walk = (
@@ -157,7 +184,6 @@ class FST:
             int_view(self._d_labels_rank.lut),
             int_view(self._d_haschild_rank.lut),
             int_view(self._d_isprefix_rank.lut),
-            self.d_values,
             self.dense_height,
             self.dense_node_count,
             self.s_labels,
@@ -170,7 +196,7 @@ class FST:
             select_sample,
             sparse_rank_block,
             sparse_rank_block // 64,
-            self.s_values,
+            self.dense_leaves,
             self.dense_child_count - self.dense_node_count,
         )
 
@@ -202,10 +228,10 @@ class FST:
             word_idx += 1
         return n
 
-    # -- value positions -----------------------------------------------------------
+    # -- leaf ranks ------------------------------------------------------------------
 
-    def _dense_value_index(self, pos: int) -> int:
-        """0-based D-Values index for the terminating label at ``pos``."""
+    def _dense_leaf_rank(self, pos: int) -> int:
+        """Leaf rank of the dense terminating label at ``pos``."""
         node = pos // FANOUT
         return (
             self._d_isprefix_rank.rank1(node)
@@ -214,16 +240,16 @@ class FST:
             - 1
         )
 
-    def _dense_prefix_value_index(self, node: int) -> int:
-        """0-based D-Values index of node's prefix-key value."""
+    def _dense_prefix_leaf_rank(self, node: int) -> int:
+        """Leaf rank of dense ``node``'s prefix key."""
         before = node * FANOUT - 1
         labels = self._d_labels_rank.rank1(before) if before >= 0 else 0
         childs = self._d_haschild_rank.rank1(before) if before >= 0 else 0
         return self._d_isprefix_rank.rank1(node) - 1 + labels - childs
 
-    def _sparse_value_index(self, idx: int) -> int:
-        """0-based S-Values index for the terminating label at ``idx``."""
-        return idx - self._s_haschild_rank.rank1(idx)
+    def _sparse_leaf_rank(self, idx: int) -> int:
+        """Leaf rank of the sparse terminating label at ``idx``."""
+        return self.dense_leaves + idx - self._s_haschild_rank.rank1(idx)
 
     # -- point lookup -----------------------------------------------------------------
 
@@ -232,13 +258,17 @@ class FST:
 
         In truncate mode a lookup that exhausts the stored prefix
         returns the stored value — the caller (SuRF) must verify suffix
-        bits itself.
+        bits itself.  A trie without a value column answers the leaf
+        rank.
         """
         found = self._lookup(key)
-        return found[0] if found is not None else None
+        if found is None:
+            return None
+        values = self.values
+        return found[0] if values is None else values[found[0]]
 
-    def _lookup(self, key: bytes) -> tuple[Any, bytes] | None:
-        """Returns (value, remaining_key_after_stored_prefix) or None.
+    def _lookup(self, key: bytes) -> tuple[int, bytes] | None:
+        """Returns (leaf rank, remaining_key_after_stored_prefix) or None.
 
         One flat LOUDS-DS walk (Sections 3.3-3.6) over the views bound
         by :meth:`_finish`.  Each level is a few word reads and integer
@@ -254,14 +284,15 @@ class FST:
           scanned by popcount, and the bit is found in its word through
           the byte offset table;
         * the node's end is the next S-LOUDS bit, found by word scan;
-        * the label search is the configured ``label_search`` mode.
+        * the label search is the configured ``label_search`` mode,
+          past a ``$`` at the node's first slot.
         """
         if self.n_keys == 0:
             return None
         (
-            d_labels, d_haschild, d_isprefix, dl_lut, dh_lut, dp_lut, d_values,
+            d_labels, d_haschild, d_isprefix, dl_lut, dh_lut, dp_lut,
             dense_height, dense_nodes, s_labels, labels, haschild, hc_lut,
-            louds, louds_lut, samples, rate, block, block_words, s_values,
+            louds, louds_lut, samples, rate, block, block_words, dense_leaves,
             child_base,
         ) = self._walk
         profiling = COUNTERS.enabled
@@ -277,15 +308,15 @@ class FST:
                 w, bit = node >> 6, node & 63
                 if not (d_isprefix[w] >> bit) & 1:
                     return None
-                # Prefix values up to this node's, plus the terminal
+                # Prefix keys up to this node's, plus the terminal
                 # labels of every node before it (node * 256 is a word
                 # boundary, so the LUT entry is the whole rank).
                 first = node << 2
-                value = (
+                rank = (
                     dp_lut[w] + (d_isprefix[w] & ((2 << bit) - 1)).bit_count() - 1
                     + dl_lut[first] - dh_lut[first]
                 )
-                return d_values[value], b""
+                return rank, b""
             pos = (node << 8) | key[level]
             w = pos >> 6
             bit = 1 << (pos & 63)
@@ -299,12 +330,12 @@ class FST:
                 if remaining and not self.truncated:
                     return None
                 pw, pbit = node >> 6, node & 63
-                value = (
+                rank = (
                     dp_lut[pw] + (d_isprefix[pw] & ((2 << pbit) - 1)).bit_count()
                     + dl_lut[w] + (lw & upto).bit_count()
                     - dh_lut[w] - (hw & upto).bit_count() - 1
                 )
-                return d_values[value], remaining
+                return rank, remaining
             node = dh_lut[w] + (hw & upto).bit_count()  # global child number
             level += 1
             if node >= dense_nodes:
@@ -354,29 +385,32 @@ class FST:
                     end - start + 16, lines_touched=2 + (end - start) // 16
                 )
             if level == n:
-                if labels[start] != PREFIX_LABEL:
+                if end - start == 1 or labels[start] != DOLLAR:
                     return None
                 idx = start  # the prefix-key label: terminal
             else:
                 byte = key[level]
                 if mode == "binary":
-                    # Prefix pseudo-label (-1) sorts first; labels sort
-                    # within a node.
-                    idx = bisect_left(labels, byte, start, end)
+                    # Past the first slot the node is sorted; the first
+                    # label is the byte unless it is `$` (_is_dollar).
+                    idx = bisect_left(labels, byte, start + 1, end)
                     if idx == end or labels[idx] != byte:
-                        return None
+                        if labels[start] != byte or (byte == DOLLAR and end - start > 1):
+                            return None
+                        idx = start
                 elif mode == "linear":
-                    idx = start
+                    idx = start + _is_dollar(labels, start, end)
                     while idx < end and labels[idx] != byte:
                         idx += 1
                     if idx == end:
                         return None
                 else:
                     # numpy vectorized equality: the SIMD-search stand-in.
-                    hits = np.flatnonzero(s_labels[start:end] == byte)
+                    lo = start + _is_dollar(labels, start, end)
+                    hits = np.flatnonzero(s_labels[lo:end] == byte)
                     if not len(hits):
                         return None
-                    idx = start + int(hits[0])
+                    idx = lo + int(hits[0])
             # rank1(idx) over S-HasChild.
             w = idx >> 6
             hw = haschild[w]
@@ -388,7 +422,7 @@ class FST:
                 remaining = key[level + 1 :]
                 if remaining and not self.truncated:
                     return None
-                return s_values[idx - ones], remaining
+                return dense_leaves + idx - ones, remaining
             snode = child_base + ones
             level += 1
 
@@ -581,9 +615,9 @@ class FST:
                 level += 1
                 continue
             byte = key[level]
-            # First label >= byte within the node (prefix label -1 < byte).
+            # First real label >= byte within the node (`$` sorts first).
             idx = end
-            for i in range(start, end):
+            for i in range(start + _is_dollar(self.s_labels, start, end), end):
                 if self.s_labels[i] >= byte:
                     idx = i
                     break
@@ -673,8 +707,7 @@ class FST:
             + self._s_louds_rank.size_bits()
             + (self._s_louds_select.size_bits() if self._s_louds_select else 0)
         )
-        values = (len(self.d_values) + len(self.s_values)) * value_bits
-        return dense + sparse + values
+        return dense + sparse + self.n_keys * value_bits
 
     def memory_bytes(self) -> int:
         return (self.size_bits() + 7) // 8
@@ -725,24 +758,29 @@ class FstIterator:
         fst = self.fst
         dense_height = fst.dense_height
         s_labels = fst.s_labels
-        for level, node, pos, _start, _end in self.frames:
+        for level, node, pos, start, end in self.frames:
             if level < dense_height:
                 if pos >= 0:
                     out.append(pos - node * FANOUT)
-            else:
-                label = s_labels[pos]
-                if label != PREFIX_LABEL:
-                    out.append(label)
+            elif pos != start or not _is_dollar(s_labels, start, end):
+                out.append(s_labels[pos])
         return bytes(out)
 
-    def value(self) -> Any:
+    def leaf_rank(self) -> int:
+        """The current entry's index in label order."""
         level, node, pos, _s, _e = self.frames[-1]
         fst = self.fst
         if level < fst.dense_height:
             if pos < 0:
-                return fst.d_values[fst._dense_prefix_value_index(node)]
-            return fst.d_values[fst._dense_value_index(pos)]
-        return fst.s_values[fst._sparse_value_index(pos)]
+                return fst._dense_prefix_leaf_rank(node)
+            return fst._dense_leaf_rank(pos)
+        return fst._sparse_leaf_rank(pos)
+
+    def value(self) -> Any:
+        """The current entry's value (its leaf rank if the trie stores
+        no values)."""
+        values = self.fst.values
+        return self.leaf_rank() if values is None else values[self.leaf_rank()]
 
     def next(self) -> None:
         """Advance to the next stored entry."""
@@ -881,7 +919,7 @@ class FstIterator:
             return None
         start, end = fst._sparse_node_range(node - fst.dense_node_count)
         s_labels = fst.s_labels
-        for i in range(start, end):
+        for i in range(start + _is_dollar(s_labels, start, end), end):
             if s_labels[i] >= byte:
                 return (level, node, i, start, end)
         return None

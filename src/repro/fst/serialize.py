@@ -2,13 +2,19 @@
 
 The paper's flagship deployment persists one SuRF per SSTable next to
 the table file (Section 4.2), so filters must round-trip through bytes.
-The format is a little-endian header + the raw succinct arrays; rank
-and select supports are derived structures and are rebuilt on load
-with the FST defaults.
+The format is a little-endian header + the raw succinct arrays, each at
+the width :meth:`~repro.fst.fst.FST.size_bits` charges it (S-Labels one
+byte each); rank and select supports are derived structures and are
+rebuilt on load with the FST defaults.
 
-Values must be non-negative 64-bit integers (key indexes / record
-pointers), which is what both SuRF and the paper's index workloads
-store.
+An ``FST2`` blob carries a value column only for an index FST (values
+must be non-negative 64-bit integers, in leaf order); SuRF's trie has
+none.  An ``SRF2`` blob adds the tombstone bytes and the packed suffix
+words, both indexed by leaf rank (:mod:`repro.surf.surf`).
+
+Every length in a blob is checked against the bytes present: a
+truncated blob, or one with trailing bytes, raises ``ValueError``
+under both ``copy=True`` and ``copy=False``.
 """
 
 from __future__ import annotations
@@ -18,108 +24,130 @@ import struct
 import numpy as np
 
 from ..succinct.bitvector import BitVector, int_view
-from .fst import FST
+from .fst import FANOUT, FST
 
-MAGIC = b"FST1"
-SURF_MAGIC = b"SRF1"
+MAGIC = b"FST2"
+SURF_MAGIC = b"SRF2"
+
+_U64 = struct.Struct("<Q")
+_BV_HEADER = struct.Struct("<QQ")
+_FST_HEADER = struct.Struct("<QQQQQQB")
+_SURF_HEADER = struct.Struct("<BBQQ")
+_TRUNCATED = 1
+_HAS_VALUES = 2
+
+
+class _Reader:
+    """Bounds-checked cursor over the blob after its magic: every read
+    that runs past the end raises ``ValueError("corrupt <what> blob:
+    ...")``, and so does a wrong magic."""
+
+    def __init__(self, data, magic: bytes, what: str) -> None:
+        buf = memoryview(data)
+        self.what = what
+        if len(buf) < len(magic):
+            raise self.fail("truncated")
+        if bytes(buf[: len(magic)]) != magic:
+            raise self.fail("bad magic")
+        self.buf = buf[len(magic) :]
+        self.offset = 0
+
+    def fail(self, why: str) -> ValueError:
+        return ValueError(f"corrupt {self.what} blob: {why}")
+
+    def take(self, n: int) -> memoryview:
+        end = self.offset + n
+        if n < 0 or end > len(self.buf):
+            raise self.fail("truncated")
+        raw = self.buf[self.offset : end]
+        self.offset = end
+        return raw
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
+    def u64_array(self, n: int) -> np.ndarray:
+        """``n`` u64 words as a view over the blob."""
+        return np.frombuffer(self.take(8 * n), dtype=np.uint64)
+
+    def counted_u64s(self) -> np.ndarray:
+        (n,) = self.unpack(_U64)
+        return self.u64_array(n)
+
+    def bitvector(self, copy: bool, n_bits: int) -> BitVector:
+        """A bit vector that must hold ``n_bits`` bits."""
+        bits, n_bytes = self.unpack(_BV_HEADER)
+        if bits != n_bits or n_bytes != 8 * ((n_bits + 63) // 64):
+            raise self.fail("bit vector length")
+        # copy=False keeps an np.frombuffer view over the caller's
+        # buffer: read-only (so is the BitVector — it never mutates its
+        # words after construction) and aliasing the buffer's lifetime.
+        words = self.u64_array(n_bytes // 8)
+        # BitVector.__init__ rejects nonzero padding, so a tampered
+        # buffer fails loudly here instead of silently corrupting
+        # rank/select.
+        try:
+            return BitVector(words.copy() if copy else words, n_bits)
+        except ValueError as exc:
+            raise self.fail(str(exc)) from exc
+
+    def done(self) -> None:
+        if self.offset != len(self.buf):
+            raise self.fail("trailing bytes")
 
 
 def _pack_bitvector(bv: BitVector) -> bytes:
     words = bv.words.tobytes()
-    return struct.pack("<QQ", len(bv), len(words)) + words
+    return _BV_HEADER.pack(len(bv), len(words)) + words
 
 
-def _unpack_bitvector(
-    buf: memoryview, offset: int, copy: bool = True
-) -> tuple[BitVector, int]:
-    n_bits, n_bytes = struct.unpack_from("<QQ", buf, offset)
-    offset += 16
-    raw = buf[offset : offset + n_bytes]
-    if len(raw) != n_bytes or n_bytes % 8:
-        raise ValueError("corrupt FST blob: truncated or misaligned bit vector")
-    # copy=False keeps an np.frombuffer view over the caller's buffer:
-    # read-only (so is the BitVector — it never mutates its words after
-    # construction) and aliasing the buffer's lifetime.
-    words = np.frombuffer(raw, dtype=np.uint64)
-    if copy:
-        words = words.copy()
-    # BitVector.__init__ rejects nonzero padding, so a tampered buffer
-    # fails loudly here instead of silently corrupting rank/select.
-    try:
-        return BitVector(words, n_bits), offset + n_bytes
-    except ValueError as exc:
-        raise ValueError(f"corrupt FST blob: {exc}") from exc
-
-
-def _pack_u64_list(values) -> bytes:
-    arr = np.asarray(list(values), dtype=np.uint64)
-    raw = arr.tobytes()
-    return struct.pack("<Q", len(arr)) + raw
-
-
-def _unpack_u64_list(buf: memoryview, offset: int) -> tuple[list[int], int]:
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    # Deliberately a *copy* (python ints): these land in FST fields that
-    # are indexed scalar-by-scalar on the hot path, where boxed numpy
-    # scalars from a view would be slower, not faster.
-    arr = np.frombuffer(buf[offset : offset + 8 * n], dtype=np.uint64)
-    return [int(v) for v in arr], offset + 8 * n
-
-
-def _unpack_u64_view(buf: memoryview, offset: int) -> tuple[memoryview, int]:
-    """View-path variant of :func:`_unpack_u64_list`: a zero-copy
-    memoryview (read-only when the buffer is) whose items are plain
-    ints, as fast to index as the list."""
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf[offset : offset + 8 * n], dtype=np.uint64)
-    return int_view(arr), offset + 8 * n
+def _pack_u64s(values) -> bytes:
+    arr = np.asarray(values, dtype=np.uint64)
+    return _U64.pack(len(arr)) + arr.tobytes()
 
 
 def fst_to_bytes(fst: FST) -> bytes:
-    """Serialize an FST whose values are non-negative integers."""
+    """Serialize an FST (its values, if any, non-negative integers)."""
+    flags = (_TRUNCATED if fst.truncated else 0) | (
+        _HAS_VALUES if fst.values is not None else 0
+    )
     parts = [
         MAGIC,
-        struct.pack(
-            "<QQQQQQB",
+        _FST_HEADER.pack(
             fst.n_keys,
             fst.height,
             fst.dense_height,
             fst.dense_node_count,
             fst.dense_child_count,
             fst.sparse_node_count,
-            1 if fst.truncated else 0,
+            flags,
         ),
         _pack_bitvector(fst.d_labels),
         _pack_bitvector(fst.d_haschild),
         _pack_bitvector(fst.d_isprefix),
-        _pack_u64_list(fst.d_values),
-        struct.pack("<Q", len(fst.s_labels)),
-        fst.s_labels.astype(np.int16).tobytes(),
+        _U64.pack(len(fst.s_labels)),
+        fst.s_labels.tobytes(),
         _pack_bitvector(fst.s_haschild),
         _pack_bitvector(fst.s_louds),
-        _pack_u64_list(fst.s_values),
-        _pack_u64_list(fst._dense_level_node_start),
-        _pack_u64_list(fst._sparse_level_start),
+        _pack_u64s(fst._dense_level_node_start),
+        _pack_u64s(fst._sparse_level_start),
     ]
+    if fst.values is not None:
+        parts.append(np.asarray(fst.values, dtype=np.uint64).tobytes())
     return b"".join(parts)
 
 
 def fst_from_bytes(data, copy: bool = True) -> FST:
     """Reconstruct an FST; rank/select supports are rebuilt.
 
-    ``copy=False`` is the zero-copy path: the bit-vector words, sparse
-    labels, and value columns are views aliasing ``data`` (read-only
-    when ``data`` is, e.g. over an mmap'd SSTable).
-    The caller owns the buffer's lifetime; the FST never mutates these
-    arrays, so sharing is safe.  Rank/select supports are still built
-    fresh — they are derived, engine-private, and small.
+    ``copy=False`` is the zero-copy path: the bit-vector words, the
+    S-Labels and the value column are views aliasing ``data`` (read-only when ``data`` is,
+    e.g. over an mmap'd SSTable).  The caller owns the buffer's
+    lifetime; the FST never mutates these arrays, so sharing is safe.
+    Rank/select supports are still built fresh — they are derived,
+    engine-private, and small.
     """
-    buf = memoryview(data)
-    if bytes(buf[:4]) != MAGIC:
-        raise ValueError("not an FST blob (bad magic)")
-    offset = 4
+    r = _Reader(data, MAGIC, "FST")
     (
         n_keys,
         height,
@@ -127,9 +155,10 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
         dense_node_count,
         dense_child_count,
         sparse_node_count,
-        truncated,
-    ) = struct.unpack_from("<QQQQQQB", buf, offset)
-    offset += struct.calcsize("<QQQQQQB")
+        flags,
+    ) = r.unpack(_FST_HEADER)
+    if flags & ~(_TRUNCATED | _HAS_VALUES) or dense_height > height:
+        raise r.fail("header")
 
     fst = FST.__new__(FST)
     fst.n_keys = n_keys
@@ -138,28 +167,33 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst.dense_node_count = dense_node_count
     fst.dense_child_count = dense_child_count
     fst.sparse_node_count = sparse_node_count
-    fst.truncated = bool(truncated)
+    fst.truncated = bool(flags & _TRUNCATED)
     fst.suffixes = []  # reconstructible only from the key corpus
     fst._label_search = "binary"
 
-    unpack_values = _unpack_u64_list if copy else _unpack_u64_view
-    fst.d_labels, offset = _unpack_bitvector(buf, offset, copy)
-    fst.d_haschild, offset = _unpack_bitvector(buf, offset, copy)
-    fst.d_isprefix, offset = _unpack_bitvector(buf, offset, copy)
-    fst.d_values, offset = unpack_values(buf, offset)
-    (n_labels,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    s_labels = np.frombuffer(buf[offset : offset + 2 * n_labels], dtype=np.int16)
+    fst.d_labels = r.bitvector(copy, dense_node_count * FANOUT)
+    fst.d_haschild = r.bitvector(copy, dense_node_count * FANOUT)
+    fst.d_isprefix = r.bitvector(copy, dense_node_count)
+    (n_labels,) = r.unpack(_U64)
+    s_labels = np.frombuffer(r.take(n_labels), dtype=np.uint8)
     fst.s_labels = s_labels.copy() if copy else s_labels
-    offset += 2 * n_labels
-    fst.s_haschild, offset = _unpack_bitvector(buf, offset, copy)
-    fst.s_louds, offset = _unpack_bitvector(buf, offset, copy)
-    fst.s_values, offset = unpack_values(buf, offset)
+    fst.s_haschild = r.bitvector(copy, n_labels)
+    fst.s_louds = r.bitvector(copy, n_labels)
     # Level-start tables are a handful of entries, indexed per lookup:
     # always materialize to python ints.
-    fst._dense_level_node_start, offset = _unpack_u64_list(buf, offset)
-    fst._sparse_level_start, offset = _unpack_u64_list(buf, offset)
-
+    fst._dense_level_node_start = r.counted_u64s().tolist()
+    fst._sparse_level_start = r.counted_u64s().tolist()
+    if (
+        len(fst._dense_level_node_start) != dense_height
+        or len(fst._sparse_level_start) != height - dense_height + 1
+    ):
+        raise r.fail("level tables")
+    fst.values = None
+    if flags & _HAS_VALUES:
+        # Both forms index to plain ints; the view path aliases ``data``.
+        values = r.u64_array(n_keys)
+        fst.values = values.tolist() if copy else int_view(values)
+    r.done()
     fst._finish()
     return fst
 
@@ -172,49 +206,47 @@ def surf_to_bytes(surf) -> bytes:
         raise TypeError("expected a SuRF")
     fst_blob = fst_to_bytes(surf.fst)
     tombstones = bytes(surf._tombstones) if surf._tombstones is not None else b""
-    header = struct.pack(
-        "<BBQQ",
-        surf.hash_bits,
-        surf.real_bits,
-        len(fst_blob),
-        len(tombstones),
+    header = _SURF_HEADER.pack(
+        surf.hash_bits, surf.real_bits, len(fst_blob), len(tombstones)
     )
-    return (
-        SURF_MAGIC
-        + header
-        + fst_blob
-        + tombstones
-        + _pack_u64_list(surf._hash_suffixes)
-        + _pack_u64_list(surf._real_suffixes)
-    )
+    return b"".join((
+        SURF_MAGIC,
+        header,
+        fst_blob,
+        tombstones,
+        surf._hash_words.tobytes(),
+        surf._real_words.tobytes(),
+    ))
 
 
 def surf_from_bytes(data, copy: bool = True):
     """Reconstruct a SuRF from :func:`surf_to_bytes` output.
 
     ``copy=False`` threads the zero-copy contract through to
-    :func:`fst_from_bytes` and the suffix arrays; the caller keeps the
+    :func:`fst_from_bytes` and the suffix words; the caller keeps the
     backing buffer alive.  Tombstones are *always* copied into an owned
     ``bytearray``: they are the one mutable piece of a SuRF
     (``delete()`` sets bits in place), so a view would violate the
     read-only contract of an mmap'd source.
     """
-    from ..surf.surf import SuRF
+    from ..surf.surf import SuRF, packed_words
 
-    buf = memoryview(data)
-    if bytes(buf[:4]) != SURF_MAGIC:
-        raise ValueError("not a SuRF blob (bad magic)")
-    offset = 4
-    hash_bits, real_bits, fst_len, tomb_len = struct.unpack_from("<BBQQ", buf, offset)
-    offset += struct.calcsize("<BBQQ")
-    fst_blob = buf[offset : offset + fst_len]
-    fst = fst_from_bytes(bytes(fst_blob) if copy else fst_blob, copy=copy)
-    offset += fst_len
-    tombstones = bytearray(buf[offset : offset + tomb_len]) if tomb_len else None
-    offset += tomb_len
-    unpack_values = _unpack_u64_list if copy else _unpack_u64_view
-    hash_suffixes, offset = unpack_values(buf, offset)
-    real_suffixes, offset = unpack_values(buf, offset)
+    r = _Reader(data, SURF_MAGIC, "SuRF")
+    hash_bits, real_bits, fst_len, tomb_len = r.unpack(_SURF_HEADER)
+    if max(hash_bits, real_bits) > 64:
+        raise r.fail("suffix width")
+    fst = fst_from_bytes(r.take(fst_len), copy=copy)
+    if fst.values is not None:
+        raise r.fail("SuRF trie with a value column")
+    n = fst.n_keys
+    if tomb_len not in (0, (n + 7) // 8):
+        raise r.fail("tombstone length")
+    tombstones = bytearray(r.take(tomb_len)) if tomb_len else None
+    words = []
+    for bits in (hash_bits, real_bits):
+        arr = r.u64_array(packed_words(n, bits))
+        words.append(arr.copy() if copy else arr)
+    r.done()
 
     surf = SuRF.__new__(SuRF)
     if hash_bits and real_bits:
@@ -229,6 +261,5 @@ def surf_from_bytes(data, copy: bool = True):
     surf.real_bits = real_bits
     surf.fst = fst
     surf._tombstones = tombstones
-    surf._hash_suffixes = hash_suffixes
-    surf._real_suffixes = real_suffixes
+    surf._set_words(*words)
     return surf

@@ -10,6 +10,12 @@ optionally appends per-key suffix bits:
   helps both point and range queries, but correlated keys weaken it;
 * **SuRF-Mixed** — both kinds, stored consecutively.
 
+The stored filter is what :meth:`SuRF.size_bits` charges: the trie
+keeps no value column, and each suffix kind is one column of words
+packed at its width, indexed — like the tombstones — by the leaf rank
+the trie walk ends at.  An entry may straddle two words
+(:func:`suffix_at`).
+
 Operations follow Section 4.1.5: ``lookup``, ``move_to_next``
 (LowerBound with an fp_flag for truncated-prefix matches),
 ``lookup_range`` and the approximate ``count``.  All guarantee
@@ -24,8 +30,42 @@ import numpy as np
 
 from ..filters.bloom import hash64, hash64_many
 from ..fst.fst import FST, FstIterator
+from ..succinct.bitvector import int_view
 
 SuffixType = Literal["none", "hash", "real", "mixed"]
+
+
+def packed_words(n: int, width: int) -> int:
+    """Words holding ``n`` entries of ``width`` bits."""
+    return (n * width + 63) >> 6
+
+
+def pack_suffixes(values: np.ndarray, width: int) -> np.ndarray:
+    """Entry ``i`` of ``values`` (each < 2**width) at bits
+    [i*width, (i+1)*width) of one little-endian uint64 bit stream."""
+    words = np.zeros(packed_words(len(values), width), dtype=np.uint64)
+    bit = np.arange(len(values), dtype=np.uint64) * np.uint64(width)
+    at = (bit >> np.uint64(6)).astype(np.intp)
+    shift = bit & np.uint64(63)
+    np.bitwise_or.at(words, at, values << shift)
+    # An entry that crosses a word boundary spills its high bits over.
+    spill = shift + np.uint64(width) > 64
+    np.bitwise_or.at(
+        words, at[spill] + 1, values[spill] >> (np.uint64(64) - shift[spill])
+    )
+    return words
+
+
+def suffix_at(words, i: int, width: int) -> int:
+    """Entry ``i`` of a :func:`pack_suffixes` column (``words`` indexes
+    to plain ints)."""
+    bit = i * width
+    at = bit >> 6
+    shift = bit & 63
+    value = words[at] >> shift
+    if shift + width > 64:
+        value |= words[at + 1] << (64 - shift)
+    return value & ((1 << width) - 1)
 
 
 def _real_suffix_bits(suffix: bytes, n_bits: int) -> int:
@@ -69,24 +109,34 @@ class SuRF:
         elif suffix_type == "mixed" and (hash_bits <= 0 or real_bits <= 0):
             raise ValueError("SuRF-Mixed needs hash_bits and real_bits > 0")
         if max(hash_bits, real_bits) > 64:
-            raise ValueError("suffix bits are stored as 64-bit words")
+            raise ValueError("a suffix column packs entries of at most 64 bits")
         self.suffix_type = suffix_type
         self.hash_bits = hash_bits
         self.real_bits = real_bits
-        # The FST's values default to the key positions.
         self.fst = FST(keys, truncate=True, **fst_kwargs)
+        # The trie's default values are the key positions in leaf order
+        # (the builder's leaf -> key permutation): one gather puts each
+        # suffix column in leaf order, and the trie keeps no values.
+        by_leaf = np.asarray(self.fst.values, dtype=np.intp)
+        self.fst.values = None
         #: Tombstone bit-array (Section 4.5): allocated on first delete.
         self._tombstones: bytearray | None = None
-        # Per-key suffix words, indexed by key position (the FST values),
-        # computed for the whole key column at once.  A loaded filter
-        # holds zero-copy memoryviews instead; both index to plain ints.
-        self._hash_suffixes: list[int] | memoryview = []
-        self._real_suffixes: list[int] | memoryview = []
+        hash_words = real_words = np.zeros(0, dtype=np.uint64)
         if hash_bits:
             mask = np.uint64((1 << hash_bits) - 1)
-            self._hash_suffixes = (hash64_many(keys) & mask).tolist()
+            hash_words = pack_suffixes(hash64_many(keys)[by_leaf] & mask, hash_bits)
         if real_bits:
-            self._real_suffixes = self.fst.suffixes.leading_bits(real_bits).tolist()
+            by_key = self.fst.suffixes.leading_bits(real_bits)
+            real_words = pack_suffixes(by_key[by_leaf], real_bits)
+        self._set_words(hash_words, real_words)
+
+    def _set_words(self, hash_words: np.ndarray, real_words: np.ndarray) -> None:
+        """Bind the packed suffix columns (built, or views of a loaded
+        blob) and the int views lookups read them through."""
+        self._hash_words = hash_words
+        self._real_words = real_words
+        self._hash_view = int_view(hash_words)
+        self._real_view = int_view(real_words)
 
     # -- point membership -----------------------------------------------------------
 
@@ -95,18 +145,17 @@ class SuRF:
         found = self.fst._lookup(key)
         if found is None:
             return False
-        key_index, remaining = found
-        if self.is_deleted(key_index):
+        rank, remaining = found
+        if self.is_deleted(rank):
             return False
-        if self.hash_bits:
-            mask = (1 << self.hash_bits) - 1
-            if hash64(key) & mask != self._hash_suffixes[key_index]:
+        hash_bits, real_bits = self.hash_bits, self.real_bits
+        if hash_bits:
+            stored = suffix_at(self._hash_view, rank, hash_bits)
+            if hash64(key) & ((1 << hash_bits) - 1) != stored:
                 return False
-        if self.real_bits:
-            if (
-                _real_suffix_bits(remaining, self.real_bits)
-                != self._real_suffixes[key_index]
-            ):
+        if real_bits:
+            stored = suffix_at(self._real_view, rank, real_bits)
+            if _real_suffix_bits(remaining, real_bits) != stored:
                 return False
         return True
 
@@ -132,8 +181,7 @@ class SuRF:
         if it.valid and it.fp_flag and self.real_bits:
             # Real suffix bits can disambiguate a prefix match: compare
             # the stored suffix with the query's corresponding bits.
-            key_index = it.value()
-            stored = self._real_suffixes[key_index]
+            stored = suffix_at(self._real_view, it.leaf_rank(), self.real_bits)
             query_bits = _real_suffix_bits(
                 key[len(it.key()) :], self.real_bits
             )
@@ -211,14 +259,15 @@ class SuRF:
             return False
         if self._tombstones is None:
             self._tombstones = bytearray((self.fst.n_keys + 7) // 8)
-        idx = found[0]
-        self._tombstones[idx >> 3] |= 1 << (idx & 7)
+        rank = found[0]
+        self._tombstones[rank >> 3] |= 1 << (rank & 7)
         return True
 
-    def is_deleted(self, key_index: int) -> bool:
+    def is_deleted(self, rank: int) -> bool:
+        """Is the key at leaf ``rank`` tombstoned?"""
         if self._tombstones is None:
             return False
-        return bool(self._tombstones[key_index >> 3] & (1 << (key_index & 7)))
+        return bool(self._tombstones[rank >> 3] & (1 << (rank & 7)))
 
     # -- memory ---------------------------------------------------------------------------
 

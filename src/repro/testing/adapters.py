@@ -908,6 +908,11 @@ def all_structures() -> dict[str, Callable[[], Adapter]]:
         "surf_real": lambda: FilterAdapter(
             "surf_real", _surf_builder("real", real_bits=8), supports_count=True
         ),
+        # 5 + 7 bits: packed suffix entries straddle 64-bit words.
+        "surf_mixed": lambda: FilterAdapter(
+            "surf_mixed", _surf_builder("mixed", hash_bits=5, real_bits=7),
+            supports_count=True,
+        ),
         "bloom": lambda: FilterAdapter(
             "bloom", lambda keys: BloomFilter(keys, bits_per_key=10)
         ),

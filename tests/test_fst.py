@@ -8,6 +8,7 @@ settings, count_range, and the ~10 bits-per-node space claim.
 import bisect
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from repro.bench.counters import COUNTERS
 from repro.fst import FST, build_trie
 from repro.fst.builder import PREFIX_LABEL
 from repro.fst.serialize import fst_from_bytes
-from repro.surf import surf_base, surf_real
+from repro.surf import SuRF, surf_base, surf_mixed, surf_real
+from repro.surf.surf import _real_suffix_bits, suffix_at
 from repro.workloads import email_keys, random_u64_keys
 
 PAPER_KEYS = [b"f", b"far", b"fas", b"fast", b"fat", b"s", b"top", b"toy", b"trie", b"trip", b"try"]
@@ -131,6 +133,21 @@ class TestPointQueries:
         assert fst.get(b"lonel") is None
         assert fst.get(b"lonelyx") is None
 
+    @pytest.mark.parametrize("dense_levels", [None, 0])
+    def test_lone_empty_key_is_not_a_lone_ff(self, dense_levels):
+        """{b""} and {b"\xff"}: a sparse node of one 0xFF label is a
+        real 0xFF, so the lone empty key gets a dense root."""
+        for keys, other in (([b""], b"\xff"), ([b"\xff"], b"")):
+            built = FST(keys, dense_levels=dense_levels)
+            for fst in (built, fst_from_bytes(built.to_bytes()),
+                        fst_from_bytes(built.to_bytes(), copy=False)):
+                assert fst.get(keys[0]) == 0 and fst.get(other) is None
+                assert list(fst.items()) == [(keys[0], 0)]
+                assert fst.seek(other).valid == (other < keys[0])
+            surf = surf_real(keys, dense_levels=dense_levels)
+            assert surf.lookup(keys[0]) and not surf.lookup(other)
+            assert surf.count(b"", b"\xff\xff") == 1
+
 
 class TestIteration:
     @pytest.mark.parametrize("dense_levels", CUTOFFS)
@@ -229,6 +246,21 @@ class TestCountRange:
                     true = true if lo < hi else 0
                     assert true <= surf.count(lo, hi) <= true + 2, (lo, hi)
 
+    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("family", ["zero_ff", "zero_ff_random", "ff_after_prefix"])
+    def test_ff_heavy_count_matches_bisect(self, family, dense_levels):
+        pairs = sorted(FAMILIES[family])
+        probes = near_misses(pairs)
+        fst, _ = make_fst(pairs, dense_levels=dense_levels)
+        surfs = [make(pairs, dense_levels=dense_levels) for make in (surf_base, surf_real)]
+        for lo in probes:
+            for hi in probes:
+                true = bisect.bisect_left(pairs, hi) - bisect.bisect_left(pairs, lo)
+                true = true if lo < hi else 0
+                assert fst.count_range(lo, hi) == true, (lo, hi)
+                for surf in surfs:
+                    assert true <= surf.count(lo, hi) <= true + 2, (lo, hi)
+
     def test_dense_prefix_key_below_a_zero_byte_bound(self):
         """A dense node's prefix key sorts below a bound that goes on
         with byte 0x00 through that node."""
@@ -307,6 +339,18 @@ class TestTruncateMode:
         assert trunc.size_bits() < full.size_bits()
 
 
+#: Keys of up to six bytes over {0x00, 0x01, 0xff} (the builder
+#: tests' ``zero-ff`` family): real 0xFF labels in every slot.
+_rng = random.Random(5)
+ZERO_FF = sorted({bytes(_rng.choices(b"\x00\xff\x01", k=_rng.randint(0, 6))) for _ in range(60)})
+#: Keys ending in 0xFF next to prefix keys: nodes that hold `$` (0xFF
+#: in their first slot) and a real 0xFF, and nodes of one real 0xFF.
+FF_AFTER_PREFIX = sorted(
+    {stem + tail for stem in (b"", b"a", b"ab", b"\xff", b"a\xff")
+     for tail in (b"", b"\x00", b"\xff", b"\xff\xff")}
+    | {b"q\xff", b"z\xff\xff"}
+)
+
 #: Key families that take every branch of the point walk.
 FAMILIES = {
     "empty_key": [b"", b"a", b"ab", b"b", b"ba"],
@@ -314,6 +358,8 @@ FAMILIES = {
     "zero_ff": [b"\x00", b"\x00\x00", b"\x00\xff", b"\x00\xff\x00", b"\xff",
                 b"\xff\x00", b"\xff\xff", b"\xff\xff\xff"],
     "single": [b"lonely"],
+    "zero_ff_random": ZERO_FF,
+    "ff_after_prefix": FF_AFTER_PREFIX,
     "u64": random_u64_keys(300, seed=41),
     "email": email_keys(150, seed=42),
 }
@@ -396,6 +442,82 @@ class TestScalarBatchParity:
                         for i, k in enumerate(pairs):
                             assert fst.get(k) == i
                         assert [fst.get(q) for q in queries] == want
+
+
+def surf_seek_oracle(pairs, stored, query, real_bits):
+    """Where ``move_to_next(query)`` lands: (index, fp_flag), or None.
+
+    A stored leaf that is a proper prefix of ``query`` is the answer
+    with the fp flag, unless its real suffix bits prove the full key is
+    below ``query``; otherwise it is the first stored entry >= query."""
+    j = bisect.bisect_right(stored, query) - 1
+    if j >= 0 and stored[j] != query and query.startswith(stored[j]):
+        leaf = j + 1 == len(stored) or not stored[j + 1].startswith(stored[j])
+        if leaf:
+            cut = len(stored[j])
+            if real_bits and _real_suffix_bits(query[cut:], real_bits) > _real_suffix_bits(
+                pairs[j][cut:], real_bits
+            ):
+                return (j + 1, False) if j + 1 < len(stored) else None
+            return j, True
+    k = bisect.bisect_left(stored, query)
+    return (k, False) if k < len(stored) else None
+
+
+class TestSeekParity:
+    """``FST.seek`` and ``SuRF.move_to_next`` against the bisect oracle
+    on every key family (the 0xFF-heavy ones included), at the three
+    layouts, built and on both load paths; the iterator's leaf rank
+    reads the entry's value / real suffix."""
+
+    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fst_seek_matches_bisect(self, family, dense_levels):
+        pairs = sorted(FAMILIES[family])
+        if dense_levels == 100:
+            pairs = pairs[:100]  # the dense iterator scans 256 slots a node
+        built = FST(pairs, list(range(len(pairs))), dense_levels=dense_levels)
+        blob = built.to_bytes()
+        for fst in (built, fst_from_bytes(blob), fst_from_bytes(blob, copy=False)):
+            for q in near_misses(pairs):
+                it = fst.seek(q)
+                if it.valid and it.fp_flag and it.key() != q:
+                    it.next()
+                k = bisect.bisect_left(pairs, q)
+                for want in range(k, min(k + 3, len(pairs))):
+                    assert it.valid and it.key() == pairs[want], (q, want)
+                    assert it.value() == fst.values[it.leaf_rank()] == want
+                    it.next()
+                assert it.valid == (k + 3 < len(pairs))
+
+    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_surf_move_to_next_matches_bisect(self, family, dense_levels):
+        pairs = sorted(FAMILIES[family])
+        if dense_levels == 100:
+            pairs = pairs[:100]
+        stored = truncated_keys(pairs)
+        for real_bits, make in ((0, surf_base), (4, surf_real),
+                                (7, lambda ks, **kw: surf_mixed(ks, 5, 7, **kw))):
+            built = make(pairs, dense_levels=dense_levels)
+            blob = built.to_bytes()
+            for surf in (built, SuRF.from_bytes(blob), SuRF.from_bytes(blob, copy=False)):
+                for q in near_misses(pairs):
+                    want = surf_seek_oracle(pairs, stored, q, real_bits)
+                    it, fp = surf.move_to_next(q)
+                    if want is None:
+                        assert not it.valid, q
+                        continue
+                    k, want_fp = want
+                    assert it.valid and it.key() == stored[k] and fp == want_fp, q
+                    if real_bits:
+                        cut = len(stored[k])
+                        stored_bits = suffix_at(surf._real_view, it.leaf_rank(), real_bits)
+                        assert stored_bits == _real_suffix_bits(pairs[k][cut:], real_bits)
+                    it.next()
+                    assert it.valid == (k + 1 < len(pairs))
+                    if it.valid:
+                        assert it.key() == stored[k + 1]
 
 
 class TestAccessCounts:

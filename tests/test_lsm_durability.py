@@ -366,13 +366,14 @@ class TestDiskSSTable:
             table.read_block(0)
 
     def test_old_format_table_is_rejected_loudly(self):
-        """A file with an older trailer — "LSMS" (interleaved entries)
-        or "LSM2" (length columns) — fails the magic check at open."""
+        """A file with an older trailer — "LSMS" (interleaved entries),
+        "LSM2" (length columns) or "LSM3" (``SRF1`` filter frames) —
+        fails the magic check at open."""
         fs = MemFS()
         write_pairs(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
         blob = fs.read("t.sst")
-        assert blob.endswith(b"LSM3")
-        for old_magic in (b"LSMS", b"LSM2"):
+        assert blob.endswith(b"LSM4")
+        for old_magic in (b"LSMS", b"LSM2", b"LSM3"):
             f = fs.create("old.sst")
             f.append(blob[:-4] + old_magic)
             f.sync()

@@ -21,7 +21,19 @@ VARIANTS = [
     ("hash8", lambda keys: surf_hash(keys, hash_bits=8)),
     ("real8", lambda keys: surf_real(keys, real_bits=8)),
     ("mixed", lambda keys: surf_mixed(keys, hash_bits=4, real_bits=4)),
+    # 5 + 7 bits: entries of both packed columns straddle 64-bit words.
+    ("mixed57", lambda keys: surf_mixed(keys, hash_bits=5, real_bits=7)),
 ]
+
+#: Keys over {0x00, 0x01, 0xff} (the builder tests' ``zero-ff``
+#: family), and keys ending in 0xFF next to prefix keys: S-Labels
+#: nodes whose first-slot 0xFF is `$` and whose last 0xFF is real.
+_rng = random.Random(87)
+ZERO_FF_KEYS = sorted({bytes(_rng.choices(b"\x00\xff\x01", k=_rng.randint(0, 6))) for _ in range(60)})
+FF_AFTER_PREFIX_KEYS = sorted(
+    {stem + tail for stem in (b"", b"a", b"\xff", b"a\xff")
+     for tail in (b"", b"\x00", b"\xff", b"\xff\xff")}
+)
 
 
 def perturb(rng: random.Random, key: bytes) -> bytes:
@@ -203,7 +215,8 @@ class TestScalarBatchParity:
     def test_lookup_equals_lookup_many(self, name, make):
         rng = random.Random(83)
         edge = [b"", b"\x00", b"\x00\xff", b"\xff", b"\xff\x00", b"\xff\xff"]
-        for keys in (INT_KEYS, EMAIL_KEYS, edge, [b"lonely"]):
+        for keys in (INT_KEYS, EMAIL_KEYS, edge, [b"lonely"], [b""], ZERO_FF_KEYS,
+                     FF_AFTER_PREFIX_KEYS):
             built = make(keys)
             deleted = keys[len(keys) // 2]
             built.delete(deleted)

@@ -26,7 +26,7 @@ from repro.fst.builder import PREFIX_LABEL
 from repro.lsm import LSMTree, TOMBSTONE, disk_format, sstable
 from repro.lsm import wal as wal_mod
 from repro.surf import SuRF, surf_hash, surf_mixed, surf_real
-from repro.surf.surf import _real_suffix_bits
+from repro.surf.surf import _real_suffix_bits, suffix_at
 from repro.testing.faultfs import MemFS
 from repro.workloads import email_keys, random_u64_keys, ycsb
 from repro.workloads.keys import encode_u64
@@ -148,18 +148,34 @@ class TestBuilderAgainstTheRecursiveOracle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_surf_suffix_bits_match_the_per_key_functions(self, family):
+        """Each key's suffixes, read at the leaf rank its walk ends at
+        (the order SuRF stores them in), equal the per-key functions."""
         keys = _family(family, random.Random(3))
         _, suffixes = recursive_build(keys, truncate=True)
-        for bits in (1, 4, 8, 13, 64):
-            assert surf_real(keys, real_bits=bits)._real_suffixes == [
+
+        def leaf_ranks(surf):
+            ranks = [surf.fst._lookup(k)[0] for k in keys]
+            assert sorted(ranks) == list(range(len(keys)))
+            return ranks
+
+        for bits in (1, 4, 7, 8, 13, 64):
+            surf = surf_real(keys, real_bits=bits)
+            assert [suffix_at(surf._real_view, r, bits) for r in leaf_ranks(surf)] == [
                 _real_suffix_bits(s, bits) for s in suffixes
             ]
-        for bits in (3, 8, 64):
-            assert surf_hash(keys, hash_bits=bits)._hash_suffixes == [
+        for bits in (3, 5, 8, 64):
+            surf = surf_hash(keys, hash_bits=bits)
+            assert [suffix_at(surf._hash_view, r, bits) for r in leaf_ranks(surf)] == [
                 hash64(k) & ((1 << bits) - 1) for k in keys
             ]
-        mixed = surf_mixed(keys)
-        assert mixed._real_suffixes == [_real_suffix_bits(s, 2) for s in suffixes]
+        mixed = surf_mixed(keys, hash_bits=5, real_bits=7)
+        ranks = leaf_ranks(mixed)
+        assert [suffix_at(mixed._real_view, r, 7) for r in ranks] == [
+            _real_suffix_bits(s, 7) for s in suffixes
+        ]
+        assert [suffix_at(mixed._hash_view, r, 5) for r in ranks] == [
+            hash64(k) & 31 for k in keys
+        ]
 
     def test_bloom_bulk_insert_matches_per_key_inserts(self):
         keys = sorted(set(email_keys(500, seed=4)))
