@@ -13,10 +13,15 @@ FB+-tree / RocksDB file formats.
 Values are typed, not pickled: the durable engine stores ints, bytes,
 UTF-8 strings, and tombstones.  Anything else raises ``TypeError`` at
 write time — a storage format must not silently depend on pickle.
+
+A table block stores field offsets only when a column's widths vary
+(elsewhere they are arithmetic, D-to-S Rule #2) and value tags only
+when not every value is ``bytes`` (:func:`encode_block`).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 import zlib
@@ -125,7 +130,7 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 # -- entry blocks ------------------------------------------------------------
 
 
-# Block reads its little-endian offset header in place through
+# Block reads its little-endian offsets in place through
 # memoryview.cast("I"), which is native order and native size.
 if sys.byteorder != "little" or struct.calcsize("I") != 4:
     raise ImportError(
@@ -134,23 +139,56 @@ if sys.byteorder != "little" or struct.calcsize("I") != 4:
     )
 
 
+#: The block header: entry count, key width, value width, flags.  A
+#: width is the one length every field of its column has, or
+#: ``_VARIABLE`` when the lengths differ.
+_BLOCK_HEADER = struct.Struct("<IIIB")
+_VARIABLE = 0xFFFFFFFF
+#: Flag: every value is ``bytes``, stored without its codec tag.
+_RAW_BYTES = 1
+
+
+def _width(column: Sequence[bytes]) -> int:
+    lengths = set(map(len, column))
+    return lengths.pop() if len(lengths) == 1 else (_VARIABLE if lengths else 0)
+
+
 def encode_block(keys: Sequence[bytes], values: Sequence[bytes]) -> bytes:
     """One SSTable block, framed and CRC-checked, laid out in columns::
 
-        <u32 off[0..2n]> <keys...> <values...>
+        <u32 n> <u32 key width> <u32 value width> <u8 flags>
+        [<u32 off[0..2n]>] <keys...> <values...>
 
-    ``off[0] = 4 * (2n + 1)`` is where the keys start (so it also gives
-    ``n``); key ``i`` is ``[off[i], off[i+1])``, value ``i`` is
-    ``[off[n+i], off[n+i+1])`` and ``off[2n]`` is the payload size.
-    ``values`` are already encoded (:func:`encode_value`), so a block
-    is one ``struct.pack`` of the running sum and one join per column.
-    The same byte count as interleaving each length with its field;
-    storing the offsets themselves lets :class:`Block` read them in
-    place instead of decoding anything.
+    ``values`` are already encoded (:func:`encode_value`).  When every
+    one is ``bytes`` the ``_RAW_BYTES`` flag is set and the value
+    column holds them without their tag.  When every key has one length
+    and every stored value has one length, the header is all there is
+    before the columns: field ``i`` of a column starts at its base plus
+    ``i`` times its width.  Otherwise a width is ``_VARIABLE`` and the
+    ``2n + 1`` offsets follow the header: key ``i`` is ``[off[i],
+    off[i+1])``, value ``i`` is ``[off[n+i], off[n+i+1])`` and
+    ``off[2n]`` is the payload size.
     """
     n = len(keys)
-    offsets = accumulate(chain(map(len, keys), map(len, values)), initial=8 * n + 4)
-    return frame(struct.pack(f"<{2 * n + 1}I", *offsets) + b"".join(keys) + b"".join(values))
+    flags = 0
+    if all(v[:1] == _BYTES_TAG for v in values):
+        flags, values = _RAW_BYTES, [v[1:] for v in values]
+    kw, vw = _width(keys), _width(values)
+    head = _BLOCK_HEADER.pack(n, kw, vw, flags)
+    if _VARIABLE in (kw, vw):
+        base = _BLOCK_HEADER.size + 4 * (2 * n + 1)
+        offsets = accumulate(chain(map(len, keys), map(len, values)), initial=base)
+        head += struct.pack(f"<{2 * n + 1}I", *offsets)
+    return frame(head + b"".join(keys) + b"".join(values))
+
+
+@functools.lru_cache(maxsize=128)
+def _fixed_offsets(n: int, kw: int, vw: int) -> memoryview:
+    """The field offsets of a fixed-width block of ``n`` entries, as one
+    read-only ``u32`` view that every block of that shape shares."""
+    head, keys_end = _BLOCK_HEADER.size, _BLOCK_HEADER.size + n * kw
+    words = [head + i * kw for i in range(n)] + [keys_end + i * vw for i in range(n + 1)]
+    return memoryview(struct.pack(f"<{2 * n + 1}I", *words)).cast("I")
 
 
 #: Searches after which a cached block builds its key list: the list
@@ -165,37 +203,51 @@ class Block:
     """One decoded SSTable block: a sorted run of ``(key, value)``.
 
     Owns a single ``bytes`` copy of the block payload plus a ``u32``
-    view of the offset header inside it; keys are sliced and values
-    decoded only for the entries a caller touches, so a point read that
-    misses the block cache pays for one copy, one cast and a bisect —
-    not for decoding the header or building every entry.  Everything
-    handed out is a fresh ``bytes``/``int``/``str`` object: nothing
-    aliases the payload's source buffer (an mmap'd table file) or the
-    cached block itself.
+    array of its field offsets: the stored offsets cast in place, or —
+    for a fixed-width block, which stores none — the array every block
+    of its ``(n, key width, value width)`` shares.  Keys are sliced and
+    values decoded only for the entries a caller touches, so a point
+    read that misses the block cache pays for one copy, a header unpack
+    and a bisect — not for decoding the offsets or building every
+    entry.  Everything handed out is a fresh ``bytes``/``int``/``str``
+    object: nothing aliases the payload's source buffer (an mmap'd
+    table file) or the cached block itself.
 
-    Opening checks the header's shape and both ends of the offsets, not
-    that each pair is ordered (that would be a pass per cache miss): a
-    decreasing pair is a :class:`FrameError` once a walk over the
-    offsets — :meth:`cells` or the hot key list — reaches it.
+    Opening checks that the header describes the payload — the widths'
+    product or both ends of the stored offsets — not that each stored
+    pair is ordered (that would be a pass per cache miss): a decreasing
+    pair is a :class:`FrameError` once a walk over the offsets —
+    :meth:`cells` or the hot key list — reaches it.
     """
 
-    __slots__ = ("_payload", "_n", "_off", "_keys", "_probes")
+    __slots__ = ("_payload", "_n", "_off", "_raw", "_keys", "_probes")
 
     def __init__(self, payload: bytes) -> None:
-        if len(payload) < 4:
+        size = len(payload)
+        if size < _BLOCK_HEADER.size:
             raise FrameError("truncated block payload")
-        (base,) = _U32.unpack_from(payload, 0)
-        if base & 7 != 4:
-            raise FrameError("block key offset is not 4 * (2n + 1)")
-        if base > len(payload):
-            raise FrameError("block entry count out of range")
+        n, kw, vw, flags = _BLOCK_HEADER.unpack_from(payload)
+        if flags & ~_RAW_BYTES:
+            raise FrameError(f"unknown block flags {flags:#x}")
+        if _VARIABLE in (kw, vw):
+            base = _BLOCK_HEADER.size + 4 * (2 * n + 1)
+            if base > size:
+                raise FrameError("block entry count out of range")
+            off = memoryview(payload)[_BLOCK_HEADER.size : base].cast("I")
+            if off[0] != base or off[-1] != size:
+                raise FrameError("block offsets do not match payload size")
+        else:
+            # Keys are distinct, so only a lone key may be empty.
+            if _BLOCK_HEADER.size + n * (kw + vw) != size or (n > 1 and not kw):
+                raise FrameError("block widths do not match payload size")
+            off = _fixed_offsets(n, kw, vw)
         self._payload = payload
-        self._n = base >> 3
-        #: Field boundaries, read in place: key ``i`` at
-        #: ``[off[i], off[i+1])``, value ``i`` at ``[off[n+i], off[n+i+1])``.
-        self._off = off = memoryview(payload)[:base].cast("I")
-        if off[-1] != len(payload):
-            raise FrameError("block offsets do not match payload size")
+        self._n = n
+        #: Field boundaries: key ``i`` at ``[off[i], off[i+1])``, value
+        #: ``i`` at ``[off[n+i], off[n+i+1])``.
+        self._off = off
+        #: Values are ``bytes`` stored without their tag.
+        self._raw = flags
         #: The key column as a list, built once the block proves hot
         #: (see :meth:`first_ge`); ``_probes`` counts searches so far.
         self._keys: list[bytes] | None = None
@@ -218,6 +270,8 @@ class Block:
 
     def value(self, i: int) -> Any:
         i += self._n
+        if self._raw:
+            return self._payload[self._off[i] : self._off[i + 1]]
         return decode_value(self._payload, self._off[i], self._off[i + 1])
 
     def __getitem__(self, i: int) -> tuple[bytes, Any]:
@@ -282,10 +336,10 @@ class Block:
         nothing decoded — what a compaction carries to its output."""
         n, off, cut = self._n, self._offsets(), self._payload.__getitem__
         stop = n if stop is None else stop
-        return zip(
-            map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1])),
-            map(cut, map(slice, off[n + start : n + stop], off[n + start + 1 : n + stop + 1])),
-        )
+        values = map(cut, map(slice, off[n + start : n + stop], off[n + start + 1 : n + stop + 1]))
+        if self._raw:  # put the tag back: cells are encoded values
+            values = map(_BYTES_TAG.__add__, values)
+        return zip(map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1])), values)
 
 
 def decode_block(data: bytes) -> Block:
@@ -323,4 +377,7 @@ def pack_u64(v: int) -> bytes:
 
 
 def unpack_u64(data: bytes, offset: int) -> tuple[int, int]:
-    return _U64.unpack_from(data, offset)[0], offset + 8
+    try:
+        return _U64.unpack_from(data, offset)[0], offset + 8
+    except struct.error:
+        raise FrameError("truncated u64") from None

@@ -602,7 +602,7 @@ def _cells(tables):
 
 
 def _on_disk(fs, runs, first_id):
-    """Each run as a table file: encoded values in LSM4 blocks."""
+    """Each run as a table file: encoded values in LSM5 blocks."""
     out = []
     for table_id, run in enumerate(runs, first_id):
         path = f"t{table_id}.sst"

@@ -91,6 +91,43 @@ class TestDiskFormat:
         assert block.first_ge(b"aa") == 2 and block.first_ge(b"\xff" * 41) == len(self.MIXED)
         assert list(block.items(7)) == self.MIXED[7:]
 
+    #: One block per layout: (pairs, stores offsets, drops the tags).
+    LAYOUTS = {
+        "u64-bytes100": ([(encode_u64(i * 3), bytes([i]) * 100) for i in range(64)], False, True),
+        "empty-key-and-value": ([(b"", b"")], False, True),
+        "empty-values": ([(encode_u64(i), b"") for i in range(64)], False, True),
+        "int-only": ([(encode_u64(i * 3), i * 7 - 200) for i in range(64)], False, False),
+        "one-tombstone": (
+            [(encode_u64(i * 3), TOMBSTONE if i == 17 else bytes([i]) * 100) for i in range(64)],
+            True, False,
+        ),
+        "1000-bytes100": ([(encode_u64(i * 3), bytes([i % 256]) * 100) for i in range(1000)],
+                          False, True),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_roundtrips(self, layout):
+        """Each layout reads back what was written — entries, searches
+        hot and cold, and ``cells()`` byte for byte the encoded input."""
+        pairs, stored, raw = self.LAYOUTS[layout]
+        keys, cells = encode_pairs(pairs)
+        blob = disk_format.encode_block(keys, cells)
+        cold, hot = disk_format.decode_block(blob), disk_format.decode_block(blob)
+        assert (cold._off.obj is cold._payload, bool(cold._raw)) == (stored, raw)
+        for _ in range(disk_format._HOT_BLOCK_PROBES):
+            hot.first_ge(b"warm-up")
+        assert list(cold) == pairs and list(hot) == pairs
+        assert list(cold.cells()) == list(zip(keys, cells)) == list(hot.cells())
+        assert list(cold.cells(1, 3)) == list(zip(keys, cells))[1:3]
+        probes = keys + [k + b"\x00" for k in keys] + [b"\xff" * 9]
+        for probe in probes:
+            for block in (cold, disk_format.decode_block(blob)):
+                assert hot.first_ge(probe) == block.first_ge(probe)
+                assert hot.find(probe, "absent") == block.find(probe, "absent")
+        assert hot._keys is not None
+        for key, value in pairs:
+            assert type(cold.find(key)) is type(value)
+
     def test_hot_block_search_agrees_with_cold(self):
         """A block switches from the in-place bisect to a materialized
         key list once it has been probed enough; both must agree on
@@ -111,13 +148,20 @@ class TestDiskFormat:
         assert len(block) == 0 and list(block) == []
         assert block.first_ge(b"") == 0 and block.find(b"") is None
 
-    def test_block_bytes_match_the_interleaved_layout(self):
-        """Columnar lengths cost exactly what interleaved ones did, so
-        the format change cannot move space amplification."""
-        interleaved = 4 + sum(
-            8 + len(k) + len(disk_format.encode_value(v)) for k, v in self.MIXED
+    def test_a_block_is_its_header_and_columns_exactly(self):
+        """A fixed-width block is frame + header + key bytes + value
+        bytes — no offsets, and no tags when every value is ``bytes``;
+        any other block adds its ``2n + 1`` offsets and keeps its tags."""
+        head = 8 + disk_format._BLOCK_HEADER.size
+        fixed = [(encode_u64(i), b"v" * 100) for i in range(64)]
+        assert len(block_of(fixed)) == head + 64 * (8 + 100)
+        ints = [(encode_u64(i), i) for i in range(64)]
+        assert len(block_of(ints)) == head + 64 * (8 + 9)
+        stored = 4 * (2 * len(self.MIXED) + 1) + sum(
+            len(k) + len(disk_format.encode_value(v)) for k, v in self.MIXED
         )
-        assert len(block_of(self.MIXED)) == 8 + interleaved
+        assert len(block_of(self.MIXED)) == head + stored
+        assert len(block_of([])) == head
 
     def test_block_handouts_do_not_alias_the_source_buffer(self):
         source = bytearray(block_of(self.MIXED))
@@ -141,26 +185,42 @@ class TestDiskFormat:
 
     def test_inconsistent_lengths_with_a_good_crc_are_rejected(self):
         """A CRC-clean payload whose header does not describe it (the
-        old interleaved or length-column layouts, say) is a FrameError,
-        never a misparse."""
+        ``LSM4`` offset header, the old interleaved or length-column
+        layouts, widths whose product is not the payload, unknown flag
+        bits) is a FrameError, never a misparse."""
         u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
+        head = lambda n, kw, vw, flags: u32(n, kw, vw) + bytes([flags])
+        var = 0xFFFFFFFF
         pairs = ((b"a", b"\x02x"), (b"b", b"\x02y"))
         interleaved = u32(2) + b"".join(u32(len(k)) + k + u32(len(v)) + v for k, v in pairs)
         length_columns = u32(2, 1, 1, 2, 2) + b"ab\x02x\x02y"
+        lsm4 = u32(20, 21, 22, 24, 26) + b"ab\x02x\x02y"
         cases = (
-            interleaved, length_columns, u32(3), u32(1, 5, 1) + b"k\x00", b"\x01",
-            u32(8, 8),  # off[0] = 8 is not 4 * (2n + 1)
-            u32(6, 6) + b"\x00\x00",  # nor is 6
-            u32(20, 20, 20, 20),  # off[0] = 20 runs past a 16-byte payload
-            u32(20, 21, 22, 24, 25) + b"ab\x02x\x02y",  # last offset 25, payload 26
-            u32(20, 21, 22, 24, 27) + b"ab\x02x\x02y",  # last offset past the payload
+            interleaved, length_columns, lsm4, u32(3), u32(1, 5, 1) + b"k\x00", b"\x01",
+            head(2, 1, 1, 1)[:-1],  # a header cut short
+            head(2, 1, 1, 1) + b"abx",  # 2 * (1 + 1) is 4 column bytes, not 3
+            head(2, 1, 1, 1) + b"abxyz",  # nor 5
+            head(2, 1, 2, 0) + b"ab\x02x\x02",  # nor is 2 * (1 + 2) 5
+            head(2, 1, 1, 3) + b"abxy",  # an unknown flag bit
+            head(2, 1, 1, 0x80) + b"abxy",  # another
+            head(2, 0, 1, 1) + b"xy",  # two keys, both empty
+            head(4, var, var, 0) + u32(33, 33),  # offsets run past the payload
+            head(2, var, var, 0) + u32(34, 34, 35, 37, 39) + b"ab\x02x\x02y",  # off[0] != 33
+            head(2, var, var, 0) + u32(33, 34, 35, 37, 38) + b"ab\x02x\x02y",  # off[4] != 39
+            head(2, var, var, 0) + u32(33, 34, 35, 37, 40) + b"ab\x02x\x02y",  # past it
         )
         for payload in cases:
             with pytest.raises(disk_format.FrameError):
                 disk_format.decode_block(disk_format.frame(payload))
-        assert list(disk_format.decode_block(
-            disk_format.frame(u32(20, 21, 22, 24, 26) + b"ab\x02x\x02y")
-        )) == [(b"a", b"x"), (b"b", b"y")]
+        for payload in (
+            head(2, 1, 1, 1) + b"abxy",
+            head(2, 1, 2, 0) + b"ab\x02x\x02y",
+            head(2, var, var, 0) + u32(33, 34, 35, 37, 39) + b"ab\x02x\x02y",
+            head(2, 1, var, 1) + u32(33, 34, 35, 36, 37) + b"abxy",
+        ):
+            assert list(disk_format.decode_block(disk_format.frame(payload))) == [
+                (b"a", b"x"), (b"b", b"y")
+            ]
 
     def test_decreasing_offsets_are_rejected_by_the_walks(self):
         """Opening a block checks the header's ends, not every pair (a
@@ -168,7 +228,8 @@ class TestDiskFormat:
         the latest when the compaction (``cells``) or the hot key list
         walks the offsets."""
         u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
-        raw = disk_format.frame(u32(20, 22, 21, 24, 26) + b"ab\x02x\x02y")
+        head = u32(2, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00"
+        raw = disk_format.frame(head + u32(33, 35, 34, 37, 39) + b"ab\x02x\x02y")
         with pytest.raises(disk_format.FrameError, match="decrease"):
             list(disk_format.decode_block(raw).cells())
         block = disk_format.decode_block(raw)
@@ -177,19 +238,31 @@ class TestDiskFormat:
                 block.first_ge(b"a")
 
     def test_offsets_are_read_as_four_byte_words(self):
-        """The header is cast in place to native ``I``, which the module
-        checks at import is a little-endian u32."""
+        """Stored offsets are cast in place to native ``I``, which the
+        module checks at import is a little-endian u32.  A fixed-width
+        block stores none: every block of its shape shares one
+        read-only array of them."""
         block = disk_format.decode_block(block_of(self.MIXED))
         assert block._off.format == "I" and block._off.itemsize == 4
         assert len(block._off) == 2 * len(self.MIXED) + 1
-        assert block._off[0] == 4 * len(block._off)
+        assert block._off[0] == disk_format._BLOCK_HEADER.size + 4 * len(block._off)
+        assert block._off.obj is block._payload
+        a, b = (
+            disk_format.decode_block(block_of([(encode_u64(i + j), j) for i in range(64)]))
+            for j in (0, 1000)
+        )
+        assert a._off is b._off and a._off.readonly and a._off.obj is not a._payload
+        assert a._off.format == "I" and len(a._off) == 2 * 64 + 1
 
-    def test_a_cold_block_allocates_its_payload_and_a_constant(self):
+    @pytest.mark.parametrize("width", ["fixed", "stored"])
+    def test_a_cold_block_allocates_its_payload_and_a_constant(self, width):
         """Opening a block copies the payload and casts a view of its
-        header — no per-entry objects — so a cached 64-entry block is
-        the payload plus a few hundred bytes (a list of its 129 offsets
-        alone would be ~5 KiB)."""
-        pairs = [(encode_u64(i), b"v" * 100) for i in range(64)]
+        stored offsets — no per-entry objects — so a cached 64-entry
+        block is the payload plus a few hundred bytes (a list of its 129
+        offsets alone would be ~5 KiB).  A fixed-width block allocates
+        no offsets at all: it shares its shape's (the 129 words are 516
+        bytes)."""
+        pairs = [(encode_u64(i), b"v" * (100 if width == "fixed" else i)) for i in range(64)]
         raw = block_of(pairs)
         source = memoryview(raw)  # what DiskSSTable.read_block hands in
         payload_size = len(raw) - 8
@@ -201,7 +274,7 @@ class TestDiskFormat:
         finally:
             tracemalloc.stop()
         assert len(block) == 64
-        assert held < payload_size + 1024, held
+        assert held < payload_size + (512 if width == "fixed" else 1024), held
         assert peak < payload_size + 2048, peak
 
 
@@ -367,13 +440,14 @@ class TestDiskSSTable:
 
     def test_old_format_table_is_rejected_loudly(self):
         """A file with an older trailer — "LSMS" (interleaved entries),
-        "LSM2" (length columns) or "LSM3" (``SRF1`` filter frames) —
-        fails the magic check at open."""
+        "LSM2" (length columns), "LSM3" (``SRF1`` filter frames) or
+        "LSM4" (an offset header in every block) — fails the magic
+        check at open."""
         fs = MemFS()
         write_pairs(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
         blob = fs.read("t.sst")
-        assert blob.endswith(b"LSM4")
-        for old_magic in (b"LSMS", b"LSM2", b"LSM3"):
+        assert blob.endswith(b"LSM5")
+        for old_magic in (b"LSMS", b"LSM2", b"LSM3", b"LSM4"):
             f = fs.create("old.sst")
             f.append(blob[:-4] + old_magic)
             f.sync()
@@ -381,6 +455,25 @@ class TestDiskSSTable:
                 DiskSSTable(fs, "old.sst")
             with pytest.raises(disk_format.FrameError, match="bad magic"):
                 DiskSSTable(fs, "old.sst", table_id=0).read_block(0)
+
+    def test_every_cut_of_a_reframed_footer_is_a_frame_error(self):
+        """A footer cut short and framed again passes its CRC; every
+        cut must still fail the parse with FrameError (a truncated u64
+        once raised ``struct.error``)."""
+        fs = MemFS()
+        write_pairs(fs, "t.sst", [(encode_u64(i), i) for i in range(100)],
+                    table_id=3, block_entries=16)
+        blob = fs.read("t.sst")
+        footer_len = int.from_bytes(blob[-8:-4], "little")
+        footer, _ = disk_format.read_frame(blob[-8 - footer_len : -8])
+        for cut in range(len(footer)):
+            framed = disk_format.frame(footer[:cut])
+            f = fs.create("cut.sst")
+            f.append(blob[: -8 - footer_len] + framed + len(framed).to_bytes(4, "little")
+                     + blob[-4:])
+            f.sync()
+            with pytest.raises(disk_format.FrameError):
+                DiskSSTable(fs, "cut.sst")
 
     def test_truncated_file_rejected_at_open(self):
         fs = MemFS()

@@ -249,22 +249,40 @@ def test_transient_memory_is_bounded_by_the_key_bytes():
 # -- table files, blocks and WAL frames, byte for byte -----------------------------
 
 
+#: The value width of a block whose values differ in length.
+VARIABLE = 0xFFFFFFFF
+
+
 def previous_encode_block(pairs):
     """A per-entry block writer: entry by entry it appends each key,
-    then each encoded value, to its column and records the offset where
-    the field starts; the offset after the last value closes the
-    header."""
-    header, key_column, value_column = [], bytearray(), bytearray()
-    key_start = 4 * (2 * len(pairs) + 1)
-    for key, _ in pairs:
-        header.append(key_start + len(key_column))
+    then each encoded value, to its column, records the offset where
+    the field starts and whether the field has the first one's length;
+    the values lose their tag when every one is ``bytes``.  The header
+    (count, widths, flags) opens the block, and the offsets follow it
+    only when a width varies."""
+    cells = [(key, disk_format.encode_value(value)) for key, value in pairs]
+    raw = True
+    for _, cell in cells:
+        if cell[:1] != b"\x02":  # the bytes tag
+            raw = False
+    if raw:
+        cells = [(key, cell[1:]) for key, cell in cells]
+    key_width = value_width = None
+    starts, key_column, value_column = [], bytearray(), bytearray()
+    for key, _ in cells:
+        starts.append(len(key_column))
         key_column += key
-    for _, value in pairs:
-        header.append(key_start + len(key_column) + len(value_column))
-        value_column += disk_format.encode_value(value)
-    header.append(key_start + len(key_column) + len(value_column))
-    payload = b"".join(struct.pack("<I", off) for off in header) + key_column + value_column
-    return disk_format.frame(bytes(payload))
+        key_width = len(key) if key_width in (None, len(key)) else VARIABLE
+    for _, cell in cells:
+        starts.append(len(key_column) + len(value_column))
+        value_column += cell
+        value_width = len(cell) if value_width in (None, len(cell)) else VARIABLE
+    starts.append(len(key_column) + len(value_column))
+    header = struct.pack("<IIIB", len(cells), key_width or 0, value_width or 0, raw)
+    if VARIABLE in (key_width, value_width):
+        base = len(header) + 4 * len(starts)
+        header += b"".join(struct.pack("<I", base + start) for start in starts)
+    return disk_format.frame(header + key_column + value_column)
 
 
 def previous_write_sstable(fs, path, pairs, table_id, block_entries, filter_factory=None):
@@ -309,15 +327,34 @@ def previous_wal_frame(seq, key, value):
     return struct.pack("<II", zlib.crc32(bytes(payload)), len(payload)) + bytes(payload)
 
 
-def _mixed_pairs(rng, n):
+#: Value families, one per block layout: every storable kind (stored
+#: offsets, tags kept), 100-byte ``bytes`` (fixed widths, no tags),
+#: ``int`` only (fixed width 9, tags kept), 100-byte ``bytes`` and one
+#: tombstone (its block stores offsets and tags), and one entry whose
+#: key and value are empty (width 0).
+FAMILIES = ("mixed", "bytes100", "int", "tombstone", "empty")
+
+
+def _mixed_pairs(rng, n, family="mixed"):
+    if family == "empty":
+        return [(b"", b"")]
     keys = sorted(set(random_u64_keys(n, seed=rng.randrange(1 << 30))))
-    kinds = [
-        lambda: rng.randrange(-(2**63), 2**63), lambda: 0,
-        lambda: "sé" * rng.randint(0, 9), lambda: "",
-        lambda: bytes(rng.choices(range(256), k=rng.randint(0, 40))), lambda: b"",
-        lambda: TOMBSTONE,
-    ]
-    return [(k, rng.choice(kinds)()) for k in keys]
+    kinds = {
+        "mixed": [
+            lambda: rng.randrange(-(2**63), 2**63), lambda: 0,
+            lambda: "sé" * rng.randint(0, 9), lambda: "",
+            lambda: bytes(rng.choices(range(256), k=rng.randint(0, 40))), lambda: b"",
+            lambda: TOMBSTONE,
+        ],
+        "bytes100": [lambda: rng.randbytes(100)],
+        "tombstone": [lambda: rng.randbytes(100)],
+        "int": [lambda: rng.randrange(-(2**63), 2**63)],
+    }[family]
+    pairs = [(k, rng.choice(kinds)()) for k in keys]
+    if family == "tombstone":
+        i = rng.randrange(len(pairs))
+        pairs[i] = (pairs[i][0], TOMBSTONE)
+    return pairs
 
 
 def _columns(pairs):
@@ -329,16 +366,17 @@ class TestTableBytesIdentity:
     same table files (so ``space_amp``, recovery and snapshot shipping
     see the same bytes), same blocks, same WAL frames."""
 
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("block_entries", [1, 4, 64, 1000])
     @pytest.mark.parametrize(
         "filter_factory",
         [None, surf_real, lambda keys: BloomFilter(keys, bits_per_key=10)],
         ids=["no-filter", "surf", "bloom"],
     )
-    def test_write_sstable(self, block_entries, filter_factory):
+    def test_write_sstable(self, block_entries, filter_factory, family):
         for seed in range(4):
             rng = random.Random(seed)
-            pairs = _mixed_pairs(rng, rng.choice([1, 3, 200, 700]))
+            pairs = _mixed_pairs(rng, rng.choice([1, 3, 200, 700]), family)
             fs = MemFS()
             previous_write_sstable(fs, "old.sst", pairs, 9, block_entries, filter_factory)
             keys, values = _columns(pairs)
@@ -346,10 +384,11 @@ class TestTableBytesIdentity:
                                   filter_factory=filter_factory)
             assert fs.read("new.sst") == fs.read("old.sst"), seed
 
-    def test_encode_block(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_encode_block(self, family):
         rng = random.Random(7)
-        for n in (0, 1, 2, 64, 300):
-            pairs = _mixed_pairs(rng, n)
+        for n in (0, 1, 2, 64, 300, 1000):
+            pairs = _mixed_pairs(rng, n, family) if n else []
             assert disk_format.encode_block(*_columns(pairs)) == previous_encode_block(pairs)
 
     def test_wal_frames(self):
