@@ -4,12 +4,12 @@ The architecture mirrors Figure 4.2 with the LevelDB lifecycle: writes
 land in a *mutable* memtable; at capacity the memtable **freezes** into
 an immutable list; a flush turns each immutable memtable into a level-0
 SSTable; compaction merges runs downward so that every level >= 1
-holds disjoint key ranges.  The memtable is a gapped, batch-updatable
-B+tree (:mod:`repro.trees.gapped_btree`) by default — a WAL group
-commit applies as one vectorized batch insert, its copy-on-write node
-states keep lock-free point reads safe, and flushes emit its leaves
-already in key order (``memtable_factory`` swaps in the plain-dict
-baseline, :class:`DictMemtable`).  A block cache (CLOCK) approximates
+holds disjoint key ranges.  The memtable is a plain dict by default
+(:class:`DictMemtable`: a WAL group commit is one ``dict.update``, a
+flush sorts once); ``memtable_factory`` swaps in the gapped,
+batch-updatable B+tree (:class:`GappedMemtable`), which pays off only
+under batches far larger than a served shard commits and is loaded,
+with numpy, only when built.  A block cache (CLOCK) approximates
 RocksDB's block cache + OS page cache; fence indexes and filters live
 in the always-resident table cache.
 
@@ -92,7 +92,6 @@ from itertools import islice, takewhile
 from typing import Any, Callable, Iterator, Sequence
 
 from ..compact.node_cache import ClockNodeCache
-from ..trees.gapped_btree import GappedBPlusTree
 from . import disk_format
 from . import manifest as manifest_mod
 from . import wal as wal_mod
@@ -143,12 +142,15 @@ class IoStats:
 
 
 class DictMemtable:
-    """The pre-gapped reference memtable: a plain dict, sorted at
-    flush time.
+    """The engine's default memtable: a plain dict, sorted at flush
+    time.
 
-    Kept as a ``memtable_factory`` option so benchmarks can compare
-    the gapped write path against the baseline it replaced, and as the
-    minimal example of the memtable protocol: ``put`` / ``put_many``,
+    A served shard commits about five entries per ``write_batch``, and
+    at that size one ``dict.update`` plus one C sort per flush beats
+    the gapped tree's batch insert (``benchmarks/results/
+    batch_updates.txt``); it also loads nothing beyond the standard
+    library.  It is the minimal example of the memtable protocol:
+    ``put`` / ``put_many``,
     mapping reads (``in`` / ``[]`` must be safe without the engine
     lock), *sorted* ``items()`` and ``columns()`` (the flush's input:
     a key list and a value list), ``len``, ``freeze_view`` returning an
@@ -165,8 +167,8 @@ class DictMemtable:
         self._data[key] = value
 
     def put_many(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
-        for key, value in pairs:
-            self._data[key] = value
+        # ``dict.update`` applies pairs in order: last write wins.
+        self._data.update(pairs)
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._data
@@ -228,18 +230,18 @@ _READ_DEBT_PER_ENTRY = 1
 
 
 class GappedMemtable:
-    """The engine's memtable: a gapped B+tree paired with a dict
-    mirror.
+    """A gapped B+tree paired with a dict mirror (``memtable_factory=
+    GappedMemtable``; the default is :class:`DictMemtable`).
 
     Two structures hold the same live entries and split the work by
     access pattern:
 
     * the **mirror dict** serves every point read (one GIL-atomic hash
-      probe — exactly what the pre-gapped baseline paid) and is the
+      probe — exactly what :class:`DictMemtable` pays) and is the
       authoritative entry count;
     * the **gapped tree** serves everything ordered — flushes read its
-      leaves already in key order (no sort step, unlike the dict
-      baseline's sort-at-flush), and pinned scans get its
+      leaves already in key order (no sort step, unlike
+      :class:`DictMemtable`'s sort-at-flush), and pinned scans get its
       copy-on-write ``freeze_view``.
 
     Writes update the mirror at dict speed and accumulate in a small
@@ -261,11 +263,16 @@ class GappedMemtable:
     of the pairing is one dict slot per entry on top of the tree's
     leaf slot — bounded by the memtable size, and the mirror is
     dropped with the memtable at flush.
+
+    The tree (and numpy with it) is imported when the first one is
+    built, so an engine on the default memtable never loads it.
     """
 
     __slots__ = ("_tree", "_mirror", "_fresh", "_limit")
 
     def __init__(self, drain_limit: int = 256) -> None:
+        from ..trees.gapped_btree import GappedBPlusTree
+
         self._tree = GappedBPlusTree()
         self._mirror: dict[bytes, Any] = {}
         self._fresh: dict[bytes, Any] = {}
@@ -327,14 +334,6 @@ class GappedMemtable:
 
     def seal(self) -> None:
         self._drain()
-
-
-def default_memtable() -> GappedMemtable:
-    """The engine's memtable: a gapped B+tree paired with a dict
-    mirror, so point reads cost one hash probe, WAL group commits
-    apply as amortized vectorized ``put_many`` drains, and flushes
-    emit the tree's leaves already sorted (no sort step)."""
-    return GappedMemtable()
 
 
 class _Version:
@@ -563,11 +562,11 @@ class LSMTree:
         memtable_factory: Callable[[], Any] | None = None,
         wal_observer: Callable[[list[tuple[int, bytes]]], None] | None = None,
     ) -> None:
-        #: Memtable protocol (see :class:`DictMemtable`): the default
-        #: gapped B+tree makes ``write_batch`` a single vectorized
-        #: apply and flushes sort-free; reads on the live memtable are
-        #: lock-free because its node states are copy-on-write.
-        self._memtable_factory = memtable_factory or default_memtable
+        #: Memtable protocol (see :class:`DictMemtable`, the default):
+        #: point reads on the live memtable are lock-free (one
+        #: GIL-atomic probe); a read that iterates it copies it under
+        #: the lock (``_pin(copy_mem=True)``).
+        self._memtable_factory = memtable_factory or DictMemtable
         self._memtable = self._memtable_factory()
         self._memtable_entries = memtable_entries
         self._sstable_entries = sstable_entries
@@ -1040,7 +1039,8 @@ class LSMTree:
         *single* WAL group commit — one fsync covers the whole batch,
         so when this returns the batch is fully acknowledged
         (``last_acked_seq`` covers its final sequence number) and a
-        crash can never split it from the caller's point of view.  The memtable is updated in one pass (under the lock,
+        crash can never split it from the caller's point of view.  The
+        memtable takes the batch in one ``put_many`` (under the lock,
         so a snapshot sees all of the batch or none of it) and the
         freeze check runs once, after the batch.
 
@@ -1062,10 +1062,9 @@ class LSMTree:
         self._wal.append_batch(records)
         self._seq = seq
         with self._lock:
-            # One vectorized apply: the whole group commit lands in the
-            # gapped memtable as a single batch insert (last write wins
-            # within the batch, same as the sequential dict loop).
-            self._memtable.put_many([(key, value) for _, key, value in records])
+            # One apply for the whole group commit; the memtable keeps
+            # the last write of a key within the batch.
+            self._memtable.put_many(entries)
             self._visible_seq = seq
         self._maybe_freeze()
         return seq

@@ -585,7 +585,7 @@ class LsmAdapter(Adapter):
             return True
         if op.op == "put_many":
             # One group-committed batch through the WAL and one
-            # vectorized memtable apply (the gapped write path).
+            # memtable ``put_many``.
             db.put_many(list(zip(op.keys, op.values)))
             self._present.update(op.keys)
             return None

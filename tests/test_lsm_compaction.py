@@ -104,8 +104,13 @@ class TestFreeze:
     def test_frozen_memtable_is_sealed_at_freeze(self, monkeypatch):
         """A frozen memtable is read by the flush and by pinned scans
         with no lock in common, so nothing may be left to drain into
-        its tree once it is listed: the writer drains it at freeze."""
-        db = LSMTree.open("db", fs=MemFS(), max_immutables=4, **BG)
+        its tree once it is listed: the writer drains it at freeze.
+        The seal contract is the gapped memtable's (the default dict
+        one has nothing to drain), so the engine is built with it."""
+        db = LSMTree.open(
+            "db", fs=MemFS(), max_immutables=4,
+            memtable_factory=engine_mod.GappedMemtable, **BG,
+        )
         gate = _gate_flusher(db)
         mutators = []
         try:

@@ -705,6 +705,71 @@ class TestImportBoundary:
         ).stdout
         assert out.split() == ["repro.cluster", "repro.cluster.routing"]
 
+    #: Modules a served node without a filter has no use for: numpy,
+    #: the thesis's dynamic and compact trees, and the SuRF / FST code
+    #: only a configured filter needs.
+    HEAVY = ("numpy", "repro.trees", "repro.compact.compact_btree", "repro.surf", "repro.fst")
+
+    SERVED_NODE = """
+import sys, tempfile
+import repro.server.__main__, repro.cluster.__main__
+from repro.server import KVClient, KVServer, ServerThread
+
+def surf_filter(keys):
+    from repro.surf import surf_real
+    return surf_real(sorted(keys), real_bits=4)
+
+filter_factory = surf_filter if sys.argv[1] == "surf_real" else None
+keys = [b"k%07d" % i for i in range(1500)]
+
+def serve(path):
+    server = KVServer(path, n_shards=2, filter_factory=filter_factory,
+                      engine_config={"memtable_entries": 64})
+    return ServerThread(server).start()
+
+with tempfile.TemporaryDirectory() as path:
+    runner = serve(path)
+    with KVClient("127.0.0.1", runner.port) as client:
+        for key in keys:
+            client.put(key, key)
+        assert client.get(keys[7]) == keys[7]
+        assert client.get_many([keys[0], b"absent", keys[-1]]) == [keys[0], None, keys[-1]]
+        assert client.scan(keys[10], 3) == [(k, k) for k in keys[10:13]]
+        assert client.count(keys[0], keys[100]) == 100
+        client.delete(keys[5])
+        shards = client.stats()["shards"]
+        assert all(s["flushes"] and s["compactions"] for s in shards), shards
+    runner.stop()
+    runner = serve(path)
+    with KVClient("127.0.0.1", runner.port) as client:
+        assert client.get(keys[5]) is None
+        assert client.get_many(keys[1000:1003]) == keys[1000:1003]
+    runner.stop()
+print(" ".join(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+    @pytest.mark.parametrize("filter_name", ["none", "surf_real"])
+    def test_served_node_loads_no_numpy(self, filter_name):
+        """A node serving without a filter imports neither numpy nor the
+        thesis's trees — through the CLI entry modules, flushes,
+        compactions, every read operation, a stop and a reopen.  The
+        interpreter's modules are shared within pytest, so the node runs
+        in a fresh one; the SuRF-filtered control shows that the check
+        sees a module the node loads on first use."""
+        out = subprocess.run(
+            [sys.executable, "-c", self.SERVED_NODE, filter_name, *self.HEAVY],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        ).stdout
+        loaded = out.split()
+        if filter_name == "none":
+            assert loaded == []
+        else:
+            assert {"numpy", "repro.surf", "repro.fst"} <= set(loaded)
+
 
 # -- crash durability through the network stack ------------------------------
 
