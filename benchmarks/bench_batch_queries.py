@@ -1,18 +1,21 @@
 """Batched read path: scalar-loop vs native batch throughput.
 
-The PR-3 tentpole claim (BS-tree-style data parallelism): answering a
-whole key batch per step amortizes interpreted-Python per-key overhead.
-This measures scalar vs ``get_many`` / ``may_contain_many`` throughput
-at batch sizes {1, 16, 256, 4096} for the read paths that keep a native
-batch kernel:
+The claim (BS-tree-style data parallelism): answering a whole key
+batch per step amortizes interpreted-Python per-key overhead.  A batch
+kernel is kept only where ten alternating pairs show it beating its
+scalar loop (EXPERIMENTS.md, "Batch vocabulary audit"); the survivors
+are Bloom ``may_contain_many``, Compact and Compressed B+tree
+``get_many``, HybridIndex ``get_many`` / ``put_many`` and HopeIndex
+``get_many``.  This measures scalar vs batch throughput at batch sizes
+{1, 16, 256, 4096} for two of them:
 
-* Bloom probes (one gather for all k*N probe positions),
+* Bloom probes (one vectorized hash of the batch, one gather for all
+  k*N probe positions),
 * HOPE(Single)-encoded Compact B+tree gets (batch encode + batch
   searchsorted).
 
 FST and SuRF answer a batch with their one point walk per key (thesis
 Ch. 3.3, 4.1), so they have no row: a loop measured against itself.
-EXPERIMENTS.md keeps the numbers of the batched walk they once had.
 
 The ``LSM get`` rows are the engine's own batch read,
 ``LSMTree.get_many``, against a loop of ``get`` at the widths a server

@@ -82,7 +82,16 @@ class BloomFilter:
         for i in range(self.k):
             yield ((h1 + i * h2) & _MASK64) % self.n_bits
 
-    def _set(self, key: bytes) -> None:
+    def _probe_columns(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`_probes` of every key, one row of ``k`` bit positions
+        per key (uint64 arithmetic wraps modulo 2^64, matching
+        ``& _MASK64``)."""
+        h1 = hash64_many(keys, 0)
+        h2 = hash64_many(keys, _GOLDEN) | np.uint64(1)
+        steps = np.arange(self.k, dtype=np.uint64)
+        return (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(self.n_bits)
+
+    def _check_writable(self) -> None:
         if not self._words.flags.writeable:
             # A view-backed filter (from_bytes(copy=False)) aliases a
             # caller-owned read-only buffer — typically an mmap'd
@@ -92,6 +101,9 @@ class BloomFilter:
                 "cannot insert into a read-only BloomFilter deserialized "
                 "with copy=False; reload with copy=True to mutate"
             )
+
+    def _set(self, key: bytes) -> None:
+        self._check_writable()
         for bit in self._probes(key):
             self._words[bit >> 6] |= np.uint64(1 << (bit & 63))
             if self._word_ints is not None:
@@ -111,16 +123,8 @@ class BloomFilter:
         n = len(keys)
         if n == 0:
             return
-        if not self._words.flags.writeable:
-            raise ValueError(
-                "cannot insert into a read-only BloomFilter deserialized "
-                "with copy=False; reload with copy=True to mutate"
-            )
-        h1 = hash64_many(keys, 0)
-        h2 = hash64_many(keys, _GOLDEN) | np.uint64(1)
-        steps = np.arange(self.k, dtype=np.uint64)
-        bits = (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(self.n_bits)
-        flat = bits.ravel()
+        self._check_writable()
+        flat = self._probe_columns(keys).ravel()
         masks = np.uint64(1) << (flat & np.uint64(63))
         np.bitwise_or.at(self._words, (flat >> np.uint64(6)).astype(np.int64), masks)
         # The int mirror is stale now; scalar probes rebuild it lazily.
@@ -139,16 +143,7 @@ class BloomFilter:
     def may_contain_many(self, keys: Sequence[bytes]) -> list[bool]:
         """Batched :meth:`may_contain`: all ``k * N`` probe positions are
         computed as one uint64 array and tested with a single gather."""
-        n = len(keys)
-        if n == 0:
-            return []
-        h1 = np.fromiter((hash64(k, 0) for k in keys), dtype=np.uint64, count=n)
-        h2 = np.fromiter(
-            (hash64(k, _GOLDEN) | 1 for k in keys), dtype=np.uint64, count=n
-        )
-        # uint64 arithmetic wraps modulo 2^64, matching ``& _MASK64``.
-        steps = np.arange(self.k, dtype=np.uint64)
-        bits = (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(self.n_bits)
+        bits = self._probe_columns(keys)
         words = self._words[(bits >> np.uint64(6)).astype(np.int64)]
         present = (words >> (bits & np.uint64(63))) & np.uint64(1)
         return present.all(axis=1).tolist()
@@ -158,17 +153,11 @@ class BloomFilter:
     def may_contain_range(self, low: bytes, high: bytes) -> bool:
         return True
 
-    def may_contain_range_many(
-        self, pairs: Sequence[tuple[bytes, bytes]]
-    ) -> list[bool]:
-        return [True] * len(pairs)
-
     #: SuRF-vocabulary aliases: every filter answers lookup/lookup_range
     #: and may_contain/may_contain_range interchangeably.
     lookup = may_contain
     lookup_range = may_contain_range
     lookup_many = may_contain_many
-    lookup_range_many = may_contain_range_many
 
     def size_bits(self) -> int:
         return self.n_bits

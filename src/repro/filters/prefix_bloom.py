@@ -39,11 +39,6 @@ class PrefixBloomFilter:
             return True  # cannot answer: be conservative
         return self._bloom.may_contain(prefix)
 
-    def may_contain_many(self, keys: Sequence[bytes]) -> list[bool]:
-        """Batched :meth:`may_contain`: one vectorized probe pass over
-        the truncated prefixes."""
-        return self._bloom.may_contain_many([k[: self.prefix_len] for k in keys])
-
     def may_contain_range(self, low: bytes, high: bytes) -> bool:
         """General ranges may span prefixes: conservatively True unless
         both bounds share one filterable prefix."""
@@ -51,16 +46,9 @@ class PrefixBloomFilter:
             return self.may_contain_prefix(low[: self.prefix_len])
         return True
 
-    def may_contain_range_many(
-        self, pairs: Sequence[tuple[bytes, bytes]]
-    ) -> list[bool]:
-        return [self.may_contain_range(low, high) for low, high in pairs]
-
     #: SuRF-vocabulary aliases (see :class:`~repro.filters.bloom.BloomFilter`).
     lookup = may_contain
     lookup_range = may_contain_range
-    lookup_many = may_contain_many
-    lookup_range_many = may_contain_range_many
 
     def size_bits(self) -> int:
         return self._bloom.size_bits()

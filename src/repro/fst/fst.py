@@ -432,10 +432,6 @@ class FST:
     def __len__(self) -> int:
         return self.n_keys
 
-    def get_many(self, keys: Sequence[bytes]) -> list[Any | None]:
-        """``[self.get(k) for k in keys]``: one result slot per key."""
-        return [self.get(k) for k in keys]
-
     # -- iteration -----------------------------------------------------------------------
 
     def seek(self, key: bytes) -> "FstIterator":

@@ -34,13 +34,8 @@ class HopeIndex:
 
     def get_many(self, keys: Sequence[bytes]) -> list[Any | None]:
         """Batched :meth:`get`: batch-encode, then batch-query the
-        wrapped tree (falls back to a scalar loop on trees without a
-        native batch path)."""
-        encoded = self.encoder.encode_batch(keys)
-        batch = getattr(self.index, "get_many", None)
-        if batch is not None:
-            return batch(encoded)
-        return [self.index.get(e) for e in encoded]
+        wrapped tree."""
+        return self.index.get_many(self.encoder.encode_batch(keys))
 
     def update(self, key: bytes, value: Any) -> bool:
         return self.index.update(self.encoder.encode(key), value)
@@ -96,10 +91,6 @@ class HopeSuRF:
 
     def lookup(self, key: bytes) -> bool:
         return self.surf.lookup(self.encoder.encode(key))
-
-    def lookup_many(self, keys: Sequence[bytes]) -> list[bool]:
-        """Batch-encode the queries, then batch-probe the SuRF."""
-        return self.surf.lookup_many(self.encoder.encode_batch(keys))
 
     def lookup_range(self, low: bytes, high: bytes, inclusive_high: bool = False) -> bool:
         return self.surf.lookup_range(

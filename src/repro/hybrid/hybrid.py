@@ -99,6 +99,11 @@ class HybridIndex(OrderedIndex):
     def _bloom_positive(self, key: bytes) -> bool:
         return self._bloom is None or self._bloom.may_contain(key)
 
+    def _bloom_positive_many(self, keys: Sequence[bytes]) -> list[bool]:
+        if self._bloom is None:
+            return [True] * len(keys)
+        return self._bloom.may_contain_many(keys)
+
     def _rebuild_bloom(self) -> None:
         """Rebuild the dynamic-stage filter from scratch.
 
@@ -275,15 +280,9 @@ class HybridIndex(OrderedIndex):
     def get_many(self, keys: Sequence[bytes]) -> list[Any | None]:
         """Batched :meth:`get`: one vectorized Bloom probe guards the
         dynamic stage for the whole batch, and static-stage misses go
-        down as one batch when the static structure supports it."""
-        n = len(keys)
-        out: list[Any | None] = [None] * n
-        if n == 0:
-            return out
-        if self._bloom is None:
-            positive = [True] * n
-        else:
-            positive = self._bloom.may_contain_many(keys)
+        down as one static ``get_many``."""
+        out: list[Any | None] = [None] * len(keys)
+        positive = self._bloom_positive_many(keys)
         track = self.merge_strategy == "cold"
         static_idx: list[int] = []
         for i, key in enumerate(keys):
@@ -296,16 +295,9 @@ class HybridIndex(OrderedIndex):
                     continue
             if key not in self._deleted:
                 static_idx.append(i)
-        if static_idx:
-            batch = getattr(self.static, "get_many", None)
-            if batch is not None:
-                for i, value in zip(
-                    static_idx, batch([keys[i] for i in static_idx])
-                ):
-                    out[i] = value
-            else:
-                for i in static_idx:
-                    out[i] = self.static.get(keys[i])
+        values = self.static.get_many([keys[i] for i in static_idx])
+        for i, value in zip(static_idx, values):
+            out[i] = value
         return out
 
     def put_many(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
@@ -318,36 +310,24 @@ class HybridIndex(OrderedIndex):
         if self.secondary:
             super().put_many(pairs)  # append-path loop
             return
-        dedup: dict[bytes, Any] = {}
-        for key, value in pairs:
-            dedup[key] = value
+        dedup = dict(pairs)
         if not dedup:
             return
         keys = list(dedup)
         # Presence classification (for _len), same probe order as get():
         # Bloom-guarded dynamic first, then non-tombstoned static.
-        if self._bloom is None:
-            positive = [True] * len(keys)
-        else:
-            positive = self._bloom.may_contain_many(keys)
         present = [False] * len(keys)
-        probe = [i for i, p in enumerate(positive) if p]
-        if probe:
-            for i, value in zip(probe, self.dynamic.get_many([keys[i] for i in probe])):
-                present[i] = value is not None
+        probe = [i for i, p in enumerate(self._bloom_positive_many(keys)) if p]
+        for i, value in zip(probe, self.dynamic.get_many([keys[i] for i in probe])):
+            present[i] = value is not None
         static_idx = [
             i
             for i in range(len(keys))
             if not present[i] and keys[i] not in self._deleted
         ]
-        if static_idx:
-            batch = getattr(self.static, "get_many", None)
-            if batch is not None:
-                values = batch([keys[i] for i in static_idx])
-            else:
-                values = [self.static.get(keys[i]) for i in static_idx]
-            for i, value in zip(static_idx, values):
-                present[i] = value is not None
+        values = self.static.get_many([keys[i] for i in static_idx])
+        for i, value in zip(static_idx, values):
+            present[i] = value is not None
         self._len += len(keys) - sum(present)
         self._deleted.difference_update(keys)
         self.dynamic.put_many(list(dedup.items()))

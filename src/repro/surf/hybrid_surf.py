@@ -40,6 +40,8 @@ class HybridSuRF:
         self.min_merge_size = min_merge_size
         #: Storage-resident canonical key set (excluded from memory).
         self._static_keys: list[bytes] = sorted(keys)
+        #: The static stage's live keys: ``_static_keys`` less deletes.
+        self._static_live = set(self._static_keys)
         self.static = self._build_static(self._static_keys)
         self.dynamic = BPlusTree()
         self.merge_count = 0
@@ -50,7 +52,10 @@ class HybridSuRF:
     # -- mutations ------------------------------------------------------------------
 
     def insert(self, key: bytes) -> bool:
-        """Absorb a new key into the dynamic stage."""
+        """Absorb a new key into the dynamic stage; False (and no
+        change) if the key is already live in either stage."""
+        if key in self._static_live:
+            return False
         inserted = self.dynamic.insert(key, True)
         if inserted and self._should_merge():
             self.merge()
@@ -61,15 +66,10 @@ class HybridSuRF:
         the static filter (the §4.5 delete)."""
         if self.dynamic.delete(key):
             return True
-        if key in self._static_key_set():
-            self._static_keys_set.discard(key)
+        if key in self._static_live:
+            self._static_live.discard(key)
             return self.static.delete(key)
         return False
-
-    def _static_key_set(self) -> set[bytes]:
-        if not hasattr(self, "_static_keys_set"):
-            self._static_keys_set = set(self._static_keys)
-        return self._static_keys_set
 
     def _should_merge(self) -> bool:
         dyn = len(self.dynamic)
@@ -79,11 +79,9 @@ class HybridSuRF:
 
     def merge(self) -> None:
         """Rebuild the SuRF over the merged live key set."""
-        live_static = sorted(self._static_key_set())
-        merged = sorted(set(live_static) | {k for k, _ in self.dynamic.items()})
+        merged = sorted(self._static_live.union(k for k, _ in self.dynamic.items()))
         self._static_keys = merged
-        if hasattr(self, "_static_keys_set"):
-            del self._static_keys_set
+        self._static_live = set(merged)
         self.static = self._build_static(merged)
         self.dynamic = BPlusTree()
         self.merge_count += 1
@@ -96,25 +94,6 @@ class HybridSuRF:
             return True
         return self.static.lookup(key)
 
-    def lookup_many(self, keys: Sequence[bytes]) -> list[bool]:
-        """Batched :meth:`lookup`: exact dynamic-stage hits answer
-        directly; the misses go to the static SuRF as one batch."""
-        out = [False] * len(keys)
-        misses: list[int] = []
-        for i, key in enumerate(keys):
-            if self.dynamic.get(key) is not None:
-                out[i] = True
-            else:
-                misses.append(i)
-        if misses:
-            static = self.static.lookup_many([keys[i] for i in misses])
-            for i, found in zip(misses, static):
-                out[i] = found
-        return out
-
-    #: Filter-vocabulary alias (mirrors :class:`~repro.surf.surf.SuRF`).
-    may_contain_many = lookup_many
-
     def lookup_range(self, low: bytes, high: bytes) -> bool:
         """One-sided range membership: any key in [low, high)?"""
         for k, _ in self.dynamic.lower_bound(low):
@@ -122,14 +101,6 @@ class HybridSuRF:
                 return True
             break
         return self.static.lookup_range(low, high)
-
-    def lookup_range_many(
-        self, pairs: Sequence[tuple[bytes, bytes]]
-    ) -> list[bool]:
-        return [self.lookup_range(low, high) for low, high in pairs]
-
-    #: Filter-vocabulary alias (mirrors :class:`~repro.surf.surf.SuRF`).
-    may_contain_range_many = lookup_range_many
 
     # -- accounting -------------------------------------------------------------------
 
@@ -144,4 +115,4 @@ class HybridSuRF:
         return (self.size_bits() + 7) // 8
 
     def __len__(self) -> int:
-        return len(self._static_key_set()) + len(self.dynamic)
+        return len(self._static_live) + len(self.dynamic)

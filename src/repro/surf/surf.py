@@ -164,6 +164,7 @@ class SuRF:
     #: ``may_contain`` / ``may_contain_range`` (one-sided membership).
     may_contain = lookup
 
+    # The ledger's tracer (benchmarks/e2e/tracing.py) patches this name.
     def lookup_many(self, keys: Sequence[bytes]) -> list[bool]:
         """``[self.lookup(k) for k in keys]``: one result per key."""
         return [self.lookup(k) for k in keys]
@@ -211,16 +212,6 @@ class SuRF:
 
     #: Filter-vocabulary alias (see :meth:`may_contain`).
     may_contain_range = lookup_range
-
-    def lookup_range_many(
-        self, pairs: Sequence[tuple[bytes, bytes]]
-    ) -> list[bool]:
-        """Batched :meth:`lookup_range` (range walks stay scalar: each
-        query follows its own seek path)."""
-        return [self.lookup_range(low, high) for low, high in pairs]
-
-    #: Filter-vocabulary alias (see :meth:`may_contain`).
-    may_contain_range_many = lookup_range_many
 
     def count(self, low: bytes, high: bytes) -> int:
         """Approximate number of keys in [low, high); can over-count by

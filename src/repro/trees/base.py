@@ -87,9 +87,9 @@ class OrderedIndex(abc.ABC):
         """Batched point lookup: one result slot per key, in order.
 
         The default is a scalar loop so every structure answers the
-        batch vocabulary; hot structures override it with native
-        data-parallel kernels (must stay bit-for-bit consistent with
-        :meth:`get`).
+        batch vocabulary.  A structure overrides it only with a path
+        measured to beat this loop, bit-for-bit consistent with
+        :meth:`get`.
         """
         return [self.get(key) for key in keys]
 
@@ -101,9 +101,8 @@ class OrderedIndex(abc.ABC):
     def put_many(self, pairs: Sequence[tuple[bytes, Any]]) -> None:
         """Batched upsert: apply pairs in order (last write wins).
 
-        Like :meth:`get_many`, the default is a scalar loop so every
-        structure answers the batch vocabulary; batch-native structures
-        override it with a vectorized single-pass apply.
+        Like :meth:`get_many`, the default is a scalar loop, and an
+        override must be measured to beat it.
         """
         for key, value in pairs:
             self.put(key, value)

@@ -1,10 +1,9 @@
 """A gapped, batch-updatable B+tree — the data-parallel *write* path.
 
-PR 3 made reads data-parallel (``get_many`` across the read stack);
-this structure does the same for writes, following BS-tree's gapped
-node layout (arXiv 2505.01180) and FB+-tree's memory-optimized update
-path (arXiv 2503.23397).  It serves two write-heavy roles: the Hybrid
-Index dynamic stage (its sorted-column leaves make the dyn/static
+A batch of writes lands as one vectorized pass, following BS-tree's
+gapped node layout (arXiv 2505.01180) and FB+-tree's memory-optimized
+update path (arXiv 2503.23397).  It serves two write-heavy roles: the
+Hybrid Index dynamic stage (its sorted-column leaves make the dyn/static
 merge a column concatenation) and the LSM memtable (a WAL group
 commit applies as one vectorized batch insert, and flushing emits the
 leaves in order with no sort step).
@@ -672,37 +671,6 @@ class GappedBPlusTree(OrderedIndex):
         leaf = d.leaves[_route(d, key)]
         slot = _find_slot(leaf, key)
         return default if slot < 0 else leaf.vals[slot]
-
-    def get_many(self, keys: Sequence[bytes]) -> list[Any | None]:
-        """Batched point lookup: one directory ``searchsorted`` routes
-        the whole batch; per touched leaf, both boundary searches run
-        as single vectorized calls over that leaf's query group."""
-        n = len(keys)
-        out: list[Any | None] = [None] * n
-        if n == 0:
-            return out
-        d = self._dir
-        qkeys = _obj_array(keys)
-        li = np.searchsorted(d.seps, qkeys, side="right") - 1
-        np.maximum(li, 0, out=li)
-        order = np.argsort(li, kind="stable")
-        li_sorted = li[order]
-        cuts = np.flatnonzero(np.diff(li_sorted)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            state = d.leaves[int(li_sorted[s])]
-            members = order[s:e]
-            group = qkeys[members]
-            los = np.searchsorted(state.keys, group, side="left")
-            his = np.searchsorted(state.keys, group, side="right")
-            for j, lo, hi in zip(members.tolist(), los.tolist(), his.tolist()):
-                if lo == hi:
-                    continue
-                seg = state.valid[lo:hi]
-                if seg.any():
-                    out[j] = state.vals[lo + int(np.argmax(seg))]
-        return out
 
     def __contains__(self, key: bytes) -> bool:
         # Exact (slot-based) membership: a stored None or sentinel value

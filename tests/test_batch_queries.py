@@ -1,24 +1,23 @@
 """Batch query vocabulary: batch results must equal scalar results.
 
-Every structure answering ``get_many`` / ``lookup_many`` /
-``lookup_range_many`` is held to bit-for-bit agreement with its own
-scalar path over adversarial query mixes (present keys, extensions,
-prefixes, perturbed near-misses, the empty key).
+Every structure that overrides ``get_many`` / ``may_contain_many`` is
+held to bit-for-bit agreement with its own scalar path over adversarial
+query mixes (present keys, extensions, prefixes, perturbed near-misses,
+the empty key), as one batch, as batches of one key and as a batch that
+repeats keys.  An override stays only where it measured faster than the
+loop it replaces; :class:`TestAuditedOverrides` pins which ones do.
 """
 
+import importlib
 import random
 
 import pytest
 
 from repro.compact import CompactBPlusTree, CompressedBPlusTree
 from repro.filters.bloom import BloomFilter
-from repro.filters.prefix_bloom import PrefixBloomFilter
-from repro.fst import FST
 from repro.hope import HopeEncoder, HopeIndex
-from repro.hope.integration import HopeSuRF
 from repro.hybrid import hybrid_btree, hybrid_compressed_btree
 from repro.surf import SuRF
-from repro.surf.hybrid_surf import HybridSuRF
 from repro.trees import BPlusTree
 from repro.workloads.keys import email_keys
 
@@ -44,23 +43,15 @@ def queries(keys):
     return out
 
 
-class TestFstBatch:
-    @pytest.mark.parametrize(
-        "fst_kwargs",
-        [{}, {"dense_levels": 0}, {"dense_levels": 64}, {"truncate": True}],
-        ids=["default", "all-sparse", "all-dense", "truncated"],
-    )
-    def test_get_many_matches_scalar(self, keys, queries, fst_kwargs):
-        fst = FST(keys, list(range(len(keys))), **fst_kwargs)
-        assert fst.get_many(queries) == [fst.get(q) for q in queries]
-
-    def test_empty_batch(self, keys):
-        fst = FST(keys, list(range(len(keys))))
-        assert fst.get_many([]) == []
-
-    def test_empty_trie(self, queries):
-        fst = FST([], [])
-        assert fst.get_many(queries) == [None] * len(queries)
+@pytest.fixture(scope="module", params=["mixed", "width-1", "repeated"])
+def batches(request, queries):
+    """The query mix as one batch, as batches of one key, and as one
+    batch in which every key appears more than once."""
+    if request.param == "mixed":
+        return [queries]
+    if request.param == "width-1":
+        return [[q] for q in queries[:300]]
+    return [queries[:100] + queries[:100][::-1] + queries[:50]]
 
 
 class TestSurfBatch:
@@ -80,31 +71,14 @@ class TestSurfBatch:
             surf.delete(k)
         assert surf.lookup_many(queries) == [surf.lookup(q) for q in queries]
 
-    def test_lookup_range_many(self, keys, queries):
-        surf = SuRF(keys, suffix_type="real", real_bits=4)
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(queries[::2], queries[1::2])
-        ][:64]
-        assert surf.lookup_range_many(pairs) == [
-            surf.lookup_range(lo, hi) for lo, hi in pairs
-        ]
-
-    def test_hybrid_surf(self, keys, queries):
-        hs = HybridSuRF(keys[: len(keys) // 2])
-        for k in keys[len(keys) // 2 :: 2]:
-            hs.insert(k)
-        for k in keys[::17]:
-            hs.delete(k)
-        assert hs.lookup_many(queries) == [hs.lookup(q) for q in queries]
-
 
 class TestFilterBatch:
-    def test_bloom(self, keys, queries):
+    def test_bloom(self, keys, batches):
         bloom = BloomFilter(keys, bits_per_key=10)
-        assert bloom.may_contain_many(queries) == [
-            bloom.may_contain(q) for q in queries
-        ]
+        for batch in batches:
+            assert bloom.may_contain_many(batch) == [
+                bloom.may_contain(q) for q in batch
+            ]
         assert bloom.may_contain_many([]) == []
 
     def test_bloom_incremental_fill(self, keys, queries):
@@ -115,18 +89,13 @@ class TestFilterBatch:
             bloom.may_contain(q) for q in queries
         ]
 
-    def test_prefix_bloom(self, keys, queries):
-        pb = PrefixBloomFilter(keys, prefix_len=6)
-        assert pb.may_contain_many(queries) == [
-            pb.may_contain(q) for q in queries
-        ]
-
 
 class TestCompactBatch:
     @pytest.mark.parametrize("cls", [CompactBPlusTree, CompressedBPlusTree])
-    def test_get_many_matches_scalar(self, cls, keys, queries):
+    def test_get_many_matches_scalar(self, cls, keys, batches):
         tree = cls([(k, i) for i, k in enumerate(keys)])
-        assert tree.get_many(queries) == [tree.get(q) for q in queries]
+        for batch in batches:
+            assert tree.get_many(batch) == [tree.get(q) for q in batch]
         assert tree.get_many([]) == []
 
     @pytest.mark.parametrize("cls", [CompactBPlusTree, CompressedBPlusTree])
@@ -142,17 +111,13 @@ class TestHopeBatch:
         assert enc.encode_batch(queries) == [enc.encode(q) for q in queries]
         assert enc.encode_batch([]) == []
 
-    def test_hope_index_get_many(self, keys, queries):
+    def test_hope_index_get_many(self, keys, batches):
         enc = HopeEncoder.from_sample("single", keys[::7])
         index = HopeIndex(BPlusTree, enc)
         for i, k in enumerate(keys):
             index.insert(k, i)
-        assert index.get_many(queries) == [index.get(q) for q in queries]
-
-    def test_hope_surf_lookup_many(self, keys, queries):
-        enc = HopeEncoder.from_sample("single", keys[::7])
-        hsurf = HopeSuRF(keys, enc, suffix_type="real", real_bits=4)
-        assert hsurf.lookup_many(queries) == [hsurf.lookup(q) for q in queries]
+        for batch in batches:
+            assert index.get_many(batch) == [index.get(q) for q in batch]
 
 
 class TestHybridBatch:
@@ -166,13 +131,14 @@ class TestHybridBatch:
         ],
         ids=["btree", "compressed", "no-bloom", "merge-cold"],
     )
-    def test_get_many_matches_scalar(self, factory, keys, queries):
+    def test_get_many_matches_scalar(self, factory, keys, batches):
         hybrid = factory()
         for i, k in enumerate(keys):
             hybrid.insert(k, i)
         for k in keys[::9]:
             hybrid.delete(k)
-        assert hybrid.get_many(queries) == [hybrid.get(q) for q in queries]
+        for batch in batches:
+            assert hybrid.get_many(batch) == [hybrid.get(q) for q in batch]
         assert hybrid.get_many([]) == []
 
 
@@ -182,3 +148,35 @@ class TestDefaultVocabulary:
         for i, k in enumerate(keys):
             tree.insert(k, i)
         assert tree.get_many(queries) == [tree.get(q) for q in queries]
+
+
+#: The ``*_many`` names each exported class defines itself.  Every
+#: override here beat its loop in ten alternating pairs (EXPERIMENTS.md,
+#: "Batch vocabulary audit"); ``SuRF.lookup_many`` is the loop itself,
+#: kept because the ledger's tracer patches it.  A new override earns
+#: its entry with a ten-pair row of its own.
+AUDITED = {
+    "OrderedIndex": {"get_many", "put_many", "delete_many"},
+    "GappedBPlusTree": {"put_many"},
+    "CompactBPlusTree": {"get_many"},
+    "CompressedBPlusTree": {"get_many"},
+    "HybridIndex": {"get_many", "put_many"},
+    "HopeIndex": {"get_many"},
+    "BloomFilter": {"add_many", "may_contain_many", "lookup_many"},
+    "SuRF": {"lookup_many", "may_contain_many"},
+}
+
+
+class TestAuditedOverrides:
+    def test_batch_names_match_the_audit(self):
+        found = {}
+        for package in ("trees", "compact", "hybrid", "hope", "filters", "surf", "fst"):
+            module = importlib.import_module(f"repro.{package}")
+            for name in module.__all__:
+                cls = getattr(module, name)
+                if not isinstance(cls, type):
+                    continue
+                own = {n for n in vars(cls) if n.endswith("_many") and not n.startswith("_")}
+                if own:
+                    found[cls.__name__] = own
+        assert found == AUDITED

@@ -75,6 +75,17 @@ class TestHybridSuRF:
         assert filt.delete(KEYS[5])  # static-stage tombstone
         assert not filt.lookup(KEYS[5])
 
+    def test_insert_of_a_static_key_changes_nothing(self):
+        filt = HybridSuRF([b"%05d" % i for i in range(0, 1000, 2)])
+        assert filt.insert(b"00006") is False
+        assert len(filt) == 500
+        # The key deletes as if the insert had never happened: the
+        # §4.5 tombstone, once.
+        assert filt.delete(b"00006") is True
+        assert filt.lookup(b"00006") is False
+        assert len(filt) == 499
+        assert filt.delete(b"00006") is False
+
     def test_deleted_static_key_stays_dead_after_merge(self):
         filt = HybridSuRF(KEYS[:100], real_bits=4, min_merge_size=1 << 30)
         filt.delete(KEYS[5])
