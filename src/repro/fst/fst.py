@@ -58,6 +58,11 @@ def _is_dollar(labels, start: int, end: int) -> bool:
     return end - start > 1 and bool(labels[start] == DOLLAR)
 
 
+def _ones_before(rank: RankSupport, i: int) -> int:
+    """Set bits in ``[0, i)``."""
+    return rank.rank1(i - 1) if i > 0 else 0
+
+
 def _choose_dense_levels(trie: BuiltTrie, size_ratio: float) -> int:
     """Largest cutoff l with dense_size(l) * R <= sparse_size(l)."""
     # dense_size(l): nodes above l cost 2*256+1 bits each.
@@ -136,10 +141,6 @@ class FST:
         self.d_isprefix = BitVector.from_bools(is_prefix)
         self.dense_node_count = dense_node_count
         self.dense_child_count = int(child.sum())
-        #: per dense level: starting node number (for count boundaries)
-        self._dense_level_node_start = (
-            np.cumsum(trie.node_counts[:dh]) - trie.node_counts[:dh]
-        ).tolist()
 
         # ---- sparse levels ----
         # uint8: PREFIX_LABEL (-1) wraps to DOLLAR (0xFF).
@@ -147,9 +148,6 @@ class FST:
         self.s_haschild = BitVector.from_bools(trie.has_child[cut:])
         self.s_louds = BitVector.from_bools(trie.louds[cut:])
         self.sparse_node_count = int(trie.node_counts[dh:].sum())
-        #: per sparse level: starting label index, plus the end (for
-        #: count boundaries)
-        self._sparse_level_start = (trie.level_starts[dh:] - cut).tolist()
 
     def _finish(
         self,
@@ -478,208 +476,65 @@ class FST:
         """
         if low >= high:
             return 0
-        return self._count_below(high) - self._count_below(low)
+        return self._count_before(self.seek(high)) - self._count_before(self.seek(low))
 
-    def _count_below(self, key: bytes) -> int:
-        """Number of stored entries with stored key < ``key`` (stored
-        prefixes of ``key`` count as smaller only if strictly shorter)."""
-        boundaries, total = self._extend_boundaries(key)
-        for level, (kind, pos) in enumerate(boundaries):
-            if kind == "dense":
-                lvl_start_node = self._dense_level_node_start[level]
-                total += self._dense_values_between(lvl_start_node * FANOUT, pos)
+    def _count_before(self, it: "FstIterator") -> int:
+        """Stored entries before a seeked iterator's entry, plus a
+        constant of the trie — SuRF's ``approxCount`` (Section 4.1.5)
+        read off the per-level cursors :meth:`seek` leaves behind.
+
+        Per level, it sums the terminals before that level's *boundary*.
+        On a level the iterator's frames cover, the boundary is the
+        frame's cursor: a dense node's prefix key sorts before every
+        real label of its node, and a last frame under ``fp_flag`` (a
+        stored strict prefix of the sought key) counts itself.  Below
+        the last frame, or below the root's end once the iterator ran
+        past every entry, the boundary is the start of the first child
+        whose parent label is not before the level above's boundary.
+        The terminals before each level's start are the constant: they
+        cancel in :meth:`count_range`'s difference, so no per-level
+        table is kept.
+        """
+        dense_height = self.dense_height
+        frames = it.frames
+        total = 0
+        for level, node, pos, start, _end in frames:
+            boundary = start if pos < 0 else pos + (it.fp_flag and level == len(frames) - 1)
+            total += self._terminals_before(level, boundary, node, pos >= 0)
+        if frames:
+            level = len(frames)
+        else:  # past every entry: the whole root is before it
+            level = 1
+            boundary = FANOUT if dense_height else self._louds_node_end(0)
+            total += self._terminals_before(0, boundary, 0, True)
+        for level in range(level, self.height):
+            # The HasChild bits before the boundary number the children
+            # before it (level order; the root is node 0).
+            if level - 1 < dense_height:
+                child = _ones_before(self._d_haschild_rank, boundary) + 1
             else:
-                sl = level - self.dense_height
-                total += self._sparse_values_between(
-                    self._sparse_level_start[sl], pos
-                )
+                child = self.dense_child_count + _ones_before(self._s_haschild_rank, boundary) + 1
+            snode = child - self.dense_node_count
+            if level < dense_height:
+                boundary = child * FANOUT
+            elif snode < self.sparse_node_count:
+                boundary = self._s_louds_select.select(snode + 1)
+            else:
+                boundary = len(self.s_labels)
+            total += self._terminals_before(level, boundary, child, False)
         return total
 
-    def _dense_values_between(self, p1: int, p2: int) -> int:
-        """Values at dense positions in [p1, p2) (prefix values count at
-        their node's start position)."""
-        return self._dense_values_before(p2) - self._dense_values_before(p1)
-
-    def _dense_values_before(self, p: int) -> int:
-        if p <= 0:
-            return 0
-        labels = self._d_labels_rank.rank1(p - 1)
-        childs = self._d_haschild_rank.rank1(p - 1)
-        prefixes = self._d_isprefix_rank.rank1((p - 1) // FANOUT)
-        return labels - childs + prefixes
-
-    def _sparse_values_between(self, i1: int, i2: int) -> int:
-        return self._sparse_values_before(i2) - self._sparse_values_before(i1)
-
-    def _sparse_values_before(self, i: int) -> int:
-        if i <= 0:
-            return 0
-        return i - self._s_haschild_rank.rank1(i - 1)
-
-    def _extend_boundaries(self, key: bytes) -> tuple[list[tuple[str, int]], int]:
-        """Per-level boundary positions: at each level, the position of
-        the first label whose subtree/terminal keys are all >= ``key``.
-
-        Returns one ("dense"|"sparse", position) per level — dense
-        positions are absolute D-Labels bit positions and sparse ones
-        are S-Labels indexes — and the number of dense prefix keys below
-        ``key`` that those positions exclude: a dense node's prefix key
-        is charged at its slot 0, so a boundary there (``key`` goes on
-        with byte 0x00) does not count the shorter stored key.
-        """
-        out: list[tuple[str, int]] = []
-        prefixes = 0
-        node = 0
-        level = 0
-        on_path = True  # walked prefix still equals key[:level]
-        while level < self.height:
-            if level < self.dense_height:
-                node_start = node * FANOUT
-                if not on_path:
-                    # Boundary descends from the previous level boundary:
-                    # the first child node at this level not before it.
-                    out.append(("dense", node_start))
-                    # Everything below follows from `node` leftmost; mark
-                    # boundary at this node's start and continue down its
-                    # leftmost spine (all its keys are >= key).
-                    nxt = self._dense_first_child_at_or_after(node_start)
-                    if nxt is None:
-                        out.extend(self._tail_boundaries(level + 1))
-                        return out, prefixes
-                    node = nxt
-                    level += 1
-                    continue
-                if level == len(key):
-                    # key ends here: all entries of this node qualify.
-                    out.append(("dense", node_start))
-                    on_path = False
-                    nxt = self._dense_first_child_at_or_after(node_start)
-                    if nxt is None:
-                        out.extend(self._tail_boundaries(level + 1))
-                        return out, prefixes
-                    node = nxt
-                    level += 1
-                    continue
-                byte = key[level]
-                pos = node_start + byte
-                has_child = False
-                if self.d_labels.get(pos):
-                    has_child = self.d_haschild.get(pos)
-                    if not has_child and len(key) > level + 1:
-                        # A terminal label's stored key, path + byte, is a
-                        # proper prefix of key: it sorts below the bound.
-                        pos += 1
-                if pos == node_start and self.d_isprefix.get(node):
-                    # The node's prefix key, key[:level], sorts below key
-                    # but is charged at slot 0, where the bound sits.
-                    prefixes += 1
-                out.append(("dense", pos))
-                if has_child:
-                    node = self._d_haschild_rank.rank1(pos)
-                    level += 1
-                    continue
-                # Path diverges: the boundary for deeper levels is the
-                # first child subtree at or after this one.
-                nxt = self._dense_first_child_at_or_after(pos)
-                on_path = False
-                if nxt is None:
-                    out.extend(self._tail_boundaries(level + 1))
-                    return out, prefixes
-                node = nxt
-                level += 1
-                continue
-            # ---- sparse levels ----
-            snode = node - self.dense_node_count
-            start, end = self._sparse_node_range(snode)
-            if not on_path:
-                out.append(("sparse", start))
-                nxt = self._sparse_first_child_at_or_after(start)
-                if nxt is None:
-                    out.extend(self._tail_boundaries(level + 1))
-                    return out, prefixes
-                node = nxt
-                level += 1
-                continue
-            if level == len(key):
-                out.append(("sparse", start))
-                on_path = False
-                nxt = self._sparse_first_child_at_or_after(start)
-                if nxt is None:
-                    out.extend(self._tail_boundaries(level + 1))
-                    return out, prefixes
-                node = nxt
-                level += 1
-                continue
-            byte = key[level]
-            # First real label >= byte within the node (`$` sorts first).
-            idx = end
-            for i in range(start + _is_dollar(self.s_labels, start, end), end):
-                if self.s_labels[i] >= byte:
-                    idx = i
-                    break
-            out.append(("sparse", idx))
-            if idx < end and self.s_labels[idx] == byte:
-                if self.s_haschild.get(idx):
-                    node = self.dense_child_count + self._s_haschild_rank.rank1(idx)
-                    level += 1
-                    continue
-                if len(key) > level + 1:
-                    out[-1] = ("sparse", idx + 1)
-            on_path = False
-            nxt = self._sparse_first_child_at_or_after(out[-1][1])
-            if nxt is None:
-                out.extend(self._tail_boundaries(level + 1))
-                return out, prefixes
-            node = nxt
-            level += 1
-        return out, prefixes
-
-    def _tail_boundaries(self, from_level: int) -> list[tuple[str, int]]:
-        """Boundaries at end-of-level for levels >= from_level (no
-        further subtree: everything at deeper levels under later nodes
-        is past the end... i.e. boundary = level end)."""
-        out = []
-        for level in range(from_level, self.height):
-            if level < self.dense_height:
-                nxt = (
-                    self._dense_level_node_start[level + 1]
-                    if level + 1 < self.dense_height
-                    else self.dense_node_count
-                )
-                out.append(("dense", nxt * FANOUT))
-            else:
-                sl = level - self.dense_height
-                out.append(("sparse", self._sparse_level_start[sl + 1]))
-        return out
-
-    def _dense_first_child_at_or_after(self, pos: int) -> int | None:
-        """Global node number of the first HasChild branch at dense
-        position >= pos, or None."""
-        n = len(self.d_haschild)
-        while pos < n:
-            if self.d_haschild.get(pos):
-                return self._d_haschild_rank.rank1(pos)
-            # Skip ahead word-wise for speed.
-            if (pos & 63) == 0:
-                word = self.d_haschild.word(pos >> 6)
-                if word == 0:
-                    pos += 64
-                    continue
-            pos += 1
-        return None
-
-    def _sparse_first_child_at_or_after(self, idx: int) -> int | None:
-        n = len(self.s_haschild)
-        while idx < n:
-            if self.s_haschild.get(idx):
-                return self.dense_child_count + self._s_haschild_rank.rank1(idx)
-            if (idx & 63) == 0:
-                word = self.s_haschild.word(idx >> 6)
-                if word == 0:
-                    idx += 64
-                    continue
-            idx += 1
-        return None
+    def _terminals_before(self, level: int, pos: int, node: int, with_prefix: bool) -> int:
+        """Terminals before position ``pos`` of ``level``'s node ``node``
+        (``pos`` is a D-Labels bit or an S-Labels index); on a dense
+        level, ``node``'s own prefix key counts ``with_prefix``."""
+        if level >= self.dense_height:
+            return pos - _ones_before(self._s_haschild_rank, pos)
+        return (
+            _ones_before(self._d_labels_rank, pos)
+            - _ones_before(self._d_haschild_rank, pos)
+            + _ones_before(self._d_isprefix_rank, node + with_prefix)
+        )
 
     # -- memory ---------------------------------------------------------------------------
 

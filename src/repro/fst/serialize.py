@@ -7,10 +7,13 @@ the width :meth:`~repro.fst.fst.FST.size_bits` charges it (S-Labels one
 byte each); rank and select supports are derived structures and are
 rebuilt on load with the FST defaults.
 
-An ``FST2`` blob carries a value column only for an index FST (values
+An ``FST3`` blob carries a value column only for an index FST (values
 must be non-negative 64-bit integers, in leaf order); SuRF's trie has
-none.  An ``SRF2`` blob adds the tombstone bytes and the packed suffix
-words, both indexed by leaf rank (:mod:`repro.surf.surf`).
+none.  Past its headers it stores only what ``size_bits()`` charges
+(``FST2`` also stored two per-level start tables that only the old
+count walk read; its magic is rejected).  An ``SRF2`` blob adds the
+tombstone bytes and the packed suffix words, both indexed by leaf rank
+(:mod:`repro.surf.surf`), around an ``FST3`` trie.
 
 Every length in a blob is checked against the bytes present: a
 truncated blob, or one with trailing bytes, raises ``ValueError``
@@ -26,7 +29,7 @@ import numpy as np
 from ..succinct.bitvector import BitVector, int_view
 from .fst import FANOUT, FST
 
-MAGIC = b"FST2"
+MAGIC = b"FST3"
 SURF_MAGIC = b"SRF2"
 
 _U64 = struct.Struct("<Q")
@@ -70,10 +73,6 @@ class _Reader:
         """``n`` u64 words as a view over the blob."""
         return np.frombuffer(self.take(8 * n), dtype=np.uint64)
 
-    def counted_u64s(self) -> np.ndarray:
-        (n,) = self.unpack(_U64)
-        return self.u64_array(n)
-
     def bitvector(self, copy: bool, n_bits: int) -> BitVector:
         """A bit vector that must hold ``n_bits`` bits."""
         bits, n_bytes = self.unpack(_BV_HEADER)
@@ -101,11 +100,6 @@ def _pack_bitvector(bv: BitVector) -> bytes:
     return _BV_HEADER.pack(len(bv), len(words)) + words
 
 
-def _pack_u64s(values) -> bytes:
-    arr = np.asarray(values, dtype=np.uint64)
-    return _U64.pack(len(arr)) + arr.tobytes()
-
-
 def fst_to_bytes(fst: FST) -> bytes:
     """Serialize an FST (its values, if any, non-negative integers)."""
     flags = (_TRUNCATED if fst.truncated else 0) | (
@@ -129,8 +123,6 @@ def fst_to_bytes(fst: FST) -> bytes:
         fst.s_labels.tobytes(),
         _pack_bitvector(fst.s_haschild),
         _pack_bitvector(fst.s_louds),
-        _pack_u64s(fst._dense_level_node_start),
-        _pack_u64s(fst._sparse_level_start),
     ]
     if fst.values is not None:
         parts.append(np.asarray(fst.values, dtype=np.uint64).tobytes())
@@ -179,15 +171,6 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst.s_labels = s_labels.copy() if copy else s_labels
     fst.s_haschild = r.bitvector(copy, n_labels)
     fst.s_louds = r.bitvector(copy, n_labels)
-    # Level-start tables are a handful of entries, indexed per lookup:
-    # always materialize to python ints.
-    fst._dense_level_node_start = r.counted_u64s().tolist()
-    fst._sparse_level_start = r.counted_u64s().tolist()
-    if (
-        len(fst._dense_level_node_start) != dense_height
-        or len(fst._sparse_level_start) != height - dense_height + 1
-    ):
-        raise r.fail("level tables")
     fst.values = None
     if flags & _HAS_VALUES:
         # Both forms index to plain ints; the view path aliases ``data``.

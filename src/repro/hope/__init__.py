@@ -1,11 +1,10 @@
 """HOPE: the High-speed Order-Preserving Encoder (Chapter 6)."""
 
 from .encoder import HopeEncoder
-from .integration import HopeIndex, HopeSuRF, encode_keys_dedup
+from .integration import HopeIndex, HopeSuRF
 from .hu_tucker import (
     alphabetic_codes,
     assign_alphabetic_codes,
-    expected_code_length,
     garsia_wachs_lengths,
     optimal_alphabetic_lengths,
     weight_balanced_lengths,
@@ -25,7 +24,6 @@ __all__ = [
     "HopeEncoder",
     "HopeIndex",
     "HopeSuRF",
-    "encode_keys_dedup",
     "SCHEMES",
     "Interval",
     "build_intervals",
@@ -41,5 +39,4 @@ __all__ = [
     "optimal_alphabetic_lengths",
     "alphabetic_codes",
     "assign_alphabetic_codes",
-    "expected_code_length",
 ]

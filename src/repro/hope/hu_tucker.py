@@ -143,11 +143,3 @@ def assign_alphabetic_codes(
     """(codes, lengths) of an order-preserving prefix code for weights."""
     lengths = optimal_alphabetic_lengths(weights, exact_limit)
     return alphabetic_codes(lengths), lengths
-
-
-def expected_code_length(weights: list[float], lengths: list[int]) -> float:
-    """Average code length under the weight distribution."""
-    total = sum(weights)
-    if total == 0:
-        return 0.0
-    return sum(w * l for w, l in zip(weights, lengths)) / total

@@ -117,12 +117,3 @@ class HopeSuRF:
             count += 1
             it.next()
         return total / count if count else 0.0
-
-
-def encode_keys_dedup(encoder: HopeEncoder, keys: Sequence[bytes]) -> list[bytes]:
-    """Encode and sort keys, dropping padding collisions.
-
-    Zero-padding to whole bytes can merge a bit string with its own
-    zero-extension (rare); deduping keeps downstream structures sound.
-    """
-    return sorted(set(encoder.encode(k) for k in keys))

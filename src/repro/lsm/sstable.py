@@ -14,20 +14,22 @@ its block cache as one I/O.
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
     [block 0] [block 1] ... [block n-1] [filter frame] [footer frame]
-    <u32 footer_frame_len> <magic "LSM5">
+    <u32 footer_frame_len> <magic "LSM6">
 
 The footer is found from the fixed-size trailer at the end of the
 file, RocksDB-style, so a table is self-describing.  The magic doubles
-as the format tag: "LSM5" blocks are columnar behind a header of
+as the format tag: "LSM6" blocks are columnar behind a header of
 entry count, key width, value width and flags (see
 :func:`~repro.lsm.disk_format.encode_block`) — a block whose keys share
 one length and whose values share one length stores no offsets, and an
 all-``bytes`` block no value tags — and its SuRF filter frame is an
-``SRF2`` blob (:mod:`repro.fst.serialize`: no value column, packed
-suffixes, byte S-Labels).  A file written with an older layout —
-"LSM4" (a ``u32`` offset header in every block), "LSM3" (``SRF1``
-filters), "LSM2" length columns, "LSMS" interleaved entries — is
-rejected by the magic check instead of being misparsed.
+``SRF2`` blob around an ``FST3`` trie (:mod:`repro.fst.serialize`: no
+value column, packed suffixes, byte S-Labels, no per-level tables).  A
+file written with an older layout — "LSM5" (``FST2`` tries with
+per-level start tables), "LSM4" (a ``u32`` offset header in every
+block), "LSM3" (``SRF1`` filters), "LSM2" length columns, "LSMS"
+interleaved entries — is rejected by the magic check instead of being
+misparsed.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .fs import FileSystem
 
 DEFAULT_BLOCK_ENTRIES = 64
 
-TABLE_MAGIC = b"LSM5"
+TABLE_MAGIC = b"LSM6"
 
 #: Filter-blob tags in the table footer.
 _FILTER_NONE = 0

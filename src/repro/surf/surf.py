@@ -226,8 +226,9 @@ class SuRF:
         """
         if high <= low:
             return 0
-        n = self.fst.count_range(low, high)
-        it = self.fst.seek(low)
+        fst = self.fst
+        it = fst.seek(low)
+        n = fst._count_before(fst.seek(high)) - fst._count_before(it)
         if it.valid and it.fp_flag:  # truncated prefix of `low`: ambiguous
             n += 1
         return n

@@ -211,20 +211,20 @@ PREFIX_HEAVY_PROBES = sorted(
 
 
 class TestCountRange:
-    @pytest.mark.parametrize("dense_levels", [None, 0, 2])
+    @pytest.mark.parametrize("dense_levels", [None, 0, 1, 2])
     def test_count_matches_bisect(self, dense_levels):
-        keys = email_keys(500, seed=36)
-        fst, pairs = make_fst(keys, dense_levels=dense_levels)
-        probes = pairs[::29] + [b"", b"com", b"org", b"\xff"]
-        for lo in probes:
-            for hi in probes:
-                expected = bisect.bisect_left(pairs, hi) - bisect.bisect_left(
-                    pairs, lo
-                )
-                expected = max(0, expected) if lo < hi else 0
-                assert fst.count_range(lo, hi) == expected, (lo, hi)
+        for keys in (email_keys(500, seed=36), random_u64_keys(500, seed=36)):
+            fst, pairs = make_fst(keys, dense_levels=dense_levels)
+            probes = pairs[::29] + [b"", b"com", b"org", b"\xff"]
+            for lo in probes:
+                for hi in probes:
+                    expected = bisect.bisect_left(pairs, hi) - bisect.bisect_left(
+                        pairs, lo
+                    )
+                    expected = max(0, expected) if lo < hi else 0
+                    assert fst.count_range(lo, hi) == expected, (lo, hi)
 
-    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("dense_levels", [None, 0, 1, 100])
     def test_prefix_heavy_count_matches_bisect(self, dense_levels):
         fst, pairs = make_fst(PREFIX_HEAVY, dense_levels=dense_levels)
         if dense_levels is None:
@@ -235,7 +235,7 @@ class TestCountRange:
                 expected = expected if lo < hi else 0
                 assert fst.count_range(lo, hi) == expected, (lo, hi)
 
-    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("dense_levels", [None, 0, 1, 100])
     def test_surf_count_never_under_counts(self, dense_levels):
         pairs = PREFIX_HEAVY
         for surf in (surf_base(pairs, dense_levels=dense_levels),
@@ -246,7 +246,7 @@ class TestCountRange:
                     true = true if lo < hi else 0
                     assert true <= surf.count(lo, hi) <= true + 2, (lo, hi)
 
-    @pytest.mark.parametrize("dense_levels", [None, 0, 100])
+    @pytest.mark.parametrize("dense_levels", [None, 0, 1, 100])
     @pytest.mark.parametrize("family", ["zero_ff", "zero_ff_random", "ff_after_prefix"])
     def test_ff_heavy_count_matches_bisect(self, family, dense_levels):
         pairs = sorted(FAMILIES[family])
@@ -264,7 +264,7 @@ class TestCountRange:
     def test_dense_prefix_key_below_a_zero_byte_bound(self):
         """A dense node's prefix key sorts below a bound that goes on
         with byte 0x00 through that node."""
-        for dense_levels in (0, 100):
+        for dense_levels in (0, 1, 100):
             fst, _ = make_fst([b"a", b"a\x00"], dense_levels=dense_levels)
             assert fst.count_range(b"a", b"a\x00") == 1
             assert fst.count_range(b"", b"a\x00") == 1

@@ -440,14 +440,14 @@ class TestDiskSSTable:
 
     def test_old_format_table_is_rejected_loudly(self):
         """A file with an older trailer — "LSMS" (interleaved entries),
-        "LSM2" (length columns), "LSM3" (``SRF1`` filter frames) or
-        "LSM4" (an offset header in every block) — fails the magic
-        check at open."""
+        "LSM2" (length columns), "LSM3" (``SRF1`` filter frames),
+        "LSM4" (an offset header in every block) or "LSM5" (``FST2``
+        tries with per-level tables) — fails the magic check at open."""
         fs = MemFS()
         write_pairs(fs, "t.sst", [(b"a", 1), (b"b", 2)], table_id=0)
         blob = fs.read("t.sst")
-        assert blob.endswith(b"LSM5")
-        for old_magic in (b"LSMS", b"LSM2", b"LSM3", b"LSM4"):
+        assert blob.endswith(b"LSM6")
+        for old_magic in (b"LSMS", b"LSM2", b"LSM3", b"LSM4", b"LSM5"):
             f = fs.create("old.sst")
             f.append(blob[:-4] + old_magic)
             f.sync()

@@ -27,6 +27,11 @@ class TestFstRoundTrip:
             assert clone.get(k) == i
         assert [k for k, _ in clone.items()] == keys
         assert clone.count_range(keys[10], keys[200]) == 190
+        view = fst_from_bytes(fst.to_bytes(), copy=False)
+        for lo, hi in [(0, 1), (10, 200), (0, len(keys) - 1), (17, 18), (5, 5)]:
+            assert view.count_range(keys[lo], keys[hi]) == hi - lo
+        assert view.count_range(b"", keys[-1] + b"\x00") == len(keys)
+        assert view.count_range(keys[-1] + b"\x00", b"\xff" * 9) == 0
 
     def test_size_preserved(self):
         fst = FST(KEYS, list(range(len(KEYS))))
@@ -37,6 +42,10 @@ class TestFstRoundTrip:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             FST.from_bytes(b"NOPE" + b"\x00" * 100)
+        # An FST2 blob (with per-level start tables) is an older format.
+        blob = FST(KEYS[:50], list(range(50))).to_bytes()
+        with pytest.raises(ValueError, match="corrupt FST blob: bad magic"):
+            FST.from_bytes(b"FST2" + blob[4:])
 
     @given(
         keys=st.lists(
