@@ -23,7 +23,8 @@ coalescer delivers ({1, 8, 16, 64, 256}), with no filter and with
 SuRF-Real.  The engine holds **one** SSTable of the size the engine
 builds by default (4,096 keys, whatever ``REPRO_SCALE`` says), so a
 batch's width is also the number of keys its table's filter sees.
-Either side probes the filter once per key; ``get_many`` shares the
+Either side probes the filter once per distinct key (this query mix
+has no repeats, so that is once per key); ``get_many`` shares the
 block fetches of the keys that pass.
 
 The ``L0 depth`` rows hold the same 4,096 keys in one L1 table of a

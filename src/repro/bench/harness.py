@@ -9,9 +9,11 @@ tables mirroring the paper's figures and also appended to
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
+import tracemalloc
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -61,6 +63,28 @@ def measure_ops(fn: Callable[[], Any], n_ops: int, repeats: int = 3) -> Measurem
         best = min(best, elapsed)
     best = max(best, MIN_TIMER_RESOLUTION)
     return Measurement(n_ops / best, best, n_ops)
+
+
+def held_bytes(make: Callable[[], Any]) -> int:
+    """Bytes that the object ``make()`` returns holds once built: the
+    traced allocations still alive after the call, with temporaries
+    collected.  ``make`` runs once untraced first, so lazy imports and
+    module-level caches are not charged to the object."""
+    make()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        obj = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del obj
+    return held
 
 
 def equi_cost(ops_per_sec: float, memory_bytes: int) -> float:

@@ -29,6 +29,7 @@ and the approximate-free ``count`` used by SuRF's range counts.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Any, Iterator, Sequence
 
@@ -87,18 +88,44 @@ class FST:
         sparse_rank_block: int = _SPARSE_RANK_BLOCK,
         select_sample: int = _SELECT_SAMPLE,
     ) -> None:
+        trie = build_trie(keys, values, truncate=truncate)
+        if values is None:  # the key positions: 4 bytes each, not a list
+            trie.values = array("I", trie.values)
+        self._build(
+            trie, truncate, size_ratio, dense_levels, label_search,
+            sparse_rank_block, select_sample,
+        )
+
+    @classmethod
+    def _from_trie(cls, trie: BuiltTrie, truncate: bool, **kwargs) -> "FST":
+        """An FST over a trie its caller built and reads on after
+        (SuRF takes its suffix bits from the trie's suffix column);
+        ``kwargs`` are the constructor's encoding options."""
+        fst = cls.__new__(cls)
+        fst._build(trie, truncate, **kwargs)
+        return fst
+
+    def _build(
+        self,
+        trie: BuiltTrie,
+        truncate: bool,
+        size_ratio: float = DEFAULT_SIZE_RATIO,
+        dense_levels: int | None = None,
+        label_search: str = "binary",
+        sparse_rank_block: int = _SPARSE_RANK_BLOCK,
+        select_sample: int = _SELECT_SAMPLE,
+    ) -> None:
+        """Encode ``trie``; the FST keeps none of the builder's columns."""
         if label_search not in ("vector", "binary", "linear"):
             raise ValueError("label_search must be vector|binary|linear")
         self._label_search = label_search
-        trie = build_trie(keys, values, truncate=truncate)
         self.n_keys = trie.n_keys
         self.height = trie.height
         self.truncated = truncate
-        self.suffixes = trie.suffixes  # used by SuRF; key order
-        #: One value per key in leaf order (default: the key positions);
-        #: None for a trie that stores none (SuRF's), whose lookups
-        #: answer the leaf rank itself.
-        self.values: list[Any] | None = trie.values
+        #: One value per key in leaf order (default: the key positions,
+        #: a ``uint32`` array); None for a trie that stores none
+        #: (SuRF's), whose lookups answer the leaf rank itself.
+        self.values: Sequence[Any] | None = trie.values
         if dense_levels is None:
             dense_levels = _choose_dense_levels(trie, size_ratio)
         if len(trie.labels) == 1 and trie.labels[0] == PREFIX_LABEL:

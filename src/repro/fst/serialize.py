@@ -23,6 +23,7 @@ under both ``copy=True`` and ``copy=False``.
 from __future__ import annotations
 
 import struct
+from array import array
 
 import numpy as np
 
@@ -160,7 +161,6 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst.dense_child_count = dense_child_count
     fst.sparse_node_count = sparse_node_count
     fst.truncated = bool(flags & _TRUNCATED)
-    fst.suffixes = []  # reconstructible only from the key corpus
     fst._label_search = "binary"
 
     fst.d_labels = r.bitvector(copy, dense_node_count * FANOUT)
@@ -175,7 +175,7 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     if flags & _HAS_VALUES:
         # Both forms index to plain ints; the view path aliases ``data``.
         values = r.u64_array(n_keys)
-        fst.values = values.tolist() if copy else int_view(values)
+        fst.values = array("Q", values.tobytes()) if copy else int_view(values)
     r.done()
     fst._finish()
     return fst

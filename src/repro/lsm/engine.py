@@ -1404,9 +1404,10 @@ class LSMTree:
     def _table_get(self, table: SSTableBase, key: bytes) -> Any:
         """One table's answer for an in-range ``key``: the filter
         probe, then at most one block fetch; ``_MISSING`` if absent."""
-        if table.filter is not None:
+        flt = table.filter
+        if flt is not None:
             self.io.filter_probes += 1
-            if not table.may_contain(key):
+            if not flt.lookup(key):
                 self.io.filter_negatives += 1
                 return _MISSING
         # In range, so at or past the first fence: the index is >= 0.
@@ -1416,12 +1417,14 @@ class LSMTree:
     def get_many(self, keys: Sequence[bytes]) -> list[Any]:
         """Batch point reads matching element-wise scalar :meth:`get`.
 
-        The batch walks the LSM hierarchy level-synchronously: per
-        table, each still-unresolved key in the table's range gets one
-        filter probe, as in :meth:`get`, and the keys that pass share
-        the table's block fetches.  A key resolved by a newer table
-        (value *or* tombstone) never touches older tables, preserving
-        newest-wins semantics exactly.
+        Each distinct key is resolved once, and its answer is copied to
+        every position that asked for it.  The batch walks the LSM
+        hierarchy level-synchronously: per table, each still-unresolved
+        key in the table's range gets one filter probe, as in
+        :meth:`get`, and the keys that pass share the table's block
+        fetches.  A key resolved by a newer table (value *or*
+        tombstone) never touches older tables, preserving newest-wins
+        semantics exactly.
         """
         view = self._pin()
         try:
@@ -1429,8 +1432,11 @@ class LSMTree:
         finally:
             self._unpin(view)
 
-    def _get_many_in(self, view: _View, keys: Sequence[bytes]) -> list[Any]:
-        keys = list(keys)
+    def _get_many_in(self, view: _View, batch: Sequence[bytes]) -> list[Any]:
+        # One slot per distinct key, in first-seen order: a repeat costs
+        # no second probe, block search or unit of debt.
+        answers = dict.fromkeys(batch)
+        keys = list(answers)
         # ``_MISSING`` marks a slot no source has resolved yet (a
         # resolved one holds the answer, ``None`` for a tombstone).
         out: list[Any] = [_MISSING] * len(keys)
@@ -1446,7 +1452,7 @@ class LSMTree:
                 pending.append(i)
         if len(pending) == 1:  # one key: no grouping to set up
             out[pending[0]] = self._tables_get(view, keys[pending[0]])
-            return out
+            pending = []
         levels = view.levels
         wasted = 0
         for li, (mins, maxs) in enumerate(view.version.bounds()):
@@ -1480,7 +1486,10 @@ class LSMTree:
             out[i] = None
         if wasted:
             self._charge_reads(view, wasted)
-        return out
+        if len(keys) == len(batch):
+            return out
+        answers.update(zip(keys, out))
+        return list(map(answers.__getitem__, batch))
 
     def _table_get_many(
         self, table: SSTableBase, keys: list[bytes], out: list[Any], idxs: list[int]
@@ -1488,9 +1497,10 @@ class LSMTree:
         """Resolve what ``table`` holds of the in-range ``keys[idxs]``
         into ``out``; return how many it held (the rest were filter
         negatives or false positives)."""
-        if table.filter is not None:
-            may_contain = table.may_contain
-            passed = [i for i in idxs if may_contain(keys[i])]
+        flt = table.filter
+        if flt is not None:
+            lookup = flt.lookup
+            passed = [i for i in idxs if lookup(keys[i])]
             self.io.filter_probes += len(idxs)
             self.io.filter_negatives += len(idxs) - len(passed)
             idxs = passed

@@ -71,7 +71,7 @@ class SSTableBase:
     min_key: bytes
     max_key: bytes
     n_entries: int
-    filter: Any
+    filter: Any  # None, or answers ``lookup(key)`` (the engine's probe)
 
     @property
     def n_blocks(self) -> int:
@@ -87,13 +87,6 @@ class SSTableBase:
 
     def overlaps(self, lo: bytes, hi: bytes) -> bool:
         return not (self.max_key < lo or self.min_key > hi)
-
-    def may_contain(self, key: bytes) -> bool:
-        """Filter probe (no I/O); True when no filter is attached."""
-        flt = self.filter
-        if flt is None:
-            return self.min_key <= key <= self.max_key
-        return flt.lookup(key) if hasattr(flt, "lookup") else flt.may_contain(key)
 
     def filter_seek(self, key: bytes):
         """SuRF moveToNext on the table's filter, or None if the filter

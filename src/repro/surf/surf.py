@@ -29,6 +29,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ..filters.bloom import hash64, hash64_many
+from ..fst.builder import build_trie
 from ..fst.fst import FST, FstIterator
 from ..succinct.bitvector import int_view
 
@@ -113,12 +114,13 @@ class SuRF:
         self.suffix_type = suffix_type
         self.hash_bits = hash_bits
         self.real_bits = real_bits
-        self.fst = FST(keys, truncate=True, **fst_kwargs)
+        trie = build_trie(keys, truncate=True)
         # The trie's default values are the key positions in leaf order
         # (the builder's leaf -> key permutation): one gather puts each
-        # suffix column in leaf order, and the trie keeps no values.
-        by_leaf = np.asarray(self.fst.values, dtype=np.intp)
-        self.fst.values = None
+        # suffix column in leaf order, and the FST keeps no values.
+        by_leaf = np.asarray(trie.values, dtype=np.intp)
+        trie.values = None
+        self.fst = FST._from_trie(trie, truncate=True, **fst_kwargs)
         #: Tombstone bit-array (Section 4.5): allocated on first delete.
         self._tombstones: bytearray | None = None
         hash_words = real_words = np.zeros(0, dtype=np.uint64)
@@ -126,7 +128,7 @@ class SuRF:
             mask = np.uint64((1 << hash_bits) - 1)
             hash_words = pack_suffixes(hash64_many(keys)[by_leaf] & mask, hash_bits)
         if real_bits:
-            by_key = self.fst.suffixes.leading_bits(real_bits)
+            by_key = trie.suffixes.leading_bits(real_bits)
             real_words = pack_suffixes(by_key[by_leaf], real_bits)
         self._set_words(hash_words, real_words)
 
@@ -141,21 +143,40 @@ class SuRF:
     # -- point membership -----------------------------------------------------------
 
     def lookup(self, key: bytes) -> bool:
-        """May ``key`` be in the set?  False proves absence."""
+        """May ``key`` be in the set?  False proves absence.
+
+        One trie walk, then the tombstone bit and each suffix entry read
+        straight off their words (:meth:`is_deleted`, :func:`suffix_at`
+        and :func:`_real_suffix_bits`, inlined: this is every filter
+        probe the engine makes).
+        """
         found = self.fst._lookup(key)
         if found is None:
             return False
         rank, remaining = found
-        if self.is_deleted(rank):
+        tombstones = self._tombstones
+        if tombstones is not None and tombstones[rank >> 3] >> (rank & 7) & 1:
             return False
-        hash_bits, real_bits = self.hash_bits, self.real_bits
-        if hash_bits:
-            stored = suffix_at(self._hash_view, rank, hash_bits)
-            if hash64(key) & ((1 << hash_bits) - 1) != stored:
+        width = self.hash_bits
+        if width:
+            words, bit = self._hash_view, rank * width
+            at, shift = bit >> 6, bit & 63
+            stored = words[at] >> shift
+            if shift + width > 64:
+                stored |= words[at + 1] << (64 - shift)
+            if (hash64(key) ^ stored) & ((1 << width) - 1):
                 return False
-        if real_bits:
-            stored = suffix_at(self._real_view, rank, real_bits)
-            if _real_suffix_bits(remaining, real_bits) != stored:
+        width = self.real_bits
+        if width:
+            words, bit = self._real_view, rank * width
+            at, shift = bit >> 6, bit & 63
+            stored = words[at] >> shift
+            if shift + width > 64:
+                stored |= words[at + 1] << (64 - shift)
+            # The first `width` bits of what the walk left, MSB first.
+            n_bytes = (width + 7) >> 3
+            query = int.from_bytes(remaining[:n_bytes].ljust(n_bytes, b"\0"), "big")
+            if (query >> ((n_bytes << 3) - width) ^ stored) & ((1 << width) - 1):
                 return False
         return True
 

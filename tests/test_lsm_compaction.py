@@ -460,6 +460,20 @@ class TestReadDrivenCompaction:
                 assert snap.get(key) == pinned.get(key)
                 assert snap.scan(b"", 200) == sorted(pinned.items())
                 snap.release()
+        # A fixed tail, so that the trigger is seen whatever the threaded
+        # compactor did during the stream (it may clear L0 by count before
+        # a read wastes a probe on it): one L0 table over every key, fewer
+        # L0 tables than the count trigger wants, then one read of a key
+        # that no table holds.
+        for _ in range(2):  # twice if the first flush's L0 was compacted
+            for key in (keys[0], keys[-1]):
+                db.put(key, "tail")
+                model[key] = "tail"
+            db.flush_memtable()
+            if db.levels[0]:
+                break
+        assert 0 < len(db.levels[0]) <= CONFIG["level0_limit"]
+        assert db.get(keys[0] + b"\x00") is None
         db.wait_idle()
         for snap, pinned in snaps:
             assert snap.scan(b"", 200) == sorted(pinned.items())

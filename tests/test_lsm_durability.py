@@ -395,15 +395,16 @@ class TestDiskSSTable:
         pairs = [(encode_u64(i * 3), i) for i in range(200)]
         table = self._write(fs, pairs, filter_factory=surf_factory)
         assert table.filter is not None
-        assert table.may_contain(encode_u64(30))
+        assert table.filter.lookup(encode_u64(30))
         assert table.filter_seek(encode_u64(0)) is not None
 
     def test_bloom_filter_roundtrip(self):
         fs = MemFS()
         pairs = [(encode_u64(i * 3), i) for i in range(200)]
         table = self._write(fs, pairs, filter_factory=bloom_factory)
-        assert all(table.may_contain(encode_u64(i * 3)) for i in range(200))
-        misses = sum(table.may_contain(encode_u64(10**9 + i)) for i in range(200))
+        lookup = table.filter.lookup
+        assert all(lookup(encode_u64(i * 3)) for i in range(200))
+        misses = sum(lookup(encode_u64(10**9 + i)) for i in range(200))
         assert misses < 40  # one-sided error, roughly the configured FPR
 
     def test_unknown_filter_rebuilt_from_keys(self):
@@ -413,7 +414,7 @@ class TestDiskSSTable:
             def __init__(self, keys):
                 self.keys = set(keys)
 
-            def may_contain(self, key):
+            def lookup(self, key):
                 return key in self.keys
 
             def memory_bytes(self):
@@ -421,8 +422,8 @@ class TestDiskSSTable:
 
         pairs = [(encode_u64(i), i) for i in range(50)]
         table = self._write(fs, pairs, filter_factory=lambda ks: OddFilter(ks))
-        assert table.may_contain(encode_u64(7))
-        assert not table.may_contain(encode_u64(99))
+        assert table.filter.lookup(encode_u64(7))
+        assert not table.filter.lookup(encode_u64(99))
 
     def test_corrupt_block_raises_on_read(self):
         fs = MemFS()

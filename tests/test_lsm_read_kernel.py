@@ -197,7 +197,7 @@ class TestMergedCursor:
 
 class TestGetMany:
     """``get_many`` is ``get`` element-wise at every width, with one
-    scalar filter probe per (table, key)."""
+    scalar filter probe per (table, distinct key)."""
 
     @pytest.fixture(scope="class", params=sorted(FILTERS))
     def wide(self, request):
@@ -243,6 +243,26 @@ class TestGetMany:
         finally:
             snap.release()
 
+    def test_repeated_keys_answer_as_scalar_get(self, layered):
+        """Batches that repeat keys — the Zipfian shape of a served
+        batch — against every layer: memtable, frozen memtable,
+        overlapping L0 tables, deeper levels and tombstones, live and
+        through a snapshot.  Each position gets its key's answer."""
+        rng = random.Random(11)
+        pool = UNIVERSE + [k + b"\x00" for k in UNIVERSE[::7]]
+        for one in layered:
+            for name, reader, model in one.readers():
+                every_twice = pool + pool
+                rng.shuffle(every_twice)
+                batches = [every_twice] + [
+                    rng.choices(rng.sample(pool, 12), k=width)
+                    for width in (2, 3, 8, 9, 64, 256)
+                ]
+                for batch in batches:
+                    want = [model.get(k) for k in batch]
+                    assert reader.get_many(batch) == want, (name, len(batch))
+                    assert [reader.get(k) for k in batch] == want, name
+
     def test_one_scalar_probe_per_table_key(self, monkeypatch):
         """A batch probes the filter of every table a key lands in once
         per key with ``SuRF.lookup``, never with ``lookup_many``, and
@@ -275,8 +295,9 @@ class TestGetMany:
 
 class TestProbePlan:
     """What a point read touches, counted: the trim changed how the
-    kernel walks, not what it fetches, and every L0 table searched in
-    vain is one unit of read debt."""
+    kernel walks, not what it fetches, every L0 table a distinct key
+    searched in vain is one unit of read debt, and a batch pays for
+    each distinct key once."""
 
     @pytest.fixture(params=sorted(FILTERS))
     def stacked(self, request, monkeypatch):
@@ -305,7 +326,7 @@ class TestProbePlan:
                 before = db._read_debt
                 read(key)
                 assert db._read_debt - before == wasted, (source, filter_name)
-        # A batch owes the sum of its keys' debts.
+        # A batch owes the sum of its distinct keys' debts.
         before = db._read_debt
         db.get_many([encode_u64(8 * i + t) for i in (3, 4) for t in range(8)])
         assert db._read_debt - before == 2 * (0 + 1 + 2 + 3 + 4 + 5 + 5 + 5)
@@ -317,8 +338,8 @@ class TestProbePlan:
         with db.snapshot() as snap:
             before = db._read_debt
             snap.get(key)
-            snap.get_many([key, key])
-            assert db._read_debt - before == 15  # the current layout's tables
+            snap.get_many([key, key])  # owes what get_many([key]) owes: 5
+            assert db._read_debt - before == 10  # the current layout's tables
             db.put_many([(encode_u64(8 * i + 3), "newer") for i in range(64)])
             assert len(db.levels[0]) == 6  # the layout moved on
             before = db._read_debt
@@ -326,10 +347,11 @@ class TestProbePlan:
             assert db._read_debt == before
 
     def test_fetches_are_those_of_scalar_get(self, stacked):
-        """One filter probe per (table, key) and one cache access per
-        (table, block) a batch lands in — the blocks a ``get`` loop over
-        the same keys touches, each once — at every width, the
-        singleton path included; ``get_many`` of one key is ``get``."""
+        """One filter probe per (table, distinct key) and one cache
+        access per (table, block) a batch lands in — the probes and the
+        blocks of a ``get`` loop over the batch's distinct keys, each
+        block once — at every width, the singleton path included;
+        ``get_many`` of one key is ``get``."""
         db, filter_name = stacked
         rng = random.Random(3)
         keys = [encode_u64(8 * rng.randrange(1, 63) + rng.randrange(8)) for _ in range(256)]
@@ -346,7 +368,8 @@ class TestProbePlan:
                 batch = keys[i : i + width]
                 db.io.reset()
                 del touched[:]
-                want = [db.get(k) for k in batch]
+                answers = {k: db.get(k) for k in dict.fromkeys(batch)}
+                want = [answers[k] for k in batch]
                 blocks, probes = set(touched), (db.io.filter_probes, db.io.filter_negatives)
                 assert db.io.block_reads + db.io.cache_hits == len(touched)
                 db.io.reset()
@@ -355,6 +378,26 @@ class TestProbePlan:
                 assert (db.io.filter_probes, db.io.filter_negatives) == probes, (width, filter_name)
                 assert sorted(touched) == sorted(blocks), (width, filter_name)
                 assert db.io.block_reads + db.io.cache_hits == len(blocks)
+
+    def test_a_repeated_key_probes_each_candidate_table_once(self, stacked):
+        """256 copies of one key cost what one copy costs: one filter
+        probe per candidate table (without a filter, one block search
+        per candidate), and one unit of debt per L0 table searched in
+        vain."""
+        db, filter_name = stacked
+        # key 8*9 + t: sources 0..t are searched (t = 6 lives in L1 too,
+        # t = 7 nowhere: all five L0 tables and the L1 table).
+        for t, candidates in ((0, 1), (2, 3), (4, 5), (5, 6), (6, 6), (7, 6)):
+            key = encode_u64(8 * 9 + t)
+            answer = db.get(key)
+            db.io.reset()
+            before = db._read_debt
+            assert db.get_many([key] * 256) == [answer] * 256
+            assert db._read_debt - before == min(t, 5), (t, filter_name)
+            if filter_name == "none":
+                assert db.io.block_reads + db.io.cache_hits == candidates, t
+            else:
+                assert db.io.filter_probes == candidates, (t, filter_name)
 
     def test_hot_and_cold_block_search_agree(self):
         """``Block.find`` bisects a hot block's key list itself; the

@@ -10,7 +10,9 @@ import tracemalloc
 
 import pytest
 
+from repro.filters.bloom import hash64
 from repro.surf import SuRF, surf_base, surf_hash, surf_mixed, surf_real
+from repro.surf.surf import _real_suffix_bits, suffix_at
 from repro.workloads import email_keys, random_u64_keys
 
 INT_KEYS = sorted(random_u64_keys(2000, seed=81))
@@ -225,6 +227,57 @@ class TestScalarBatchParity:
             for f in (built, SuRF.from_bytes(blob), SuRF.from_bytes(blob, copy=False)):
                 assert [f.lookup(q) for q in probes] == f.lookup_many(probes)
                 assert f.lookup_many(keys) == [k != deleted for k in keys]
+
+
+def helper_lookup(f: SuRF, key: bytes) -> bool:
+    """``SuRF.lookup`` spelled through its helpers: the oracle for the
+    checks that ``lookup`` makes inline."""
+    found = f.fst._lookup(key)
+    if found is None:
+        return False
+    rank, remaining = found
+    if f.is_deleted(rank):
+        return False
+    if f.hash_bits:
+        stored = suffix_at(f._hash_view, rank, f.hash_bits)
+        if hash64(key) & ((1 << f.hash_bits) - 1) != stored:
+            return False
+    if f.real_bits:
+        stored = suffix_at(f._real_view, rank, f.real_bits)
+        if _real_suffix_bits(remaining, f.real_bits) != stored:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(("name", "make"), VARIANTS, ids=[v[0] for v in VARIANTS])
+class TestInlineProbeParity:
+    """``lookup`` reads the tombstone bit and the suffix entries inline;
+    its answers are the helper-based expression's, bit for bit, with
+    and without tombstones, built and loaded."""
+
+    def test_inline_checks_equal_the_helpers(self, name, make):
+        rng = random.Random(89)
+        answers, suffix_rejects = set(), 0
+        for keys in (INT_KEYS, EMAIL_KEYS, ZERO_FF_KEYS, FF_AFTER_PREFIX_KEYS):
+            probes = keys + [perturb(rng, k) for k in keys if k] + [b""]
+            for tombstones in (False, True):
+                built = make(keys)
+                if tombstones:
+                    for k in keys[::3]:
+                        built.delete(k)
+                blob = built.to_bytes()
+                for f in (built, SuRF.from_bytes(blob), SuRF.from_bytes(blob, copy=False)):
+                    assert (f._tombstones is not None) == tombstones
+                    want = [helper_lookup(f, q) for q in probes]
+                    assert [f.lookup(q) for q in probes] == want, (name, tombstones)
+                    answers.update(want)
+                    if not tombstones:  # walk hits that a suffix turned down
+                        suffix_rejects += sum(
+                            f.fst._lookup(q) is not None and not hit
+                            for q, hit in zip(probes, want)
+                        )
+        assert answers == {False, True}
+        assert (suffix_rejects > 0) == (name != "base")
 
 
 class TestLookupManyAllocation:
