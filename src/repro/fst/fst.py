@@ -7,13 +7,17 @@ The dense/sparse cutoff follows the paper's size-ratio rule with
 ``R = 64`` by default: the cutoff is the largest level l such that
 ``dense_size(l) * R <= sparse_size(l)``.
 
-Navigation uses the customized rank/select structures of Section 3.6:
-rank blocks of 64 bits on the dense bitmaps and 512 bits on the sparse
-ones, select sampling rate 64 on S-LOUDS.  A point probe is one flat
-walk over memoryviews of exactly the arrays :meth:`FST.size_bits`
-counts (see :meth:`FST._lookup`); it ends at a terminal's *leaf rank*,
-its index in label order, which an index FST maps through its value
-column and SuRF uses to index its suffix columns and tombstones.
+The trie is its arrays: five ``uint64`` bitmaps, the S-Labels bytes,
+one ``uint32`` rank LUT per bitmap (Section 3.6: 64-bit blocks on the
+dense bitmaps, 512-bit on the sparse ones) and the S-LOUDS select
+samples (rate 64).  Every operation reads memoryviews of exactly the
+arrays :meth:`FST.size_bits` counts: a point probe is one flat walk
+with rank and select inlined (:meth:`FST._lookup`); the iterator, the
+range count and the leaf ranks call the rank/select functions of
+:mod:`repro.succinct.bitvector` on the same views.  A walk ends at a
+terminal's *leaf rank*, its index in label order, which an index FST
+maps through its value column and SuRF uses to index its suffix
+columns and tombstones.
 
 S-Labels are bytes.  The prefix-key label ``$`` is 0xFF at a node's
 first slot: a real 0xFF sorts last in its node, and a node holding
@@ -36,9 +40,16 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..bench.counters import COUNTERS
-from ..succinct.bitvector import BitVector, int_view
-from ..succinct.rank import RankSupport
-from ..succinct.select import SelectSupport, _select_in_word
+from ..succinct.bitvector import (
+    int_view,
+    next_one,
+    pack_bools,
+    rank1,
+    rank_lut,
+    select1,
+    select_in_word,
+    select_samples,
+)
 from .builder import PREFIX_LABEL, BuiltTrie, build_trie
 
 FANOUT = 256
@@ -49,6 +60,9 @@ DEFAULT_SIZE_RATIO = 64
 _DENSE_RANK_BLOCK = 64
 _SPARSE_RANK_BLOCK = 512
 _SELECT_SAMPLE = 64
+#: Bits per entry of the select block directory :meth:`FST.size_bits`
+#: charges; the walks read the S-LOUDS rank LUT in its place.
+_SELECT_DIRECTORY_BLOCK = 512
 
 #: The S-Labels byte of ``$``, the prefix-key label.
 DOLLAR = 0xFF
@@ -59,9 +73,10 @@ def _is_dollar(labels, start: int, end: int) -> bool:
     return end - start > 1 and bool(labels[start] == DOLLAR)
 
 
-def _ones_before(rank: RankSupport, i: int) -> int:
-    """Set bits in ``[0, i)``."""
-    return rank.rank1(i - 1) if i > 0 else 0
+def _ones_before(rank: tuple, i: int) -> int:
+    """Set bits in ``[0, i)`` of a bitmap given by its ``rank1``
+    arguments."""
+    return rank1(*rank, i - 1) if i > 0 else 0
 
 
 def _choose_dense_levels(trie: BuiltTrie, size_ratio: float) -> int:
@@ -161,19 +176,19 @@ class FST:
             np.bitwise_or.at(
                 bits, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
             )
-            bitmaps.append(BitVector(bits, dense_node_count * FANOUT))
+            bitmaps.append(bits)
         self.d_labels, self.d_haschild = bitmaps
         is_prefix = np.zeros(dense_node_count, dtype=np.uint8)
         is_prefix[node_of[~real]] = 1
-        self.d_isprefix = BitVector.from_bools(is_prefix)
+        self.d_isprefix = pack_bools(is_prefix)
         self.dense_node_count = dense_node_count
         self.dense_child_count = int(child.sum())
 
         # ---- sparse levels ----
         # uint8: PREFIX_LABEL (-1) wraps to DOLLAR (0xFF).
         self.s_labels = trie.labels[cut:].astype(np.uint8)
-        self.s_haschild = BitVector.from_bools(trie.has_child[cut:])
-        self.s_louds = BitVector.from_bools(trie.louds[cut:])
+        self.s_haschild = pack_bools(trie.has_child[cut:])
+        self.s_louds = pack_bools(trie.louds[cut:])
         self.sparse_node_count = int(trie.node_counts[dh:].sum())
 
     def _finish(
@@ -181,43 +196,45 @@ class FST:
         sparse_rank_block: int = _SPARSE_RANK_BLOCK,
         select_sample: int = _SELECT_SAMPLE,
     ) -> None:
-        """Build the rank/select supports over the encoded arrays and
-        bind the views :meth:`_lookup` walks (run after building and
-        after loading, :func:`~repro.fst.serialize.fst_from_bytes`)."""
-        self._d_labels_rank = RankSupport(self.d_labels, _DENSE_RANK_BLOCK)
-        self._d_haschild_rank = RankSupport(self.d_haschild, _DENSE_RANK_BLOCK)
-        self._d_isprefix_rank = RankSupport(self.d_isprefix, _DENSE_RANK_BLOCK)
-        self._s_haschild_rank = RankSupport(self.s_haschild, sparse_rank_block)
-        self._s_louds_rank = RankSupport(self.s_louds, sparse_rank_block)
-        select = None
-        if len(self.s_louds):
-            select = SelectSupport(self.s_louds, bit=1, sample_rate=select_sample)
-        self._s_louds_select = select
+        """Build the rank LUTs and the select samples over the encoded
+        words and bind the views every walk reads (run after building and
+        after loading, :func:`~repro.fst.serialize.fst_from_bytes`).
+
+        The views alias exactly the arrays :meth:`size_bits` counts; the
+        FST keeps no other table.
+        """
+        n_dense = self.dense_node_count * FANOUT
+        n_labels = len(self.s_labels)
+        bitmaps = (
+            (self.d_labels, n_dense, _DENSE_RANK_BLOCK),
+            (self.d_haschild, n_dense, _DENSE_RANK_BLOCK),
+            (self.d_isprefix, self.dense_node_count, _DENSE_RANK_BLOCK),
+            (self.s_haschild, n_labels, sparse_rank_block),
+            (self.s_louds, n_labels, sparse_rank_block),
+        )
+        #: ``rank1`` arguments of each bitmap: (words, bits, LUT, block).
+        ranks = [
+            (int_view(words), n_bits, int_view(rank_lut(words, n_bits, block)), block)
+            for words, n_bits, block in bitmaps
+        ]
+        self._rank_dl, self._rank_dh, self._rank_dp, self._rank_hc, _ = ranks
+        #: Word views of D-Labels, D-HasChild, D-IsPrefixKey, S-HasChild
+        #: and S-LOUDS.
+        self._dl, self._dh, self._dp, self._hc, self._louds = (rank[0] for rank in ranks)
+        dl_lut, dh_lut, dp_lut, hc_lut, louds_lut = (rank[2] for rank in ranks)
+        samples = int_view(select_samples(self.s_louds, n_labels, select_sample))
+        #: ``select1`` arguments over S-LOUDS: the sparse node starts.
+        self._select_louds = (self._louds, louds_lut, sparse_rank_block, samples, select_sample)
         #: Terminals in the dense levels: the leaf rank of the first
         #: sparse terminal.
-        self.dense_leaves = (
-            self._d_labels_rank.total_ones()
-            - self._d_haschild_rank.total_ones()
-            + self._d_isprefix_rank.total_ones()
-        )
-        # Zero-copy views that index to plain ints, aliasing exactly the
-        # arrays size_bits() counts: the walk keeps no table of its own.
+        self.dense_leaves = dl_lut[-1] - dh_lut[-1] + dp_lut[-1]
         self._walk = (
-            int_view(self.d_labels.words),
-            int_view(self.d_haschild.words),
-            int_view(self.d_isprefix.words),
-            int_view(self._d_labels_rank.lut),
-            int_view(self._d_haschild_rank.lut),
-            int_view(self._d_isprefix_rank.lut),
+            self._dl, self._dh, self._dp, dl_lut, dh_lut, dp_lut,
             self.dense_height,
             self.dense_node_count,
             self.s_labels,
             int_view(self.s_labels),
-            int_view(self.s_haschild.words),
-            int_view(self._s_haschild_rank.lut),
-            int_view(self.s_louds.words),
-            int_view(self._s_louds_rank.lut),
-            int_view(select.samples) if select else None,
+            self._hc, hc_lut, self._louds, louds_lut, samples,
             select_sample,
             sparse_rank_block,
             sparse_rank_block // 64,
@@ -228,30 +245,11 @@ class FST:
     # -- basic node navigation ---------------------------------------------------
 
     def _sparse_node_range(self, snode: int) -> tuple[int, int]:
-        """Label index range [start, end) of sparse node ``snode`` (0-based)."""
-        start = self._s_louds_select.select(snode + 1)
-        return start, self._louds_node_end(start)
-
-    def _louds_node_end(self, start: int) -> int:
-        """First S-LOUDS set bit after ``start`` (= node end), by local
-        word scanning — nodes are small, so this beats a second select."""
-        bv = self.s_louds
-        n = len(bv)
-        pos = start + 1
-        if pos >= n:
-            return n
-        word_idx = pos >> 6
-        word = bv.word(word_idx) >> (pos & 63)
-        if word:
-            return pos + ((word & -word).bit_length() - 1)
-        word_idx += 1
-        n_words = (n + 63) >> 6
-        while word_idx < n_words:
-            word = bv.word(word_idx)
-            if word:
-                return (word_idx << 6) + ((word & -word).bit_length() - 1)
-            word_idx += 1
-        return n
+        """Label index range [start, end) of sparse node ``snode``
+        (0-based): its S-LOUDS bit, and the next one (nodes are small,
+        so a word scan beats a second select)."""
+        start = select1(*self._select_louds, snode + 1)
+        return start, next_one(self._louds, start + 1, len(self.s_labels))
 
     # -- leaf ranks ------------------------------------------------------------------
 
@@ -259,22 +257,24 @@ class FST:
         """Leaf rank of the dense terminating label at ``pos``."""
         node = pos // FANOUT
         return (
-            self._d_isprefix_rank.rank1(node)
-            + self._d_labels_rank.rank1(pos)
-            - self._d_haschild_rank.rank1(pos)
+            rank1(*self._rank_dp, node)
+            + rank1(*self._rank_dl, pos)
+            - rank1(*self._rank_dh, pos)
             - 1
         )
 
     def _dense_prefix_leaf_rank(self, node: int) -> int:
         """Leaf rank of dense ``node``'s prefix key."""
-        before = node * FANOUT - 1
-        labels = self._d_labels_rank.rank1(before) if before >= 0 else 0
-        childs = self._d_haschild_rank.rank1(before) if before >= 0 else 0
-        return self._d_isprefix_rank.rank1(node) - 1 + labels - childs
+        first = node * FANOUT
+        return (
+            rank1(*self._rank_dp, node) - 1
+            + _ones_before(self._rank_dl, first)
+            - _ones_before(self._rank_dh, first)
+        )
 
     def _sparse_leaf_rank(self, idx: int) -> int:
         """Leaf rank of the sparse terminating label at ``idx``."""
-        return self.dense_leaves + idx - self._s_haschild_rank.rank1(idx)
+        return self.dense_leaves + idx - rank1(*self._rank_hc, idx)
 
     # -- point lookup -----------------------------------------------------------------
 
@@ -297,8 +297,7 @@ class FST:
 
         One flat LOUDS-DS walk (Sections 3.3-3.6) over the views bound
         by :meth:`_finish`.  Each level is a few word reads and integer
-        operations, with no call into the bit-vector, rank or select
-        objects:
+        operations, with no function call for rank or select:
 
         * rank is inlined as ``lut[block] + (word & mask).bit_count()``
           (plus the whole words before ``word`` in its block when the
@@ -391,7 +390,7 @@ class FST:
                     word = louds[w]
                     ones = word.bit_count()
                 start = (w << 6) + (
-                    (word & -word).bit_length() - 1 if j == 1 else _select_in_word(word, j)
+                    (word & -word).bit_length() - 1 if j == 1 else select_in_word(word, j)
                 )
             # Node end = the next S-LOUDS bit (nodes are small).
             p = start + 1
@@ -532,20 +531,20 @@ class FST:
             level = len(frames)
         else:  # past every entry: the whole root is before it
             level = 1
-            boundary = FANOUT if dense_height else self._louds_node_end(0)
+            boundary = FANOUT if dense_height else next_one(self._louds, 1, len(self.s_labels))
             total += self._terminals_before(0, boundary, 0, True)
         for level in range(level, self.height):
             # The HasChild bits before the boundary number the children
             # before it (level order; the root is node 0).
             if level - 1 < dense_height:
-                child = _ones_before(self._d_haschild_rank, boundary) + 1
+                child = _ones_before(self._rank_dh, boundary) + 1
             else:
-                child = self.dense_child_count + _ones_before(self._s_haschild_rank, boundary) + 1
+                child = self.dense_child_count + _ones_before(self._rank_hc, boundary) + 1
             snode = child - self.dense_node_count
             if level < dense_height:
                 boundary = child * FANOUT
             elif snode < self.sparse_node_count:
-                boundary = self._s_louds_select.select(snode + 1)
+                boundary = select1(*self._select_louds, snode + 1)
             else:
                 boundary = len(self.s_labels)
             total += self._terminals_before(level, boundary, child, False)
@@ -556,11 +555,11 @@ class FST:
         (``pos`` is a D-Labels bit or an S-Labels index); on a dense
         level, ``node``'s own prefix key counts ``with_prefix``."""
         if level >= self.dense_height:
-            return pos - _ones_before(self._s_haschild_rank, pos)
+            return pos - _ones_before(self._rank_hc, pos)
         return (
-            _ones_before(self._d_labels_rank, pos)
-            - _ones_before(self._d_haschild_rank, pos)
-            + _ones_before(self._d_isprefix_rank, node + with_prefix)
+            _ones_before(self._rank_dl, pos)
+            - _ones_before(self._rank_dh, pos)
+            + _ones_before(self._rank_dp, node + with_prefix)
         )
 
     # -- memory ---------------------------------------------------------------------------
@@ -568,24 +567,25 @@ class FST:
     def size_bits(self, value_bits: int = 0) -> int:
         """Encoded size in bits; ``value_bits`` charges per stored value
         (e.g. SuRF suffix width); pointer values are excluded as in the
-        paper's index measurements."""
-        dense = (
-            self.d_labels.size_bits()
-            + self.d_haschild.size_bits()
-            + self.d_isprefix.size_bits()
-            + self._d_labels_rank.size_bits()
-            + self._d_haschild_rank.size_bits()
-            + self._d_isprefix_rank.size_bits()
+        paper's index measurements.
+
+        Charged: the bitmaps' words, the S-Labels bytes, 32 bits per
+        rank LUT entry (not the total) and per select sample, and the
+        select's 32-bit block directory over S-LOUDS, one entry per 512
+        bits (the walks read the S-LOUDS rank LUT in its place).
+        """
+        ranks = (self._rank_dl, self._rank_dh, self._rank_dp, self._rank_hc)
+        louds, louds_lut, _block, samples, _rate = self._select_louds
+        n_labels = len(self.s_labels)
+        words = sum(len(rank[0]) for rank in ranks) + len(louds)
+        luts = sum(len(rank[2]) - 1 for rank in ranks) + len(louds_lut) - 1
+        directory = -(-n_labels // _SELECT_DIRECTORY_BLOCK)
+        return (
+            64 * words
+            + 8 * n_labels
+            + 32 * (luts + len(samples) + directory)
+            + self.n_keys * value_bits
         )
-        sparse = (
-            len(self.s_labels) * 8  # S-Labels byte sequence
-            + self.s_haschild.size_bits()
-            + self.s_louds.size_bits()
-            + self._s_haschild_rank.size_bits()
-            + self._s_louds_rank.size_bits()
-            + (self._s_louds_select.size_bits() if self._s_louds_select else 0)
-        )
-        return dense + sparse + self.n_keys * value_bits
 
     def memory_bytes(self) -> int:
         return (self.size_bits() + 7) // 8
@@ -673,13 +673,9 @@ class FstIterator:
         if level < fst.dense_height:
             start = node * FANOUT
             end = start + FANOUT
-            if fst.d_isprefix.get(node):
+            if fst._dp[node >> 6] >> (node & 63) & 1:
                 return (level, node, -1, start, end)
-            pos = start
-            d_labels = fst.d_labels
-            while pos < end and not d_labels.get(pos):
-                pos += 1
-            return (level, node, pos, start, end)
+            return (level, node, next_one(fst._dl, start, end), start, end)
         start, end = fst._sparse_node_range(node - fst.dense_node_count)
         return (level, node, start, start, end)
 
@@ -688,29 +684,24 @@ class FstIterator:
         level, node, pos, start, end = frame
         fst = self.fst
         if level < fst.dense_height:
-            p = start if pos < 0 else pos + 1
-            d_labels = fst.d_labels
-            while p < end:
-                if d_labels.get(p):
-                    return p
-                p += 1
-            return None
-        p = pos + 1
+            p = next_one(fst._dl, start if pos < 0 else pos + 1, end)
+        else:
+            p = pos + 1
         return p if p < end else None
 
     def _is_terminal(self, frame: tuple[int, int, int, int, int]) -> bool:
         level, node, pos, _s, _e = frame
         fst = self.fst
         if level < fst.dense_height:
-            return pos < 0 or not fst.d_haschild.get(pos)
-        return not fst.s_haschild.get(pos)
+            return pos < 0 or not fst._dh[pos >> 6] >> (pos & 63) & 1
+        return not fst._hc[pos >> 6] >> (pos & 63) & 1
 
     def _child_of(self, frame: tuple[int, int, int, int, int]) -> int:
         level, node, pos, _s, _e = frame
         fst = self.fst
         if level < fst.dense_height:
-            return fst._d_haschild_rank.rank1(pos)
-        return fst.dense_child_count + fst._s_haschild_rank.rank1(pos)
+            return rank1(*fst._rank_dh, pos)
+        return fst.dense_child_count + rank1(*fst._rank_hc, pos)
 
     def _descend_leftmost(self, node: int, level: int) -> None:
         """Push frames following smallest labels until a terminal."""
@@ -788,13 +779,8 @@ class FstIterator:
         if level < fst.dense_height:
             start = node * FANOUT
             end = start + FANOUT
-            p = start + byte
-            d_labels = fst.d_labels
-            while p < end:
-                if d_labels.get(p):
-                    return (level, node, p, start, end)
-                p += 1
-            return None
+            p = next_one(fst._dl, start + byte, end)
+            return (level, node, p, start, end) if p < end else None
         start, end = fst._sparse_node_range(node - fst.dense_node_count)
         s_labels = fst.s_labels
         for i in range(start + _is_dollar(s_labels, start, end), end):

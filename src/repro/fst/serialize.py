@@ -3,9 +3,10 @@
 The paper's flagship deployment persists one SuRF per SSTable next to
 the table file (Section 4.2), so filters must round-trip through bytes.
 The format is a little-endian header + the raw succinct arrays, each at
-the width :meth:`~repro.fst.fst.FST.size_bits` charges it (S-Labels one
-byte each); rank and select supports are derived structures and are
-rebuilt on load with the FST defaults.
+the width :meth:`~repro.fst.fst.FST.size_bits` charges it: each bitmap
+its bit count, byte count and ``uint64`` words, S-Labels one byte each.
+The rank LUTs and select samples are derived from the words and are
+rebuilt on load (``FST._finish``) with the FST defaults.
 
 An ``FST3`` blob carries a value column only for an index FST (values
 must be non-negative 64-bit integers, in leaf order); SuRF's trie has
@@ -16,8 +17,9 @@ tombstone bytes and the packed suffix words, both indexed by leaf rank
 (:mod:`repro.surf.surf`), around an ``FST3`` trie.
 
 Every length in a blob is checked against the bytes present: a
-truncated blob, or one with trailing bytes, raises ``ValueError``
-under both ``copy=True`` and ``copy=False``.
+truncated blob, one with trailing bytes, or a bitmap with a nonzero bit
+past its length (:func:`~repro.succinct.bitvector.check_padding`)
+raises ``ValueError`` under both ``copy=True`` and ``copy=False``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from array import array
 
 import numpy as np
 
-from ..succinct.bitvector import BitVector, int_view
+from ..succinct.bitvector import check_padding, int_view
 from .fst import FANOUT, FST
 
 MAGIC = b"FST3"
@@ -74,31 +76,31 @@ class _Reader:
         """``n`` u64 words as a view over the blob."""
         return np.frombuffer(self.take(8 * n), dtype=np.uint64)
 
-    def bitvector(self, copy: bool, n_bits: int) -> BitVector:
-        """A bit vector that must hold ``n_bits`` bits."""
+    def bitmap(self, copy: bool, n_bits: int) -> np.ndarray:
+        """The words of a bitmap that must hold ``n_bits`` bits."""
         bits, n_bytes = self.unpack(_BV_HEADER)
         if bits != n_bits or n_bytes != 8 * ((n_bits + 63) // 64):
             raise self.fail("bit vector length")
         # copy=False keeps an np.frombuffer view over the caller's
-        # buffer: read-only (so is the BitVector — it never mutates its
-        # words after construction) and aliasing the buffer's lifetime.
+        # buffer: read-only (the FST never writes its words) and
+        # aliasing the buffer's lifetime.
         words = self.u64_array(n_bytes // 8)
-        # BitVector.__init__ rejects nonzero padding, so a tampered
-        # buffer fails loudly here instead of silently corrupting
-        # rank/select.
+        # A tampered buffer fails loudly here instead of silently
+        # corrupting rank/select.
         try:
-            return BitVector(words.copy() if copy else words, n_bits)
+            check_padding(words, n_bits)
         except ValueError as exc:
             raise self.fail(str(exc)) from exc
+        return words.copy() if copy else words
 
     def done(self) -> None:
         if self.offset != len(self.buf):
             raise self.fail("trailing bytes")
 
 
-def _pack_bitvector(bv: BitVector) -> bytes:
-    words = bv.words.tobytes()
-    return _BV_HEADER.pack(len(bv), len(words)) + words
+def _pack_bitmap(words: np.ndarray, n_bits: int) -> bytes:
+    raw = words.tobytes()
+    return _BV_HEADER.pack(n_bits, len(raw)) + raw
 
 
 def fst_to_bytes(fst: FST) -> bytes:
@@ -106,6 +108,8 @@ def fst_to_bytes(fst: FST) -> bytes:
     flags = (_TRUNCATED if fst.truncated else 0) | (
         _HAS_VALUES if fst.values is not None else 0
     )
+    n_dense = fst.dense_node_count * FANOUT
+    n_labels = len(fst.s_labels)
     parts = [
         MAGIC,
         _FST_HEADER.pack(
@@ -117,13 +121,13 @@ def fst_to_bytes(fst: FST) -> bytes:
             fst.sparse_node_count,
             flags,
         ),
-        _pack_bitvector(fst.d_labels),
-        _pack_bitvector(fst.d_haschild),
-        _pack_bitvector(fst.d_isprefix),
-        _U64.pack(len(fst.s_labels)),
+        _pack_bitmap(fst.d_labels, n_dense),
+        _pack_bitmap(fst.d_haschild, n_dense),
+        _pack_bitmap(fst.d_isprefix, fst.dense_node_count),
+        _U64.pack(n_labels),
         fst.s_labels.tobytes(),
-        _pack_bitvector(fst.s_haschild),
-        _pack_bitvector(fst.s_louds),
+        _pack_bitmap(fst.s_haschild, n_labels),
+        _pack_bitmap(fst.s_louds, n_labels),
     ]
     if fst.values is not None:
         parts.append(np.asarray(fst.values, dtype=np.uint64).tobytes())
@@ -131,14 +135,14 @@ def fst_to_bytes(fst: FST) -> bytes:
 
 
 def fst_from_bytes(data, copy: bool = True) -> FST:
-    """Reconstruct an FST; rank/select supports are rebuilt.
+    """Reconstruct an FST; the rank LUTs and select samples are rebuilt.
 
-    ``copy=False`` is the zero-copy path: the bit-vector words, the
-    S-Labels and the value column are views aliasing ``data`` (read-only when ``data`` is,
-    e.g. over an mmap'd SSTable).  The caller owns the buffer's
-    lifetime; the FST never mutates these arrays, so sharing is safe.
-    Rank/select supports are still built fresh — they are derived,
-    engine-private, and small.
+    ``copy=False`` is the zero-copy path: the bitmap words, the S-Labels
+    and the value column are views aliasing ``data`` (read-only when
+    ``data`` is, e.g. over an mmap'd SSTable).  The caller owns the
+    buffer's lifetime; the FST never mutates these arrays, so sharing is
+    safe.  The rank LUTs and select samples are still built fresh — they
+    are derived, engine-private, and small.
     """
     r = _Reader(data, MAGIC, "FST")
     (
@@ -163,14 +167,14 @@ def fst_from_bytes(data, copy: bool = True) -> FST:
     fst.truncated = bool(flags & _TRUNCATED)
     fst._label_search = "binary"
 
-    fst.d_labels = r.bitvector(copy, dense_node_count * FANOUT)
-    fst.d_haschild = r.bitvector(copy, dense_node_count * FANOUT)
-    fst.d_isprefix = r.bitvector(copy, dense_node_count)
+    fst.d_labels = r.bitmap(copy, dense_node_count * FANOUT)
+    fst.d_haschild = r.bitmap(copy, dense_node_count * FANOUT)
+    fst.d_isprefix = r.bitmap(copy, dense_node_count)
     (n_labels,) = r.unpack(_U64)
     s_labels = np.frombuffer(r.take(n_labels), dtype=np.uint8)
     fst.s_labels = s_labels.copy() if copy else s_labels
-    fst.s_haschild = r.bitvector(copy, n_labels)
-    fst.s_louds = r.bitvector(copy, n_labels)
+    fst.s_haschild = r.bitmap(copy, n_labels)
+    fst.s_louds = r.bitmap(copy, n_labels)
     fst.values = None
     if flags & _HAS_VALUES:
         # Both forms index to plain ints; the view path aliases ``data``.

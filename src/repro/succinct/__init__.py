@@ -1,18 +1,23 @@
 """Succinct data-structure primitives (Chapter 3 substrate).
 
-Bit vectors with rank/select support, the LOUDS and DFUDS ordinal-tree
-codecs, and the succinct-trie baselines used in Figure 3.5.
+Bit vectors are ``uint64`` word arrays; rank, select and the next set
+bit are functions over those words and their ``uint32`` rank LUT and
+select samples (:mod:`.bitvector`).  The succinct-trie baselines of
+Figure 3.5 (:mod:`.baseline_tries`) are configurations of, or built on,
+the FST.
 """
 
-from .bitvector import BitVector, BitVectorBuilder, WORD_BITS
-from .rank import (
-    DENSE_RANK_BLOCK_BITS,
-    SPARSE_RANK_BLOCK_BITS,
-    RankSupport,
+from .bitvector import (
+    check_padding,
+    int_view,
+    next_one,
+    pack_bools,
+    rank1,
+    rank_lut,
+    select1,
+    select_in_word,
+    select_samples,
 )
-from .select import DEFAULT_SELECT_SAMPLE_RATE, SelectSupport
-from .louds import LoudsTree
-from .dfuds import DfudsTree
 
 
 def __getattr__(name: str):
@@ -25,16 +30,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BitVector",
-    "BitVectorBuilder",
-    "WORD_BITS",
-    "RankSupport",
-    "SelectSupport",
-    "LoudsTree",
-    "DfudsTree",
+    "check_padding",
+    "int_view",
+    "next_one",
+    "pack_bools",
+    "rank1",
+    "rank_lut",
+    "select1",
+    "select_in_word",
+    "select_samples",
     "TxTrie",
     "PathDecomposedTrie",
-    "DENSE_RANK_BLOCK_BITS",
-    "SPARSE_RANK_BLOCK_BITS",
-    "DEFAULT_SELECT_SAMPLE_RATE",
 ]

@@ -66,6 +66,10 @@ TORTURE_CONFIG = dict(
 #: Snapshot checks each reader makes after the writer's last op.
 READ_TAIL_CHECKS = 48
 
+#: Reads the fixed tail may make before the read-driven compaction of
+#: its one L0 table must have come due.
+READ_TAIL_CAP = 100_000
+
 
 def generate_write_ops(
     seed: int,
@@ -312,6 +316,47 @@ class _Torture:
         with self.lock:
             self.raw_checks += 1
 
+    # -- fixed tail --------------------------------------------------------
+
+    def _read_tail(self) -> None:
+        """A fixed tail after the threads, so that every round exercises
+        the read-driven compaction whatever the scheduler did before (the
+        compactor may have cleared L0 by count, or left it empty).
+
+        It rewrites the two smallest live keys with the values they hold
+        (the model does not change) and flushes them to one L0 table —
+        twice if the first flush's L0 was compacted by count — so L0
+        holds fewer tables than the count trigger wants.  Under a pinned
+        snapshot, it then reads a key no table holds, inside that table's
+        range, until the wasted probes make the compaction due, and
+        waits for the compactor.  The snapshot must still read the model.
+        """
+        engine = self.engine
+        model = model_after(self.ops, len(self.ops))
+        live = sorted(model)
+        absent = live[0] + b"\x00" if len(live) >= 2 else None
+        if absent is None or absent >= live[1]:
+            return  # no key range to read in vain: nothing to exercise
+        for _ in range(2):
+            for key in live[:2]:
+                engine.put(key, model[key])
+            engine.flush_memtable()
+            if engine.levels[0]:
+                break
+        with engine.snapshot() as snap:
+            ran, reads = engine.read_compaction_count, 0
+            while engine.compaction_backlog() == 0 and engine.read_compaction_count == ran:
+                if reads == READ_TAIL_CAP or engine.get(absent) is not None:
+                    self._fail("snapshot", snap.seq, f"get {absent!r}",
+                               "None, until the read debt comes due", reads)
+                    return
+                reads += 1
+            engine.wait_idle()
+            got = snap.scan(b"", len(model) + 1)
+            if got != sorted(model.items()):
+                self._fail("snapshot", snap.seq, "scan after the read-driven compaction",
+                           sorted(model.items()), got)
+
     # -- run ---------------------------------------------------------------
 
     def run(self) -> TortureResult:
@@ -327,6 +372,11 @@ class _Torture:
         writer.join()
         for t in readers:
             t.join()
+        if not self.failures:
+            try:
+                self._read_tail()
+            except Exception as exc:
+                self._fail("exception", self.applied, "read tail", "no exception", repr(exc))
         result = TortureResult(
             seed=self.seed,
             n_ops=len(self.ops),

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.succinct.rank import RankSupport
+from repro.fst import fst as fst_module
 from repro.testing import (
     FilterOracle,
     SortedOracle,
@@ -64,13 +64,15 @@ class TestSabotage:
     criterion of the harness."""
 
     def test_broken_rank_kernel_is_caught_and_shrunk(self, monkeypatch):
-        original = RankSupport.rank1
+        """The rank function seek, count_range and leaf_rank call (the
+        point walk inlines its own rank)."""
+        original = fst_module.rank1
 
-        def corrupted(self, i):
-            n = original(self, i)
-            return n + 1 if i >= 192 else n
+        def corrupted(*args):
+            n = original(*args)
+            return n + 1 if args[-1] >= 192 else n
 
-        monkeypatch.setattr(RankSupport, "rank1", corrupted)
+        monkeypatch.setattr(fst_module, "rank1", corrupted)
         ops = generate_ops(seed=0, n_ops=1500, keyspace="mixed")
         result = fuzz_structure("fst", ops, lambda: make_adapter("fst"))
         assert not result.ok, "corrupted rank kernel went undetected"
@@ -174,11 +176,11 @@ class TestCli:
         assert "btree" in out and "surf_base" in out
 
     def test_failing_run_writes_repro(self, tmp_path, capsys, monkeypatch):
-        original = RankSupport.rank1
+        original = fst_module.rank1
         monkeypatch.setattr(
-            RankSupport,
+            fst_module,
             "rank1",
-            lambda self, i: original(self, i) + (1 if i >= 192 else 0),
+            lambda *args: original(*args) + (1 if args[-1] >= 192 else 0),
         )
         rc = main(
             [

@@ -1,4 +1,9 @@
-"""Unit and property tests for bit vectors and rank/select supports."""
+"""Unit and property tests for bit vectors as word arrays and the rank,
+select and next-one functions over them.
+
+Every query is checked against a bit-by-bit oracle over the Python list
+of bits the words were packed from.
+"""
 
 import numpy as np
 import pytest
@@ -6,199 +11,245 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.succinct import (
-    BitVector,
-    BitVectorBuilder,
-    RankSupport,
-    SelectSupport,
+    int_view,
+    next_one,
+    pack_bools,
+    rank1,
+    rank_lut,
+    select1,
+    select_in_word,
+    select_samples,
 )
-from repro.succinct.select import _select_in_word
 
 
-class TestBitVector:
-    def test_empty(self):
-        bv = BitVector.from_bits([])
-        assert len(bv) == 0
-        assert bv.count_ones() == 0
+class Bits:
+    """A packed bit vector with its rank LUT and select samples, plus
+    the list of bits it came from (the oracle)."""
 
-    def test_from_bits_roundtrip(self):
-        bits = [1, 0, 1, 1, 0, 0, 1]
-        bv = BitVector.from_bits(bits)
-        assert len(bv) == 7
-        assert [bv[i] for i in range(7)] == bits
+    def __init__(self, bits, block_bits=64, rate=64):
+        self.bits = [int(b) for b in bits]
+        self.n = len(self.bits)
+        self.array = pack_bools(np.array(self.bits, dtype=np.uint8))
+        self.words = int_view(self.array)
+        self.lut_array = rank_lut(self.array, self.n, block_bits)
+        self.lut = int_view(self.lut_array)
+        self.samples_array = select_samples(self.array, self.n, rate)
+        self.block_bits = block_bits
+        self.rate = rate
 
-    def test_getitem_bounds(self):
-        bv = BitVector.from_bits([1, 0])
-        with pytest.raises(IndexError):
-            bv[2]
-        with pytest.raises(IndexError):
-            bv[-1]
+    @property
+    def total(self):
+        return self.lut[-1]
 
-    def test_word_boundary(self):
-        bits = [1] * 64 + [0] * 64 + [1, 1]
-        bv = BitVector.from_bits(bits)
-        assert bv[63] == 1
-        assert bv[64] == 0
-        assert bv[128] == 1
-        assert bv.count_ones() == 66
+    def rank1(self, i):
+        return rank1(self.words, self.n, self.lut, self.block_bits, i)
 
-    def test_zeros(self):
-        bv = BitVector.zeros(100)
-        assert len(bv) == 100
-        assert bv.count_ones() == 0
+    def select1(self, r):
+        return select1(self.words, self.lut, self.block_bits,
+                       int_view(self.samples_array), self.rate, r)
 
-    def test_append_run_and_lsb(self):
-        b = BitVectorBuilder()
-        b.append_run(1, 3)
-        b.append_run(0, 2)
-        b.append_bits_lsb(0b101, 3)
-        bv = b.build()
-        assert list(bv) == [1, 1, 1, 0, 0, 1, 0, 1]
 
-    def test_popcount_range_single_word(self):
-        bv = BitVector.from_bits([1, 0, 1, 1, 0, 1])
-        assert bv.popcount_range(0, 6) == 4
-        assert bv.popcount_range(1, 4) == 2
-        assert bv.popcount_range(3, 3) == 0
-
-    def test_popcount_range_multi_word(self):
-        bits = ([1, 0] * 100)[:193]
-        bv = BitVector.from_bits(bits)
-        assert bv.popcount_range(0, 193) == sum(bits)
-        assert bv.popcount_range(60, 130) == sum(bits[60:130])
-
-    def test_size_bits_word_aligned(self):
-        assert BitVector.from_bits([1] * 65).size_bits() == 128
+def complement(bits):
+    """The bits flipped: ``select1`` over it is select0 over ``bits``."""
+    return [1 - b for b in bits]
 
 
 def naive_rank1(bits, i):
     return sum(bits[: i + 1])
 
 
-class TestRankSupport:
+def naive_select1(bits, r):
+    return [i for i, b in enumerate(bits) if b][r - 1]
+
+
+def naive_next_one(bits, pos, end):
+    return next((i for i in range(pos, end) if bits[i]), end)
+
+
+class TestWords:
+    def test_empty(self):
+        bv = Bits([])
+        assert len(bv.array) == 0
+        assert bv.total == 0
+
+    def test_pack_roundtrip(self):
+        bits = [1, 0, 1, 1, 0, 0, 1]
+        bv = Bits(bits)
+        assert [(bv.words[i >> 6] >> (i & 63)) & 1 for i in range(7)] == bits
+
+    def test_word_boundary(self):
+        bits = [1] * 64 + [0] * 64 + [1, 1]
+        bv = Bits(bits)
+        assert [bv.rank1(i) for i in (63, 64, 128)] == [64, 64, 65]
+        assert bv.total == 66
+
+    def test_zeros(self):
+        bv = Bits([0] * 100)
+        assert len(bv.array) == 2
+        assert bv.total == 0
+
+    def test_in_block_counts_single_word(self):
+        """Ones in [start, stop) inside one word are a rank difference."""
+        bits = [1, 0, 1, 1, 0, 1]
+        bv = Bits(bits)
+        for start, stop in ((0, 6), (1, 4), (3, 3)):
+            got = bv.rank1(stop - 1) - (bv.rank1(start - 1) if start else 0)
+            assert got == sum(bits[start:stop])
+
+    @pytest.mark.parametrize("block_bits", [64, 512])
+    def test_in_block_counts_multi_word(self, block_bits):
+        bits = ([1, 0] * 100)[:193]
+        bv = Bits(bits, block_bits=block_bits)
+        assert bv.rank1(192) == sum(bits)
+        assert bv.rank1(129) - bv.rank1(59) == sum(bits[60:130])
+
+    def test_words_are_whole(self):
+        """A vector is charged whole words: 65 bits take two."""
+        assert len(pack_bools(np.ones(65, dtype=np.uint8))) == 2
+
+    def test_pack_bools_matches_per_bit_packing(self):
+        bits = [1, 0, 0, 1] * 33
+        words = [0] * ((len(bits) + 63) // 64)
+        for i, b in enumerate(bits):
+            words[i >> 6] |= b << (i & 63)
+        assert pack_bools(np.array(bits)).tolist() == words
+
+
+class TestRank:
     @pytest.mark.parametrize("block_bits", [64, 128, 512])
     def test_rank_matches_naive(self, block_bits):
         rng = np.random.default_rng(7)
         bits = list(rng.integers(0, 2, size=1500))
-        bv = BitVector.from_bits(bits)
-        rs = RankSupport(bv, block_bits=block_bits)
+        bv = Bits(bits, block_bits=block_bits)
         for i in range(0, 1500, 13):
-            assert rs.rank1(i) == naive_rank1(bits, i)
-            assert rs.rank0(i) == i + 1 - naive_rank1(bits, i)
+            assert bv.rank1(i) == naive_rank1(bits, i)
+            assert i + 1 - bv.rank1(i) == bits[: i + 1].count(0)
 
     def test_rank_last_position(self):
-        bits = [1, 1, 0, 1]
-        rs = RankSupport(BitVector.from_bits(bits), block_bits=64)
-        assert rs.rank1(3) == 3
-        assert rs.total_ones() == 3
+        bv = Bits([1, 1, 0, 1])
+        assert bv.rank1(3) == 3
+        assert bv.total == 3
 
     def test_empty_vector(self):
-        rs = RankSupport(BitVector.from_bits([]))
-        assert rs.total_ones() == 0
+        assert Bits([]).lut_array.tolist() == [0]
 
     def test_lut_size_accounting(self):
-        bv = BitVector.from_bits([1] * 1024)
-        assert RankSupport(bv, block_bits=512).size_bits() == 2 * 32
-        assert RankSupport(bv, block_bits=64).size_bits() == 16 * 32
+        words = pack_bools(np.ones(1024, dtype=np.uint8))
+        assert len(rank_lut(words, 1024, 512)) - 1 == 2
+        assert len(rank_lut(words, 1024, 64)) - 1 == 16
+
+    def test_block_must_be_whole_words(self):
+        with pytest.raises(ValueError, match="multiple of 64"):
+            rank_lut(pack_bools(np.ones(10, dtype=np.uint8)), 10, 96)
 
     @pytest.mark.parametrize("block_bits", [64, 512])
     def test_tables_stored_at_the_charged_width(self, block_bits):
         """The LUT is stored at the 32 bits per entry it is charged."""
-        bv = BitVector.from_bools(np.random.default_rng(3).random(3000) < 0.3)
-        rs = RankSupport(bv, block_bits=block_bits)
-        assert rs.lut.dtype == np.uint32
+        bits = np.random.default_rng(3).random(3000) < 0.3
+        assert rank_lut(pack_bools(bits), 3000, block_bits).dtype == np.uint32
 
 
-class TestSelectSupport:
-    def test_select1_matches_naive(self):
+class TestSelect:
+    @pytest.mark.parametrize("block_bits", [64, 512])
+    def test_select1_matches_naive(self, block_bits):
         rng = np.random.default_rng(11)
         bits = list(rng.integers(0, 2, size=2000))
-        bv = BitVector.from_bits(bits)
-        ss = SelectSupport(bv, bit=1, sample_rate=64)
-        positions = [i for i, b in enumerate(bits) if b]
-        for r in range(1, len(positions) + 1, 7):
-            assert ss.select(r) == positions[r - 1]
+        bv = Bits(bits, block_bits=block_bits, rate=64)
+        for r in range(1, sum(bits) + 1, 7):
+            assert bv.select1(r) == naive_select1(bits, r)
 
     def test_select0(self):
-        bits = [1, 0, 1, 0, 0, 1]
-        ss = SelectSupport(BitVector.from_bits(bits), bit=0)
-        assert ss.select(1) == 1
-        assert ss.select(2) == 3
-        assert ss.select(3) == 4
+        """select0 is select1 over the complement."""
+        bv = Bits(complement([1, 0, 1, 0, 0, 1]))
+        assert [bv.select1(r) for r in (1, 2, 3)] == [1, 3, 4]
 
     def test_select_out_of_range(self):
-        ss = SelectSupport(BitVector.from_bits([1, 0, 1]), bit=1)
+        bv = Bits([1, 0, 1])
         with pytest.raises(IndexError):
-            ss.select(0)
+            bv.select1(0)
         with pytest.raises(IndexError):
-            ss.select(3)
+            bv.select1(3)
 
     def test_select_across_words(self):
         bits = [0] * 200 + [1] + [0] * 200 + [1]
-        ss = SelectSupport(BitVector.from_bits(bits), bit=1, sample_rate=1)
-        assert ss.select(1) == 200
-        assert ss.select(2) == 401
+        bv = Bits(bits, rate=1)
+        assert bv.select1(1) == 200
+        assert bv.select1(2) == 401
 
     @pytest.mark.parametrize("rate", [1, 2, 16, 64])
     def test_sample_rates(self, rate):
-        bits = [1] * 300
-        ss = SelectSupport(BitVector.from_bits(bits), bit=1, sample_rate=rate)
+        bv = Bits([1] * 300, rate=rate)
         for r in (1, 150, 300):
-            assert ss.select(r) == r - 1
+            assert bv.select1(r) == r - 1
 
     @pytest.mark.parametrize("rate", [1, 8, 64, 256])
     @pytest.mark.parametrize("bit", [0, 1])
     def test_samples_match_per_sample_loop(self, rate, bit):
-        """The one-pass build stores the samples the per-sample loop it
-        replaced computed, on seeded vectors of every density."""
+        """The one-pass build stores the samples a per-sample loop
+        computes, on seeded vectors of every density (select0 samples
+        are those of the complement)."""
         rng = np.random.default_rng(rate * 2 + bit)
         for n_bits, density in ((5000, 0.06), (4097, 0.5), (1000, 0.97), (63, 0.5)):
-            bv = BitVector.from_bools(rng.random(n_bits) < density)
-            ss = SelectSupport(bv, bit=bit, sample_rate=rate)
-            expected = loop_samples(bv, bit, rate)
-            assert ss.samples.tolist() == expected
-            assert ss.samples.dtype == np.uint32
-            assert ss.total == int(np.count_nonzero(np.unpackbits(
-                bv.words.view(np.uint8), bitorder="little", count=n_bits
-            ) == bit))
+            bits = (rng.random(n_bits) < density).astype(int).tolist()
+            target = bits if bit else complement(bits)
+            bv = Bits(target, rate=rate)
+            assert bv.samples_array.tolist() == loop_samples(bv.array, n_bits, rate)
+            assert bv.samples_array.dtype == np.uint32
+            assert bv.total == sum(target)
 
 
-def loop_samples(bv, bit, rate):
+def loop_samples(array, n_bits, rate):
     """Select samples built one sample at a time: a cumulative popcount
     finds each sampled rank's word, and the offset is resolved in it."""
-    n_bits = len(bv)
     n_words = (n_bits + 63) // 64
-    words = [int(w) for w in bv.words[:n_words]]
-    if bit == 0:
-        words = [~w & ((1 << 64) - 1) for w in words]
-        if n_bits & 63:
-            words[-1] &= (1 << (n_bits & 63)) - 1
+    words = [int(w) for w in array[:n_words]]
     cum = np.cumsum([w.bit_count() for w in words]) if words else np.zeros(0, np.int64)
     total = int(cum[-1]) if n_words else 0
     samples = []
     for r in range(1, total + 1, rate):
         wi = int(np.searchsorted(cum, r, side="left"))
         before = int(cum[wi]) - words[wi].bit_count()
-        samples.append((wi << 6) + _select_in_word(words[wi], r - before))
+        samples.append((wi << 6) + select_in_word(words[wi], r - before))
     return samples
+
+
+class TestNextOne:
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_next_one_matches_naive(self, bits, data):
+        bv = Bits(bits)
+        n = len(bits)
+        for pos in range(n + 1):
+            end = data.draw(st.integers(pos, n))
+            assert next_one(bv.words, pos, end) == naive_next_one(bits, pos, end)
+
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_of_ones_are_next_one_over_the_complement(self, bits):
+        """The length of the run of ones at ``pos`` is the distance to
+        the next one of the complement."""
+        flipped = Bits(complement(bits))
+        for pos in range(len(bits)):
+            naive = 0
+            while pos + naive < len(bits) and bits[pos + naive]:
+                naive += 1
+            assert next_one(flipped.words, pos, len(bits)) - pos == naive
 
 
 class TestRankSelectProperties:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=600))
     @settings(max_examples=60, deadline=None)
     def test_rank_inverse_select(self, bits):
-        bv = BitVector.from_bits(bits)
-        rs = RankSupport(bv, block_bits=64)
-        ss = SelectSupport(bv, bit=1, sample_rate=8)
-        ones = sum(bits)
-        for r in range(1, ones + 1):
-            pos = ss.select(r)
-            assert bv.get(pos) == 1
-            assert rs.rank1(pos) == r
+        bv = Bits(bits, block_bits=64, rate=8)
+        for r in range(1, sum(bits) + 1):
+            pos = bv.select1(r)
+            assert bits[pos] == 1
+            assert bv.rank1(pos) == r
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=600))
     @settings(max_examples=60, deadline=None)
-    def test_rank1_plus_rank0(self, bits):
-        bv = BitVector.from_bits(bits)
-        rs = RankSupport(bv, block_bits=128)
+    def test_rank1_and_zeros_match_naive(self, bits):
+        bv = Bits(bits, block_bits=128)
         for i in range(0, len(bits), max(1, len(bits) // 10)):
-            assert rs.rank1(i) + rs.rank0(i) == i + 1
+            assert bv.rank1(i) == naive_rank1(bits, i)
+            assert i + 1 - bv.rank1(i) == bits[: i + 1].count(0)

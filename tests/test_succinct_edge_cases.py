@@ -1,186 +1,138 @@
 """Edge-case coverage for the succinct substrate (PR 1 bugfixes).
 
 Covers the bit-level hot-path contracts: rank bounds checking, padding
-validation on untrusted buffers, zero-select over padded last words,
-empty/single-bit vectors, builder bulk kernels, and the benchmark
-timer's minimum-resolution clamp.
+validation on untrusted buffers, zero-select over padded last words
+(select1 over a complement whose padding is cleared), empty/single-bit
+vectors, and the benchmark timer's minimum-resolution clamp.
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bench.harness import equi_cost, measure_ops
 from repro.fst import FST
-from repro.succinct import BitVector, BitVectorBuilder, RankSupport, SelectSupport
+from repro.succinct import check_padding, int_view, pack_bools, rank1, rank_lut, select1, select_samples
+
+
+def packed(bits, block_bits=64, rate=64):
+    """``(words, n_bits, lut, samples)`` of a list of bits: the views
+    ``rank1`` and ``select1`` read."""
+    arr = pack_bools(np.array(bits, dtype=np.uint8))
+    n = len(bits)
+    return (int_view(arr), n, int_view(rank_lut(arr, n, block_bits)),
+            int_view(select_samples(arr, n, rate)))
+
+
+def select(bits, r, rate=64):
+    words, _n, lut, samples = packed(bits, rate=rate)
+    return select1(words, lut, 64, samples, rate, r)
 
 
 class TestRankBounds:
     def setup_method(self):
-        self.bv = BitVector.from_bits([1, 0, 1, 1, 0])
-        self.rs = RankSupport(self.bv, block_bits=64)
+        self.bits = [1, 0, 1, 1, 0]
+        self.words, self.n, self.lut, _ = packed(self.bits)
+
+    def rank(self, i):
+        return rank1(self.words, self.n, self.lut, 64, i)
 
     def test_rank1_negative_raises(self):
         with pytest.raises(IndexError):
-            self.rs.rank1(-1)
+            self.rank(-1)
 
     def test_rank1_past_end_raises(self):
+        """Position n is padding (zero in the word): still out of range."""
         with pytest.raises(IndexError):
-            self.rs.rank1(len(self.bv))
+            self.rank(len(self.bits))
 
     def test_rank0_bounds(self):
+        """Zeros in [0, i] are ``i + 1 - rank1(i)``: the same bounds."""
         with pytest.raises(IndexError):
-            self.rs.rank0(-1)
+            self.rank(-1)
         with pytest.raises(IndexError):
-            self.rs.rank0(5)
+            self.rank(5)
 
     def test_in_range_still_works(self):
-        assert self.rs.rank1(4) == 3
-        assert self.rs.rank0(4) == 2
+        assert self.rank(4) == 3 == sum(self.bits)
+        assert 4 + 1 - self.rank(4) == 2 == self.bits.count(0)
 
 
 class TestPaddingValidation:
     def test_dirty_tail_bits_rejected(self):
         words = np.array([0xFF], dtype=np.uint64)  # bits 0-7 set
         with pytest.raises(ValueError, match="padding"):
-            BitVector(words, 4)  # bits 4-7 are padding and nonzero
+            check_padding(words, 4)  # bits 4-7 are padding and nonzero
 
     def test_dirty_extra_word_rejected(self):
         words = np.array([0b1, 0xDEAD], dtype=np.uint64)
         with pytest.raises(ValueError):
-            BitVector(words, 1)
+            check_padding(words, 1)
+
+    def test_too_few_words_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            check_padding(np.zeros(1, dtype=np.uint64), 65)
 
     def test_clean_extra_word_allowed(self):
         words = np.array([0b1, 0], dtype=np.uint64)
-        bv = BitVector(words, 1)
-        assert bv.count_ones() == 1
+        check_padding(words, 1)
+        assert rank_lut(words, 1, 64)[-1] == 1
 
     def test_exact_boundary_allowed(self):
         words = np.array([(1 << 64) - 1], dtype=np.uint64)
-        assert BitVector(words, 64).count_ones() == 64
+        check_padding(words, 64)
+        assert rank_lut(words, 64, 64)[-1] == 64
 
 
 class TestEmptyAndSingleBit:
     def test_empty_rank_select(self):
-        bv = BitVector.from_bits([])
-        rs = RankSupport(bv)
-        assert rs.total_ones() == 0
-        ss = SelectSupport(bv, bit=1)
-        assert ss.total == 0
+        words, _n, lut, samples = packed([])
+        assert lut[-1] == 0 and len(samples) == 0
         with pytest.raises(IndexError):
-            ss.select(1)
+            select1(words, lut, 64, samples, 64, 1)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_single_bit_vectors(self, bit):
-        bv = BitVector.from_bits([bit])
-        rs = RankSupport(bv, block_bits=64)
-        assert rs.rank1(0) == bit
-        assert rs.rank0(0) == 1 - bit
-        ss = SelectSupport(bv, bit=bit)
-        assert ss.total == 1
-        assert ss.select(1) == 0
-        other = SelectSupport(bv, bit=1 - bit)
-        assert other.total == 0
+        words, n, lut, _ = packed([bit])
+        assert rank1(words, n, lut, 64, 0) == bit
+        assert 1 - rank1(words, n, lut, 64, 0) == 1 - bit
+        # Selecting ``bit`` is select1 over the bits, or over their
+        # complement for a zero; the other value is not there at all.
+        target = [bit] if bit else [1 - bit]
+        assert packed(target)[2][-1] == 1
+        assert select(target, 1) == 0
+        other = [1 - b for b in target]
+        assert packed(other)[2][-1] == 0
 
 
 class TestZeroSelectWithPadding:
     def test_select0_ignores_padding_zeros(self):
-        # 70 bits: last word has 54 padding zeros that must not count.
+        # 70 bits: the last word has 58 padding zeros that must not
+        # count — the complement the zeros are selected from is packed
+        # from the 70 bits, so its padding is zero, and one complemented
+        # word by word (padding set) is rejected.
         bits = [1] * 65 + [0, 1, 0, 1, 0]
-        bv = BitVector.from_bits(bits)
-        ss = SelectSupport(bv, bit=0, sample_rate=2)
-        assert ss.total == 3
-        assert ss.select(1) == 65
-        assert ss.select(2) == 67
-        assert ss.select(3) == 69
+        flipped = [1 - b for b in bits]
+        arr = pack_bools(np.array(bits, dtype=np.uint8))
+        with pytest.raises(ValueError, match="padding"):
+            check_padding(~arr, len(bits))
+        check_padding(pack_bools(np.array(flipped, dtype=np.uint8)), len(bits))
+        assert packed(flipped, rate=2)[2][-1] == 3
+        assert [select(flipped, r, rate=2) for r in (1, 2, 3)] == [65, 67, 69]
         with pytest.raises(IndexError):
-            ss.select(4)
+            select(flipped, 4, rate=2)
 
     def test_select0_all_ones_partial_word(self):
-        bv = BitVector.from_bits([1] * 70)
-        ss = SelectSupport(bv, bit=0)
-        assert ss.total == 0
+        assert packed([0] * 70)[2][-1] == 0
 
 
 class TestSelectValidation:
     @pytest.mark.parametrize("rate", [0, -1, -64])
     def test_nonpositive_sample_rate_rejected(self, rate):
-        bv = BitVector.from_bits([1, 0, 1])
+        arr = pack_bools(np.array([1, 0, 1], dtype=np.uint8))
         with pytest.raises(ValueError, match="sample_rate"):
-            SelectSupport(bv, bit=1, sample_rate=rate)
-
-
-class TestBuilderBulkKernels:
-    def test_append_word_aligned(self):
-        b = BitVectorBuilder()
-        b.append_word(0xDEADBEEF, 32)
-        b.append_word((1 << 64) - 1)
-        bv = b.build()
-        assert len(bv) == 96
-        assert [bv.get(i) for i in range(32)] == [
-            (0xDEADBEEF >> i) & 1 for i in range(32)
-        ]
-        assert all(bv.get(i) for i in range(32, 96))
-
-    def test_append_word_unaligned_straddles_words(self):
-        b = BitVectorBuilder()
-        b.append(1)
-        b.append_word((1 << 64) - 1)  # straddles the word boundary
-        b.append_word(0, 3)
-        bv = b.build()
-        assert len(bv) == 68
-        assert bv.count_ones() == 65
-        assert bv.popcount_range(0, 65) == 65
-
-    def test_append_run_matches_per_bit(self):
-        fast, slow = BitVectorBuilder(), BitVectorBuilder()
-        for bit, count in [(1, 3), (0, 130), (1, 200), (0, 1), (1, 64)]:
-            fast.append_run(bit, count)
-            for _ in range(count):
-                slow.append(bit)
-        a, b = fast.build(), slow.build()
-        assert len(a) == len(b)
-        assert np.array_equal(a.words, b.words)
-
-    def test_from_words(self):
-        words = np.array([0b1011, 0b1], dtype=np.uint64)
-        builder = BitVectorBuilder.from_words(words, 65)
-        bv = builder.build()
-        assert len(bv) == 65
-        assert bv.count_ones() == 4
-        assert bv.get(64) == 1
-
-    def test_from_words_too_few_bits(self):
-        with pytest.raises(ValueError):
-            BitVectorBuilder.from_words([0], 65)
-
-    def test_extend_bools_unaligned(self):
-        b = BitVectorBuilder()
-        b.append(1)
-        b.extend_bools(np.array([0, 1] * 50, dtype=np.uint8))
-        bv = b.build()
-        assert len(bv) == 101
-        assert [bv.get(i) for i in range(101)] == [1] + [0, 1] * 50
-
-    def test_from_bools_matches_from_bits(self):
-        bits = [1, 0, 0, 1] * 33
-        a = BitVector.from_bools(np.array(bits))
-        b = BitVector.from_bits(bits)
-        assert len(a) == len(b)
-        assert np.array_equal(a.words, b.words)
-
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
-    @settings(max_examples=40, deadline=None)
-    def test_run_of_ones_matches_naive(self, bits):
-        bv = BitVector.from_bits(bits)
-        for pos in range(len(bits)):
-            naive = 0
-            while pos + naive < len(bits) and bits[pos + naive]:
-                naive += 1
-            assert bv.run_of_ones(pos) == naive
+            select_samples(arr, 3, rate)
 
 
 class TestSerializeCorruptPadding:
