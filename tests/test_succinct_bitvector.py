@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.succinct import (
+    check_padding,
     int_view,
     next_one,
     pack_bools,
@@ -114,6 +115,28 @@ class TestWords:
             words[i >> 6] |= b << (i & 63)
         assert pack_bools(np.array(bits)).tolist() == words
 
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_padding_is_clean(self, bits):
+        """Packing fills whole words and leaves every bit past the
+        length zero, so a packed vector passes the reader's check."""
+        array = pack_bools(np.array(bits, dtype=np.uint8))
+        assert len(array) == (len(bits) + 63) // 64
+        check_padding(array, len(bits))
+
+    def test_int_view_items_are_python_ints(self):
+        view = int_view(np.array([1, (1 << 64) - 1], dtype=np.uint64))
+        assert [type(x) for x in view] == [int, int]
+        assert view[1] == (1 << 64) - 1
+
+    def test_int_view_of_unaligned_blob_slice(self):
+        """A word array read out of a blob at an odd byte offset, as
+        the deserializer does, still indexes to its words."""
+        words = [0x0123456789ABCDEF, 5, (1 << 63) | 1]
+        blob = b"\x00\x00\x00" + np.array(words, dtype=np.uint64).tobytes()
+        array = np.frombuffer(blob, dtype=np.uint64, count=3, offset=3)
+        assert list(int_view(array)) == words
+
 
 class TestRank:
     @pytest.mark.parametrize("block_bits", [64, 128, 512])
@@ -147,6 +170,16 @@ class TestRank:
         """The LUT is stored at the 32 bits per entry it is charged."""
         bits = np.random.default_rng(3).random(3000) < 0.3
         assert rank_lut(pack_bools(bits), 3000, block_bits).dtype == np.uint32
+
+    def test_tables_read_only_the_first_n_bits(self):
+        """A clean trailing word, which the reader accepts, changes
+        neither table."""
+        bits = np.random.default_rng(5).random(130) < 0.5
+        array = pack_bools(bits)
+        longer = np.append(array, np.uint64(0))
+        check_padding(longer, 130)
+        assert rank_lut(longer, 130, 64).tolist() == rank_lut(array, 130, 64).tolist()
+        assert select_samples(longer, 130, 4).tolist() == select_samples(array, 130, 4).tolist()
 
 
 class TestSelect:
@@ -182,6 +215,13 @@ class TestSelect:
         for r in (1, 150, 300):
             assert bv.select1(r) == r - 1
 
+    def test_sparse_ones_span_many_blocks(self):
+        """Between two samples lie many rank blocks with no ones: the
+        bisect over the LUT, not a block scan, finds the right one."""
+        bits = ([1] + [0] * 999) * 12
+        bv = Bits(bits, block_bits=64, rate=4)
+        assert [bv.select1(r) for r in range(1, 13)] == [1000 * k for k in range(12)]
+
     @pytest.mark.parametrize("rate", [1, 8, 64, 256])
     @pytest.mark.parametrize("bit", [0, 1])
     def test_samples_match_per_sample_loop(self, rate, bit):
@@ -213,7 +253,31 @@ def loop_samples(array, n_bits, rate):
     return samples
 
 
+class TestSelectInWord:
+    @given(st.integers(1, (1 << 64) - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive(self, word, data):
+        k = data.draw(st.integers(1, word.bit_count()))
+        naive = [i for i in range(64) if (word >> i) & 1][k - 1]
+        assert select_in_word(word, k) == naive
+
+    def test_missing_one_raises(self):
+        with pytest.raises(ValueError, match="k set bits"):
+            select_in_word(0b1011, 4)
+        with pytest.raises(ValueError):
+            select_in_word(0, 1)
+
+
 class TestNextOne:
+    def test_ones_at_or_past_end_are_not_found(self):
+        bits = [0] * 10 + [1] + [0] * 60 + [1]
+        bv = Bits(bits)
+        assert next_one(bv.words, 0, 10) == 10
+        assert next_one(bv.words, 0, 11) == 10
+        assert next_one(bv.words, 11, 71) == 71
+        assert next_one(bv.words, 11, 72) == 71
+        assert next_one(bv.words, 5, 5) == 5
+
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=300), st.data())
     @settings(max_examples=60, deadline=None)
     def test_next_one_matches_naive(self, bits, data):
