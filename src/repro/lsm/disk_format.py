@@ -25,9 +25,12 @@ import functools
 import struct
 import sys
 import zlib
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Any, Iterator, Sequence
+
+from .fs import MappedFile
 
 #: Marker value for deletions (RocksDB tombstones).  Defined here, at
 #: the bottom of the lsm import graph, and re-exported by
@@ -130,8 +133,9 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 # -- entry blocks ------------------------------------------------------------
 
 
-# Block reads its little-endian offsets in place through
-# memoryview.cast("I"), which is native order and native size.
+# Block reads its little-endian offsets as array("I") words (a
+# fixed-width shape's through memoryview.cast("I")), which are native
+# order and native size.
 if sys.byteorder != "little" or struct.calcsize("I") != 4:
     raise ImportError(
         "repro.lsm needs a little-endian host with a 4-byte C unsigned int "
@@ -193,25 +197,30 @@ def _fixed_offsets(n: int, kw: int, vw: int) -> memoryview:
 
 #: Searches after which a cached block builds its key list: the list
 #: (with its offset-order check) costs ~9 us and saves ~1.0 us per
-#: search after that — 1.2 us bisecting in place over the offset view,
-#: 0.2 us over the list; break-even 8.4-9.2 searches on a 64-entry
-#: block (EXPERIMENTS.md, "Blocks that open without decoding").
+#: ``first_ge`` after that — 1.2 us bisecting in place, 0.2 us over the
+#: list; break-even 8.4-9.2 searches on a 64-entry block
+#: (EXPERIMENTS.md, "Blocks that open without decoding").  Point reads
+#: (:meth:`Block.find`) search in place and never build it.
 _HOT_BLOCK_PROBES = 8
 
 
 class Block:
-    """One decoded SSTable block: a sorted run of ``(key, value)``.
+    """One SSTable block, opened in place over its table's buffer: a
+    sorted run of ``(key, value)``.
 
-    Owns a single ``bytes`` copy of the block payload plus a ``u32``
-    array of its field offsets: the stored offsets cast in place, or —
-    for a fixed-width block, which stores none — the array every block
-    of its ``(n, key width, value width)`` shares.  Keys are sliced and
-    values decoded only for the entries a caller touches, so a point
-    read that misses the block cache pays for one copy, a header unpack
-    and a bisect — not for decoding the offsets or building every
-    entry.  Everything handed out is a fresh ``bytes``/``int``/``str``
-    object: nothing aliases the payload's source buffer (an mmap'd
-    table file) or the cached block itself.
+    Holds the table's :class:`~repro.lsm.fs.MappedFile` (the mmap, or
+    the ``bytes`` snapshot on MemFS/FaultFS), the position of its
+    payload in that buffer, and a ``u32`` array of its field offsets —
+    the stored ones copied out (``4 (2n + 1)`` bytes), or, for a
+    fixed-width block, which stores none, the array every block of its
+    ``(n, key width, value width)`` shares.  A cached block is that
+    handle, at most a few hundred bytes, never a copy of the payload.  Keys are sliced and
+    values decoded only for the entries a caller touches, and slicing
+    an mmap or a ``bytes`` copies: everything handed out is a fresh
+    ``bytes``/``int``/``str`` object that aliases neither the map nor
+    the block.  Once the map is closed (its table dropped, or the
+    engine closed) every method raises ``ValueError`` instead of
+    answering.
 
     Opening checks that the header describes the payload — the widths'
     product or both ends of the stored offsets — not that each stored
@@ -220,20 +229,20 @@ class Block:
     :meth:`cells` or the hot key list — reaches it.
     """
 
-    __slots__ = ("_payload", "_n", "_off", "_raw", "_keys", "_probes")
+    __slots__ = ("_src", "_p", "_n", "_kw", "_off", "_raw", "_keys", "_probes")
 
-    def __init__(self, payload: bytes) -> None:
-        size = len(payload)
+    def __init__(self, src: MappedFile, start: int, end: int) -> None:
+        buf, size = src.buf, end - start
         if size < _BLOCK_HEADER.size:
             raise FrameError("truncated block payload")
-        n, kw, vw, flags = _BLOCK_HEADER.unpack_from(payload)
+        n, kw, vw, flags = _BLOCK_HEADER.unpack_from(buf, start)
         if flags & ~_RAW_BYTES:
             raise FrameError(f"unknown block flags {flags:#x}")
         if _VARIABLE in (kw, vw):
             base = _BLOCK_HEADER.size + 4 * (2 * n + 1)
             if base > size:
                 raise FrameError("block entry count out of range")
-            off = memoryview(payload)[_BLOCK_HEADER.size : base].cast("I")
+            off = array("I", buf[start + _BLOCK_HEADER.size : start + base])
             if off[0] != base or off[-1] != size:
                 raise FrameError("block offsets do not match payload size")
         else:
@@ -241,20 +250,33 @@ class Block:
             if _BLOCK_HEADER.size + n * (kw + vw) != size or (n > 1 and not kw):
                 raise FrameError("block widths do not match payload size")
             off = _fixed_offsets(n, kw, vw)
-        self._payload = payload
+        #: The table's buffer holder; ``_src.buf`` is None once closed.
+        self._src = src
+        #: Where the payload starts in ``_src.buf``: field offsets are
+        #: payload-relative, as stored.
+        self._p = start
         self._n = n
+        #: The key width, or ``_VARIABLE``.
+        self._kw = kw
         #: Field boundaries: key ``i`` at ``[off[i], off[i+1])``, value
         #: ``i`` at ``[off[n+i], off[n+i+1])``.
         self._off = off
         #: Values are ``bytes`` stored without their tag.
         self._raw = flags
-        #: The key column as a list, built once the block proves hot
-        #: (see :meth:`first_ge`); ``_probes`` counts searches so far.
+        #: The key column as a list, built once :meth:`first_ge` finds
+        #: the block hot; ``_probes`` counts its searches so far.
         self._keys: list[bytes] | None = None
         self._probes = 0
 
     def __len__(self) -> int:
         return self._n
+
+    def _buf(self):
+        """The table's buffer, or ``ValueError`` once its map is closed."""
+        buf = self._src.buf
+        if buf is None:
+            raise ValueError("block of a closed table map")
+        return buf
 
     def _offsets(self) -> list[int]:
         """Every field offset as a list, checked never to decrease —
@@ -265,14 +287,20 @@ class Block:
             raise FrameError("block offsets decrease")
         return off
 
+    def _payload(self) -> bytes:
+        """The payload as one transient copy, for the walks."""
+        return self._buf()[self._p : self._p + self._off[-1]]
+
+    def _value(self, buf, i: int) -> Any:
+        i += self._n
+        start, end = self._p + self._off[i], self._p + self._off[i + 1]
+        return buf[start:end] if self._raw else decode_value(buf, start, end)
+
     def key(self, i: int) -> bytes:
-        return self._payload[self._off[i] : self._off[i + 1]]
+        return self._buf()[self._p + self._off[i] : self._p + self._off[i + 1]]
 
     def value(self, i: int) -> Any:
-        i += self._n
-        if self._raw:
-            return self._payload[self._off[i] : self._off[i + 1]]
-        return decode_value(self._payload, self._off[i], self._off[i + 1])
+        return self._value(self._buf(), i)
 
     def __getitem__(self, i: int) -> tuple[bytes, Any]:
         if i < 0:
@@ -287,70 +315,118 @@ class Block:
         A cold block — most blocks, when the data outgrows the cache —
         is searched in place: a hand-rolled bisect slices only the ~6
         keys it visits (1.2 us on 64 entries), where building the key
-        list first costs 9 us.  A block that keeps being probed (a
-        cache-resident working set) has paid that difference after
-        ``_HOT_BLOCK_PROBES`` searches, so it then materializes the
-        list once and bisects it in C (0.2 us) from there on.
+        list first costs 9 us.  A block a cursor keeps landing in has
+        paid that difference after ``_HOT_BLOCK_PROBES`` searches, so it
+        then materializes the list once and bisects it in C (0.2 us)
+        from there on.
         """
+        buf = self._src.buf
+        if buf is None:
+            raise ValueError("block of a closed table map")
         keys = self._keys
         if keys is None:
-            payload, off = self._payload, self._off
+            p, off = self._p, self._off
             if self._probes < _HOT_BLOCK_PROBES:
                 self._probes += 1
                 lo, hi = 0, self._n
                 while lo < hi:
                     mid = (lo + hi) >> 1
-                    if payload[off[mid] : off[mid + 1]] < key:
+                    if buf[p + off[mid] : p + off[mid + 1]] < key:
                         lo = mid + 1
                     else:
                         hi = mid
                 return lo
-            off = self._offsets()
-            keys = self._keys = [
-                payload[a:b] for a, b in zip(off, off[1 : self._n + 1])
-            ]
+            off, payload = self._offsets(), self._payload()
+            keys = self._keys = [payload[a:b] for a, b in zip(off, off[1 : self._n + 1])]
         return bisect_left(keys, key)
 
     def find(self, key: bytes, default: Any = None) -> Any:
-        """The value stored under ``key``, else ``default``."""
-        keys = self._keys
-        if keys is not None:  # hot block: bisect its key list directly
-            i = bisect_left(keys, key)
-            if i < self._n and keys[i] == key:
-                return self.value(i)
+        """The value stored under ``key``, else ``default``.
+
+        Searched in place with one C-level ``find`` over the key column:
+        a match counts only where a key starts — at a multiple of the
+        width on a fixed-width column, else where the stored offsets
+        (bisected in C) have a key of ``key``'s length begin.
+        """
+        buf = self._src.buf
+        if buf is None:
+            raise ValueError("block of a closed table map")
+        n, off, p, kw = self._n, self._off, self._p, self._kw
+        lo, hi = p + off[0], p + off[n]
+        if kw != _VARIABLE:
+            if len(key) != kw or not n:
+                return default
+            if not kw:  # the lone empty key
+                return self._value(buf, 0)
+            pos = buf.find(key, lo, hi)
+            while pos >= 0:
+                i, skew = divmod(pos - lo, kw)
+                if not skew:
+                    return self._value(buf, i)
+                pos = buf.find(key, pos + kw - skew, hi)
             return default
-        i = self.first_ge(key)
-        if i < self._n and self.key(i) == key:
-            return self.value(i)
+        if not key:  # only the first key can be empty
+            return self._value(buf, 0) if n and off[0] == off[1] else default
+        pos = buf.find(key, lo, hi)
+        while pos >= 0:
+            # The last key starting at or before the match: a key that
+            # sorts after an empty first key shares its offset.
+            i = bisect_right(off, pos - p, 0, n) - 1
+            if off[i] == pos - p and off[i + 1] - off[i] == len(key):
+                return self._value(buf, i)
+            pos = buf.find(key, pos + 1, hi)
         return default
 
     def items(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, Any]]:
-        """Entries ``[start, stop)`` (to the end by default), in key order."""
-        for i in range(start, self._n if stop is None else stop):
-            yield self.key(i), self.value(i)
+        """Entries ``[start, stop)`` (to the end by default), in key order.
+
+        The map is checked when the walk starts: the engine's cursors
+        pin the table's version, so its map outlives every walk."""
+        buf, p, off, n, raw = self._buf(), self._p, self._off, self._n, self._raw
+        for i in range(start, n if stop is None else stop):
+            a, b = p + off[n + i], p + off[n + i + 1]
+            yield (
+                buf[p + off[i] : p + off[i + 1]],
+                buf[a:b] if raw else decode_value(buf, a, b),
+            )
 
     __iter__ = items
 
     def cells(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Entries ``[start, stop)`` as stored: ``(key, encoded value)``,
         nothing decoded — what a compaction carries to its output."""
-        n, off, cut = self._n, self._offsets(), self._payload.__getitem__
+        return zip(*self.columns(start, stop))
+
+    def columns(self, start: int = 0, stop: int | None = None) -> tuple[list[bytes], list[bytes]]:
+        """:meth:`cells` as two lists: the keys and their encoded values."""
+        n, off, payload = self._n, self._offsets(), self._payload()
+        cut = payload.__getitem__
         stop = n if stop is None else stop
         values = map(cut, map(slice, off[n + start : n + stop], off[n + start + 1 : n + stop + 1]))
         if self._raw:  # put the tag back: cells are encoded values
             values = map(_BYTES_TAG.__add__, values)
-        return zip(map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1])), values)
+        return list(map(cut, map(slice, off[start:stop], off[start + 1 : stop + 1]))), list(values)
 
 
-def decode_block(data: bytes) -> Block:
-    """Inverse of :func:`encode_block` over one framed block.
+def open_block(src: MappedFile, offset: int, length: int) -> Block:
+    """The block framed at ``[offset, offset + length)`` of ``src``,
+    opened in place: the frame's CRC is checked over the map slice and
+    nothing is copied."""
+    view = src.view
+    if view is None:
+        raise ValueError("block of a closed table map")
+    _, end = read_frame(view[offset : offset + length])
+    return Block(src, offset + _FRAME_HEADER.size, offset + end)
 
-    Accepts any bytes-like input (including a ``memoryview`` slice of
-    an mmap'd table file); the CRC is checked over the source buffer
-    and the payload is copied out of it exactly once.
+
+def decode_block(data) -> Block:
+    """Inverse of :func:`encode_block` over one standalone framed block.
+
+    A ``bytes`` input is immutable, so the block opens in place over
+    it; any other bytes-like input (a ``bytearray``, a ``memoryview``)
+    might change under the block, so it is copied once first.
     """
-    payload, _ = read_frame(data)
-    return Block(payload if isinstance(payload, bytes) else bytes(payload))
+    return open_block(MappedFile(data if isinstance(data, bytes) else bytes(data)), 0, len(data))
 
 
 # -- length-prefixed byte strings (for footers / manifests) ------------------

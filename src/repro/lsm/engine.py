@@ -88,7 +88,7 @@ import heapq
 import threading
 import time
 from bisect import bisect_left, bisect_right
-from itertools import islice, takewhile
+from itertools import chain, cycle, islice, takewhile
 from typing import Any, Callable, Iterator, Sequence
 
 from ..compact.node_cache import ClockNodeCache
@@ -105,7 +105,84 @@ from .sstable import (
     TOMBSTONE,
     table_file_name,
     write_sstable,
+    write_table,
 )
+
+
+def _blocks(tables: Sequence[SSTableBase]) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """The blocks of consecutive disjoint ``tables``, in key order and
+    uncached, each as its ``(keys, cells)`` columns (``Block.columns``)."""
+    for table in tables:
+        for idx in range(table.n_blocks):
+            keys, cells = table.read_block(idx).columns()
+            if keys:
+                yield keys, cells
+
+
+def _merge_blocks(
+    runs: list[Iterator[tuple[list[bytes], list[bytes]]]], drop_tombstones: bool
+) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Newest-wins merge of block cursors ``runs`` (newest first): each
+    key's cell from the newest run holding it, in key order, minus
+    tombstones if asked, as a stream of ``(keys, cells)`` columns.
+
+    One block per run is in hand.  Every step merges a *window*: each
+    run's entries up to the smallest last key among the blocks in hand
+    — no run can hold a smaller key in a later block — so at least one
+    block is used up per step.  The window is merged by dict update,
+    oldest run first so the newest write wins, and sorted: C loops,
+    not a heap step per entry; a window that one run fills alone is
+    passed on as its slices.
+    """
+    heads = [[*block, 0, blocks] for blocks in runs for block in islice(blocks, 1)]
+    while heads:
+        end = min(head[0][-1] for head in heads)
+        parts = []
+        for head in reversed(heads):  # oldest first: the newest write lands last
+            keys, cells, pos, _ = head
+            if keys[pos] <= end:
+                stop = head[2] = bisect_right(keys, end, pos)
+                parts.append((keys[pos:stop], cells[pos:stop]))
+        if len(parts) == 1:  # one run alone in the window: already merged
+            keys, cells = parts[0]
+        else:
+            window: dict[bytes, bytes] = {}
+            for part in parts:
+                window.update(zip(*part))
+            keys = sorted(window)
+            cells = list(map(window.__getitem__, keys))
+        if drop_tombstones and disk_format.TOMBSTONE_CELL in cells:
+            live = [i for i, cell in enumerate(cells) if cell != disk_format.TOMBSTONE_CELL]
+            keys, cells = [keys[i] for i in live], [cells[i] for i in live]
+        yield keys, cells
+        live_heads = []
+        for head in heads:
+            if head[2] == len(head[0]):
+                block = next(head[3], None)
+                if block is None:
+                    continue
+                head[:3] = *block, 0
+            live_heads.append(head)
+        heads = live_heads
+
+
+def _cut(
+    columns: Iterator[tuple[list[bytes], list[bytes]]], sizes: Iterator[int]
+) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    """Re-cut a stream of ``(keys, cells)`` columns into consecutive
+    pieces of the lengths ``sizes`` gives (the last may fall short)."""
+    keys: list[bytes] = []
+    cells: list[bytes] = []
+    size = next(sizes)
+    for more_keys, more_cells in columns:
+        keys += more_keys
+        cells += more_cells
+        while len(keys) >= size:
+            yield keys[:size], cells[:size]
+            del keys[:size], cells[:size]
+            size = next(sizes)
+    if keys:
+        yield keys, cells
 
 
 class IoStats:
@@ -1123,23 +1200,15 @@ class LSMTree:
         self._freeze()
         self.wait_idle(timeout=None)
 
-    def _build_table(self, keys: list[bytes], cells: list[bytes]) -> DiskSSTable:
-        """Build one table from sorted ``keys`` and their encoded values
-        (:meth:`~repro.lsm.disk_format.Block.cells`) as a table file
-        fsynced before this returns (invariant 1)."""
+    def _new_table(self, write: Callable[[str, int], None]) -> DiskSSTable:
+        """Build one table: allocate its id, let ``write(path,
+        table_id)`` write the file — fsynced before it returns
+        (invariant 1) — and open it."""
         with self._lock:
             tid = self._next_table_id
             self._next_table_id += 1
         file_path = join(self.path, table_file_name(tid))
-        write_sstable(
-            self._fs,
-            file_path,
-            keys,
-            cells,
-            tid,
-            block_entries=self._block_entries,
-            filter_factory=self._filter_factory,
-        )
+        write(file_path, tid)
         return DiskSSTable(
             self._fs, file_path, filter_factory=self._filter_factory, table_id=tid
         )
@@ -1228,7 +1297,12 @@ class LSMTree:
         # A memtable hands out its columns in key order: no sort, no
         # per-entry tuple, and each value is encoded exactly once.
         keys, values = frozen.data.columns()
-        table = self._build_table(keys, list(map(disk_format.encode_value, values)))
+        cells = list(map(disk_format.encode_value, values))
+        table = self._new_table(
+            lambda path, tid: write_sstable(
+                self._fs, path, keys, cells, tid, self._block_entries, self._filter_factory
+            )
+        )
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
@@ -1269,8 +1343,10 @@ class LSMTree:
             # Tombstones drop when the output lands on the bottom level.
             drop_tombstones = len(version.levels) <= level + 2
         new_tables = [
-            self._build_table(keys, cells)
-            for keys, cells in self._merge_tables(sources, overlapping, drop_tombstones)
+            self._new_table(
+                lambda path, tid: write_table(self._fs, path, blocks, tid, self._filter_factory)
+            )
+            for blocks in self._merge_tables(sources, overlapping, drop_tombstones)
         ]
         source_ids = {t.table_id for t in sources}
         overlap_ids = {t.table_id for t in overlapping}
@@ -1298,56 +1374,36 @@ class LSMTree:
 
     def _merge_tables(
         self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
-    ) -> Iterator[tuple[list[bytes], list[bytes]]]:
+    ) -> Iterator[Iterator[tuple[list[bytes], list[bytes]]]]:
         """Newest-wins merge of the runs ``newer`` (newest first, may
         overlap) into ``older`` (the next level's disjoint tables they
-        overlap, in key order): yields each output table as sorted
-        ``(keys, cells)`` columns, ``sstable_entries`` long except the
-        last.
+        overlap, in key order): yields each output table as an iterator
+        of its blocks' ``(keys, cells)`` columns in key order — tables
+        ``sstable_entries`` long except the last, cut into blocks of
+        ``block_entries`` from each table's start — each to be consumed
+        before the next is pulled, as the table writer does.
 
-        Entries travel as their blocks store them (``Block.cells``): an
+        Each run — every newer table, and ``older`` as one run — is a
+        cursor over its blocks (:func:`_blocks`), and
+        :func:`_merge_blocks` merges them newest run first: of the
+        versions of a key the newest wins, and a winning tombstone is
+        dropped when the output lands on the bottom level.  Entries
+        travel as their blocks store them (``Block.columns``): an
         encoded value is carried from the input block to the output
         block as the same bytes, never decoded or re-encoded, and a
         tombstone is recognised by its encoding
-        (:data:`~repro.lsm.disk_format.TOMBSTONE_CELL`).
-
-        The merge is partitioned along ``older``'s table boundaries.
-        A partition is one old table plus the slice of every newer run
-        below the next old table's ``min_key`` (found through the
-        fences), merged by dict update — oldest first, so the newest
-        write wins — and sorted on its own; what does not fill a table
-        is carried into the next partition.  Live objects stay
-        O(``sstable_entries`` + the newer runs' share of a partition)
-        where one dict over all the inputs was O(level).
+        (:data:`~repro.lsm.disk_format.TOMBSTONE_CELL`).  What the merge
+        holds is one block per run, the window it is emitting and the
+        output block being cut.
         """
-        size = self._sstable_entries
-        oldest_first = newer[::-1]
-
-        def partition(i: int, low: bytes | None, high: bytes | None):
-            # Its own scope: the dict is gone before the next one is built.
-            merged: dict[bytes, Any] = dict(older[i].cells_between(None, None)) if older else {}
-            for table in oldest_first:
-                merged.update(table.cells_between(low, high))
-            if not drop_tombstones:
-                keys = sorted(merged)
-            else:
-                keys = sorted([k for k, v in merged.items() if v != disk_format.TOMBSTONE_CELL])
-            return keys, list(map(merged.__getitem__, keys))
-
-        carry_keys: list[bytes] = []
-        carry_cells: list[Any] = []
-        low = None
-        for i, high in enumerate([t.min_key for t in older[1:]] + [None]):
-            keys, cells = partition(i, low, high)
-            carry_keys += keys
-            carry_cells += cells
-            full = len(carry_keys) - len(carry_keys) % size
-            for start in range(0, full, size):
-                yield carry_keys[start : start + size], carry_cells[start : start + size]
-            del carry_keys[:full], carry_cells[:full]
-            low = high
-        if carry_keys:
-            yield carry_keys, carry_cells
+        size, block = self._sstable_entries, self._block_entries
+        runs = [_blocks([table]) for table in newer] + [_blocks(older)]
+        # Every table is size // block full blocks and a short one for
+        # what remains.
+        per_table = [block] * (size // block) + [size % block] * (size % block > 0)
+        blocks = _cut(_merge_blocks(runs, drop_tombstones), cycle(per_table))
+        for first in blocks:
+            yield chain((first,), islice(blocks, len(per_table) - 1))
 
     # -- block access with simulated I/O ------------------------------------------------
 

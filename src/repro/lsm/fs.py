@@ -35,22 +35,28 @@ import threading
 class MappedFile:
     """A read-only, zero-copy view of one whole file.
 
-    ``view`` is a :class:`memoryview` over the file's bytes; slices of
-    it alias the mapping without copying, which is what lets every
-    shard process share one page-cache copy of each SSTable.
+    ``buf`` is the mapping itself (an ``mmap``, or an immutable
+    ``bytes`` snapshot on backends without one) and ``view`` a
+    :class:`memoryview` over it; slices of ``view`` alias the mapping
+    without copying, which is what lets every shard process share one
+    page-cache copy of each SSTable.  Blocks open in place over ``buf``
+    (:class:`~repro.lsm.disk_format.Block`), and slicing ``buf`` copies.
 
-    Ownership rule (see DESIGN.md "Buffer ownership"): any object built
-    over a slice of ``view`` — a block payload, a filter's
-    ``np.frombuffer`` arrays — keeps the underlying buffer alive via
-    the normal buffer protocol.  ``close()`` is therefore best-effort:
-    it drops this wrapper's references and *tolerates* outstanding
-    exports (``mmap.close`` raises :class:`BufferError` while views are
-    exported; on POSIX an unlinked-but-mapped file stays readable, so
-    the pages are simply reclaimed when the last view dies).
+    Ownership rule (see DESIGN.md "Buffer ownership"): an object built
+    over a slice of ``view`` — a filter's ``np.frombuffer`` arrays —
+    keeps the underlying buffer alive via the normal buffer protocol.
+    ``close()`` sets ``buf`` and ``view`` to None, so every block opened
+    over this file raises from then on, and closes the mapping; it
+    *tolerates* outstanding exports (``mmap.close`` raises
+    :class:`BufferError` while views are exported; on POSIX an
+    unlinked-but-mapped file stays readable, so the pages are simply
+    reclaimed when the last view dies).
     """
 
+    __slots__ = ("buf", "view", "closed")
+
     def __init__(self, buf) -> None:
-        self._buf = buf
+        self.buf = buf
         self.view: memoryview = memoryview(buf)
         self.closed = False
 
@@ -61,18 +67,16 @@ class MappedFile:
         if self.closed:
             return
         self.closed = True
-        view, self.view = self.view, None
-        if view is not None:
+        buf, view, self.buf, self.view = self.buf, self.view, None, None
+        try:
             view.release()
-        close = getattr(self._buf, "close", None)
-        if close is not None:
-            try:
+            close = getattr(buf, "close", None)
+            if close is not None:
                 close()
-            except BufferError:
-                # Outstanding views alias the mapping; the pages stay
-                # valid and are released when the last view is GC'd.
-                pass
-        self._buf = None
+        except BufferError:
+            # Outstanding views alias the mapping; the pages stay
+            # valid and are released when the last view is GC'd.
+            pass
 
 
 class WritableFile:
@@ -142,9 +146,9 @@ class _OsWritableFile(WritableFile):
         os.fsync(self._f.fileno())
 
     def close(self) -> None:
-        if not self._f.closed:
-            self._f.flush()
-            self._f.close()
+        # ``close`` flushes, and closes the descriptor even when that
+        # flush fails.
+        self._f.close()
 
 
 def _sync_dir(path: str) -> None:

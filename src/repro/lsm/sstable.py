@@ -5,11 +5,12 @@ An SSTable holds sorted key-value pairs divided into fixed-size blocks
 (first key of each block) form the fence index kept in the table cache;
 an optional filter (Bloom or SuRF) guards the table (Section 4.2).
 
-A table is a file written by :func:`write_sstable` and read through
-:class:`SSTableBase` by :class:`DiskSSTable`: only the footer (fences,
-offsets, filter) is resident, and ``read_block`` does a positioned
-read with CRC verification — the engine counts each one that misses
-its block cache as one I/O.
+A table is a file written block by block by :func:`write_table` (fed
+columns by :func:`write_sstable`) and read through :class:`SSTableBase`
+by :class:`DiskSSTable`: only the footer (fences, offsets, filter) is
+resident, and ``read_block`` opens a block in place over the table's
+map with CRC verification — the engine counts each one that misses its
+block cache as one I/O.
 
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
@@ -34,10 +35,11 @@ misparsed.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import struct
-from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, Sequence
+from bisect import bisect_right
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import disk_format
 from .disk_format import TOMBSTONE, Block, FrameError  # noqa: F401  (re-exported)
@@ -100,23 +102,12 @@ class SSTableBase:
         for idx in range(self.n_blocks):
             yield from self.read_block(idx)
 
-    def cells_between(
-        self, low: bytes | None, high: bytes | None
-    ) -> list[tuple[bytes, Any]]:
-        """Entries with ``low <= key < high`` (``None`` = unbounded) in
-        key order, as their blocks store them (:meth:`Block.cells`).
-        The fences pick the blocks, so only those the range touches are
-        read — uncached, like :meth:`items`."""
-        fences = self.fences
-        first = 0 if low is None else self.block_for(low)
-        last = len(fences) if high is None else bisect_left(fences, high)
-        out: list[tuple[bytes, Any]] = []
-        for idx in range(first, last):
-            block = self.read_block(idx)
-            start = block.first_ge(low) if low is not None and idx == first else 0
-            stop = block.first_ge(high) if high is not None and idx == last - 1 else None
-            out += block.cells(start, stop)
-        return out
+    def cells(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every entry in key order as its blocks store it
+        (:meth:`Block.cells`), one block at a time — uncached, like
+        :meth:`items`."""
+        for idx in range(self.n_blocks):
+            yield from self.read_block(idx).cells()
 
     def filter_memory_bytes(self) -> int:
         return self.filter.memory_bytes() if self.filter is not None else 0
@@ -171,6 +162,81 @@ def _decode_filter(tag: int, blob, keys_loader, filter_factory, copy: bool = Tru
     raise FrameError(f"unknown filter tag {tag}")
 
 
+def write_table(
+    fs: FileSystem,
+    path: str,
+    blocks: Iterable[tuple[Sequence[bytes], Sequence[bytes]]],
+    table_id: int,
+    filter_factory=None,
+) -> None:
+    """Write one table file from ``blocks`` — each one block's columns:
+    sorted, distinct keys and their encoded values
+    (:func:`~repro.lsm.disk_format.encode_value`), the keys ascending
+    across blocks — as blocks, filter, footer; then fsync.  The one
+    table build: a flush feeds it column slices
+    (:func:`write_sstable`), a compaction the blocks it cuts from its
+    merge.
+
+    Each block is encoded and appended as soon as it arrives, so what
+    the writer holds is the fences and block spans and — only when
+    ``filter_factory`` must build a filter over them at the end — the
+    key column.  On any failure the file handle is closed before the
+    error propagates; the partial file is an orphan no manifest names.
+
+    The file is complete and durable when this returns; visibility is
+    the manifest's job (a crash before the manifest install leaves an
+    orphan file that recovery garbage-collects).
+    """
+    f = fs.create(path)
+    try:
+        spans: list[tuple[int, int]] = []  # (offset, framed length) per block
+        fences: list[bytes] = []
+        column: list[bytes] | None = [] if filter_factory else None
+        pos, n, last = 0, 0, None
+        for keys, values in blocks:
+            if len(values) != len(keys):
+                raise ValueError("SSTable values must parallel keys")
+            if (last is not None and last >= keys[0]) or not all(map(operator.lt, keys, keys[1:])):
+                raise ValueError("SSTable keys must be sorted and distinct")
+            raw = disk_format.encode_block(keys, values)
+            f.append(raw)
+            spans.append((pos, len(raw)))
+            fences.append(keys[0])
+            pos, n, last = pos + len(raw), n + len(keys), keys[-1]
+            if column is not None:
+                column += keys
+        if not n:
+            raise ValueError("SSTable cannot be empty")
+        filter_tag, filter_blob = _encode_filter(filter_factory(column) if filter_factory else None)
+        filter_frame = disk_format.frame(bytes([filter_tag]) + filter_blob)
+        filter_offset = pos
+        f.append(filter_frame)
+
+        footer = bytearray()
+        footer += disk_format.pack_u64(table_id)
+        footer += disk_format.pack_u64(n)
+        footer += disk_format.pack_bytes(fences[0])
+        footer += disk_format.pack_bytes(last)
+        footer += disk_format.pack_u64(filter_offset)
+        footer += disk_format.pack_u64(len(filter_frame))
+        footer += disk_format.pack_u64(len(spans))
+        for (off, length), fence in zip(spans, fences):
+            footer += disk_format.pack_u64(off)
+            footer += disk_format.pack_u64(length)
+            footer += disk_format.pack_bytes(fence)
+        footer_frame = disk_format.frame(bytes(footer))
+        f.append(footer_frame)
+        f.append(struct.pack("<I", len(footer_frame)) + TABLE_MAGIC)
+        f.sync()
+    except BaseException:
+        # The write's own error is the one to report, not a second one
+        # the close of a failed file may raise.
+        with contextlib.suppress(Exception):
+            f.close()
+        raise
+    f.close()
+
+
 def write_sstable(
     fs: FileSystem,
     path: str,
@@ -180,57 +246,16 @@ def write_sstable(
     block_entries: int = DEFAULT_BLOCK_ENTRIES,
     filter_factory=None,
 ) -> None:
-    """Write one table file from two columns — sorted, distinct
-    ``keys`` and their already-encoded ``values``
-    (:func:`~repro.lsm.disk_format.encode_value`) — as blocks, filter,
-    footer; then fsync.
-
-    The file is complete and durable when this returns; visibility is
-    the manifest's job (a crash before the manifest install leaves an
-    orphan file that recovery garbage-collects).
-    """
+    """:func:`write_table` fed from two columns — sorted, distinct
+    ``keys`` and their already-encoded ``values`` — cut every
+    ``block_entries``, as a flush has them."""
     if not keys:
         raise ValueError("SSTable cannot be empty")
     if len(values) != len(keys):
         raise ValueError("SSTable values must parallel keys")
-    if not all(map(operator.lt, keys, keys[1:])):
-        raise ValueError("SSTable keys must be sorted and distinct")
-    flt = filter_factory(keys) if filter_factory else None
-    filter_tag, filter_blob = _encode_filter(flt)
-
-    f = fs.create(path)
-    offsets: list[tuple[int, int]] = []  # (offset, framed length) per block
-    fences = keys[::block_entries]
-    pos = 0
-    for i in range(0, len(keys), block_entries):
-        raw = disk_format.encode_block(
-            keys[i : i + block_entries], values[i : i + block_entries]
-        )
-        offsets.append((pos, len(raw)))
-        f.append(raw)
-        pos += len(raw)
-    filter_frame = disk_format.frame(bytes([filter_tag]) + filter_blob)
-    filter_offset = pos
-    f.append(filter_frame)
-    pos += len(filter_frame)
-
-    footer = bytearray()
-    footer += disk_format.pack_u64(table_id)
-    footer += disk_format.pack_u64(len(keys))
-    footer += disk_format.pack_bytes(keys[0])
-    footer += disk_format.pack_bytes(keys[-1])
-    footer += disk_format.pack_u64(filter_offset)
-    footer += disk_format.pack_u64(len(filter_frame))
-    footer += disk_format.pack_u64(len(offsets))
-    for (off, length), fence in zip(offsets, fences):
-        footer += disk_format.pack_u64(off)
-        footer += disk_format.pack_u64(length)
-        footer += disk_format.pack_bytes(fence)
-    footer_frame = disk_format.frame(bytes(footer))
-    f.append(footer_frame)
-    f.append(struct.pack("<I", len(footer_frame)) + TABLE_MAGIC)
-    f.sync()
-    f.close()
+    cut = range(0, len(keys), block_entries)
+    blocks = ((keys[i : i + block_entries], values[i : i + block_entries]) for i in cut)
+    write_table(fs, path, blocks, table_id, filter_factory)
 
 
 class DiskSSTable(SSTableBase):
@@ -245,9 +270,14 @@ class DiskSSTable(SSTableBase):
     so N shard processes share one page-cache copy of every filter.
 
     ``read_block`` checks each block frame's CRC over a ``memoryview``
-    slice of the mapping and copies the payload out once into a
-    :class:`~repro.lsm.disk_format.Block`, so nothing returned to
-    callers aliases the map.  ``close()`` is safe with views
+    slice of the mapping and opens the
+    :class:`~repro.lsm.disk_format.Block` in place over it: no payload
+    is copied, and what a block hands out is a fresh object, never a
+    view of the map.  A block keeps the :class:`~repro.lsm.fs.MappedFile`
+    it was opened over, so ``close()`` — once no version references
+    the table — ends every such block: each raises from then on, and a
+    later fetch maps the file again.  ``close()`` drops the filter
+    too, so its views let go of the map, and is safe with views still
     outstanding (see :class:`~repro.lsm.fs.MappedFile`).
     """
 
@@ -329,7 +359,7 @@ class DiskSSTable(SSTableBase):
         self._filter = _decode_filter(
             payload[0],
             payload[1:],  # memoryview slice: the filter aliases the map
-            keys_loader=lambda: [k for k, _ in self.cells_between(None, None)],
+            keys_loader=lambda: [k for k, _ in self.cells()],
             filter_factory=self._filter_factory,
             copy=False,
         )
@@ -376,10 +406,12 @@ class DiskSSTable(SSTableBase):
     def read_block(self, idx: int) -> Block:
         self._ensure_footer()
         off, length = self._block_spans[idx]
-        return disk_format.decode_block(self._ensure_map().view[off : off + length])
+        return disk_format.open_block(self._ensure_map(), off, length)
 
     def close(self) -> None:
-        """Release the mapping (tolerates outstanding views)."""
+        """Release the filter and the mapping (tolerates outstanding
+        views)."""
+        self._filter, self._filter_loaded = None, False
         if self._map is not None:
             self._map.close()
             self._map = None

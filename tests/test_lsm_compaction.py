@@ -19,7 +19,7 @@ tests pin the moving parts down one at a time:
 * read-driven compaction: wasted L0 probes are a second trigger that
   changes no answer, converges a read-only engine to an empty L0 with
   one compaction per L0 generation, and never fires under a
-  write-heavy mix; the partitioned merge it runs through writes the
+  write-heavy mix; the streaming merge it runs through writes the
   tables the whole-level merge wrote.
 """
 
@@ -604,7 +604,7 @@ class TestReadDrivenCompaction:
 
 
 def _reference_merge(newer, older, drop_tombstones, tombstone=TOMBSTONE):
-    """The whole-level merge the partitioned one replaced, over runs of
+    """The whole-level dict merge the streaming one replaced, over runs of
     ``(key, value)`` pairs (``newer`` newest first)."""
     merged = {}
     for run in older:
@@ -617,7 +617,7 @@ def _reference_merge(newer, older, drop_tombstones, tombstone=TOMBSTONE):
 
 def _cells(tables):
     """Each table's entries as its blocks store them: encoded values."""
-    return [table.cells_between(None, None) for table in tables]
+    return [table.cells() for table in tables]
 
 
 def _on_disk(fs, runs, first_id):
@@ -629,6 +629,15 @@ def _on_disk(fs, runs, first_id):
                       table_id, block_entries=4)
         out.append(DiskSSTable(fs, path))
     return out
+
+
+def _entries(blocks):
+    """One output table's ``(key, cell)`` entries from its block
+    columns, each block ``block_entries`` long but the table's last."""
+    blocks = list(blocks)
+    assert all(len(keys) == len(cells) for keys, cells in blocks)
+    assert len({len(keys) for keys, _ in blocks[:-1]}) <= 1
+    return [kv for keys, cells in blocks for kv in zip(keys, cells)]
 
 
 def _unusable(*args, **kwargs):
@@ -681,7 +690,9 @@ class TestPartitionedMerge:
         self, shape, drop_tombstones, monkeypatch
     ):
         """The merge carries each encoded value from its input block to
-        the output as the same bytes, and never calls the value codec."""
+        the output as the same bytes, and never calls the value codec.
+        It yields one iterator of block columns per output table, each
+        consumed before the next is pulled, as the table writer does."""
         universe = [encode_u64(i * 5) for i in range(400)]
         db = LSMTree(sstable_entries=self.SIZE, block_entries=4)
         for seed in range(25):
@@ -692,17 +703,17 @@ class TestPartitionedMerge:
             newer, older = _on_disk(fs, newer, 0), _on_disk(fs, older, len(newer))
             monkeypatch.setattr(disk_format, "encode_value", _unusable)
             monkeypatch.setattr(disk_format, "decode_value", _unusable)
-            chunks = list(db._merge_tables(newer, older, drop_tombstones))
+            chunks = [_entries(blocks) for blocks in db._merge_tables(newer, older, drop_tombstones)]
             monkeypatch.undo()
-            assert [kv for keys, cells in chunks for kv in zip(keys, cells)] == want, seed
-            assert all(len(keys) == self.SIZE for keys, _ in chunks[:-1]), seed
-            assert all(keys for keys, _ in chunks), seed  # never an empty table
+            assert [kv for chunk in chunks for kv in chunk] == want, seed
+            assert all(len(chunk) == self.SIZE for chunk in chunks[:-1]), seed
+            assert all(chunks), seed  # never an empty table
             if shape["n_older"] > 1:
                 assert max(t.n_entries for t in older) > self.SIZE
         db.close()
 
     def test_compaction_writes_the_same_tables_as_before(self):
-        """End to end: levels built through the partitioned merge hold
+        """End to end: levels built through the streaming merge hold
         what a whole-level merge of the same inputs would."""
         db = LSMTree(**{**CONFIG, "level_fanout": 2})
         rng = random.Random(4)
@@ -711,9 +722,9 @@ class TestPartitionedMerge:
         original = db._merge_tables
 
         def checked(newer, older, drop):
-            chunks = list(original(newer, older, drop))
+            chunks = [list(blocks) for blocks in original(newer, older, drop)]
             merges.append(len(older))
-            got = [kv for keys, cells in chunks for kv in zip(keys, cells)]
+            got = [kv for blocks in chunks for kv in _entries(blocks)]
             assert got == _reference_merge(
                 _cells(newer), _cells(older), drop, disk_format.TOMBSTONE_CELL
             )

@@ -12,7 +12,9 @@ import errno
 import json
 import os
 import random
+import threading
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -113,7 +115,9 @@ class TestDiskFormat:
         keys, cells = encode_pairs(pairs)
         blob = disk_format.encode_block(keys, cells)
         cold, hot = disk_format.decode_block(blob), disk_format.decode_block(blob)
-        assert (cold._off.obj is cold._payload, bool(cold._raw)) == (stored, raw)
+        # A block that stores offsets holds its own copy of them; any
+        # other shares its shape's.
+        assert (isinstance(cold._off, array), bool(cold._raw)) == (stored, raw)
         for _ in range(disk_format._HOT_BLOCK_PROBES):
             hot.first_ge(b"warm-up")
         assert list(cold) == pairs and list(hot) == pairs
@@ -238,44 +242,47 @@ class TestDiskFormat:
                 block.first_ge(b"a")
 
     def test_offsets_are_read_as_four_byte_words(self):
-        """Stored offsets are cast in place to native ``I``, which the
-        module checks at import is a little-endian u32.  A fixed-width
-        block stores none: every block of its shape shares one
-        read-only array of them."""
-        block = disk_format.decode_block(block_of(self.MIXED))
-        assert block._off.format == "I" and block._off.itemsize == 4
+        """Stored offsets are read as native ``I`` words, which the
+        module checks at import is a little-endian u32: the block holds
+        exactly the stored words, copied out of the payload.  A
+        fixed-width block stores none: every block of its shape shares
+        one read-only array of them."""
+        blob = block_of(self.MIXED)
+        block = disk_format.decode_block(blob)
+        assert block._off.typecode == "I" and block._off.itemsize == 4
         assert len(block._off) == 2 * len(self.MIXED) + 1
         assert block._off[0] == disk_format._BLOCK_HEADER.size + 4 * len(block._off)
-        assert block._off.obj is block._payload
+        head = 8 + disk_format._BLOCK_HEADER.size
+        assert block._off.tobytes() == blob[head : head + 4 * len(block._off)]
         a, b = (
             disk_format.decode_block(block_of([(encode_u64(i + j), j) for i in range(64)]))
             for j in (0, 1000)
         )
-        assert a._off is b._off and a._off.readonly and a._off.obj is not a._payload
+        assert a._off is b._off and a._off.readonly
         assert a._off.format == "I" and len(a._off) == 2 * 64 + 1
 
     @pytest.mark.parametrize("width", ["fixed", "stored"])
-    def test_a_cold_block_allocates_its_payload_and_a_constant(self, width):
-        """Opening a block copies the payload and casts a view of its
-        stored offsets — no per-entry objects — so a cached 64-entry
-        block is the payload plus a few hundred bytes (a list of its 129
-        offsets alone would be ~5 KiB).  A fixed-width block allocates
-        no offsets at all: it shares its shape's (the 129 words are 516
-        bytes)."""
+    def test_a_cached_block_holds_under_a_kibibyte(self, width):
+        """A block opens in place over its table's map: it copies no
+        payload and builds no per-entry objects, so what the block cache
+        holds for a 64-entry block is a handle — under 1 KiB with its
+        129 stored offsets (516 bytes), under 256 B for a fixed-width
+        block, which shares its shape's."""
         pairs = [(encode_u64(i), b"v" * (100 if width == "fixed" else i)) for i in range(64)]
-        raw = block_of(pairs)
-        source = memoryview(raw)  # what DiskSSTable.read_block hands in
-        payload_size = len(raw) - 8
-        disk_format.decode_block(source)  # warm-up
+        fs = MemFS()
+        write_pairs(fs, "t.sst", pairs, table_id=1)
+        table = DiskSSTable(fs, "t.sst")
+        table.read_block(0)  # warm-up: the map and the footer
         tracemalloc.start()
         try:
-            block = disk_format.decode_block(source)
+            block = table.read_block(0)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(block) == 64
-        assert held < payload_size + (512 if width == "fixed" else 1024), held
-        assert peak < payload_size + 2048, peak
+        assert list(block) == pairs
+        assert held < (256 if width == "fixed" else 1024), held
+        assert peak < 2048, peak
+        table.close()
 
 
 # -- WAL ---------------------------------------------------------------------
@@ -812,6 +819,112 @@ class TestWalFailStop:
         assert db.get(b"k001") == 1
         db.close()
         self._reopen_everywhere(fs, db, acked)
+
+
+class _FailingTable(_MemWritableFile):
+    """A table file whose ``at``-th append raises the filesystem's
+    ``error``, after noting the manifest files as they stood."""
+
+    def __init__(self, fs, path, at):
+        super().__init__(fs, path)
+        self.appends, self.at = 0, at
+
+    def append(self, data):
+        self.appends += 1
+        if self.appends == self.at:
+            self._fs.failed, self._fs.manifest_at_failure = self, _manifest_files(self._fs)
+            raise self._fs.error
+        super().append(data)
+
+
+class _TableFaultFS(MemFS):
+    """MemFS whose next table file created on the thread named
+    ``thread`` (any thread, if None) fails at its second append: after
+    its first block, mid-table."""
+
+    armed = False
+    thread = None
+    failed = None
+
+    def __init__(self):
+        super().__init__()
+        self.error = OSError(errno.EIO, "injected table append failure")
+
+    def create(self, path):
+        f = super().create(path)
+        if (self.armed and path.endswith(".sst")
+                and self.thread in (None, threading.current_thread().name)):
+            self.armed = False
+            return _FailingTable(self, path, at=2)
+        return f
+
+
+def _manifest_files(fs):
+    return {name: fs.read(join("db", name)) for name in fs.listdir("db")
+            if name.startswith(("MANIFEST", manifest_mod.CURRENT))}
+
+
+class TestTableWriterFailure:
+    """A table append that fails mid-table closes the writer's file
+    handle and changes nothing else: the error reaches the writer that
+    ran the flush, or parks in ``_bg_error`` for a background
+    compaction (every later write raises it); no manifest names the
+    partial file, and reopening collects it."""
+
+    @staticmethod
+    def _reopen(fs, orphan, n):
+        db = LSMTree.open("db", fs=fs, **CONFIG)
+        assert not fs.exists(orphan)
+        assert [db.get(b"k%03d" % i) for i in range(n)] == list(range(n))
+        db.close()
+
+    def test_in_a_flush(self):
+        fs = _TableFaultFS()
+        db = LSMTree.open("db", fs=fs, **CONFIG)
+        n = CONFIG["memtable_entries"]
+        for i in range(n - 1):
+            db.put(b"k%03d" % i, i)
+        before = _manifest_files(fs)
+        fs.armed = True
+        with pytest.raises(OSError) as raised:
+            db.put(b"k%03d" % (n - 1), n - 1)  # freezes, and flushes here
+        assert raised.value is fs.error and db._bg_error is fs.error
+        assert fs.failed._open is False
+        assert _manifest_files(fs) == before
+        orphan = fs.failed._path
+        assert fs.exists(orphan) and not db.levels[0]
+        db.close()
+        self._reopen(fs, orphan, n)
+
+    def test_in_a_background_compaction(self):
+        fs = _TableFaultFS()
+        db = LSMTree.open("db", fs=fs, **CONFIG, background=True)
+        n, i = CONFIG["memtable_entries"], 0
+        for _ in range(CONFIG["level0_limit"]):  # L0 at its limit: nothing to compact
+            for _ in range(n):
+                db.put(b"k%03d" % i, i)
+                i += 1
+            db.wait_idle()
+        assert db.compaction_count == 0
+        fs.armed, fs.thread = True, "lsm-compactor"
+        for _ in range(n):  # one flush more: the compactor runs, and fails
+            db.put(b"k%03d" % i, i)
+            i += 1
+        with pytest.raises(OSError) as raised:
+            db.wait_idle()
+        assert raised.value is fs.error and db._bg_error is fs.error
+        with pytest.raises(OSError) as again:
+            db.put(b"late", 1)
+        assert again.value is fs.error
+        assert fs.failed._open is False
+        # Nothing was installed after the failure, and what is installed
+        # still lists the compaction's sources, not the partial file.
+        assert _manifest_files(fs) == fs.manifest_at_failure
+        assert db.compaction_count == 0 and len(db.levels[0]) == CONFIG["level0_limit"] + 1
+        orphan = fs.failed._path
+        assert fs.exists(orphan)
+        db.close()
+        self._reopen(fs, orphan, i)
 
 
 def _check_recovery(fs, ops, started, acked, point):

@@ -400,19 +400,25 @@ class TestProbePlan:
                 assert db.io.filter_probes == candidates, (t, filter_name)
 
     def test_hot_and_cold_block_search_agree(self):
-        """``Block.find`` bisects a hot block's key list itself; the
-        answers are the cold in-place search's."""
+        """``Block.find`` searches the key column in place and never
+        builds the key list; ``first_ge`` builds it once a block is hot.
+        Point reads answer the same on cold blocks, on blocks probed
+        past ``_HOT_BLOCK_PROBES`` and on blocks whose list is built."""
         db = LSMTree.open("hot", fs=MemFS(), memtable_entries=64, block_entries=16)
         keys = [encode_u64(i * 2) for i in range(64)]
         db.put_many([(k, i) for i, k in enumerate(keys)])
         table = db.levels[0][0]
         probes = keys + [encode_u64(i * 2 + 1) for i in range(64)] + [b"", b"\xff" * 9]
         cold = [table.read_block(table.block_for(k)).find(k, "absent") for k in probes]
-        blocks = [table.read_block(i) for i in range(table.n_blocks)]
-        for _ in range(12):  # past _HOT_BLOCK_PROBES: key lists are built
-            hot = [blocks[table.block_for(k)].find(k, "absent") for k in probes]
-            assert hot == cold
-        assert all(block._keys is not None for block in blocks)
+        cold_ge = [table.read_block(table.block_for(k)).first_ge(k) for k in probes]
+        found = [table.read_block(i) for i in range(table.n_blocks)]
+        listed = [table.read_block(i) for i in range(table.n_blocks)]
+        for _ in range(12):  # past _HOT_BLOCK_PROBES
+            assert [found[table.block_for(k)].find(k, "absent") for k in probes] == cold
+            assert [listed[table.block_for(k)].first_ge(k) for k in probes] == cold_ge
+        assert all(block._keys is None for block in found)
+        assert all(block._keys is not None for block in listed)
+        assert [listed[table.block_for(k)].find(k, "absent") for k in probes] == cold
         db.close()
 
 

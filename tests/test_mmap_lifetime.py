@@ -12,10 +12,17 @@ for *lifetime* obligations, and these tests pin each one down:
 * compaction may unlink a mapped file while views are outstanding: the
   views stay valid (POSIX keeps unlinked-but-mapped pages), and
   ``close()`` tolerates the exported buffers;
+* a block opens in place over its table's map and hands out fresh
+  objects; once the last version holding a dropped table is released,
+  none of its blocks is cached, its map is closed, and a block kept
+  past that point raises instead of answering;
 * view-mode deserialization answers bit-for-bit like copy mode;
 * crash recovery (FaultFS torn-write views) runs through the same
   ``open_mmap`` path.
 """
+
+import gc
+import mmap
 
 import numpy as np
 import pytest
@@ -252,10 +259,12 @@ class TestViewLifetime:
         if fs_kind == "os":
             monkeypatch.chdir(tmp_path)  # engine paths are relative
         db, victim, held, n = self._grow_until_drop(fs)
-        # The file is gone but the held views still answer.
+        # The file is gone but the held views still answer; the block,
+        # opened over the now-closed map, refuses to.
         assert not fs.exists(victim.path)
         assert held["filter"].may_contain(encode_u64(0))
-        assert held["entries"][0] == (encode_u64(0), 0)
+        with pytest.raises(ValueError, match="closed"):
+            held["entries"][0]
         assert len(bytes(held["raw"])) == 16
         # And the engine itself is intact.
         for i in range(0, n, 97):
@@ -306,9 +315,11 @@ class TestViewLifetime:
         snap.release()
         assert not fs.exists(victim.path)
         # The held views outlive even the unlink-and-close (POSIX keeps
-        # unlinked-but-mapped pages; MemFS maps are bytes snapshots).
+        # unlinked-but-mapped pages; MemFS maps are bytes snapshots);
+        # the block read while the snapshot pinned it now raises.
         assert held["filter"].may_contain(first_key)
-        assert held["entries"][0] == (first_key, first_value)
+        with pytest.raises(ValueError, match="closed"):
+            held["entries"][0]
         assert len(bytes(held["raw"])) == 16
         # The live engine never noticed.
         for i in range(0, n, 97):
@@ -341,6 +352,130 @@ class TestViewLifetime:
         for i in range(300):
             assert db.get(encode_u64(i)) == i
         db.close()
+
+
+class TestInPlaceBlockLifetime:
+    """Blocks open in place over the table map (no payload copy), so a
+    block is only as good as its map: what keeps a map alive is a
+    version that references its table, and nothing else."""
+
+    def _engine(self, fs_kind, tmp_path, monkeypatch, **kw):
+        fs = MemFS() if fs_kind == "mem" else OsFileSystem()
+        if fs_kind == "os":
+            monkeypatch.chdir(tmp_path)  # engine paths are relative
+        db = LSMTree.open("db", fs=fs, **{**TINY_CONFIG, **kw})
+        _fill(db, 200)
+        db.wait_idle()
+        victim = next(t for level in db.levels for t in level)
+        return fs, db, victim
+
+    def _drop(self, db, victim, n=200):
+        while any(t is victim for level in db.levels for t in level):
+            _fill(db, 100, start=n)
+            n += 100
+            db.wait_idle()
+            assert n < 5000, "victim never compacted away"
+        return n
+
+    @pytest.mark.parametrize("fs_kind", ["mem", "os"])
+    def test_a_dropped_table_leaves_no_block_cached_and_its_map_closed(
+        self, fs_kind, tmp_path, monkeypatch
+    ):
+        fs, db, victim = self._engine(fs_kind, tmp_path, monkeypatch)
+        for i in range(0, 200, 7):  # fill the cache with the victim's blocks
+            assert db.get(encode_u64(i)) == i
+        tid, n_blocks = victim.table_id, victim.n_blocks
+        assert any((tid, idx) in db._block_cache for idx in range(n_blocks))
+        mapped = victim._map
+        self._drop(db, victim)
+        assert not any((tid, idx) in db._block_cache for idx in range(n_blocks))
+        assert mapped.closed and mapped.buf is None and victim._map is None
+        db.close()
+
+    @pytest.mark.parametrize("fs_kind", ["mem", "os"])
+    def test_a_block_kept_past_the_drop_raises_and_never_answers(
+        self, fs_kind, tmp_path, monkeypatch
+    ):
+        fs, db, victim = self._engine(fs_kind, tmp_path, monkeypatch)
+        block = victim.read_block(0)
+        key, value = block[0]
+        assert block.find(key) == value and isinstance(key, bytes)
+        self._drop(db, victim)
+        uses = (
+            lambda: block.find(key), lambda: block.first_ge(key), lambda: block.key(0),
+            lambda: block.value(0), lambda: block[0], lambda: list(block.items()),
+            lambda: list(block.cells()), lambda: block.columns(),
+        )
+        for use in uses:
+            with pytest.raises(ValueError, match="closed"):
+                use()
+        assert key == encode_u64(0)  # what it handed out before is its own
+        db.close()
+
+    @pytest.mark.parametrize("fs_kind", ["mem", "os"])
+    def test_a_snapshot_reads_through_its_blocks_across_the_compaction(
+        self, fs_kind, tmp_path, monkeypatch
+    ):
+        fs, db, victim = self._engine(fs_kind, tmp_path, monkeypatch, background=True)
+        snap = db.snapshot()
+        pinned = snap.scan(b"", 400)
+        blocks = [victim.read_block(i) for i in range(victim.n_blocks)]
+        before = [list(block) for block in blocks]
+        n = self._drop(db, victim)
+        # Out of the live version, yet pinned: its map is open, its
+        # blocks answer, and so does the snapshot through them.
+        assert not victim._map.closed
+        assert [list(block) for block in blocks] == before
+        assert snap.scan(b"", 400) == pinned
+        assert all(snap.get(k) == v for entries in before for k, v in entries)
+        snap.release()
+        with pytest.raises(ValueError, match="closed"):
+            blocks[0].find(before[0][0][0])
+        for i in range(0, n, 97):
+            assert db.get(encode_u64(i)) == i
+        db.close()
+
+    @pytest.mark.parametrize("fs_kind", ["mem", "os"])
+    def test_closing_a_map_with_blocks_and_views_out_leaks_no_buffer_error(
+        self, fs_kind, tmp_path, monkeypatch
+    ):
+        """``MappedFile.close()`` raises nothing while a filter's views
+        and blocks are out, and nothing is reported as unraisable when
+        they die afterwards."""
+        fs = MemFS() if fs_kind == "mem" else OsFileSystem()
+        path = "t.sst" if fs_kind == "mem" else str(tmp_path / "t.sst")
+        keys = [encode_u64(i) for i in range(200)]
+        write_sstable(fs, path, keys, [encode_value(i) for i in range(200)], table_id=7,
+                      block_entries=8, filter_factory=lambda ks: BloomFilter(ks, bits_per_key=10))
+        table = DiskSSTable(fs, path, table_id=7)
+        flt, block, mapped = table.filter, table.read_block(3), table._ensure_map()
+        raw = mapped.view[:16]
+        unraisable = []
+        monkeypatch.setattr("sys.unraisablehook", unraisable.append)
+        table.close()
+        assert mapped.closed and mapped.buf is None and mapped.view is None
+        assert flt.may_contain(keys[5])  # its views keep the pages
+        with pytest.raises(ValueError, match="closed"):
+            block.find(keys[24])
+        del flt, block, raw, mapped
+        gc.collect()
+        assert unraisable == []
+        # A later fetch maps the file again.
+        assert table.read_block(3).find(keys[24]) == 24
+        table.close()
+
+    def test_a_block_opened_over_a_real_mmap_hands_out_bytes(self, tmp_path):
+        fs = OsFileSystem()
+        path = str(tmp_path / "t.sst")
+        keys = [encode_u64(i) for i in range(64)]
+        write_sstable(fs, path, keys, [encode_value(b"v%d" % i) for i in range(64)], table_id=1)
+        table = DiskSSTable(fs, path)
+        block = table.read_block(0)
+        assert isinstance(table._map.buf, mmap.mmap)
+        for got in (block.key(3), block.value(3), *block[5], *block.cells(6, 7).__next__()):
+            assert type(got) is bytes
+        assert block.find(keys[9]) == b"v9"
+        table.close()
 
 
 # -- crash recovery over the mmap path ---------------------------------------

@@ -13,8 +13,10 @@ and WAL records are checked against the per-entry code they replaced.
   value and encodes each one once in the WAL and once at its flush.
 """
 
+import hashlib
 import random
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -24,6 +26,7 @@ from repro.filters.bloom import BloomFilter, hash64
 from repro.fst import FST, build_trie
 from repro.fst.builder import PREFIX_LABEL
 from repro.lsm import LSMTree, TOMBSTONE, disk_format, sstable
+from repro.lsm.sstable import DEFAULT_BLOCK_ENTRIES
 from repro.lsm import wal as wal_mod
 from repro.surf import SuRF, surf_hash, surf_mixed, surf_real
 from repro.surf.surf import _real_suffix_bits, suffix_at
@@ -244,6 +247,140 @@ def test_transient_memory_is_bounded_by_the_key_bytes():
         finally:
             tracemalloc.stop()
         assert peak < 100 * total, peak
+
+
+@pytest.mark.parametrize("filter_name", ["none", "surf_real"])
+def test_a_compaction_holds_blocks_not_tables(filter_name, tmp_path):
+    """One L0 -> L1 compaction of 16,384 entries (four 2,048-entry L0
+    tables, half of them updates, into two 4,096-entry L1 tables) on
+    real files: the merge holds one block per input run and the writer
+    the block it is cutting, so the traced peak stays under a few
+    blocks plus the output's fences — and, with a filter, the key
+    column of one output table plus what building its filter takes.
+    A merge that materializes a table (or a level) of entries holds
+    ~2 MiB here."""
+    factory = {"none": None, "surf_real": surf_real}[filter_name]
+    db = LSMTree.open(str(tmp_path / "db"), memtable_entries=2048, sstable_entries=4096,
+                      level0_limit=8, filter_factory=factory)
+    keys = random_u64_keys(12288, seed=9)
+
+    def load(batch, value):
+        for i in range(0, len(batch), 2048):
+            db.write_batch([(k, value) for k in batch[i : i + 2048]])
+            db.flush_memtable()
+
+    load(keys[:8192], b"a" * 32)
+    db._compact_level(0)
+    load(keys[4096:], b"b" * 32)
+    for table in db._version.tables():
+        table.fences, table.filter  # footers and filters resident, as when serving
+    assert [len(level) for level in db.levels] == [4, 2]
+    tracemalloc.start()
+    try:
+        db._compact_level(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(level) for level in db.levels] == [0, 3]
+    key, cell = keys[0], disk_format.encode_value(b"a" * 32)
+    entry = sys.getsizeof(key) + sys.getsizeof(cell) + 2 * 8  # two objects, two list slots
+    block = DEFAULT_BLOCK_ENTRIES * entry
+    fences = 16384 // DEFAULT_BLOCK_ENTRIES * (sys.getsizeof(key) + 8 + 128)  # fence, span
+    bound = 8 * block + fences
+    if factory is not None:
+        column = sorted(keys[:4096])
+        tracemalloc.start()
+        try:
+            factory(column)
+            _, build = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 16 * block + fences + 4096 * (sys.getsizeof(key) + 8) + build
+    assert peak < bound, (peak, bound)
+    assert db.get(keys[100]) == b"a" * 32 and db.get(keys[5000]) == b"b" * 32
+    db.close()
+
+
+class _TableRecorder(MemFS):
+    """MemFS that keeps the sha256 of every table file it held: taken
+    at removal, and of the survivors on :meth:`digests`."""
+
+    def __init__(self):
+        super().__init__()
+        self.tables = {}
+
+    def _record(self, path):
+        if path.endswith(".sst"):
+            self.tables[path.rsplit("/", 1)[-1]] = hashlib.sha256(self.read(path)).hexdigest()
+
+    def remove(self, path):
+        self._record(path)
+        super().remove(path)
+
+    def digests(self, path):
+        for name in self.listdir(path):
+            self._record(f"{path}/{name}")
+        return self.tables
+
+
+class TestCompactionOutputIdentity:
+    """Every table a seeded engine workload writes — flushes, L0 -> L1
+    keeping tombstones above a deeper level, L0 -> L1 and L1 -> L2
+    dropping them at the bottom — hashed file by file.  The values were
+    computed with the whole-level dict merge and the column writer the
+    streaming ones replaced: tables are byte-identical.  The first 500
+    writes have fixed-width values (fixed-width blocks), the rest mix
+    ints, strings, bytes and deletes (stored offsets, tags,
+    tombstones)."""
+
+    FILTERS = {
+        "none": None,
+        "bloom": lambda keys: BloomFilter(keys, bits_per_key=10),
+        "surf_real": lambda keys: surf_real(keys, real_bits=4),
+    }
+    #: sha256 over the sorted ``(file name, sha256 of the file)`` pairs
+    #: of the 27 table files each run writes.
+    DIGESTS = {
+        "none": "b0fb7260b687686d7de7f500dde1b063a4e024b8c44fe0ad591d3fc203159a51",
+        "bloom": "cf9a6c0188fc28d0c89c9949513bef7901992abaaee700401022c99b30779a32",
+        "surf_real": "b94e5a6d7a57923075bf28d996319831ddeabaa070c960cb2128283468d1ac3f",
+    }
+
+    @pytest.mark.parametrize("filter_name", list(FILTERS))
+    def test_every_table_file_is_pinned(self, filter_name):
+        fs = _TableRecorder()
+        db = LSMTree.open("db", fs=fs, memtable_entries=128, sstable_entries=96, block_entries=16,
+                          level0_limit=2, level_fanout=2, filter_factory=self.FILTERS[filter_name])
+        compactions = []
+        compact = db._compact_level
+
+        def logged(level):
+            compactions.append((level, len(db._version.levels) <= level + 2))
+            compact(level)
+
+        db._compact_level = logged
+        rng = random.Random(47)
+        for i in range(500):
+            db.put(encode_u64(rng.randrange(600)), b"%08d" % i)
+        for i in range(900):
+            key = encode_u64(rng.randrange(600))
+            roll = rng.random()
+            if roll < 0.25:
+                db.delete(key)
+            elif roll < 0.5:
+                db.put(key, i)
+            elif roll < 0.75:
+                db.put(key, "v" * rng.randrange(12))
+            else:
+                db.put(key, b"x" * rng.randrange(20))
+        db.flush_memtable()
+        # (level, tombstones dropped): both levels, both ways.
+        assert {(0, True), (0, False), (1, True)} <= set(compactions)
+        tables = fs.digests("db")
+        db.close()
+        assert len(tables) == 27
+        pairs = repr(sorted(tables.items())).encode()
+        assert hashlib.sha256(pairs).hexdigest() == self.DIGESTS[filter_name], tables
 
 
 # -- table files, blocks and WAL frames, byte for byte -----------------------------
