@@ -48,7 +48,7 @@ from typing import Any
 from ..lsm import manifest as lsm_manifest
 from ..lsm.disk_format import encode_value
 from ..lsm.fs import FileSystem, MemFS, join
-from ..lsm.sstable import table_file_name, write_sstable
+from ..lsm.sstable import column_blocks, table_file_name, write_sstable
 from ..lsm.wal import wal_file_name
 from ..server.client import (
     FencedError,
@@ -94,15 +94,12 @@ def build_snapshot(
             # L0 table, written exactly like the engine's own flushes.
             table_id = max(all_ids, default=-1) + 1
             buf = MemFS()
-            write_sstable(
-                buf,
-                "mem",
+            blocks = column_blocks(
                 [key for key, _ in mem],
                 [encode_value(value) for _, value in mem],
-                table_id,
-                block_entries=engine._block_entries,
-                filter_factory=engine._filter_factory,
+                engine._block_entries,
             )
+            write_sstable(buf, "mem", blocks, table_id, engine._filter_factory)
             files[table_file_name(table_id)] = buf.read("mem")
             levels[0].insert(0, table_id)
             all_ids.append(table_id)

@@ -26,7 +26,7 @@ import struct
 import sys
 import zlib
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import Any, Iterator, Sequence
 
@@ -195,15 +195,6 @@ def _fixed_offsets(n: int, kw: int, vw: int) -> memoryview:
     return memoryview(struct.pack(f"<{2 * n + 1}I", *words)).cast("I")
 
 
-#: Searches after which a cached block builds its key list: the list
-#: (with its offset-order check) costs ~9 us and saves ~1.0 us per
-#: ``first_ge`` after that — 1.2 us bisecting in place, 0.2 us over the
-#: list; break-even 8.4-9.2 searches on a 64-entry block
-#: (EXPERIMENTS.md, "Blocks that open without decoding").  Point reads
-#: (:meth:`Block.find`) search in place and never build it.
-_HOT_BLOCK_PROBES = 8
-
-
 class Block:
     """One SSTable block, opened in place over its table's buffer: a
     sorted run of ``(key, value)``.
@@ -225,11 +216,11 @@ class Block:
     Opening checks that the header describes the payload — the widths'
     product or both ends of the stored offsets — not that each stored
     pair is ordered (that would be a pass per cache miss): a decreasing
-    pair is a :class:`FrameError` once a walk over the offsets —
-    :meth:`cells` or the hot key list — reaches it.
+    pair is a :class:`FrameError` once a walk over the offsets — a
+    compaction's :meth:`cells` / :meth:`columns` — reaches it.
     """
 
-    __slots__ = ("_src", "_p", "_n", "_kw", "_off", "_raw", "_keys", "_probes")
+    __slots__ = ("_src", "_p", "_n", "_kw", "_off", "_raw")
 
     def __init__(self, src: MappedFile, start: int, end: int) -> None:
         buf, size = src.buf, end - start
@@ -263,10 +254,6 @@ class Block:
         self._off = off
         #: Values are ``bytes`` stored without their tag.
         self._raw = flags
-        #: The key column as a list, built once :meth:`first_ge` finds
-        #: the block hot; ``_probes`` counts its searches so far.
-        self._keys: list[bytes] | None = None
-        self._probes = 0
 
     def __len__(self) -> int:
         return self._n
@@ -280,8 +267,8 @@ class Block:
 
     def _offsets(self) -> list[int]:
         """Every field offset as a list, checked never to decrease —
-        for the walks that touch every field (the hot key list, a
-        compaction's :meth:`cells`), not for a point read."""
+        for the walk that touches every field (a compaction's
+        :meth:`columns`), not for a point read or a seek."""
         off = self._off.tolist()
         if off != sorted(off):
             raise FrameError("block offsets decrease")
@@ -310,35 +297,18 @@ class Block:
         return self.key(i), self.value(i)
 
     def first_ge(self, key: bytes) -> int:
-        """Index of the first entry with key >= ``key`` (len if none).
-
-        A cold block — most blocks, when the data outgrows the cache —
-        is searched in place: a hand-rolled bisect slices only the ~6
-        keys it visits (1.2 us on 64 entries), where building the key
-        list first costs 9 us.  A block a cursor keeps landing in has
-        paid that difference after ``_HOT_BLOCK_PROBES`` searches, so it
-        then materializes the list once and bisects it in C (0.2 us)
-        from there on.
-        """
-        buf = self._src.buf
-        if buf is None:
-            raise ValueError("block of a closed table map")
-        keys = self._keys
-        if keys is None:
-            p, off = self._p, self._off
-            if self._probes < _HOT_BLOCK_PROBES:
-                self._probes += 1
-                lo, hi = 0, self._n
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if buf[p + off[mid] : p + off[mid + 1]] < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                return lo
-            off, payload = self._offsets(), self._payload()
-            keys = self._keys = [payload[a:b] for a, b in zip(off, off[1 : self._n + 1])]
-        return bisect_left(keys, key)
+        """Index of the first entry with key >= ``key`` (len if none),
+        searched in place: the bisect slices only the ~log2(n) keys it
+        visits."""
+        buf, p, off = self._buf(), self._p, self._off
+        lo, hi = 0, self._n
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if buf[p + off[mid] : p + off[mid + 1]] < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def find(self, key: bytes, default: Any = None) -> Any:
         """The value stored under ``key``, else ``default``.

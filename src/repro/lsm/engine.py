@@ -89,7 +89,7 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from itertools import chain, cycle, islice, takewhile
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..compact.node_cache import ClockNodeCache
 from . import disk_format
@@ -103,9 +103,9 @@ from .sstable import (
     DiskSSTable,
     SSTableBase,
     TOMBSTONE,
+    column_blocks,
     table_file_name,
     write_sstable,
-    write_table,
 )
 
 
@@ -131,26 +131,19 @@ def _merge_blocks(
     — no run can hold a smaller key in a later block — so at least one
     block is used up per step.  The window is merged by dict update,
     oldest run first so the newest write wins, and sorted: C loops,
-    not a heap step per entry; a window that one run fills alone is
-    passed on as its slices.
+    not a heap step per entry.
     """
     heads = [[*block, 0, blocks] for blocks in runs for block in islice(blocks, 1)]
     while heads:
         end = min(head[0][-1] for head in heads)
-        parts = []
+        window: dict[bytes, bytes] = {}
         for head in reversed(heads):  # oldest first: the newest write lands last
             keys, cells, pos, _ = head
             if keys[pos] <= end:
                 stop = head[2] = bisect_right(keys, end, pos)
-                parts.append((keys[pos:stop], cells[pos:stop]))
-        if len(parts) == 1:  # one run alone in the window: already merged
-            keys, cells = parts[0]
-        else:
-            window: dict[bytes, bytes] = {}
-            for part in parts:
-                window.update(zip(*part))
-            keys = sorted(window)
-            cells = list(map(window.__getitem__, keys))
+                window.update(zip(keys[pos:stop], cells[pos:stop]))
+        keys = sorted(window)
+        cells = list(map(window.__getitem__, keys))
         if drop_tombstones and disk_format.TOMBSTONE_CELL in cells:
             live = [i for i, cell in enumerate(cells) if cell != disk_format.TOMBSTONE_CELL]
             keys, cells = [keys[i] for i in live], [cells[i] for i in live]
@@ -1200,15 +1193,15 @@ class LSMTree:
         self._freeze()
         self.wait_idle(timeout=None)
 
-    def _new_table(self, write: Callable[[str, int], None]) -> DiskSSTable:
-        """Build one table: allocate its id, let ``write(path,
-        table_id)`` write the file — fsynced before it returns
-        (invariant 1) — and open it."""
+    def _new_table(self, blocks: Iterable[tuple[Sequence[bytes], Sequence[bytes]]]) -> DiskSSTable:
+        """Build one table: allocate its id, write ``blocks`` to its
+        file (:func:`~repro.lsm.sstable.write_sstable`, fsynced before
+        it returns — invariant 1) and open it."""
         with self._lock:
             tid = self._next_table_id
             self._next_table_id += 1
         file_path = join(self.path, table_file_name(tid))
-        write(file_path, tid)
+        write_sstable(self._fs, file_path, blocks, tid, self._filter_factory)
         return DiskSSTable(
             self._fs, file_path, filter_factory=self._filter_factory, table_id=tid
         )
@@ -1298,11 +1291,7 @@ class LSMTree:
         # per-entry tuple, and each value is encoded exactly once.
         keys, values = frozen.data.columns()
         cells = list(map(disk_format.encode_value, values))
-        table = self._new_table(
-            lambda path, tid: write_sstable(
-                self._fs, path, keys, cells, tid, self._block_entries, self._filter_factory
-            )
-        )
+        table = self._new_table(column_blocks(keys, cells, self._block_entries))
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
@@ -1343,9 +1332,7 @@ class LSMTree:
             # Tombstones drop when the output lands on the bottom level.
             drop_tombstones = len(version.levels) <= level + 2
         new_tables = [
-            self._new_table(
-                lambda path, tid: write_table(self._fs, path, blocks, tid, self._filter_factory)
-            )
+            self._new_table(blocks)
             for blocks in self._merge_tables(sources, overlapping, drop_tombstones)
         ]
         source_ids = {t.table_id for t in sources}

@@ -5,8 +5,9 @@ An SSTable holds sorted key-value pairs divided into fixed-size blocks
 (first key of each block) form the fence index kept in the table cache;
 an optional filter (Bloom or SuRF) guards the table (Section 4.2).
 
-A table is a file written block by block by :func:`write_table` (fed
-columns by :func:`write_sstable`) and read through :class:`SSTableBase`
+A table is a file written block by block by :func:`write_sstable` (a
+flush feeds it :func:`column_blocks`, a compaction its merge's blocks)
+and read through :class:`SSTableBase`
 by :class:`DiskSSTable`: only the footer (fences, offsets, filter) is
 resident, and ``read_block`` opens a block in place over the table's
 map with CRC verification — the engine counts each one that misses its
@@ -162,7 +163,19 @@ def _decode_filter(tag: int, blob, keys_loader, filter_factory, copy: bool = Tru
     raise FrameError(f"unknown filter tag {tag}")
 
 
-def write_table(
+def column_blocks(
+    keys: Sequence[bytes], values: Sequence[bytes], block_entries: int = DEFAULT_BLOCK_ENTRIES
+) -> Iterator[tuple[Sequence[bytes], Sequence[bytes]]]:
+    """Two parallel columns — sorted, distinct ``keys`` and their
+    encoded values, as a flush has them — cut every ``block_entries``
+    into the blocks :func:`write_sstable` takes."""
+    if len(values) != len(keys):
+        raise ValueError("SSTable values must parallel keys")
+    cut = range(0, len(keys), block_entries)
+    return ((keys[i : i + block_entries], values[i : i + block_entries]) for i in cut)
+
+
+def write_sstable(
     fs: FileSystem,
     path: str,
     blocks: Iterable[tuple[Sequence[bytes], Sequence[bytes]]],
@@ -173,9 +186,9 @@ def write_table(
     sorted, distinct keys and their encoded values
     (:func:`~repro.lsm.disk_format.encode_value`), the keys ascending
     across blocks — as blocks, filter, footer; then fsync.  The one
-    table build: a flush feeds it column slices
-    (:func:`write_sstable`), a compaction the blocks it cuts from its
-    merge.
+    table build: a flush feeds it its columns cut by
+    :func:`column_blocks`, a compaction the blocks it cuts from its
+    merge (which therefore runs inside this call).
 
     Each block is encoded and appended as soon as it arrives, so what
     the writer holds is the fences and block spans and — only when
@@ -235,27 +248,6 @@ def write_table(
             f.close()
         raise
     f.close()
-
-
-def write_sstable(
-    fs: FileSystem,
-    path: str,
-    keys: Sequence[bytes],
-    values: Sequence[bytes],
-    table_id: int,
-    block_entries: int = DEFAULT_BLOCK_ENTRIES,
-    filter_factory=None,
-) -> None:
-    """:func:`write_table` fed from two columns — sorted, distinct
-    ``keys`` and their already-encoded ``values`` — cut every
-    ``block_entries``, as a flush has them."""
-    if not keys:
-        raise ValueError("SSTable cannot be empty")
-    if len(values) != len(keys):
-        raise ValueError("SSTable values must parallel keys")
-    cut = range(0, len(keys), block_entries)
-    blocks = ((keys[i : i + block_entries], values[i : i + block_entries]) for i in cut)
-    write_table(fs, path, blocks, table_id, filter_factory)
 
 
 class DiskSSTable(SSTableBase):

@@ -8,6 +8,7 @@ from repro.filters import BloomFilter
 from repro.lsm import DiskSSTable, LSMTree, TOMBSTONE, write_sstable
 from repro.lsm.disk_format import encode_value
 from repro.lsm.fs import MemFS
+from repro.lsm.sstable import column_blocks
 from repro.surf import surf_real
 from repro.workloads import encode_u64, random_u64_keys
 from repro.workloads.sensors import (
@@ -30,7 +31,7 @@ def sstable(keys, values, **kw):
     """One table file on a fresh MemFS, values encoded as the engine
     stores them."""
     fs = MemFS()
-    write_sstable(fs, "t.sst", keys, [encode_value(v) for v in values], 0, **kw)
+    write_sstable(fs, "t.sst", column_blocks(keys, [encode_value(v) for v in values], **kw), 0)
     return DiskSSTable(fs, "t.sst")
 
 

@@ -33,7 +33,7 @@ import pytest
 from repro.lsm import LSMTree, disk_format
 from repro.lsm import engine as engine_mod
 from repro.lsm.disk_format import encode_value
-from repro.lsm.sstable import DiskSSTable, TOMBSTONE, write_sstable
+from repro.lsm.sstable import DiskSSTable, TOMBSTONE, column_blocks, write_sstable
 from repro.testing.faultfs import MemFS
 from repro.testing.threaded import generate_write_ops, model_after, run_torture
 from repro.trees.gapped_btree import GappedBPlusTree
@@ -625,8 +625,8 @@ def _on_disk(fs, runs, first_id):
     out = []
     for table_id, run in enumerate(runs, first_id):
         path = f"t{table_id}.sst"
-        write_sstable(fs, path, [k for k, _ in run], [encode_value(v) for _, v in run],
-                      table_id, block_entries=4)
+        blocks = column_blocks([k for k, _ in run], [encode_value(v) for _, v in run], 4)
+        write_sstable(fs, path, blocks, table_id)
         out.append(DiskSSTable(fs, path))
     return out
 

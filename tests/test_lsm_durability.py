@@ -15,6 +15,7 @@ import random
 import threading
 import tracemalloc
 from array import array
+from bisect import bisect_left
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.lsm import DiskSSTable, LSMTree, TOMBSTONE, write_sstable
 from repro.lsm import disk_format, manifest as manifest_mod, wal as wal_mod
 from repro.lsm.fs import OsFileSystem, _MemWritableFile, join
 from repro.lsm.manifest import ManifestState
+from repro.lsm.sstable import DEFAULT_BLOCK_ENTRIES, column_blocks
 from repro.cluster import membership
 from repro.filters.bloom import BloomFilter
 from repro.surf import surf_real
@@ -47,8 +49,9 @@ def block_of(pairs):
     return disk_format.encode_block(*encode_pairs(pairs))
 
 
-def write_pairs(fs, path, pairs, **kw):
-    write_sstable(fs, path, *encode_pairs(pairs), **kw)
+def write_pairs(fs, path, pairs, table_id, block_entries=DEFAULT_BLOCK_ENTRIES, filter_factory=None):
+    blocks = column_blocks(*encode_pairs(pairs), block_entries)
+    write_sstable(fs, path, blocks, table_id, filter_factory)
 
 
 # -- disk format -------------------------------------------------------------
@@ -109,43 +112,40 @@ class TestDiskFormat:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_every_layout_roundtrips(self, layout):
-        """Each layout reads back what was written — entries, searches
-        hot and cold, and ``cells()`` byte for byte the encoded input."""
+        """Each layout reads back what was written — entries, both
+        searches, repeated on one block and against the key list, and
+        ``cells()`` byte for byte the encoded input."""
         pairs, stored, raw = self.LAYOUTS[layout]
         keys, cells = encode_pairs(pairs)
         blob = disk_format.encode_block(keys, cells)
-        cold, hot = disk_format.decode_block(blob), disk_format.decode_block(blob)
+        block = disk_format.decode_block(blob)
         # A block that stores offsets holds its own copy of them; any
         # other shares its shape's.
-        assert (isinstance(cold._off, array), bool(cold._raw)) == (stored, raw)
-        for _ in range(disk_format._HOT_BLOCK_PROBES):
-            hot.first_ge(b"warm-up")
-        assert list(cold) == pairs and list(hot) == pairs
-        assert list(cold.cells()) == list(zip(keys, cells)) == list(hot.cells())
-        assert list(cold.cells(1, 3)) == list(zip(keys, cells))[1:3]
+        assert (isinstance(block._off, array), bool(block._raw)) == (stored, raw)
+        assert list(block) == pairs
+        assert list(block.cells()) == list(zip(keys, cells))
+        assert list(block.cells(1, 3)) == list(zip(keys, cells))[1:3]
+        expected = dict(pairs)
         probes = keys + [k + b"\x00" for k in keys] + [b"\xff" * 9]
-        for probe in probes:
-            for block in (cold, disk_format.decode_block(blob)):
-                assert hot.first_ge(probe) == block.first_ge(probe)
-                assert hot.find(probe, "absent") == block.find(probe, "absent")
-        assert hot._keys is not None
+        for _ in range(2):
+            for probe in probes:
+                assert block.first_ge(probe) == bisect_left(keys, probe)
+                assert block.find(probe, "absent") == expected.get(probe, "absent")
         for key, value in pairs:
-            assert type(cold.find(key)) is type(value)
+            assert type(block.find(key)) is type(value)
 
-    def test_hot_block_search_agrees_with_cold(self):
-        """A block switches from the in-place bisect to a materialized
-        key list once it has been probed enough; both must agree on
-        stored keys, gaps between them, and both ends."""
+    def test_in_place_search_agrees_with_the_key_list(self):
+        """Both searches run in place over the block, however often it
+        is probed, and agree with a bisect over the key list on stored
+        keys, gaps between them, and both ends."""
         pairs = [(encode_u64(i * 2), i) for i in range(64)]
-        raw = block_of(pairs)
+        keys, expected = [k for k, _ in pairs], dict(pairs)
+        block = disk_format.decode_block(block_of(pairs))
         probes = [encode_u64(i) for i in range(130)] + [b"", b"\xff" * 9]
-        for probe in probes:
-            cold, hot = disk_format.decode_block(raw), disk_format.decode_block(raw)
-            for _ in range(disk_format._HOT_BLOCK_PROBES):
-                hot.first_ge(b"warm-up")
-            assert cold._keys is None and hot.first_ge(probe) == cold.first_ge(probe)
-            assert hot._keys is not None
-            assert hot.find(probe, "absent") == cold.find(probe, "absent")
+        for _ in range(3):
+            for probe in probes:
+                assert block.first_ge(probe) == bisect_left(keys, probe)
+                assert block.find(probe, "absent") == expected.get(probe, "absent")
 
     def test_empty_block_roundtrip(self):
         block = disk_format.decode_block(block_of([]))
@@ -229,17 +229,16 @@ class TestDiskFormat:
     def test_decreasing_offsets_are_rejected_by_the_walks(self):
         """Opening a block checks the header's ends, not every pair (a
         pass per cache miss); a pair that decreases is a FrameError at
-        the latest when the compaction (``cells``) or the hot key list
-        walks the offsets."""
+        the latest when a compaction walks the offsets (``cells`` and
+        ``columns``, over any range)."""
         u32 = lambda *v: b"".join(x.to_bytes(4, "little") for x in v)
         head = u32(2, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00"
         raw = disk_format.frame(head + u32(33, 35, 34, 37, 39) + b"ab\x02x\x02y")
         with pytest.raises(disk_format.FrameError, match="decrease"):
             list(disk_format.decode_block(raw).cells())
-        block = disk_format.decode_block(raw)
-        with pytest.raises(disk_format.FrameError, match="decrease"):
-            for _ in range(disk_format._HOT_BLOCK_PROBES + 1):
-                block.first_ge(b"a")
+        for start, stop in ((0, None), (1, 2), (0, 0)):
+            with pytest.raises(disk_format.FrameError, match="decrease"):
+                disk_format.decode_block(raw).columns(start, stop)
 
     def test_offsets_are_read_as_four_byte_words(self):
         """Stored offsets are read as native ``I`` words, which the

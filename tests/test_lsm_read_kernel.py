@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -400,10 +401,10 @@ class TestProbePlan:
                 assert db.io.filter_probes == candidates, (t, filter_name)
 
     def test_hot_and_cold_block_search_agree(self):
-        """``Block.find`` searches the key column in place and never
-        builds the key list; ``first_ge`` builds it once a block is hot.
-        Point reads answer the same on cold blocks, on blocks probed
-        past ``_HOT_BLOCK_PROBES`` and on blocks whose list is built."""
+        """``Block.find`` and ``first_ge`` search a table's blocks in
+        place and keep nothing between calls: a block probed once
+        (cold) and blocks probed over and over (hot) answer the same,
+        and as the table's own key list does."""
         db = LSMTree.open("hot", fs=MemFS(), memtable_entries=64, block_entries=16)
         keys = [encode_u64(i * 2) for i in range(64)]
         db.put_many([(k, i) for i, k in enumerate(keys)])
@@ -411,14 +412,21 @@ class TestProbePlan:
         probes = keys + [encode_u64(i * 2 + 1) for i in range(64)] + [b"", b"\xff" * 9]
         cold = [table.read_block(table.block_for(k)).find(k, "absent") for k in probes]
         cold_ge = [table.read_block(table.block_for(k)).first_ge(k) for k in probes]
-        found = [table.read_block(i) for i in range(table.n_blocks)]
-        listed = [table.read_block(i) for i in range(table.n_blocks)]
-        for _ in range(12):  # past _HOT_BLOCK_PROBES
-            assert [found[table.block_for(k)].find(k, "absent") for k in probes] == cold
-            assert [listed[table.block_for(k)].first_ge(k) for k in probes] == cold_ge
-        assert all(block._keys is None for block in found)
-        assert all(block._keys is not None for block in listed)
-        assert [listed[table.block_for(k)].find(k, "absent") for k in probes] == cold
+        assert cold == [keys.index(k) if k in keys else "absent" for k in probes]
+        expected_ge = [bisect_left(keys, k) - 16 * table.block_for(k) for k in probes]
+        assert cold_ge == expected_ge
+        hot = [table.read_block(i) for i in range(table.n_blocks)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(12):
+                assert [hot[table.block_for(k)].find(k, "absent") for k in probes] == cold
+                assert [hot[table.block_for(k)].first_ge(k) for k in probes] == cold_ge
+            # A key list kept per probed block would hold ~3 KiB here.
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1024, grown
         db.close()
 
 

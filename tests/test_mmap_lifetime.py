@@ -38,7 +38,7 @@ from repro.fst.serialize import (
 from repro.lsm import LSMTree
 from repro.lsm.disk_format import encode_value
 from repro.lsm.fs import MappedFile, OsFileSystem
-from repro.lsm.sstable import DiskSSTable, SSTableReader, write_sstable
+from repro.lsm.sstable import DiskSSTable, SSTableReader, column_blocks, write_sstable
 from repro.surf import SuRF
 from repro.testing.faultfs import CRASH_MODES, FaultFS, MemFS, PowerFailure
 from repro.workloads.keys import email_keys, encode_u64
@@ -123,7 +123,7 @@ class TestLazyOpen:
     def _write(self, fs, path, n=200, **kw):
         pairs = [(encode_u64(i), i) for i in range(n)]
         values = [encode_value(v) for _, v in pairs]
-        write_sstable(fs, path, [k for k, _ in pairs], values, table_id=7, block_entries=8, **kw)
+        write_sstable(fs, path, column_blocks([k for k, _ in pairs], values, 8), 7, **kw)
         return pairs
 
     def test_manifest_id_construction_does_zero_io(self):
@@ -445,8 +445,8 @@ class TestInPlaceBlockLifetime:
         fs = MemFS() if fs_kind == "mem" else OsFileSystem()
         path = "t.sst" if fs_kind == "mem" else str(tmp_path / "t.sst")
         keys = [encode_u64(i) for i in range(200)]
-        write_sstable(fs, path, keys, [encode_value(i) for i in range(200)], table_id=7,
-                      block_entries=8, filter_factory=lambda ks: BloomFilter(ks, bits_per_key=10))
+        write_sstable(fs, path, column_blocks(keys, [encode_value(i) for i in range(200)], 8), 7,
+                      filter_factory=lambda ks: BloomFilter(ks, bits_per_key=10))
         table = DiskSSTable(fs, path, table_id=7)
         flt, block, mapped = table.filter, table.read_block(3), table._ensure_map()
         raw = mapped.view[:16]
@@ -468,7 +468,7 @@ class TestInPlaceBlockLifetime:
         fs = OsFileSystem()
         path = str(tmp_path / "t.sst")
         keys = [encode_u64(i) for i in range(64)]
-        write_sstable(fs, path, keys, [encode_value(b"v%d" % i) for i in range(64)], table_id=1)
+        write_sstable(fs, path, column_blocks(keys, [encode_value(b"v%d" % i) for i in range(64)]), 1)
         table = DiskSSTable(fs, path)
         block = table.read_block(0)
         assert isinstance(table._map.buf, mmap.mmap)

@@ -8,7 +8,7 @@ from repro.fst import FST
 from repro.fst.serialize import fst_from_bytes, surf_from_bytes
 from repro.lsm import disk_format
 from repro.lsm.fs import MemFS
-from repro.lsm.sstable import DiskSSTable, write_sstable
+from repro.lsm.sstable import DiskSSTable, column_blocks, write_sstable
 from repro.surf import SuRF, surf_base, surf_hash, surf_mixed, surf_real
 from repro.workloads import email_keys, random_u64_keys
 
@@ -182,7 +182,7 @@ class TestStoredSizeMatchesTheModel:
         keys = SIZED_KEYS["u64"]
         fs = MemFS()
         values = [disk_format.encode_value(b"v" * 100)] * len(keys)
-        write_sstable(fs, "t.sst", keys, values, table_id=1, filter_factory=surf_real)
+        write_sstable(fs, "t.sst", column_blocks(keys, values), 1, filter_factory=surf_real)
         table = DiskSSTable(fs, "t.sst")
         frame_bits = table._filter_span[1] * 8 / len(keys)
         assert frame_bits <= 1.3 * table.filter.bits_per_key()

@@ -331,26 +331,32 @@ class TestCompactionOutputIdentity:
     streaming ones replaced: tables are byte-identical.  The first 500
     writes have fixed-width values (fixed-width blocks), the rest mix
     ints, strings, bytes and deletes (stored offsets, tags,
-    tombstones)."""
+    tombstones).  Tables are cut at 96 entries, six whole blocks, and
+    at 90, where every full output table ends in a short block."""
 
     FILTERS = {
         "none": None,
         "bloom": lambda keys: BloomFilter(keys, bits_per_key=10),
         "surf_real": lambda keys: surf_real(keys, real_bits=4),
     }
-    #: sha256 over the sorted ``(file name, sha256 of the file)`` pairs
-    #: of the 27 table files each run writes.
+    #: Per ``(sstable_entries, filter)``: how many table files the run
+    #: writes, and the sha256 over their sorted ``(file name, sha256 of
+    #: the file)`` pairs.
     DIGESTS = {
-        "none": "b0fb7260b687686d7de7f500dde1b063a4e024b8c44fe0ad591d3fc203159a51",
-        "bloom": "cf9a6c0188fc28d0c89c9949513bef7901992abaaee700401022c99b30779a32",
-        "surf_real": "b94e5a6d7a57923075bf28d996319831ddeabaa070c960cb2128283468d1ac3f",
+        (96, "none"): (27, "b0fb7260b687686d7de7f500dde1b063a4e024b8c44fe0ad591d3fc203159a51"),
+        (96, "bloom"): (27, "cf9a6c0188fc28d0c89c9949513bef7901992abaaee700401022c99b30779a32"),
+        (96, "surf_real"): (27, "b94e5a6d7a57923075bf28d996319831ddeabaa070c960cb2128283468d1ac3f"),
+        (90, "none"): (29, "dbf2da55b2d10759ac5743ec0595d9f7e3b10eccadda1f591a568cebffdc07f9"),
+        (90, "bloom"): (29, "b8503880abcb018bb6b81f57f7ad684c9cbec012b9264236218d919338929d48"),
+        (90, "surf_real"): (29, "d045c23f88f12bec9e9a3cac3e21cc478a40c8ca9ebd1e83c7f84d7a7b37ce2b"),
     }
 
     @pytest.mark.parametrize("filter_name", list(FILTERS))
-    def test_every_table_file_is_pinned(self, filter_name):
+    @pytest.mark.parametrize("sstable_entries", [96, 90])
+    def test_every_table_file_is_pinned(self, sstable_entries, filter_name):
         fs = _TableRecorder()
-        db = LSMTree.open("db", fs=fs, memtable_entries=128, sstable_entries=96, block_entries=16,
-                          level0_limit=2, level_fanout=2, filter_factory=self.FILTERS[filter_name])
+        db = LSMTree.open("db", fs=fs, memtable_entries=128, sstable_entries=sstable_entries,
+                          block_entries=16, level0_limit=2, level_fanout=2, filter_factory=self.FILTERS[filter_name])
         compactions = []
         compact = db._compact_level
 
@@ -378,9 +384,10 @@ class TestCompactionOutputIdentity:
         assert {(0, True), (0, False), (1, True)} <= set(compactions)
         tables = fs.digests("db")
         db.close()
-        assert len(tables) == 27
+        count, digest = self.DIGESTS[sstable_entries, filter_name]
+        assert len(tables) == count
         pairs = repr(sorted(tables.items())).encode()
-        assert hashlib.sha256(pairs).hexdigest() == self.DIGESTS[filter_name], tables
+        assert hashlib.sha256(pairs).hexdigest() == digest, tables
 
 
 # -- table files, blocks and WAL frames, byte for byte -----------------------------
@@ -517,8 +524,8 @@ class TestTableBytesIdentity:
             fs = MemFS()
             previous_write_sstable(fs, "old.sst", pairs, 9, block_entries, filter_factory)
             keys, values = _columns(pairs)
-            sstable.write_sstable(fs, "new.sst", keys, values, 9, block_entries=block_entries,
-                                  filter_factory=filter_factory)
+            blocks = sstable.column_blocks(keys, values, block_entries)
+            sstable.write_sstable(fs, "new.sst", blocks, 9, filter_factory)
             assert fs.read("new.sst") == fs.read("old.sst"), seed
 
     @pytest.mark.parametrize("family", FAMILIES)
