@@ -178,20 +178,6 @@ class CompactART(StaticOrderedIndex):
     def __len__(self) -> int:
         return self._len
 
-    # -- serialization -------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize for persisting beside an SSTable (int values only)."""
-        from .serialize import pairs_to_bytes
-
-        return pairs_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompactART":
-        from .serialize import pairs_from_bytes
-
-        return pairs_from_bytes(cls, data)
-
     # -- statistics ----------------------------------------------------------------------
 
     def memory_bytes(self) -> int:

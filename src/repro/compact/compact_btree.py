@@ -129,20 +129,6 @@ class CompactBPlusTree(StaticOrderedIndex):
     def __len__(self) -> int:
         return len(self._keys)
 
-    # -- serialization ---------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize for persisting beside an SSTable (int values only)."""
-        from .serialize import pairs_to_bytes
-
-        return pairs_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompactBPlusTree":
-        from .serialize import pairs_from_bytes
-
-        return pairs_from_bytes(cls, data)
-
     # -- statistics ------------------------------------------------------------------
 
     @property

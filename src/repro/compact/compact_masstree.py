@@ -142,20 +142,6 @@ class CompactMasstree(StaticOrderedIndex):
     def __len__(self) -> int:
         return self._len
 
-    # -- serialization ------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize for persisting beside an SSTable (int values only)."""
-        from .serialize import pairs_to_bytes
-
-        return pairs_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompactMasstree":
-        from .serialize import pairs_from_bytes
-
-        return pairs_from_bytes(cls, data)
-
     # -- statistics ---------------------------------------------------------------------
 
     def _walk_layers(self) -> Iterator[_CompactLayer]:

@@ -82,6 +82,7 @@ class CompressedBPlusTree(StaticOrderedIndex):
             self._levels.append(current)
         self._levels.reverse()
         self._cache = ClockNodeCache(cache_nodes)
+        self._first_keys_arr: np.ndarray | None = None
 
     # -- leaf access ---------------------------------------------------------------
 
@@ -114,7 +115,7 @@ class CompressedBPlusTree(StaticOrderedIndex):
         is decompressed once and all its queries answered together."""
         if not self._leaf_blobs or not keys:
             return [None] * len(keys)
-        first = getattr(self, "_first_keys_arr", None)
+        first = self._first_keys_arr
         if first is None:
             # dtype=object: 'S' padding would collide trailing-NUL keys.
             first = np.empty(len(self._leaf_first_keys), dtype=object)
@@ -167,21 +168,6 @@ class CompressedBPlusTree(StaticOrderedIndex):
 
     def __len__(self) -> int:
         return self._len
-
-    # -- serialization -------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize the compressed leaves as stored: loading skips the
-        compression pass and round-trips the exact encoded form."""
-        from .serialize import compressed_btree_to_bytes
-
-        return compressed_btree_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompressedBPlusTree":
-        from .serialize import compressed_btree_from_bytes
-
-        return compressed_btree_from_bytes(cls, data)
 
     # -- statistics ----------------------------------------------------------------------
 

@@ -101,7 +101,6 @@ from .sstable import (
     DEFAULT_BLOCK_ENTRIES,
     Block,
     DiskSSTable,
-    SSTableBase,
     TOMBSTONE,
     column_blocks,
     table_file_name,
@@ -109,7 +108,7 @@ from .sstable import (
 )
 
 
-def _blocks(tables: Sequence[SSTableBase]) -> Iterator[tuple[list[bytes], list[bytes]]]:
+def _blocks(tables: Sequence[DiskSSTable]) -> Iterator[tuple[list[bytes], list[bytes]]]:
     """The blocks of consecutive disjoint ``tables``, in key order and
     uncached, each as its ``(keys, cells)`` columns (``Block.columns``)."""
     for table in tables:
@@ -421,7 +420,7 @@ class _Version:
 
     __slots__ = ("levels", "refs", "_bounds", "_l0_rewrite", "debt_signalled")
 
-    def __init__(self, levels: list[list[SSTableBase]]) -> None:
+    def __init__(self, levels: list[list[DiskSSTable]]) -> None:
         self.levels = levels
         self.refs = 1
         self._bounds: list[tuple[list[bytes], list[bytes]]] | None = None
@@ -430,7 +429,7 @@ class _Version:
         #: compactor; later readers need not (see ``_charge_reads``).
         self.debt_signalled = False
 
-    def tables(self) -> Iterator[SSTableBase]:
+    def tables(self) -> Iterator[DiskSSTable]:
         for level in self.levels:
             yield from level
 
@@ -448,7 +447,7 @@ class _Version:
 
     def compaction_inputs(
         self, level: int
-    ) -> tuple[list[SSTableBase], list[SSTableBase]]:
+    ) -> tuple[list[DiskSSTable], list[DiskSSTable]]:
         """What compacting ``level`` rewrites: its sources (all of L0,
         newest first; a deeper level's first table) and the next
         level's tables their key range overlaps, in key order."""
@@ -506,7 +505,7 @@ class _View:
         self._sorted: list[bytes] | None = None
 
     @property
-    def levels(self) -> list[list[SSTableBase]]:
+    def levels(self) -> list[list[DiskSSTable]]:
         return self.version.levels
 
     def merged(self) -> dict[bytes, Any]:
@@ -728,7 +727,7 @@ class LSMTree:
     # -- level layout (compat view) ------------------------------------------------
 
     @property
-    def levels(self) -> list[list[SSTableBase]]:
+    def levels(self) -> list[list[DiskSSTable]]:
         """The current version's table layout.
 
         Callers must treat it as read-only: mutations install a fresh
@@ -949,7 +948,7 @@ class LSMTree:
 
     # -- version / table lifecycle -------------------------------------------------
 
-    def _install_version(self, levels: list[list[SSTableBase]]) -> _Version:
+    def _install_version(self, levels: list[list[DiskSSTable]]) -> _Version:
         """Swap in a new table layout (caller holds the lock).
 
         Tables joining gain a reference.  The *old* version is returned
@@ -974,7 +973,7 @@ class LSMTree:
                 if table._engine_refs == 0:
                     self._drop_table(table)
 
-    def _drop_table(self, table: SSTableBase) -> None:
+    def _drop_table(self, table: DiskSSTable) -> None:
         """Physically drop a table nothing references anymore: evict
         its cached blocks, unlink the file, release the mapping."""
         for idx in range(table.n_blocks):
@@ -1360,7 +1359,7 @@ class LSMTree:
         # holding the old version releases it (possibly just now).
 
     def _merge_tables(
-        self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
+        self, newer: list[DiskSSTable], older: list[DiskSSTable], drop_tombstones: bool
     ) -> Iterator[Iterator[tuple[list[bytes], list[bytes]]]]:
         """Newest-wins merge of the runs ``newer`` (newest first, may
         overlap) into ``older`` (the next level's disjoint tables they
@@ -1394,7 +1393,7 @@ class LSMTree:
 
     # -- block access with simulated I/O ------------------------------------------------
 
-    def _read_block(self, table: SSTableBase, block_idx: int) -> Block:
+    def _read_block(self, table: DiskSSTable, block_idx: int) -> Block:
         """The only door to the block cache (``IoStats`` counts on it)."""
         return self._block_cache.get_or_load(
             (table.table_id, block_idx), table.read_block, block_idx
@@ -1444,7 +1443,7 @@ class LSMTree:
             self._charge_reads(view, wasted)
         return None if value is _MISSING or value is TOMBSTONE else value
 
-    def _table_get(self, table: SSTableBase, key: bytes) -> Any:
+    def _table_get(self, table: DiskSSTable, key: bytes) -> Any:
         """One table's answer for an in-range ``key``: the filter
         probe, then at most one block fetch; ``_MISSING`` if absent."""
         flt = table.filter
@@ -1535,7 +1534,7 @@ class LSMTree:
         return list(map(answers.__getitem__, batch))
 
     def _table_get_many(
-        self, table: SSTableBase, keys: list[bytes], out: list[Any], idxs: list[int]
+        self, table: DiskSSTable, keys: list[bytes], out: list[Any], idxs: list[int]
     ) -> int:
         """Resolve what ``table`` holds of the in-range ``keys[idxs]``
         into ``out``; return how many it held (the rest were filter
@@ -1608,7 +1607,7 @@ class LSMTree:
         if any(len(layer) for layer in view.mems):
             runs.append(view.mem_run(low))
         levels = view.levels
-        spans: list[list[SSTableBase]] = []
+        spans: list[list[DiskSSTable]] = []
         for li, (_mins, maxs) in enumerate(view.version.bounds()):
             if li == 0:
                 spans += [[t] for t, hi in zip(levels[0], maxs) if hi >= low]
@@ -1656,7 +1655,7 @@ class LSMTree:
                 yield key, winner
 
     def _table_run(
-        self, tables: Sequence[SSTableBase], low: bytes, prune: bool
+        self, tables: Sequence[DiskSSTable], low: bytes, prune: bool
     ) -> Iterator[tuple[bytes, Any]]:
         """Entries >= ``low`` of consecutive disjoint ``tables`` (one
         L0 table, or the tail of a deeper level), block by cached block.

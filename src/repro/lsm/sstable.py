@@ -7,11 +7,10 @@ an optional filter (Bloom or SuRF) guards the table (Section 4.2).
 
 A table is a file written block by block by :func:`write_sstable` (a
 flush feeds it :func:`column_blocks`, a compaction its merge's blocks)
-and read through :class:`SSTableBase`
-by :class:`DiskSSTable`: only the footer (fences, offsets, filter) is
-resident, and ``read_block`` opens a block in place over the table's
-map with CRC verification — the engine counts each one that misses its
-block cache as one I/O.
+and read by :class:`DiskSSTable`: only the footer (fences, offsets,
+filter) is resident, and ``read_block`` opens a block in place over the
+table's map with CRC verification — the engine counts each one that
+misses its block cache as one I/O.
 
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
@@ -59,62 +58,6 @@ _FILTER_REBUILD = 3  # unknown filter type: rebuild from keys on load
 
 def table_file_name(table_id: int) -> str:
     return f"sst-{table_id:08d}.sst"
-
-
-class SSTableBase:
-    """The interface the engine reads a table through.
-
-    Concrete subclasses provide ``table_id``, ``fences``, ``min_key``,
-    ``max_key``, ``n_entries``, ``filter``, ``n_blocks`` and
-    ``read_block``.
-    """
-
-    table_id: int
-    fences: list[bytes]
-    min_key: bytes
-    max_key: bytes
-    n_entries: int
-    filter: Any  # None, or answers ``lookup(key)`` (the engine's probe)
-
-    @property
-    def n_blocks(self) -> int:
-        raise NotImplementedError
-
-    def read_block(self, idx: int) -> Block:
-        raise NotImplementedError
-
-    def block_for(self, key: bytes) -> int:
-        """Index of the block that may contain ``key``."""
-        idx = bisect_right(self.fences, key) - 1
-        return max(idx, 0)
-
-    def overlaps(self, lo: bytes, hi: bytes) -> bool:
-        return not (self.max_key < lo or self.min_key > hi)
-
-    def filter_seek(self, key: bytes):
-        """SuRF moveToNext on the table's filter, or None if the filter
-        cannot answer (absent or a Bloom filter)."""
-        flt = self.filter
-        if flt is None or not hasattr(flt, "move_to_next"):
-            return None
-        return flt.move_to_next(key)
-
-    def items(self) -> Iterator[tuple[bytes, Any]]:
-        for idx in range(self.n_blocks):
-            yield from self.read_block(idx)
-
-    def cells(self) -> Iterator[tuple[bytes, bytes]]:
-        """Every entry in key order as its blocks store it
-        (:meth:`Block.cells`), one block at a time — uncached, like
-        :meth:`items`."""
-        for idx in range(self.n_blocks):
-            yield from self.read_block(idx).cells()
-
-    def filter_memory_bytes(self) -> int:
-        return self.filter.memory_bytes() if self.filter is not None else 0
-
-    def close(self) -> None:
-        """Release any backing resources."""
 
 
 # -- table files -------------------------------------------------------------
@@ -250,7 +193,7 @@ def write_sstable(
     f.close()
 
 
-class DiskSSTable(SSTableBase):
+class DiskSSTable:
     """A file-backed table reader over one ``mmap`` of the table file.
 
     Everything is lazy: constructing with a known ``table_id`` (the
@@ -358,7 +301,7 @@ class DiskSSTable(SSTableBase):
         self._filter_loaded = True
         return self._filter
 
-    # -- SSTableBase surface (all lazy) ------------------------------------
+    # -- the engine's read surface (all lazy) -----------------------------
 
     @property
     def table_id(self) -> int:
@@ -399,6 +342,36 @@ class DiskSSTable(SSTableBase):
         self._ensure_footer()
         off, length = self._block_spans[idx]
         return disk_format.open_block(self._ensure_map(), off, length)
+
+    def block_for(self, key: bytes) -> int:
+        """Index of the block that may contain ``key``."""
+        idx = bisect_right(self.fences, key) - 1
+        return max(idx, 0)
+
+    def overlaps(self, lo: bytes, hi: bytes) -> bool:
+        return not (self.max_key < lo or self.min_key > hi)
+
+    def filter_seek(self, key: bytes):
+        """SuRF moveToNext on the table's filter, or None if the filter
+        cannot answer (absent or a Bloom filter)."""
+        flt = self.filter
+        if flt is None or not hasattr(flt, "move_to_next"):
+            return None
+        return flt.move_to_next(key)
+
+    def items(self) -> Iterator[tuple[bytes, Any]]:
+        for idx in range(self.n_blocks):
+            yield from self.read_block(idx)
+
+    def cells(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every entry in key order as its blocks store it
+        (:meth:`Block.cells`), one block at a time — uncached, like
+        :meth:`items`."""
+        for idx in range(self.n_blocks):
+            yield from self.read_block(idx).cells()
+
+    def filter_memory_bytes(self) -> int:
+        return self.filter.memory_bytes() if self.filter is not None else 0
 
     def close(self) -> None:
         """Release the filter and the mapping (tolerates outstanding

@@ -163,27 +163,11 @@ class DynamicAdapter(Adapter):
         raise ValueError(f"unknown op {op.op!r}")
 
 
-class GappedAdapter(DynamicAdapter):
-    """GappedBPlusTree: DynamicAdapter plus a real serialize round-trip.
-
-    ``serialize`` replaces the live tree with ``from_bytes(to_bytes())``
-    so every later read runs against the deserialized instance — a
-    leaf-packing or framing bug surfaces as a differential failure."""
-
-    def apply(self, op: Op) -> Any:
-        if op.op == "serialize":
-            index = self.index
-            self.index = type(index).from_bytes(index.to_bytes())
-            return None
-        return super().apply(op)
-
-
 class StaticAdapter(Adapter):
     """D-to-S structure: pending mutations, lazy rebuild on read.
 
-    ``merge`` forces a rebuild; ``serialize`` forces a
-    to_bytes/from_bytes round-trip when the structure supports one, so
-    later reads run against the deserialized instance.
+    ``merge`` forces a rebuild.  The compact trees have no wire format,
+    so ``serialize`` is skipped; :class:`FstAdapter` round-trips it.
     """
 
     def __init__(self, name: str, builder: Callable[[Sequence[tuple[bytes, Any]]], Any]) -> None:
@@ -230,11 +214,7 @@ class StaticAdapter(Adapter):
             self._ensure()
             return None
         if op.op == "serialize":
-            index = self._ensure()
-            if not hasattr(index, "to_bytes"):
-                return SKIPPED
-            self.index = type(index).from_bytes(index.to_bytes())
-            return None
+            return SKIPPED
         index = self._ensure()
         if op.op == "get":
             return index.get(op.key)
@@ -264,7 +244,9 @@ class StaticAdapter(Adapter):
 
 class FstAdapter(StaticAdapter):
     """FST: like StaticAdapter, but ``count`` uses the native
-    ``count_range`` (exact for complete tries) instead of iteration."""
+    ``count_range`` (exact for complete tries) instead of iteration, and
+    ``serialize`` replaces the trie with ``from_bytes(to_bytes())``, so
+    every later read runs against the loaded blob."""
 
     def __init__(self, name: str = "fst", **fst_kwargs) -> None:
         super().__init__(name, lambda pairs: FST([k for k, _ in pairs], [v for _, v in pairs], **fst_kwargs))
@@ -273,6 +255,10 @@ class FstAdapter(StaticAdapter):
         if op.op == "count":
             index = self._ensure()
             return min(index.count_range(op.key, op.high), COUNT_CLAMP)
+        if op.op == "serialize":
+            index = self._ensure()
+            self.index = FST.from_bytes(index.to_bytes())
+            return None
         return super().apply(op)
 
 
@@ -887,7 +873,7 @@ def all_structures() -> dict[str, Callable[[], Adapter]]:
         "hot": lambda: DynamicAdapter("hot", HOTrie),
         "ttree": lambda: DynamicAdapter("ttree", TTree),
         # gapped batch-insert tree (tiny leaves force splits/rebalances)
-        "gapped": lambda: GappedAdapter(
+        "gapped": lambda: DynamicAdapter(
             "gapped", lambda: GappedBPlusTree(leaf_capacity=16)
         ),
         # D-to-S compact structures

@@ -29,8 +29,11 @@ from ..workloads.keys import email_keys, random_u64_keys, url_keys
 
 #: Ops a sequence may contain.  ``lower_bound`` and ``scan`` carry a
 #: ``count`` limit; range ops carry ``high``; ``merge`` forces a stage
-#: merge / rebuild; ``serialize`` forces a to_bytes/from_bytes
-#: round-trip where the structure supports one.
+#: merge / rebuild; ``serialize`` forces a round trip where the
+#: structure has one: the FST, the SuRF variants and the Bloom filter
+#: reload from their ``to_bytes()`` blob, the LSM / server / cluster
+#: adapters close and recover.  The in-memory trees and the prefix
+#: Bloom filter have no wire format and skip it.
 OP_NAMES = (
     "insert",
     "update",

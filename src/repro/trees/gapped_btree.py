@@ -58,9 +58,7 @@ Batch algorithms (the ``put_many`` path)
    :class:`~repro.trees.base.OrderedIndex` loop over ``delete``.
 
 Values are opaque (the LSM memtable stores its ``TOMBSTONE`` sentinel
-as an ordinary value); serialization (:meth:`to_bytes`) follows the
-:mod:`repro.compact.serialize` convention and therefore requires
-non-negative int values, like every other compact structure.
+as an ordinary value).
 """
 
 from __future__ import annotations
@@ -761,18 +759,3 @@ class GappedBPlusTree(OrderedIndex):
         total += len(d.leaves) * 2 * POINTER_BYTES  # directory entry + sep ref
         total += sum(heap_key_bytes(k) for k, _ in self.items())
         return total
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Pair-array serialization (:mod:`repro.compact.serialize`
-        style: non-negative int values only)."""
-        from ..compact.serialize import gapped_to_bytes
-
-        return gapped_to_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GappedBPlusTree":
-        from ..compact.serialize import gapped_from_bytes
-
-        return gapped_from_bytes(cls, data)

@@ -70,6 +70,9 @@ class TestCompactCorrectness:
         for k, v in EMAIL_PAIRS[::11]:
             assert index.get(k) == v
         assert list(index.items()) == EMAIL_PAIRS
+        for i in range(0, len(EMAIL_PAIRS), 97):
+            assert index.scan(EMAIL_PAIRS[i][0], 4) == EMAIL_PAIRS[i : i + 4]
+        assert index.get(b"\x00absent-key") is None
 
     def test_static_mutations_raise(self, compact_cls):
         index = compact_cls(PAIRS[:50])
@@ -90,6 +93,11 @@ class TestCompactCorrectness:
         single = compact_cls([(b"only", 7)])
         assert single.get(b"only") == 7
         assert single.get(b"other") is None
+        empty = compact_cls([])
+        assert len(empty) == 0
+        assert list(empty.items()) == []
+        assert empty.get(PAIRS[0][0]) is None
+        assert empty.scan(b"", 3) == []
 
     @pytest.mark.parametrize("cls", COMPACT_CLASSES, ids=lambda c: c.__name__)
     @given(

@@ -9,9 +9,11 @@ import json
 
 import pytest
 
+from repro.fst import FST
 from repro.fst import fst as fst_module
 from repro.testing import (
     FilterOracle,
+    Op,
     SortedOracle,
     all_structures,
     fuzz_structure,
@@ -23,6 +25,8 @@ from repro.testing import (
     shrink,
 )
 from repro.testing.__main__ import main
+from repro.testing.adapters import COUNT_CLAMP, SKIPPED
+from repro.workloads import random_u64_keys
 
 REPRESENTATIVE = [
     "btree",
@@ -57,6 +61,36 @@ class TestCleanRuns:
         for name in ("skiplist", "compact_art", "surf_real"):
             result = fuzz_structure(name, ops, lambda: make_adapter(name))
             assert result.ok, f"{name}/{keyspace}: {result.failure.describe()}"
+
+
+class TestSerializeOp:
+    def test_fst_reads_run_on_the_loaded_trie(self):
+        keys = sorted(random_u64_keys(400, seed=48))
+        oracle = SortedOracle()
+        oracle.put_many((k, i) for i, k in enumerate(keys))
+        adapter = make_adapter("fst")
+        adapter.apply(Op("put_many", keys=tuple(keys), values=tuple(range(len(keys)))))
+        adapter.apply(Op("merge"))
+        built = adapter.index
+        assert adapter.apply(Op("serialize")) is None
+        loaded = adapter.index
+        assert isinstance(loaded, FST) and loaded is not built
+        assert loaded.to_bytes() == built.to_bytes()
+        for key in keys[::37] + [b"\x00absent", keys[5] + b"\x00"]:
+            assert adapter.apply(Op("get", key=key)) == oracle.get(key)
+        for low in (b"", keys[17], keys[200] + b"\x00", b"\xff" * 9):
+            assert adapter.apply(Op("scan", key=low, count=9)) == oracle.scan(low, 9)
+        for low, high in ((keys[10], keys[300]), (b"", b"\xff" * 9), (keys[50], keys[50])):
+            expected = min(oracle.range_count(low, high), COUNT_CLAMP)
+            assert adapter.apply(Op("count", key=low, high=high)) == expected
+        assert adapter.index is loaded  # no rebuild behind the reads
+
+    @pytest.mark.parametrize("name", ["compact_btree", "compressed_btree", "gapped"])
+    def test_trees_without_a_wire_format_skip_it(self, name):
+        adapter = make_adapter(name)
+        adapter.apply(Op("insert", key=b"k", value=1))
+        assert adapter.apply(Op("serialize")) is SKIPPED
+        assert adapter.apply(Op("get", key=b"k")) == 1
 
 
 class TestSabotage:

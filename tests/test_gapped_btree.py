@@ -178,39 +178,6 @@ class TestEmptyBatchNoOp:
         assert tree_of([(k(1), 1)]).get_many([]) == []
 
 
-class TestSerializeRoundTrip:
-    def test_round_trip_preserves_items_and_capacity(self):
-        t = tree_of([(k(i), i) for i in range(500)], capacity=32)
-        t.delete_many([k(i) for i in range(0, 500, 5)])
-        u = GappedBPlusTree.from_bytes(t.to_bytes())
-        assert u._capacity == 32
-        assert len(u) == len(t)
-        assert list(u.items()) == list(t.items())
-
-    def test_round_trip_empty(self):
-        u = GappedBPlusTree.from_bytes(GappedBPlusTree().to_bytes())
-        assert len(u) == 0
-        assert list(u.items()) == []
-
-    def test_bad_magic_rejected(self):
-        blob = tree_of([(k(1), 1)]).to_bytes()
-        with pytest.raises(ValueError):
-            GappedBPlusTree.from_bytes(b"XXXX" + blob[4:])
-
-    def test_truncated_rejected(self):
-        blob = tree_of([(k(i), i) for i in range(20)]).to_bytes()
-        with pytest.raises(ValueError):
-            GappedBPlusTree.from_bytes(blob[: len(blob) - 3])
-
-    def test_deserialized_tree_is_mutable(self):
-        u = GappedBPlusTree.from_bytes(
-            tree_of([(k(i), i) for i in range(50)], capacity=16).to_bytes()
-        )
-        u.put_many([(k(i), -i) for i in range(25, 75)])
-        assert len(u) == 75
-        assert u.get(k(30)) == -30
-
-
 class TestFrozenViewIsolation:
     def test_view_ignores_later_writes(self):
         t = tree_of([(k(i), i) for i in range(50)], capacity=16)
