@@ -114,6 +114,60 @@ class TestCompactCorrectness:
         assert list(index.items()) == pairs
 
 
+@pytest.mark.parametrize("cls", COMPACT_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("pairs", [PAIRS, EMAIL_PAIRS], ids=["int", "email"])
+def test_lower_bound_runs_to_the_end(cls, pairs):
+    """``lower_bound`` is unbounded: it crosses every leaf to the last key."""
+    index = cls(pairs)
+    for i in (0, 17, len(pairs) // 2, len(pairs) - 1):
+        assert list(index.lower_bound(pairs[i][0])) == pairs[i:]
+    assert list(index.lower_bound(pairs[-1][0] + b"\x00")) == []
+    assert list(index.lower_bound(b"")) == pairs
+
+
+@pytest.mark.parametrize("cls", COMPACT_CLASSES, ids=lambda c: c.__name__)
+@given(
+    mapping=st.dictionaries(
+        st.binary(min_size=1, max_size=20),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        max_size=80,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_full_int64_values(cls, mapping):
+    """Values span the whole signed 64-bit range the compressed leaves pack."""
+    pairs = sorted(mapping.items())
+    index = cls(pairs)
+    assert list(index.items()) == pairs
+    for k, v in pairs:
+        assert index.get(k) == v
+
+
+@pytest.mark.parametrize("slots", [4, 5, 16, 64, 1200, 2000])
+def test_node_slots_set_the_height(slots):
+    """Height is the least h with slots**h >= n, and reads do not depend on it."""
+    index = CompactBPlusTree(PAIRS, node_slots=slots)
+    height = 1
+    while slots**height < len(PAIRS):
+        height += 1
+    assert index.height == height
+    for i in range(0, len(PAIRS), 37):
+        assert index.get(PAIRS[i][0]) == PAIRS[i][1]
+        assert index.scan(PAIRS[i][0], 3) == PAIRS[i : i + 3]
+    assert list(index.items()) == PAIRS
+
+
+@pytest.mark.parametrize("cache_nodes", [1, 2, 7, 64])
+def test_compressed_cache_stays_within_capacity(cache_nodes):
+    index = CompressedBPlusTree(PAIRS, node_slots=16, cache_nodes=cache_nodes)
+    assert index._cache.capacity == cache_nodes
+    for k, v in PAIRS[::5]:
+        assert index.get(k) == v
+        assert len(index._cache) <= cache_nodes
+    assert list(index.items()) == PAIRS
+    assert len(index._cache) == min(cache_nodes, len(index._leaf_blobs))
+
+
 def _loaded(cls, pairs):
     tree = cls()
     for k, v in pairs:

@@ -85,12 +85,42 @@ class TestSerializeOp:
             assert adapter.apply(Op("count", key=low, high=high)) == expected
         assert adapter.index is loaded  # no rebuild behind the reads
 
-    @pytest.mark.parametrize("name", ["compact_btree", "compressed_btree", "gapped"])
+    @pytest.mark.parametrize("name", ["surf_base", "surf_hash", "surf_real", "surf_mixed", "bloom"])
+    def test_filters_answer_from_the_loaded_blob(self, name):
+        keys = sorted(random_u64_keys(300, seed=49))
+        adapter = make_adapter(name)
+        adapter.apply(Op("put_many", keys=tuple(keys), values=tuple(range(len(keys)))))
+        adapter.apply(Op("merge"))
+        built = adapter.filter
+        probes = keys[::7] + [b"\x00absent", keys[5] + b"\x00", b"\xff" * 9]
+        expected = [bool(built.may_contain(key)) for key in probes]
+        assert adapter.apply(Op("serialize")) is None
+        loaded = adapter.filter
+        assert type(loaded) is type(built) and loaded is not built
+        assert loaded.to_bytes() == built.to_bytes()
+        assert [adapter.apply(Op("get", key=key)) for key in probes] == expected
+        assert all(adapter.apply(Op("contains", key=key)) for key in keys)
+        assert adapter.filter is loaded  # no rebuild behind the reads
+
+    # Every in-memory structure except the FST and the filters above.
+    @pytest.mark.parametrize("name", [
+        "btree", "skiplist", "art", "masstree", "prefix_btree", "hot", "ttree", "gapped",
+        "compact_btree", "compact_skiplist", "compact_art", "compact_masstree",
+        "compressed_btree", "hybrid_btree", "hybrid_skiplist", "hybrid_art",
+        "hybrid_masstree", "hybrid_compressed_btree", "hybrid_gapped",
+        "hope_btree", "hope_art",
+    ])
     def test_trees_without_a_wire_format_skip_it(self, name):
         adapter = make_adapter(name)
         adapter.apply(Op("insert", key=b"k", value=1))
         assert adapter.apply(Op("serialize")) is SKIPPED
         assert adapter.apply(Op("get", key=b"k")) == 1
+
+    def test_prefix_bloom_has_no_wire_format(self):
+        adapter = make_adapter("prefix_bloom")
+        adapter.apply(Op("insert", key=b"abcdef", value=1))
+        assert adapter.apply(Op("serialize")) is SKIPPED
+        assert adapter.apply(Op("get", key=b"abcdef")) is True
 
 
 class TestSabotage:
